@@ -181,8 +181,12 @@ func TestServeConcurrentQueries(t *testing.T) {
 	if got := after["serve.requests"] - before["serve.requests"]; got < sent {
 		t.Errorf("serve.requests advanced by %d, want >= %d", got, sent)
 	}
-	if got := after["core.queries"] - before["core.queries"]; got < sent {
-		t.Errorf("core.queries advanced by %d, want >= %d", got, sent)
+	// Each request evaluates or, when an identical query is already in
+	// flight, joins that evaluation (single-flight) instead.
+	evals := after["core.queries"] - before["core.queries"]
+	joined := after["core.singleflight_followers"] - before["core.singleflight_followers"]
+	if evals+joined < sent {
+		t.Errorf("core.queries advanced by %d and core.singleflight_followers by %d, want >= %d together", evals, joined, sent)
 	}
 	for k, v := range before {
 		a, ok := after[k]

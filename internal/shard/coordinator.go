@@ -414,7 +414,9 @@ func (c *Coordinator) captureSlow(ctx context.Context, qtext string, start time.
 	}
 	for k := range meters {
 		ss := obs.SlowShard{Shard: k, Counters: meters[k].Counters(), Retries: attempts[k]}
-		if errs[k] != nil {
+		// A sibling the coordinator cancelled after another shard failed
+		// only echoes that failure; its row names no error of its own.
+		if errs[k] != nil && !(degraded && k != de.Shard && isCancellation(errs[k])) {
 			ss.Error = errs[k].Error()
 		}
 		rec.ShardRetries += attempts[k]
@@ -432,7 +434,7 @@ func (c *Coordinator) captureSlow(ctx context.Context, qtext string, start time.
 func pickShardError(ctx context.Context, errs []error) error {
 	failed := -1
 	for k, err := range errs {
-		if err == nil || errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+		if err == nil || isCancellation(err) {
 			continue
 		}
 		failed = k
@@ -454,6 +456,10 @@ func pickShardError(ctx context.Context, errs []error) error {
 	}
 	obsDegraded.Inc()
 	return &DegradedError{Shard: failed, Err: errs[failed]}
+}
+
+func isCancellation(err error) bool {
+	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
 // unionQuery evaluates a non-decomposable query on the union view. The

@@ -12,6 +12,7 @@ import (
 	"vxml/internal/core"
 	"vxml/internal/naive"
 	"vxml/internal/qgraph"
+	"vxml/internal/storage"
 	"vxml/internal/vectorize"
 	"vxml/internal/xmlmodel"
 	"vxml/internal/xq"
@@ -24,7 +25,9 @@ import (
 // the serialized results. Child-axis queries must match byte for byte
 // (order and duplicates included); queries using '*' or '//' are compared
 // as sorted multisets of top-level result items, because the engine
-// groups such matches by path class.
+// groups such matches by path class. A fixed 1-in-8 slice of pairs is
+// also evaluated over on-disk repositories, in both vector formats, and
+// must answer byte for byte as the in-memory engine does.
 //
 // Knobs (environment):
 //
@@ -145,6 +148,14 @@ func diffPair(t *testing.T, seed int64) bool {
 		return false
 	}
 
+	if seed%8 == 0 {
+		for _, compress := range []bool{false, true} {
+			if !diskPair(t, seed, xmlmodel.TreeString(tree, syms), plan, compress, got) {
+				return false
+			}
+		}
+	}
+
 	// Static-checker soundness under randomized load: CheckPlan may only
 	// call a query statically empty when the naive baseline also answers
 	// with a bare result root. A rejection of any non-empty answer is a
@@ -171,6 +182,36 @@ func diffPair(t *testing.T, seed int64) bool {
 	if gc != nc {
 		t.Errorf("pair seed %d: mismatch (multiset)\nquery: %s\ndoc: %s\nengine: %s\nnaive:  %s",
 			seed, q.Src, xmlmodel.TreeString(tree, syms), got, want)
+		return false
+	}
+	return true
+}
+
+// diskPair vectorizes doc into an on-disk repository (on an in-memory
+// filesystem) with raw or DEFLATE-compressed vectors and a 4-page buffer
+// pool, so scans fault and evict pages, and checks that the engine answers
+// plan there exactly as it did over the in-memory repository (want).
+func diskPair(t *testing.T, seed int64, doc string, plan *qgraph.Plan, compress bool, want string) bool {
+	opts := vectorize.Options{PoolPages: 4, Compress: compress, FS: storage.NewMemFS()}
+	repo, err := vectorize.Create(strings.NewReader(doc), "repo", opts)
+	if err != nil {
+		t.Errorf("pair seed %d: disk vectorize (compress=%v): %v", seed, compress, err)
+		return false
+	}
+	defer repo.Close()
+	res, err := core.NewRepoEngine(repo, core.Options{}).Eval(context.Background(), plan)
+	if err != nil {
+		t.Errorf("pair seed %d: disk engine (compress=%v): %v", seed, compress, err)
+		return false
+	}
+	var b strings.Builder
+	if err := vectorize.ReconstructXML(res.Skel, res.Classes, res.Vectors, res.Syms, &b); err != nil {
+		t.Errorf("pair seed %d: reconstruct disk result (compress=%v): %v", seed, compress, err)
+		return false
+	}
+	if b.String() != want {
+		t.Errorf("pair seed %d: disk result (compress=%v) diverged from in-memory result\ndisk:   %s\nmemory: %s",
+			seed, compress, b.String(), want)
 		return false
 	}
 	return true

@@ -3,12 +3,9 @@ package vector
 import (
 	"bytes"
 	"compress/flate"
-	"context"
 	"encoding/binary"
 	"fmt"
-	"io"
 
-	"vxml/internal/obs"
 	"vxml/internal/storage"
 )
 
@@ -17,25 +14,13 @@ import (
 // costs"): values are packed into page-sized batches and each batch is
 // DEFLATE-compressed independently, so positional access still touches
 // O(log pages) pages and decompression happens one page at a time during
-// scans — the query processor never inflates more than it reads.
-//
-// Layout: page 0 is the meta page (magic "VXC2", u64 count, u64 raw value
-// bytes). Each data page holds one batch: u64 firstIdx, u16 record count,
-// u16 payload length, u8 flag (0 = stored raw when DEFLATE would not
-// shrink it, 1 = DEFLATE), then the payload — the same uvarint-length
-// record packing as the uncompressed format, compressed as a unit. The
-// payload is bounded by storage.PageDataSize (the storage layer keeps a
-// CRC32C trailer in the last 4 bytes of every page); "VXC1" predates the
-// trailer and is rejected.
+// scans — the query processor never inflates more than it reads. A batch
+// DEFLATE would not shrink is stored raw (codec 0). The layout is in
+// paged.go, beside the uncompressed one; Paged reads both.
 
-const (
-	compMagic   = "VXC2"
-	compHeader  = 13
-	compPayload = storage.PageDataSize - compHeader
-	// compBatch is the uncompressed batch size target; recursive splitting
-	// at flush time right-sizes chunks to the data's compressibility.
-	compBatch = 4 * compPayload
-)
+// compBatch is the uncompressed batch size target; recursive splitting at
+// flush time right-sizes chunks to the data's compressibility.
+const compBatch = 4 * compPayload
 
 // CompressedWriter appends values to a compressed vector file.
 type CompressedWriter struct {
@@ -56,14 +41,9 @@ type CompressedWriter struct {
 
 // NewCompressedWriter starts a fresh compressed vector in file.
 func NewCompressedWriter(pool *storage.BufferPool, file *storage.File) (*CompressedWriter, error) {
-	if file.NumPages() != 0 {
-		return nil, fmt.Errorf("vector: NewCompressedWriter on non-empty file %s", file.Path())
-	}
-	fr, _, err := pool.Alloc(file)
-	if err != nil {
+	if err := reserveMeta(pool, file); err != nil {
 		return nil, err
 	}
-	pool.Unpin(fr, true)
 	return &CompressedWriter{pool: pool, file: file}, nil
 }
 
@@ -127,9 +107,9 @@ func (w *CompressedWriter) emitChunk(data []byte, recs int, first int64) error {
 		w.err = err
 		return err
 	}
-	payload, flag := w.scratch.Bytes(), byte(1)
+	payload, flag := w.scratch.Bytes(), byte(codecDeflate)
 	if len(payload) >= len(data) && len(data) <= compPayload {
-		payload, flag = data, 0 // incompressible but fits raw
+		payload, flag = data, codecRaw // incompressible but fits raw
 	}
 	if len(payload) <= compPayload {
 		w.firstOut, w.nrecsOut = first, recs
@@ -181,324 +161,49 @@ func (w *CompressedWriter) Close() error {
 	if err := w.flushBatch(); err != nil {
 		return err
 	}
-	fr, err := w.pool.Get(w.file, 0)
-	if err != nil {
+	if err := (meta{compressed: true, count: w.count, bytes: w.bytes}).write(w.pool, w.file); err != nil {
 		return err
 	}
-	copy(fr.Data[0:4], compMagic)
-	binary.LittleEndian.PutUint64(fr.Data[4:12], uint64(w.count))
-	binary.LittleEndian.PutUint64(fr.Data[12:20], uint64(w.bytes))
-	w.pool.Unpin(fr, true)
-	w.err = fmt.Errorf("vector: writer closed")
+	w.err = errWriterClosed
 	return nil
-}
-
-// CompressedPaged reads a compressed vector file. The struct itself holds
-// no scan state — each Scan inflates pages into its own local cache — so
-// one CompressedPaged may serve any number of concurrent Scans.
-type CompressedPaged struct {
-	pool  *storage.BufferPool
-	file  *storage.File
-	count int64
-	bytes int64
-	meter *obs.TaskMeter  // nil on shared readers; set on Metered views
-	ctx   context.Context // nil on shared readers; set on WithContext views
-}
-
-// Metered implements Meterable: the returned view charges page faults to
-// m. The receiver is unchanged, so the shared reader stays unattributed.
-func (p *CompressedPaged) Metered(m *obs.TaskMeter) Vector {
-	v := *p
-	v.meter = m
-	return &v
-}
-
-// WithContext implements Contextual: the returned view's page reads honor
-// ctx during transient-read retry backoff.
-func (p *CompressedPaged) WithContext(ctx context.Context) Vector {
-	v := *p
-	v.ctx = ctx
-	return &v
-}
-
-func (p *CompressedPaged) context() context.Context {
-	if p.ctx != nil {
-		return p.ctx
-	}
-	return context.Background()
-}
-
-// OpenCompressed opens a finalized compressed vector file.
-func OpenCompressed(pool *storage.BufferPool, file *storage.File) (*CompressedPaged, error) {
-	return OpenCompressedCtx(context.Background(), pool, file, nil)
-}
-
-// OpenCompressedCtx is OpenCompressed with request attribution, mirroring
-// OpenPagedCtx: the meta-page read charges m and retries trace on ctx.
-func OpenCompressedCtx(ctx context.Context, pool *storage.BufferPool, file *storage.File, m *obs.TaskMeter) (*CompressedPaged, error) {
-	fr, err := pool.GetMeteredCtx(ctx, file, 0, m)
-	if err != nil {
-		return nil, err
-	}
-	defer pool.Unpin(fr, false)
-	if string(fr.Data[0:4]) != compMagic {
-		return nil, fmt.Errorf("vector: %s: bad compressed magic %q (want %q): %w", file.Path(), fr.Data[0:4], compMagic, storage.ErrCorrupt)
-	}
-	return &CompressedPaged{
-		pool:  pool,
-		file:  file,
-		count: int64(binary.LittleEndian.Uint64(fr.Data[4:12])),
-		bytes: int64(binary.LittleEndian.Uint64(fr.Data[12:20])),
-	}, nil
-}
-
-// Len implements Vector.
-func (p *CompressedPaged) Len() int64 { return p.count }
-
-// ValueBytes returns the raw value bytes (before compression).
-func (p *CompressedPaged) ValueBytes() int64 { return p.bytes }
-
-// inflateCache is one Scan's local page cache: keeping it per call (not on
-// the CompressedPaged) makes concurrent scans of one vector safe, and a
-// sequential scan still inflates each page once.
-type inflateCache struct {
-	page int64
-	data []byte
-	idx  int64
-	n    int
-}
-
-// Scan implements Vector.
-func (p *CompressedPaged) Scan(start, n int64, fn func(pos int64, val []byte) error) error {
-	if n == 0 {
-		return nil
-	}
-	if start < 0 || start+n > p.count {
-		return fmt.Errorf("vector: scan [%d,%d) out of range 0..%d", start, start+n, p.count)
-	}
-	pageNo, err := p.findPage(start)
-	if err != nil {
-		return err
-	}
-	cache := inflateCache{page: -1}
-	end := start + n
-	pos := int64(-1)
-	for pageNo < p.file.NumPages() {
-		if err := p.loadPage(&cache, pageNo); err != nil {
-			return err
-		}
-		pos = cache.idx
-		off := 0
-		for r := 0; r < cache.n; r++ {
-			ln, sz := binary.Uvarint(cache.data[off:])
-			if sz <= 0 || ln > uint64(len(cache.data)-off-sz) {
-				return fmt.Errorf("vector: %s: corrupt batch on page %d: %w", p.file.Path(), pageNo, storage.ErrCorrupt)
-			}
-			off += sz
-			if pos >= start {
-				if pos >= end {
-					return nil
-				}
-				if err := fn(pos, cache.data[off:off+int(ln)]); err != nil {
-					return err
-				}
-			}
-			off += int(ln)
-			pos++
-		}
-		if pos >= end {
-			return nil
-		}
-		pageNo++
-	}
-	return fmt.Errorf("vector: %s: scan ran past last page (pos %d, want %d)", p.file.Path(), pos, end)
-}
-
-// loadPage inflates one page into the scan's cache.
-func (p *CompressedPaged) loadPage(cache *inflateCache, pageNo int64) error {
-	if cache.page == pageNo {
-		return nil
-	}
-	fr, err := p.pool.GetMeteredCtx(p.context(), p.file, pageNo, p.meter)
-	if err != nil {
-		return err
-	}
-	firstIdx := int64(binary.LittleEndian.Uint64(fr.Data[0:8]))
-	nrecs := int(binary.LittleEndian.Uint16(fr.Data[8:10]))
-	plen := int(binary.LittleEndian.Uint16(fr.Data[10:12]))
-	flag := fr.Data[12]
-	if plen > compPayload {
-		p.pool.Unpin(fr, false)
-		return fmt.Errorf("vector: %s: corrupt header on page %d (payload %d > max %d): %w", p.file.Path(), pageNo, plen, compPayload, storage.ErrCorrupt)
-	}
-	payload := fr.Data[compHeader : compHeader+plen]
-	if flag == 0 {
-		cache.data = append(cache.data[:0], payload...)
-	} else {
-		rd := flate.NewReader(bytes.NewReader(payload))
-		cache.data = cache.data[:0]
-		buf := make([]byte, 16<<10)
-		for {
-			n, err := rd.Read(buf)
-			cache.data = append(cache.data, buf[:n]...)
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				p.pool.Unpin(fr, false)
-				return fmt.Errorf("vector: %s: inflate page %d: %v: %w", p.file.Path(), pageNo, err, storage.ErrCorrupt)
-			}
-		}
-		rd.Close()
-	}
-	p.pool.Unpin(fr, false)
-	obsPagesScanned.Inc()
-	obsBytesInflated.Add(int64(len(cache.data)))
-	cache.page, cache.idx, cache.n = pageNo, firstIdx, nrecs
-	return nil
-}
-
-// findPage binary-searches data pages for the one covering pos.
-func (p *CompressedPaged) findPage(pos int64) (int64, error) {
-	lo, hi := int64(1), p.file.NumPages()-1
-	var ioErr error
-	firstIdxOf := func(pg int64) int64 {
-		fr, err := p.pool.GetMeteredCtx(p.context(), p.file, pg, p.meter)
-		if err != nil {
-			ioErr = err
-			return 0
-		}
-		defer p.pool.Unpin(fr, false)
-		return int64(binary.LittleEndian.Uint64(fr.Data[0:8]))
-	}
-	for lo < hi {
-		mid := (lo + hi + 1) / 2
-		fi := firstIdxOf(mid)
-		if ioErr != nil {
-			return 0, ioErr
-		}
-		if fi <= pos {
-			lo = mid
-		} else {
-			hi = mid - 1
-		}
-	}
-	return lo, nil
 }
 
 // OpenAppendCompressed resumes appending to a finalized compressed vector
-// file. Existing pages are untouched; new batches go to fresh pages (the
-// page headers' firstIdx keeps positional access consistent). A meta page
-// out of step with the data pages (a crash between batch flush and Close)
-// is detected and reported; unlike the uncompressed format, recovery
-// requires rebuilding the vector.
+// file at resumeAt, the committed count from the catalog. Existing pages
+// are untouched; new batches go to fresh pages (the page headers' firstIdx
+// keeps positional access consistent). Orphan batches of an uncommitted
+// append, past resumeAt, are truncated away. A committed count always
+// falls on a batch boundary (batches are flushed whole, and the catalog
+// commits only after Close flushed the final one), so one inside a batch
+// is corruption. A meta page behind the commit (a crash between batch
+// flush and Close) is reported too; unlike the uncompressed format,
+// recovery requires rebuilding the vector.
 func OpenAppendCompressed(pool *storage.BufferPool, file *storage.File, resumeAt int64) (*CompressedWriter, error) {
-	fr, err := pool.Get(file, 0)
+	r, err := openAppend(pool, file, true, resumeAt)
 	if err != nil {
 		return nil, err
 	}
-	if string(fr.Data[0:4]) != compMagic {
-		pool.Unpin(fr, false)
-		return nil, fmt.Errorf("vector: %s: bad compressed magic %q (want %q): %w", file.Path(), fr.Data[0:4], compMagic, storage.ErrCorrupt)
-	}
-	metaCount := int64(binary.LittleEndian.Uint64(fr.Data[4:12]))
-	metaBytes := int64(binary.LittleEndian.Uint64(fr.Data[12:20]))
-	pool.Unpin(fr, false)
-
 	w := &CompressedWriter{pool: pool, file: file, count: resumeAt, first: resumeAt}
 	if resumeAt == 0 {
-		if err := pool.Truncate(file, 1); err != nil {
-			return nil, err
-		}
 		return w, nil
 	}
-	if file.NumPages() < 2 {
-		return nil, fmt.Errorf("vector: %s: catalog records %d values but file has no data pages: %w", file.Path(), resumeAt, storage.ErrCorrupt)
+	if end := r.firstIdx + int64(r.nrecs); end > resumeAt {
+		return nil, fmt.Errorf("vector: %s: committed count %d falls inside the batch %d..%d on page %d: %w", file.Path(), resumeAt, r.firstIdx, end, r.page, storage.ErrCorrupt)
 	}
-	// Orphan batches from an uncommitted append sit past the committed
-	// count; a committed count always falls on a batch boundary (batches
-	// are flushed whole, and the catalog commits only after Close flushed
-	// the final one). Walk back from the end to the boundary and truncate
-	// the orphans away.
-	cut := file.NumPages()
-	pg := file.NumPages() - 1
-	for ; pg >= 1; pg-- {
-		fr, err := pool.Get(file, pg)
-		if err != nil {
-			return nil, err
-		}
-		firstIdx := int64(binary.LittleEndian.Uint64(fr.Data[0:8]))
-		nrecs := int64(binary.LittleEndian.Uint16(fr.Data[8:10]))
-		pool.Unpin(fr, false)
-		if firstIdx < resumeAt {
-			if end := firstIdx + nrecs; end < resumeAt {
-				return nil, fmt.Errorf("vector: %s: catalog records %d values but data pages end at %d: %w", file.Path(), resumeAt, end, storage.ErrCorrupt)
-			} else if end > resumeAt {
-				return nil, fmt.Errorf("vector: %s: committed count %d falls inside the batch %d..%d on page %d: %w", file.Path(), resumeAt, firstIdx, end, pg, storage.ErrCorrupt)
-			}
-			break
-		}
-		cut = pg
-	}
-	if pg < 1 {
-		return nil, fmt.Errorf("vector: %s: no data page holds record %d: %w", file.Path(), resumeAt-1, storage.ErrCorrupt)
-	}
-	if err := pool.Truncate(file, cut); err != nil {
+	if err := pool.Truncate(file, r.page+1); err != nil {
 		return nil, err
 	}
 	switch {
-	case metaCount == resumeAt:
-		w.bytes = metaBytes
-	case metaCount < resumeAt:
-		return nil, fmt.Errorf("vector: %s: meta page records %d values but the catalog committed %d: %w", file.Path(), metaCount, resumeAt, storage.ErrCorrupt)
+	case r.meta.count == resumeAt:
+		w.bytes = r.meta.bytes
+	case r.meta.count < resumeAt:
+		return nil, fmt.Errorf("vector: %s: meta page records %d values but the catalog committed %d: %w", file.Path(), r.meta.count, resumeAt, storage.ErrCorrupt)
 	default:
 		// The meta page ran ahead of the commit (crash after the page flush,
 		// before the catalog); recount the committed prefix.
-		total, err := compressedValueBytes(pool, file, cut)
-		if err != nil {
+		if w.bytes, err = valueBytes(pool, file, true, 0, resumeAt); err != nil {
 			return nil, err
 		}
-		w.bytes = total
 	}
 	return w, nil
-}
-
-// compressedValueBytes sums the raw value bytes of every record in data
-// pages [1, pages) — the crash-recovery recount of OpenAppendCompressed.
-func compressedValueBytes(pool *storage.BufferPool, file *storage.File, pages int64) (int64, error) {
-	var total int64
-	for pg := int64(1); pg < pages; pg++ {
-		fr, err := pool.Get(file, pg)
-		if err != nil {
-			return 0, err
-		}
-		nrecs := int(binary.LittleEndian.Uint16(fr.Data[8:10]))
-		plen := int(binary.LittleEndian.Uint16(fr.Data[10:12]))
-		flag := fr.Data[12]
-		if plen > compPayload {
-			pool.Unpin(fr, false)
-			return 0, fmt.Errorf("vector: %s: corrupt batch header on page %d: %w", file.Path(), pg, storage.ErrCorrupt)
-		}
-		payload := append([]byte(nil), fr.Data[compHeader:compHeader+plen]...)
-		pool.Unpin(fr, false)
-		data := payload
-		if flag != 0 {
-			rd := flate.NewReader(bytes.NewReader(payload))
-			data, err = io.ReadAll(rd)
-			rd.Close()
-			if err != nil {
-				return 0, fmt.Errorf("vector: %s: inflate page %d: %v: %w", file.Path(), pg, err, storage.ErrCorrupt)
-			}
-		}
-		off := 0
-		for i := 0; i < nrecs; i++ {
-			ln, n := binary.Uvarint(data[off:])
-			if n <= 0 || off+n+int(ln) > len(data) {
-				return 0, fmt.Errorf("vector: %s: corrupt record on page %d: %w", file.Path(), pg, storage.ErrCorrupt)
-			}
-			total += int64(ln)
-			off += n + int(ln)
-		}
-	}
-	return total, nil
 }

@@ -5,35 +5,11 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
-	"testing/quick"
-
-	"vxml/internal/storage"
 )
 
-func writeCompressed(t testing.TB, store *storage.Store, name string, vals []string) *CompressedPaged {
-	t.Helper()
-	f, err := store.Open(name)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w, err := NewCompressedWriter(store.Pool(), f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, v := range vals {
-		if err := w.AppendString(v); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	p, err := OpenCompressed(store.Pool(), f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return p
-}
+// Format-independent behaviour of compressed vectors is tested beside the
+// uncompressed format's, over both formats (vector_test.go); these tests
+// cover what only the compressed writer does.
 
 func TestCompressedRoundTrip(t *testing.T) {
 	store, _ := newPool(t, 64)
@@ -41,7 +17,7 @@ func TestCompressedRoundTrip(t *testing.T) {
 	for i := 0; i < 20000; i++ {
 		vals = append(vals, fmt.Sprintf("value-%06d-%s", i, strings.Repeat("pad", i%5)))
 	}
-	p := writeCompressed(t, store, "cv", vals)
+	p := writeVector(t, store, "cv", true, vals)
 	if p.Len() != int64(len(vals)) {
 		t.Fatalf("Len = %d", p.Len())
 	}
@@ -61,30 +37,8 @@ func TestCompressedRoundTrip(t *testing.T) {
 	}
 }
 
-func TestCompressedPositionalScan(t *testing.T) {
-	store, _ := newPool(t, 64)
-	var vals []string
-	for i := 0; i < 9000; i++ {
-		vals = append(vals, fmt.Sprintf("row %d lorem ipsum dolor", i))
-	}
-	p := writeCompressed(t, store, "cv", vals)
-	for _, start := range []int64{0, 1, 4321, 8999} {
-		var got string
-		if err := p.Scan(start, 1, func(pos int64, val []byte) error {
-			got = string(val)
-			return nil
-		}); err != nil {
-			t.Fatal(err)
-		}
-		if got != vals[start] {
-			t.Errorf("val[%d] = %q", start, got)
-		}
-	}
-	if err := p.Scan(8000, 2000, func(int64, []byte) error { return nil }); err == nil {
-		t.Error("out-of-range scan succeeded")
-	}
-}
-
+// TestCompressedIncompressibleData: random bytes DEFLATE cannot shrink are
+// stored raw (codec 0) and read back in place.
 func TestCompressedIncompressibleData(t *testing.T) {
 	store, _ := newPool(t, 256)
 	r := rand.New(rand.NewSource(1))
@@ -92,11 +46,11 @@ func TestCompressedIncompressibleData(t *testing.T) {
 	for i := 0; i < 4000; i++ {
 		b := make([]byte, 40)
 		for j := range b {
-			b[j] = byte(33 + r.Intn(90))
+			b[j] = byte(r.Intn(256))
 		}
 		vals = append(vals, string(b))
 	}
-	p := writeCompressed(t, store, "cv", vals)
+	p := writeVector(t, store, "cv", true, vals)
 	got, err := All(p)
 	if err != nil {
 		t.Fatal(err)
@@ -106,91 +60,14 @@ func TestCompressedIncompressibleData(t *testing.T) {
 			t.Fatalf("val[%d] mismatch", i)
 		}
 	}
-}
-
-func TestDiskSetCompressedRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	store, err := storage.OpenStore(dir, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	set := CreateDiskSet(store)
-	set.SetCompression(true)
-	w, err := set.NewWriter("/doc/field")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 5000; i++ {
-		if err := w.AppendString(fmt.Sprintf("shared prefix %d", i)); err != nil {
+	for pg := int64(1); pg < p.file.NumPages(); pg++ {
+		fr, err := p.pool.Get(p.file, pg)
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	if err := set.CloseVector("/doc/field", w); err != nil {
-		t.Fatal(err)
-	}
-	if err := set.Save(); err != nil {
-		t.Fatal(err)
-	}
-	store.Close()
-
-	store2, err := storage.OpenStore(dir, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer store2.Close()
-	set2, err := OpenDiskSet(store2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v, err := set2.Vector("/doc/field")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := v.(*CompressedPaged); !ok {
-		t.Fatalf("reopened vector has type %T, want *CompressedPaged", v)
-	}
-	if v.Len() != 5000 {
-		t.Errorf("len = %d", v.Len())
-	}
-	val, err := Get(v, 4999)
-	if err != nil || val != "shared prefix 4999" {
-		t.Errorf("Get = %q, %v", val, err)
-	}
-}
-
-// TestPropertyCompressedMatchesMem mirrors the uncompressed property test.
-func TestPropertyCompressedMatchesMem(t *testing.T) {
-	store, _ := newPool(t, 64)
-	seq := 0
-	f := func(seed int64) bool {
-		seq++
-		r := rand.New(rand.NewSource(seed))
-		n := r.Intn(2000)
-		vals := make([]string, n)
-		for i := range vals {
-			vals[i] = strings.Repeat("x", r.Intn(60)) + fmt.Sprint(i)
+		if codec := fr.Data[12]; codec != codecRaw {
+			t.Errorf("page %d has codec %d, want %d (stored raw)", pg, codec, codecRaw)
 		}
-		p := writeCompressed(t, store, fmt.Sprintf("pcv%d", seq), vals)
-		m := &Mem{Values: vals}
-		for trial := 0; trial < 8; trial++ {
-			start := int64(0)
-			if n > 0 {
-				start = int64(r.Intn(n))
-			}
-			cnt := int64(0)
-			if rem := int64(n) - start; rem > 0 {
-				cnt = int64(r.Int63n(rem))
-			}
-			var a, b []string
-			p.Scan(start, cnt, func(_ int64, v []byte) error { a = append(a, string(v)); return nil })
-			m.Scan(start, cnt, func(_ int64, v []byte) error { b = append(b, string(v)); return nil })
-			if strings.Join(a, "\x00") != strings.Join(b, "\x00") {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
-		t.Error(err)
+		p.pool.Unpin(fr, false)
 	}
 }

@@ -164,8 +164,7 @@ func (s *DiskSet) Names() []string {
 
 // Vector implements Set, opening the paged file on first use. Concurrent
 // callers of the same name serialize on the set's lock and share one
-// reader (Paged and CompressedPaged are scan-state-free, so sharing is
-// safe).
+// reader (Paged is scan-state-free, so sharing is safe).
 func (s *DiskSet) Vector(name string) (Vector, error) {
 	return s.VectorCtx(context.Background(), nil, name)
 }
@@ -188,15 +187,14 @@ func (s *DiskSet) VectorCtx(ctx context.Context, m *obs.TaskMeter, name string) 
 	if err != nil {
 		return nil, err
 	}
-	var v Vector
-	if e.Compressed {
-		v, err = OpenCompressedCtx(ctx, s.store.Pool(), f, m)
-	} else {
-		v, err = OpenPagedCtx(ctx, s.store.Pool(), f, m)
-	}
+	p, err := OpenPagedCtx(ctx, s.store.Pool(), f, m)
 	if err != nil {
 		return nil, err
 	}
+	if err := p.expect(f, e.Compressed); err != nil {
+		return nil, err
+	}
+	var v Vector = p
 	// The catalog is committed after vector data on every durable path, so
 	// its count is authoritative. A longer vector is the orphaned tail of an
 	// append that crashed before its catalog commit: clamp to the catalog
@@ -222,7 +220,7 @@ type clamped struct {
 func (c *clamped) Len() int64 { return c.n }
 
 // Metered implements Meterable by forwarding to the wrapped vector's
-// Metered (both disk formats implement it), keeping the clamp.
+// Metered (Paged implements it), keeping the clamp.
 func (c *clamped) Metered(m *obs.TaskMeter) Vector {
 	if mv, ok := c.Vector.(Meterable); ok {
 		return &clamped{Vector: mv.Metered(m), n: c.n}

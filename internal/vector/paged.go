@@ -1,9 +1,14 @@
 package vector
 
 import (
+	"bytes"
+	"compress/flate"
 	"context"
 	"encoding/binary"
+	"errors"
 	"fmt"
+	"io"
+	"sync"
 
 	"vxml/internal/obs"
 	"vxml/internal/storage"
@@ -11,19 +16,27 @@ import (
 
 // On-disk vector file layout.
 //
-// Page 0 is the meta page: magic "VXV2", then u64 record count and u64
-// total value bytes. Data pages follow, each with a 12-byte header —
-// u64 firstIdx (position of the first record starting in the page),
-// u16 record count, u16 used payload bytes — and records packed as
+// Page 0 is the meta page: a magic naming the format, then u64 record
+// count and u64 total value bytes. Data pages follow. Every data page
+// starts with u64 firstIdx (position of the first record in the page), u16
+// record count and u16 payload bytes; the payload is records packed as
 // uvarint(length) + bytes. Records never span pages, so one value must fit
 // a page payload (MaxValue); the datasets this system targets (scientific
 // and synthetic repositories of short fields) satisfy this comfortably.
 // Positional seeks binary-search page headers via firstIdx, touching
 // O(log pages) pages.
 //
+// Two formats share that layout and one reader (Paged):
+//
+//   - "VXV2" (uncompressed, the default): a 12-byte header, then the
+//     records. Written in place by Writer.
+//   - "VXC2" (per-page DEFLATE, opt-in): a 13-byte header whose last byte
+//     is the page's codec — 0 for records stored raw, 1 for records
+//     DEFLATE-compressed as a unit. Written by CompressedWriter.
+//
 // The payload is bounded by storage.PageDataSize, not PageSize: the
 // storage layer reserves the last 4 bytes of every page for a CRC32C
-// trailer (format "VXV2"; "VXV1" predates the trailer and is rejected).
+// trailer ("VXV1"/"VXC1" predate the trailer and are rejected).
 
 const (
 	metaMagic  = "VXV2"
@@ -32,10 +45,174 @@ const (
 	// MaxValue is the largest storable value, bounded by one page payload
 	// minus the worst-case length prefix.
 	MaxValue = payload - binary.MaxVarintLen32
+
+	compMagic   = "VXC2"
+	compHeader  = 13
+	compPayload = storage.PageDataSize - compHeader
+
+	// Codecs of a compressed data page (its header's last byte).
+	codecRaw     = 0
+	codecDeflate = 1
 )
 
-// Writer appends values to a paged vector file. Call Close to finalize the
-// meta page. A Writer must be the only user of its file until closed.
+var errWriterClosed = errors.New("vector: writer closed")
+
+// meta is a vector file's page 0: its format and committed totals.
+type meta struct {
+	compressed bool // "VXC2": data page headers carry a codec byte
+	count      int64
+	bytes      int64
+}
+
+func (md meta) magic() string {
+	if md.compressed {
+		return compMagic
+	}
+	return metaMagic
+}
+
+// expect reports, as corruption, a file whose format is not the one its
+// owner recorded for it.
+func (md meta) expect(file *storage.File, compressed bool) error {
+	if md.compressed == compressed {
+		return nil
+	}
+	want := meta{compressed: compressed}.magic()
+	return fmt.Errorf("vector: %s: bad magic %q (want %q): %w", file.Path(), md.magic(), want, storage.ErrCorrupt)
+}
+
+// readMeta reads the meta page of a vector file of either format.
+func readMeta(ctx context.Context, pool *storage.BufferPool, file *storage.File, m *obs.TaskMeter) (meta, error) {
+	fr, err := pool.GetMeteredCtx(ctx, file, 0, m)
+	if err != nil {
+		return meta{}, err
+	}
+	defer pool.Unpin(fr, false)
+	magic := string(fr.Data[0:4])
+	if magic != metaMagic && magic != compMagic {
+		return meta{}, fmt.Errorf("vector: %s: bad magic %q (want %q or %q): %w", file.Path(), magic, metaMagic, compMagic, storage.ErrCorrupt)
+	}
+	return meta{
+		compressed: magic == compMagic,
+		count:      int64(binary.LittleEndian.Uint64(fr.Data[4:12])),
+		bytes:      int64(binary.LittleEndian.Uint64(fr.Data[12:20])),
+	}, nil
+}
+
+// write finalizes the meta page a writer reserved with reserveMeta.
+func (md meta) write(pool *storage.BufferPool, file *storage.File) error {
+	fr, err := pool.Get(file, 0)
+	if err != nil {
+		return err
+	}
+	copy(fr.Data[0:4], md.magic())
+	binary.LittleEndian.PutUint64(fr.Data[4:12], uint64(md.count))
+	binary.LittleEndian.PutUint64(fr.Data[12:20], uint64(md.bytes))
+	pool.Unpin(fr, true)
+	return nil
+}
+
+// reserveMeta allocates page 0 of a fresh vector file, which must be empty.
+func reserveMeta(pool *storage.BufferPool, file *storage.File) error {
+	if file.NumPages() != 0 {
+		return fmt.Errorf("vector: new writer on non-empty file %s", file.Path())
+	}
+	fr, _, err := pool.Alloc(file)
+	if err != nil {
+		return err
+	}
+	pool.Unpin(fr, true)
+	return nil
+}
+
+// pageHeader decodes the header fields both formats share.
+func pageHeader(data []byte) (firstIdx int64, nrecs, used int) {
+	return int64(binary.LittleEndian.Uint64(data[0:8])),
+		int(binary.LittleEndian.Uint16(data[8:10])),
+		int(binary.LittleEndian.Uint16(data[10:12]))
+}
+
+// layout returns a format's data page header size and payload capacity.
+func layout(compressed bool) (hdr, max int) {
+	if compressed {
+		return compHeader, compPayload
+	}
+	return headerSize, payload
+}
+
+// pageDecoder turns a data page into its packed record bytes. Each Scan
+// owns one, so the inflate state is never shared between scans.
+type pageDecoder struct {
+	compressed bool
+	inf        *inflater // borrowed on the first DEFLATE page
+}
+
+// records validates a data page's header and returns its first position,
+// record count and packed records. Raw records are returned in place — a
+// slice of data, valid while its frame stays pinned; DEFLATE records are
+// inflated into the decoder's buffer, valid until the next call.
+func (d *pageDecoder) records(file *storage.File, pageNo int64, data []byte) (firstIdx int64, nrecs int, recs []byte, err error) {
+	firstIdx, nrecs, used := pageHeader(data)
+	hdr, max := layout(d.compressed)
+	if used > max {
+		return 0, 0, nil, fmt.Errorf("vector: %s: corrupt header on page %d (payload %d > max %d): %w", file.Path(), pageNo, used, max, storage.ErrCorrupt)
+	}
+	recs = data[hdr : hdr+used]
+	if !d.compressed || data[12] == codecRaw {
+		return firstIdx, nrecs, recs, nil
+	}
+	if data[12] != codecDeflate {
+		return 0, 0, nil, fmt.Errorf("vector: %s: corrupt header on page %d (unknown codec %d): %w", file.Path(), pageNo, data[12], storage.ErrCorrupt)
+	}
+	if d.inf == nil {
+		d.inf = inflaters.Get().(*inflater)
+	}
+	if recs, err = d.inf.inflate(recs); err != nil {
+		return 0, 0, nil, fmt.Errorf("vector: %s: inflate page %d: %v: %w", file.Path(), pageNo, err, storage.ErrCorrupt)
+	}
+	obsBytesInflated.Add(int64(len(recs)))
+	return firstIdx, nrecs, recs, nil
+}
+
+// release returns the decoder's inflate state once its Scan is done with
+// the records it handed out.
+func (d *pageDecoder) release() {
+	if d.inf != nil {
+		inflaters.Put(d.inf)
+		d.inf = nil
+	}
+}
+
+// inflater is a DEFLATE reader, reset onto each page's payload, and the
+// buffer it inflates into. Scans borrow one from inflaters, so neither a
+// long scan nor a run of point reads allocates one per page.
+type inflater struct {
+	src bytes.Reader
+	rd  io.ReadCloser
+	out bytes.Buffer
+}
+
+var inflaters = sync.Pool{New: func() any {
+	f := new(inflater)
+	f.rd = flate.NewReader(&f.src)
+	return f
+}}
+
+func (f *inflater) inflate(payload []byte) ([]byte, error) {
+	f.src.Reset(payload)
+	if err := f.rd.(flate.Resetter).Reset(&f.src, nil); err != nil {
+		return nil, err
+	}
+	f.out.Reset()
+	if _, err := f.out.ReadFrom(f.rd); err != nil {
+		return nil, err
+	}
+	return f.out.Bytes(), nil
+}
+
+// Writer appends values to an uncompressed vector file. Call Close to
+// finalize the meta page. A Writer must be the only user of its file until
+// closed.
 //
 // The writer does not keep its current page pinned between appends (it
 // re-pins per append and patches the page header each time), so thousands
@@ -54,15 +231,9 @@ type Writer struct {
 
 // NewWriter starts writing a fresh vector into file, which must be empty.
 func NewWriter(pool *storage.BufferPool, file *storage.File) (*Writer, error) {
-	if file.NumPages() != 0 {
-		return nil, fmt.Errorf("vector: NewWriter on non-empty file %s", file.Path())
-	}
-	// Reserve the meta page.
-	fr, _, err := pool.Alloc(file)
-	if err != nil {
+	if err := reserveMeta(pool, file); err != nil {
 		return nil, err
 	}
-	pool.Unpin(fr, true)
 	return &Writer{pool: pool, file: file, page: -1}, nil
 }
 
@@ -126,26 +297,21 @@ func (w *Writer) Close() error {
 	if w.err != nil {
 		return w.err
 	}
-	fr, err := w.pool.Get(w.file, 0)
-	if err != nil {
+	if err := (meta{count: w.count, bytes: w.bytes}).write(w.pool, w.file); err != nil {
 		return err
 	}
-	copy(fr.Data[0:4], metaMagic)
-	binary.LittleEndian.PutUint64(fr.Data[4:12], uint64(w.count))
-	binary.LittleEndian.PutUint64(fr.Data[12:20], uint64(w.bytes))
-	w.pool.Unpin(fr, true)
-	w.err = fmt.Errorf("vector: writer closed")
+	w.err = errWriterClosed
 	return nil
 }
 
-// Paged is a Vector reading from a paged vector file through a buffer pool.
-// It keeps no per-scan state, so one Paged may serve any number of
-// concurrent Scans (the buffer pool underneath is concurrency-safe).
+// Paged is a Vector reading a vector file of either format through a
+// buffer pool. It keeps no per-scan state, so one Paged may serve any
+// number of concurrent Scans (the buffer pool underneath is
+// concurrency-safe).
 type Paged struct {
-	pool  *storage.BufferPool
-	file  *storage.File
-	count int64
-	bytes int64
+	pool *storage.BufferPool
+	file *storage.File
+	meta
 	meter *obs.TaskMeter  // nil on shared readers; set on Metered views
 	ctx   context.Context // nil on shared readers; set on WithContext views
 }
@@ -173,7 +339,7 @@ func (p *Paged) context() context.Context {
 	return context.Background()
 }
 
-// OpenPaged opens a finalized vector file.
+// OpenPaged opens a finalized vector file of either format.
 func OpenPaged(pool *storage.BufferPool, file *storage.File) (*Paged, error) {
 	return OpenPagedCtx(context.Background(), pool, file, nil)
 }
@@ -183,26 +349,18 @@ func OpenPaged(pool *storage.BufferPool, file *storage.File) (*Paged, error) {
 // span, so a fault on the very first page a query touches shows up on
 // that query's trace instead of vanishing into process-wide counters.
 func OpenPagedCtx(ctx context.Context, pool *storage.BufferPool, file *storage.File, m *obs.TaskMeter) (*Paged, error) {
-	fr, err := pool.GetMeteredCtx(ctx, file, 0, m)
+	md, err := readMeta(ctx, pool, file, m)
 	if err != nil {
 		return nil, err
 	}
-	defer pool.Unpin(fr, false)
-	if string(fr.Data[0:4]) != metaMagic {
-		return nil, fmt.Errorf("vector: %s: bad magic %q (want %q): %w", file.Path(), fr.Data[0:4], metaMagic, storage.ErrCorrupt)
-	}
-	return &Paged{
-		pool:  pool,
-		file:  file,
-		count: int64(binary.LittleEndian.Uint64(fr.Data[4:12])),
-		bytes: int64(binary.LittleEndian.Uint64(fr.Data[12:20])),
-	}, nil
+	return &Paged{pool: pool, file: file, meta: md}, nil
 }
 
 // Len implements Vector.
 func (p *Paged) Len() int64 { return p.count }
 
-// ValueBytes returns the total byte size of all values.
+// ValueBytes returns the total byte size of all values (before any
+// compression).
 func (p *Paged) ValueBytes() int64 { return p.bytes }
 
 // Scan implements Vector: it seeks to the page containing start with a
@@ -218,75 +376,73 @@ func (p *Paged) Scan(start, n int64, fn func(pos int64, val []byte) error) error
 	if err != nil {
 		return err
 	}
-	pos := int64(-1)
-	end := start + n
-	for pageNo < p.file.NumPages() {
+	dec := pageDecoder{compressed: p.compressed}
+	defer dec.release()
+	pos, end := start, start+n
+	for first := true; pos < end; first, pageNo = false, pageNo+1 {
+		if pageNo >= p.file.NumPages() {
+			return fmt.Errorf("vector: %s: scan ran past last page (pos %d, want %d): %w", p.file.Path(), pos, end, storage.ErrCorrupt)
+		}
 		fr, err := p.pool.GetMeteredCtx(p.context(), p.file, pageNo, p.meter)
 		if err != nil {
 			return err
 		}
 		obsPagesScanned.Inc()
-		firstIdx := int64(binary.LittleEndian.Uint64(fr.Data[0:8]))
-		nrecs := int(binary.LittleEndian.Uint16(fr.Data[8:10]))
-		used := int(binary.LittleEndian.Uint16(fr.Data[10:12]))
-		if used > payload {
-			p.pool.Unpin(fr, false)
-			return fmt.Errorf("vector: %s: corrupt header on page %d (used %d > payload %d): %w", p.file.Path(), pageNo, used, payload, storage.ErrCorrupt)
-		}
-		// Record lengths come from disk: every prefix and value must stay
-		// inside the page's used payload, or the record is corrupt.
-		limit := headerSize + used
-		pos = firstIdx
-		off := headerSize
-		for r := 0; r < nrecs; r++ {
-			ln, sz := binary.Uvarint(fr.Data[off:limit])
-			if sz <= 0 || ln > uint64(limit-off-sz) {
-				p.pool.Unpin(fr, false)
-				return fmt.Errorf("vector: %s: corrupt record on page %d: %w", p.file.Path(), pageNo, storage.ErrCorrupt)
-			}
-			off += sz
-			if pos >= start {
-				if pos >= end {
-					p.pool.Unpin(fr, false)
-					return nil
-				}
-				if err := fn(pos, fr.Data[off:off+int(ln)]); err != nil {
-					p.pool.Unpin(fr, false)
-					return err
-				}
-			}
-			off += int(ln)
-			pos++
-		}
+		pos, err = p.scanPage(&dec, fr.Data, pageNo, first, pos, end, fn)
 		p.pool.Unpin(fr, false)
-		if pos >= end {
-			return nil
+		if err != nil {
+			return err
 		}
-		pageNo++
 	}
-	return fmt.Errorf("vector: %s: scan ran past last page (pos %d, want %d)", p.file.Path(), pos, end)
+	return nil
+}
+
+// scanPage calls fn for the records of one data page at positions
+// [pos, end) and returns the position the next page must start at.
+func (p *Paged) scanPage(dec *pageDecoder, data []byte, pageNo int64, first bool, pos, end int64, fn func(pos int64, val []byte) error) (int64, error) {
+	firstIdx, nrecs, recs, err := dec.records(p.file, pageNo, data)
+	if err != nil {
+		return pos, err
+	}
+	// Positions come from disk too: the page found by the seek must hold
+	// pos, and each later page must start where the previous one ended.
+	// Otherwise the scan would deliver too few values, or values at the
+	// wrong positions, and still succeed.
+	last := firstIdx + int64(nrecs)
+	if first && (firstIdx > pos || pos >= last) || !first && firstIdx != pos {
+		return pos, fmt.Errorf("vector: %s: corrupt page %d: holds positions [%d,%d), scan expects %d: %w", p.file.Path(), pageNo, firstIdx, last, pos, storage.ErrCorrupt)
+	}
+	// Record lengths come from disk: every prefix and value must stay
+	// inside the page's records, or the record is corrupt.
+	idx, off := firstIdx, 0
+	for ; idx < last && idx < end; idx++ {
+		ln, sz := binary.Uvarint(recs[off:])
+		if sz <= 0 || ln > uint64(len(recs)-off-sz) {
+			return pos, fmt.Errorf("vector: %s: corrupt record on page %d: %w", p.file.Path(), pageNo, storage.ErrCorrupt)
+		}
+		off += sz
+		if idx >= pos {
+			if err := fn(idx, recs[off:off+int(ln)]); err != nil {
+				return pos, err
+			}
+		}
+		off += int(ln)
+	}
+	return idx, nil
 }
 
 // findPage binary-searches data pages for the one whose records cover pos.
 func (p *Paged) findPage(pos int64) (int64, error) {
 	lo, hi := int64(1), p.file.NumPages()-1
-	var scanErr error
-	firstIdxOf := func(pg int64) int64 {
-		fr, err := p.pool.GetMeteredCtx(p.context(), p.file, pg, p.meter)
-		if err != nil {
-			scanErr = err
-			return 0
-		}
-		defer p.pool.Unpin(fr, false)
-		return int64(binary.LittleEndian.Uint64(fr.Data[0:8]))
-	}
 	for lo < hi {
 		mid := (lo + hi + 1) / 2
-		fi := firstIdxOf(mid)
-		if scanErr != nil {
-			return 0, scanErr
+		fr, err := p.pool.GetMeteredCtx(p.context(), p.file, mid, p.meter)
+		if err != nil {
+			return 0, err
 		}
-		if fi <= pos {
+		firstIdx, _, _ := pageHeader(fr.Data)
+		p.pool.Unpin(fr, false)
+		if firstIdx <= pos {
 			lo = mid
 		} else {
 			hi = mid - 1
@@ -295,10 +451,78 @@ func (p *Paged) findPage(pos int64) (int64, error) {
 	return lo, nil
 }
 
-// OpenAppendWriter resumes appending to a finalized vector file: the meta
-// page supplies the running count, and the last data page's header tells
-// where to continue — the write half of the paper's §6 incremental
-// maintenance. The caller must Close again to refresh the meta page.
+// valueBytes sums the value bytes at positions [from, to) of a vector file
+// by scanning it — the byte-total recount of append resume after a crash.
+func valueBytes(pool *storage.BufferPool, file *storage.File, compressed bool, from, to int64) (int64, error) {
+	p := &Paged{pool: pool, file: file, meta: meta{compressed: compressed, count: to}}
+	var total int64
+	err := p.Scan(from, to-from, func(_ int64, val []byte) error {
+		total += int64(len(val))
+		return nil
+	})
+	return total, err
+}
+
+// resume is where an append to a finalized vector file picks up.
+type resume struct {
+	meta     meta  // the file's meta page, which may disagree with the commit after a crash
+	page     int64 // data page holding record resumeAt-1; 0 when resuming at 0
+	firstIdx int64 // that page's header fields
+	nrecs    int
+	used     int
+}
+
+// openAppend reads the meta page of a vector file in the wanted format and
+// locates where an append of committed count resumeAt continues. At 0 the
+// file is simply emptied. Otherwise the page holding record resumeAt-1 is
+// found walking back from the end (the resume point is at or near the
+// tail); pages past it hold only orphans of an append that never
+// committed, and a file whose data pages end before resumeAt is missing
+// committed values — corruption.
+func openAppend(pool *storage.BufferPool, file *storage.File, compressed bool, resumeAt int64) (resume, error) {
+	md, err := readMeta(context.Background(), pool, file, nil)
+	if err != nil {
+		return resume{}, err
+	}
+	if err := md.expect(file, compressed); err != nil {
+		return resume{}, err
+	}
+	r := resume{meta: md}
+	if resumeAt == 0 {
+		return r, pool.Truncate(file, 1)
+	}
+	if file.NumPages() < 2 {
+		return resume{}, fmt.Errorf("vector: %s: catalog records %d values but file has no data pages: %w", file.Path(), resumeAt, storage.ErrCorrupt)
+	}
+	_, max := layout(compressed)
+	for r.page = file.NumPages() - 1; ; r.page-- {
+		if r.page < 1 {
+			return resume{}, fmt.Errorf("vector: %s: no data page holds record %d: %w", file.Path(), resumeAt-1, storage.ErrCorrupt)
+		}
+		fr, err := pool.Get(file, r.page)
+		if err != nil {
+			return resume{}, err
+		}
+		r.firstIdx, r.nrecs, r.used = pageHeader(fr.Data)
+		pool.Unpin(fr, false)
+		if r.used > max {
+			return resume{}, fmt.Errorf("vector: %s: corrupt header on page %d (payload %d > max %d): %w", file.Path(), r.page, r.used, max, storage.ErrCorrupt)
+		}
+		if r.firstIdx < resumeAt {
+			break
+		}
+	}
+	if end := r.firstIdx + int64(r.nrecs); end < resumeAt {
+		return resume{}, fmt.Errorf("vector: %s: catalog records %d values but data pages end at %d: %w", file.Path(), resumeAt, end, storage.ErrCorrupt)
+	}
+	return r, nil
+}
+
+// OpenAppendWriter resumes appending to a finalized uncompressed vector
+// file: the meta page supplies the running count, and the last data page's
+// header tells where to continue — the write half of the paper's §6
+// incremental maintenance. The caller must Close again to refresh the meta
+// page.
 //
 // resumeAt is the committed value count from the catalog — the durable
 // truth. The file may disagree in either direction after a crash: data
@@ -310,86 +534,44 @@ func (p *Paged) findPage(pos int64) (int64, error) {
 // and the writer resumes there. A file whose data pages end before
 // resumeAt is missing committed values and is reported as corruption.
 func OpenAppendWriter(pool *storage.BufferPool, file *storage.File, resumeAt int64) (*Writer, error) {
-	fr, err := pool.Get(file, 0)
+	r, err := openAppend(pool, file, false, resumeAt)
 	if err != nil {
 		return nil, err
 	}
-	if string(fr.Data[0:4]) != metaMagic {
-		pool.Unpin(fr, false)
-		return nil, fmt.Errorf("vector: %s: bad magic %q (want %q): %w", file.Path(), fr.Data[0:4], metaMagic, storage.ErrCorrupt)
-	}
-	metaCount := int64(binary.LittleEndian.Uint64(fr.Data[4:12]))
-	metaBytes := int64(binary.LittleEndian.Uint64(fr.Data[12:20]))
-	pool.Unpin(fr, false)
-
 	w := &Writer{pool: pool, file: file, page: -1}
 	if resumeAt == 0 {
-		if err := pool.Truncate(file, 1); err != nil {
-			return nil, err
-		}
 		return w, nil
-	}
-	if file.NumPages() < 2 {
-		return nil, fmt.Errorf("vector: %s: catalog records %d values but file has no data pages: %w", file.Path(), resumeAt, storage.ErrCorrupt)
-	}
-	// Locate the page holding record resumeAt-1, walking back from the
-	// end (the resume point is at or near the tail).
-	pg := file.NumPages() - 1
-	var firstIdx int64
-	var nrecs, used int
-	for {
-		fr, err := pool.Get(file, pg)
-		if err != nil {
-			return nil, err
-		}
-		firstIdx = int64(binary.LittleEndian.Uint64(fr.Data[0:8]))
-		nrecs = int(binary.LittleEndian.Uint16(fr.Data[8:10]))
-		used = int(binary.LittleEndian.Uint16(fr.Data[10:12]))
-		pool.Unpin(fr, false)
-		if used > payload {
-			return nil, fmt.Errorf("vector: %s: corrupt header on page %d (used %d > payload %d): %w", file.Path(), pg, used, payload, storage.ErrCorrupt)
-		}
-		if firstIdx < resumeAt {
-			break
-		}
-		pg--
-		if pg < 1 {
-			return nil, fmt.Errorf("vector: %s: no data page holds record %d: %w", file.Path(), resumeAt-1, storage.ErrCorrupt)
-		}
-	}
-	if end := firstIdx + int64(nrecs); end < resumeAt {
-		return nil, fmt.Errorf("vector: %s: catalog records %d values but data pages end at %d: %w", file.Path(), resumeAt, end, storage.ErrCorrupt)
 	}
 	// Cut the page at record resumeAt: re-decode its records to find the
 	// byte offset where the next append lands, and rewrite the header so
 	// the page no longer claims the orphan records past the cut.
-	fr, err = pool.Get(file, pg)
+	fr, err := pool.Get(file, r.page)
 	if err != nil {
 		return nil, err
 	}
 	off := 0
-	for i := int64(0); i < resumeAt-firstIdx; i++ {
-		ln, sz := binary.Uvarint(fr.Data[headerSize+off : headerSize+used])
-		if sz <= 0 || ln > uint64(used-off-sz) {
+	for i := int64(0); i < resumeAt-r.firstIdx; i++ {
+		ln, sz := binary.Uvarint(fr.Data[headerSize+off : headerSize+r.used])
+		if sz <= 0 || ln > uint64(r.used-off-sz) {
 			pool.Unpin(fr, false)
-			return nil, fmt.Errorf("vector: %s: corrupt record on page %d: %w", file.Path(), pg, storage.ErrCorrupt)
+			return nil, fmt.Errorf("vector: %s: corrupt record on page %d: %w", file.Path(), r.page, storage.ErrCorrupt)
 		}
 		off += sz + int(ln)
 	}
 	cutDirty := false
-	if int(binary.LittleEndian.Uint16(fr.Data[8:10])) != int(resumeAt-firstIdx) || int(binary.LittleEndian.Uint16(fr.Data[10:12])) != off {
-		binary.LittleEndian.PutUint16(fr.Data[8:10], uint16(resumeAt-firstIdx))
+	if r.nrecs != int(resumeAt-r.firstIdx) || r.used != off {
+		binary.LittleEndian.PutUint16(fr.Data[8:10], uint16(resumeAt-r.firstIdx))
 		binary.LittleEndian.PutUint16(fr.Data[10:12], uint16(off))
 		cutDirty = true
 	}
 	pool.Unpin(fr, cutDirty)
 	// Drop orphan pages past the cut so positional search never sees a
 	// page that was not committed.
-	if err := pool.Truncate(file, pg+1); err != nil {
+	if err := pool.Truncate(file, r.page+1); err != nil {
 		return nil, err
 	}
-	w.page = pg
-	w.nrecs = int(resumeAt - firstIdx)
+	w.page = r.page
+	w.nrecs = int(resumeAt - r.firstIdx)
 	w.used = off
 	w.count = resumeAt
 	// Reconstruct the running value-byte total for [0, resumeAt). The meta
@@ -398,68 +580,18 @@ func OpenAppendWriter(pool *storage.BufferPool, file *storage.File, resumeAt int
 	// of the commit, recount from the start — rare, and still one
 	// sequential read of the vector.
 	switch {
-	case metaCount == resumeAt:
-		w.bytes = metaBytes
-	case metaCount < resumeAt:
-		extra, err := rangeValueBytes(pool, file, metaCount, resumeAt)
+	case r.meta.count == resumeAt:
+		w.bytes = r.meta.bytes
+	case r.meta.count < resumeAt:
+		extra, err := valueBytes(pool, file, false, r.meta.count, resumeAt)
 		if err != nil {
 			return nil, err
 		}
-		w.bytes = metaBytes + extra
+		w.bytes = r.meta.bytes + extra
 	default:
-		total, err := rangeValueBytes(pool, file, 0, resumeAt)
-		if err != nil {
+		if w.bytes, err = valueBytes(pool, file, false, 0, resumeAt); err != nil {
 			return nil, err
 		}
-		w.bytes = total
 	}
 	return w, nil
-}
-
-// rangeValueBytes sums the value bytes of records at positions in
-// [from, to) by walking the data pages — the crash-recovery path of
-// OpenAppendWriter. Every position in the range must be present.
-func rangeValueBytes(pool *storage.BufferPool, file *storage.File, from, to int64) (int64, error) {
-	var total int64
-	covered := from
-	for pg := int64(1); pg < file.NumPages() && covered < to; pg++ {
-		fr, err := pool.Get(file, pg)
-		if err != nil {
-			return 0, err
-		}
-		firstIdx := int64(binary.LittleEndian.Uint64(fr.Data[0:8]))
-		nrecs := int(binary.LittleEndian.Uint16(fr.Data[8:10]))
-		used := int(binary.LittleEndian.Uint16(fr.Data[10:12]))
-		if firstIdx+int64(nrecs) <= covered || firstIdx >= to {
-			pool.Unpin(fr, false)
-			continue
-		}
-		if used > payload {
-			pool.Unpin(fr, false)
-			return 0, fmt.Errorf("vector: %s: corrupt header on page %d (used %d > payload %d): %w", file.Path(), pg, used, payload, storage.ErrCorrupt)
-		}
-		limit := headerSize + used
-		off := headerSize
-		pos := firstIdx
-		for r := 0; r < nrecs; r++ {
-			ln, sz := binary.Uvarint(fr.Data[off:limit])
-			if sz <= 0 || ln > uint64(limit-off-sz) {
-				pool.Unpin(fr, false)
-				return 0, fmt.Errorf("vector: %s: corrupt record on page %d: %w", file.Path(), pg, storage.ErrCorrupt)
-			}
-			off += sz + int(ln)
-			if pos >= covered && pos < to {
-				total += int64(ln)
-				if pos == covered {
-					covered++
-				}
-			}
-			pos++
-		}
-		pool.Unpin(fr, false)
-	}
-	if covered < to {
-		return 0, fmt.Errorf("vector: %s: records %d..%d missing from data pages: %w", file.Path(), covered, to, storage.ErrCorrupt)
-	}
-	return total, nil
 }

@@ -2,10 +2,11 @@
 // representation VEC(T) = (S, V). A vector is the document-order sequence
 // of text values appearing under one root-to-leaf tag path ("/bib/book/title").
 //
-// Vectors are stored uncompressed (the paper departs from XMILL here), one
-// clustered paged file per vector, and are read lazily: a query touches
-// only the vectors its operations scan, which is the system's central I/O
-// win. Position i of a vector is exactly occurrence i of the corresponding
+// Vectors are stored one clustered paged file per vector, uncompressed by
+// default (the paper departs from XMILL here) or, opt-in, DEFLATE-compressed
+// per page (the §6 extension); one reader, Paged, reads both. They are read
+// lazily: a query touches only the vectors its operations scan, which is
+// the system's central I/O win. Position i of a vector is exactly occurrence i of the corresponding
 // text class (see internal/skeleton), so all engine operations are simple
 // positional scans.
 package vector

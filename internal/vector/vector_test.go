@@ -1,9 +1,11 @@
 package vector
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -20,13 +22,25 @@ func newPool(t testing.TB, pages int) (*storage.Store, *storage.BufferPool) {
 	return s, s.Pool()
 }
 
-func writeVector(t testing.TB, store *storage.Store, name string, vals []string) *Paged {
+// formats are the two on-disk vector formats; format-independent tests
+// run once per format, through the one reader.
+var formats = []struct {
+	name       string
+	compressed bool
+}{{"raw", false}, {"deflate", true}}
+
+func writeVector(t testing.TB, store *storage.Store, name string, compressed bool, vals []string) *Paged {
 	t.Helper()
 	f, err := store.Open(name)
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, err := NewWriter(store.Pool(), f)
+	var w SetWriter
+	if compressed {
+		w, err = NewCompressedWriter(store.Pool(), f)
+	} else {
+		w, err = NewWriter(store.Pool(), f)
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,6 +55,9 @@ func writeVector(t testing.TB, store *storage.Store, name string, vals []string)
 	p, err := OpenPaged(store.Pool(), f)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if p.compressed != compressed {
+		t.Fatalf("%s reopened with compressed = %v, want %v", name, p.compressed, compressed)
 	}
 	return p
 }
@@ -62,73 +79,85 @@ func TestMemVector(t *testing.T) {
 }
 
 func TestPagedRoundTrip(t *testing.T) {
-	store, _ := newPool(t, 16)
-	vals := []string{"SBP", "SBP", "AW", "", "a longer value with spaces", "ünïcode"}
-	p := writeVector(t, store, "v", vals)
-	if p.Len() != int64(len(vals)) {
-		t.Fatalf("Len = %d, want %d", p.Len(), len(vals))
-	}
-	got, err := All(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range vals {
-		if got[i] != vals[i] {
-			t.Errorf("val[%d] = %q, want %q", i, got[i], vals[i])
-		}
+	for _, fm := range formats {
+		t.Run(fm.name, func(t *testing.T) {
+			store, _ := newPool(t, 16)
+			vals := []string{"SBP", "SBP", "AW", "", "a longer value with spaces", "ünïcode"}
+			p := writeVector(t, store, "v", fm.compressed, vals)
+			if p.Len() != int64(len(vals)) {
+				t.Fatalf("Len = %d, want %d", p.Len(), len(vals))
+			}
+			got, err := All(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range vals {
+				if got[i] != vals[i] {
+					t.Errorf("val[%d] = %q, want %q", i, got[i], vals[i])
+				}
+			}
+		})
 	}
 }
 
 func TestPagedMultiPage(t *testing.T) {
-	store, _ := newPool(t, 4) // smaller than the file: forces eviction + re-read
-	var vals []string
-	for i := 0; i < 5000; i++ {
-		vals = append(vals, fmt.Sprintf("value-%06d", i))
-	}
-	p := writeVector(t, store, "v", vals)
-	if p.file.NumPages() < 5 {
-		t.Fatalf("expected multiple pages, got %d", p.file.NumPages())
-	}
-	// Positional scans from arbitrary offsets.
-	for _, start := range []int64{0, 1, 499, 2500, 4999} {
-		var got string
-		if err := p.Scan(start, 1, func(pos int64, val []byte) error {
-			if pos != start {
-				t.Errorf("pos = %d, want %d", pos, start)
+	for _, fm := range formats {
+		t.Run(fm.name, func(t *testing.T) {
+			store, _ := newPool(t, 4) // smaller than the file: forces eviction + re-read
+			var vals []string
+			for i := 0; i < 20000; i++ {
+				vals = append(vals, fmt.Sprintf("value-%06d", i))
 			}
-			got = string(val)
-			return nil
-		}); err != nil {
-			t.Fatal(err)
-		}
-		if got != vals[start] {
-			t.Errorf("val[%d] = %q, want %q", start, got, vals[start])
-		}
-	}
-	// Range spanning pages.
-	n := 0
-	if err := p.Scan(1000, 2000, func(pos int64, val []byte) error {
-		if string(val) != vals[pos] {
-			return fmt.Errorf("val[%d] = %q", pos, val)
-		}
-		n++
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if n != 2000 {
-		t.Errorf("scanned %d values, want 2000", n)
+			p := writeVector(t, store, "v", fm.compressed, vals)
+			if p.file.NumPages() < 5 {
+				t.Fatalf("expected multiple pages, got %d", p.file.NumPages())
+			}
+			// Positional scans from arbitrary offsets.
+			for _, start := range []int64{0, 1, 499, 2500, 4999, 12345, 19999} {
+				var got string
+				if err := p.Scan(start, 1, func(pos int64, val []byte) error {
+					if pos != start {
+						t.Errorf("pos = %d, want %d", pos, start)
+					}
+					got = string(val)
+					return nil
+				}); err != nil {
+					t.Fatal(err)
+				}
+				if got != vals[start] {
+					t.Errorf("val[%d] = %q, want %q", start, got, vals[start])
+				}
+			}
+			// Range spanning pages.
+			n := 0
+			if err := p.Scan(1000, 15000, func(pos int64, val []byte) error {
+				if string(val) != vals[pos] {
+					return fmt.Errorf("val[%d] = %q", pos, val)
+				}
+				n++
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if n != 15000 {
+				t.Errorf("scanned %d values, want 15000", n)
+			}
+		})
 	}
 }
 
 func TestPagedScanBounds(t *testing.T) {
-	store, _ := newPool(t, 8)
-	p := writeVector(t, store, "v", []string{"a", "b"})
-	if err := p.Scan(1, 2, func(int64, []byte) error { return nil }); err == nil {
-		t.Error("out-of-range scan succeeded")
-	}
-	if err := p.Scan(2, 0, func(int64, []byte) error { return nil }); err != nil {
-		t.Errorf("empty scan at end failed: %v", err)
+	for _, fm := range formats {
+		t.Run(fm.name, func(t *testing.T) {
+			store, _ := newPool(t, 8)
+			p := writeVector(t, store, "v", fm.compressed, []string{"a", "b"})
+			if err := p.Scan(1, 2, func(int64, []byte) error { return nil }); err == nil {
+				t.Error("out-of-range scan succeeded")
+			}
+			if err := p.Scan(2, 0, func(int64, []byte) error { return nil }); err != nil {
+				t.Errorf("empty scan at end failed: %v", err)
+			}
+		})
 	}
 }
 
@@ -146,7 +175,7 @@ func TestWriterRejectsOversize(t *testing.T) {
 
 func TestWriterRequiresEmptyFile(t *testing.T) {
 	store, _ := newPool(t, 8)
-	writeVector(t, store, "v", []string{"a"})
+	writeVector(t, store, "v", false, []string{"a"})
 	f, _ := store.Open("v")
 	if _, err := NewWriter(store.Pool(), f); err == nil {
 		t.Error("NewWriter on non-empty file succeeded")
@@ -168,68 +197,112 @@ func TestOpenPagedBadMagic(t *testing.T) {
 }
 
 func TestDiskSetRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	store, err := storage.OpenStore(dir, 32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	set := CreateDiskSet(store)
-	data := map[string][]string{
-		"/bib/book/title":     {"Curation", "XML", "AXML"},
-		"/bib/article/author": {"BC", "RH", "BC", "DD", "RH"},
-	}
-	for name, vals := range data {
-		w, err := set.NewWriter(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, v := range vals {
-			if err := w.AppendString(v); err != nil {
+	for _, fm := range formats {
+		t.Run(fm.name, func(t *testing.T) {
+			dir := t.TempDir()
+			store, err := storage.OpenStore(dir, 32)
+			if err != nil {
 				t.Fatal(err)
 			}
-		}
-		if err := set.CloseVector(name, w); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := set.Save(); err != nil {
-		t.Fatal(err)
-	}
-	store.Close()
+			set := CreateDiskSet(store)
+			set.SetCompression(fm.compressed)
+			data := map[string][]string{
+				"/bib/book/title":     {"Curation", "XML", "AXML"},
+				"/bib/article/author": {"BC", "RH", "BC", "DD", "RH"},
+				"/bib/book/note":      nil, // several pages in either format
+			}
+			for i := 0; i < 5000; i++ {
+				data["/bib/book/note"] = append(data["/bib/book/note"], fmt.Sprintf("shared prefix %d", i))
+			}
+			for name, vals := range data {
+				w, err := set.NewWriter(name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, v := range vals {
+					if err := w.AppendString(v); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := set.CloseVector(name, w); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := set.Save(); err != nil {
+				t.Fatal(err)
+			}
+			store.Close()
 
-	store2, err := storage.OpenStore(dir, 32)
-	if err != nil {
-		t.Fatal(err)
+			store2, err := storage.OpenStore(dir, 32)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer store2.Close()
+			set2, err := OpenDiskSet(store2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := set2.Names(); len(got) != 3 || got[0] != "/bib/article/author" {
+				t.Fatalf("Names = %v", got)
+			}
+			for name, vals := range data {
+				v, err := set2.Vector(name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				p, ok := v.(*Paged)
+				if !ok || p.compressed != fm.compressed {
+					t.Fatalf("%s reopened as %T, want a %s *Paged", name, v, fm.name)
+				}
+				if name == "/bib/book/note" && p.file.NumPages() < 3 {
+					t.Fatalf("%s has %d pages, want several", name, p.file.NumPages())
+				}
+				got, err := All(v)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if strings.Join(got, ",") != strings.Join(vals, ",") {
+					t.Errorf("%s = %v, want %v", name, got, vals)
+				}
+				if c, ok := set2.Count(name); !ok || c != int64(len(vals)) {
+					t.Errorf("Count(%s) = %d,%v", name, c, ok)
+				}
+			}
+			if set2.CatalogBytes() == 0 {
+				t.Error("CatalogBytes = 0")
+			}
+			if _, err := set2.Vector("/missing"); err == nil {
+				t.Error("missing vector open succeeded")
+			}
+		})
 	}
-	defer store2.Close()
-	set2, err := OpenDiskSet(store2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := set2.Names(); len(got) != 2 || got[0] != "/bib/article/author" {
-		t.Fatalf("Names = %v", got)
-	}
-	for name, vals := range data {
-		v, err := set2.Vector(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := All(v)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if strings.Join(got, ",") != strings.Join(vals, ",") {
-			t.Errorf("%s = %v, want %v", name, got, vals)
-		}
-		if c, ok := set2.Count(name); !ok || c != int64(len(vals)) {
-			t.Errorf("Count(%s) = %d,%v", name, c, ok)
-		}
-	}
-	if set2.CatalogBytes() == 0 {
-		t.Error("CatalogBytes = 0")
-	}
-	if _, err := set2.Vector("/missing"); err == nil {
-		t.Error("missing vector open succeeded")
+}
+
+// TestDiskSetFormatMismatch: a catalog whose compressed flag disagrees
+// with the vector file's magic is corruption, in either direction.
+func TestDiskSetFormatMismatch(t *testing.T) {
+	for _, fm := range formats {
+		t.Run(fm.name, func(t *testing.T) {
+			store, _ := newPool(t, 8)
+			set := CreateDiskSet(store)
+			set.SetCompression(fm.compressed)
+			w, err := set.NewWriter("/v")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := w.AppendString("x"); err != nil {
+				t.Fatal(err)
+			}
+			if err := set.CloseVector("/v", w); err != nil {
+				t.Fatal(err)
+			}
+			e := set.catalog["/v"]
+			e.Compressed = !fm.compressed
+			set.catalog["/v"] = e
+			if _, err := set.Vector("/v"); !errors.Is(err, storage.ErrCorrupt) {
+				t.Errorf("open with mismatched catalog format: err = %v, want ErrCorrupt", err)
+			}
+		})
 	}
 }
 
@@ -262,38 +335,83 @@ func TestTotalValuesAndBytes(t *testing.T) {
 // TestPropertyPagedMatchesMem: a paged vector behaves exactly like the
 // in-memory reference for random values and random range scans.
 func TestPropertyPagedMatchesMem(t *testing.T) {
-	store, _ := newPool(t, 8)
-	seq := 0
-	f := func(seed int64) bool {
-		seq++
-		r := rand.New(rand.NewSource(seed))
-		n := r.Intn(500)
-		vals := make([]string, n)
-		for i := range vals {
-			vals[i] = strings.Repeat("x", r.Intn(100)) + fmt.Sprint(i)
-		}
-		p := writeVector(t, store, fmt.Sprintf("pv%d", seq), vals)
-		m := &Mem{Values: vals}
-		for trial := 0; trial < 10; trial++ {
-			start := int64(0)
-			if n > 0 {
-				start = int64(r.Intn(n))
+	for _, fm := range formats {
+		t.Run(fm.name, func(t *testing.T) {
+			store, _ := newPool(t, 8)
+			seq := 0
+			f := func(seed int64) bool {
+				seq++
+				r := rand.New(rand.NewSource(seed))
+				n := r.Intn(2000)
+				vals := make([]string, n)
+				for i := range vals {
+					vals[i] = strings.Repeat("x", r.Intn(100)) + fmt.Sprint(i)
+				}
+				p := writeVector(t, store, fmt.Sprintf("pv%d", seq), fm.compressed, vals)
+				m := &Mem{Values: vals}
+				for trial := 0; trial < 10; trial++ {
+					start := int64(0)
+					if n > 0 {
+						start = int64(r.Intn(n))
+					}
+					cnt := int64(0)
+					if rem := int64(n) - start; rem > 0 {
+						cnt = int64(r.Int63n(rem))
+					}
+					var a, b []string
+					p.Scan(start, cnt, func(_ int64, v []byte) error { a = append(a, string(v)); return nil })
+					m.Scan(start, cnt, func(_ int64, v []byte) error { b = append(b, string(v)); return nil })
+					if strings.Join(a, "\x00") != strings.Join(b, "\x00") {
+						return false
+					}
+				}
+				return true
 			}
-			cnt := int64(0)
-			if rem := int64(n) - start; rem > 0 {
-				cnt = int64(r.Int63n(rem))
+			if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
+				t.Error(err)
 			}
-			var a, b []string
-			p.Scan(start, cnt, func(_ int64, v []byte) error { a = append(a, string(v)); return nil })
-			m.Scan(start, cnt, func(_ int64, v []byte) error { b = append(b, string(v)); return nil })
-			if strings.Join(a, "\x00") != strings.Join(b, "\x00") {
-				return false
-			}
-		}
-		return true
+		})
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
-		t.Error(err)
+}
+
+// TestConcurrentScans: one shared reader serves overlapping Scans from
+// many goroutines — the reader keeps no scan state, and each Scan of a
+// DEFLATE vector borrows its own inflate state.
+func TestConcurrentScans(t *testing.T) {
+	for _, fm := range formats {
+		t.Run(fm.name, func(t *testing.T) {
+			store, _ := newPool(t, 8)
+			var vals []string
+			for i := 0; i < 20000; i++ {
+				vals = append(vals, fmt.Sprintf("value-%06d", i))
+			}
+			p := writeVector(t, store, "v", fm.compressed, vals)
+			var wg sync.WaitGroup
+			for g := 0; g < 8; g++ {
+				wg.Add(1)
+				go func(g int) {
+					defer wg.Done()
+					r := rand.New(rand.NewSource(int64(g)))
+					for i := 0; i < 50; i++ {
+						start := r.Int63n(p.Len())
+						n := r.Int63n(min(p.Len()-start, 3000)) + 1
+						next := start
+						err := p.Scan(start, n, func(pos int64, val []byte) error {
+							if pos != next || string(val) != vals[pos] {
+								return fmt.Errorf("pos %d = %q, want pos %d = %q", pos, val, next, vals[next])
+							}
+							next++
+							return nil
+						})
+						if err != nil {
+							t.Errorf("goroutine %d: Scan(%d, %d): %v", g, start, n, err)
+							return
+						}
+					}
+				}(g)
+			}
+			wg.Wait()
+		})
 	}
 }
 
@@ -303,7 +421,7 @@ func BenchmarkPagedSequentialScan(b *testing.B) {
 	for i := 0; i < 100000; i++ {
 		vals = append(vals, fmt.Sprintf("v%08d", i))
 	}
-	p := writeVector(b, store, "bench", vals)
+	p := writeVector(b, store, "bench", false, vals)
 	b.SetBytes(int64(p.ValueBytes()))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -324,7 +442,7 @@ func BenchmarkPagedPointReads(b *testing.B) {
 	for i := 0; i < 100000; i++ {
 		vals = append(vals, fmt.Sprintf("v%08d", i))
 	}
-	p := writeVector(b, store, "bench", vals)
+	p := writeVector(b, store, "bench", false, vals)
 	r := rand.New(rand.NewSource(1))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
