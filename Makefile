@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: test race vet lint lint-tools bench bench-full bench-snapshot fuzz examples clean
+.PHONY: test race vet lint lint-tools bench bench-full bench-snapshot profile fuzz examples clean
 
 test:
 	go test ./...
@@ -46,6 +46,13 @@ lint-tools:
 # The per-table/figure benchmarks at test scale.
 bench:
 	go test -bench=. -benchmem ./...
+
+# A CPU profile of one paper query's Table 3 benchmark at test scale:
+# make profile Q=TQ2 writes TQ2.prof (and keeps the vxml.test binary
+# beside it for go tool pprof).
+Q ?= TQ2
+profile:
+	go test -run xxx -bench 'Table3Workload/VX/$(Q)$$' -benchtime 10x -cpuprofile $(Q).prof .
 
 # The full-scale experiment suite (Tables 1-3, Figure 8, ablations).
 bench-full:

@@ -68,7 +68,7 @@ func (e *Engine) resolveTargetsUncached(src skeleton.ClassID, steps []xq.Step) [
 					next[d] = true
 				}
 			case s.Name == "*":
-				for _, k := range e.Classes.Children(c) {
+				for _, k := range e.Classes.Kids(c) {
 					if !e.Classes.IsText(k) {
 						next[k] = true
 					}
@@ -100,10 +100,11 @@ func (e *Engine) descendantElements(c skeleton.ClassID) []skeleton.ClassID {
 	for len(queue) > 0 {
 		cur := queue[0]
 		queue = queue[1:]
-		for _, k := range e.Classes.Children(cur) {
+		for _, k := range e.Classes.Kids(cur) {
 			if e.Classes.IsText(k) {
 				continue
 			}
+			//vx:alloc once per '//*' resolution: resolveTargets memoizes per (class, path), opBind and CheckPlan call it once per query
 			out = append(out, k)
 			queue = append(queue, k)
 		}

@@ -222,9 +222,8 @@ func (e *Engine) evalWithSinkTraced(ctx context.Context, plan *qgraph.Plan, sink
 		builder: skeleton.NewBuilder(),
 		out:     sink,
 		imports: make(map[*skeleton.Node]*skeleton.Node),
-		chains:  make(map[[2]skeleton.ClassID][]*skeleton.Cursor),
-		cursors: make(map[skeleton.ClassID]*skeleton.NodeCursor),
 	}
+	rb.appendOut = rb.appendValue
 	var emitStart time.Time
 	var before EvalStats
 	if trace != nil {
@@ -253,11 +252,27 @@ type resultBuilder struct {
 	builder   *skeleton.Builder
 	out       vectorize.Sink
 	rootEdges []skeleton.Edge
+	edges     []skeleton.Edge // scratch: one return item's edges
 	imports   map[*skeleton.Node]*skeleton.Node
-	chains    map[[2]skeleton.ClassID][]*skeleton.Cursor
-	cursors   map[skeleton.ClassID]*skeleton.NodeCursor
+
+	// classes is indexed by input ClassID, allocated by the first copy and
+	// filled lazily for the classes the copies reach.
+	classes []classMemo
+	// path is the output path of the class being walked; outName is the
+	// output vector the current scan appends to, through appendOut (the
+	// appendValue method value, bound once).
+	path      []byte
+	outName   string
+	appendOut func(pos int64, val []byte) error
 
 	lastCtxCheck int64 // Tuples count at the last cancellation check
+}
+
+// classMemo is the per-query state of one input class.
+type classMemo struct {
+	cursor *skeleton.Cursor     // parent-class occurrences -> this class's
+	nodes  *skeleton.NodeCursor // DAG node of each occurrence (copied classes)
+	name   string               // last output vector name (text classes)
 }
 
 // binding is one output variable's instance in a tuple.
@@ -269,15 +284,18 @@ type binding struct {
 // emitAll enumerates the final tuples (cartesian across surviving tables,
 // expanding runs and multiplicities) and expands the result template per
 // tuple.
+//
+//vx:hot result construction: every returned subtree is copied from here
 func (rb *resultBuilder) emitAll(plan *qgraph.Plan) error {
 	x := rb.x
 	// Surviving tables in creation order; nil slots were merged away.
-	var tables []*Table
+	tables := make([]*Table, 0, len(x.tables))
 	for _, t := range x.tables {
 		if t != nil {
 			tables = append(tables, t)
 		}
 	}
+	prefix := "/" + plan.ResultTag
 	tuple := make(map[string]binding)
 	var rec func(ti int, mult int64) error
 	rec = func(ti int, mult int64) error {
@@ -295,7 +313,7 @@ func (rb *resultBuilder) emitAll(plan *qgraph.Plan) error {
 					return err
 				}
 			}
-			return rb.emitTuple(plan, tuple, mult)
+			return rb.emitTuple(plan, tuple, mult, prefix)
 		}
 		t := tables[ti]
 		for _, seg := range t.Segs {
@@ -325,14 +343,14 @@ func (rb *resultBuilder) emitAll(plan *qgraph.Plan) error {
 }
 
 // emitTuple expands the return template once per multiplicity.
-func (rb *resultBuilder) emitTuple(plan *qgraph.Plan, tuple map[string]binding, mult int64) error {
+func (rb *resultBuilder) emitTuple(plan *qgraph.Plan, tuple map[string]binding, mult int64, prefix string) error {
 	for m := int64(0); m < mult; m++ {
 		for _, item := range plan.Return {
-			edges, err := rb.emitItem(item, tuple, "/"+plan.ResultTag)
-			if err != nil {
+			var err error
+			if rb.edges, err = rb.emitItem(rb.edges[:0], item, tuple, prefix); err != nil {
 				return err
 			}
-			for _, ed := range edges {
+			for _, ed := range rb.edges {
 				rb.appendRootEdge(ed)
 			}
 		}
@@ -349,133 +367,166 @@ func (rb *resultBuilder) appendRootEdge(ed skeleton.Edge) {
 }
 
 // emitItem renders one return item as child edges under prefix (the output
-// path of the containing element), appending any text values to the
-// corresponding output vectors.
-func (rb *resultBuilder) emitItem(item xq.RetItem, tuple map[string]binding, prefix string) ([]skeleton.Edge, error) {
+// path of the containing element), appended to edges, and appends any text
+// values to the corresponding output vectors.
+func (rb *resultBuilder) emitItem(edges []skeleton.Edge, item xq.RetItem, tuple map[string]binding, prefix string) ([]skeleton.Edge, error) {
 	switch item := item.(type) {
 	case xq.RetText:
 		if err := rb.out.Append(prefix, []byte(item.Text)); err != nil {
 			return nil, err
 		}
-		return []skeleton.Edge{{Child: rb.builder.Text(), Count: 1}}, nil
+		return append(edges, skeleton.Edge{Child: rb.builder.Text(), Count: 1}), nil
 	case xq.RetElem:
 		myPrefix := prefix + "/" + item.Tag
-		var kids []skeleton.Edge
+		kids := make([]skeleton.Edge, 0, len(item.Kids))
 		for _, k := range item.Kids {
-			es, err := rb.emitItem(k, tuple, myPrefix)
-			if err != nil {
+			var err error
+			if kids, err = rb.emitItem(kids, k, tuple, myPrefix); err != nil {
 				return nil, err
 			}
-			kids = append(kids, es...)
 		}
 		n := rb.builder.Make(rb.x.e.Syms.Intern(item.Tag), kids)
-		return []skeleton.Edge{{Child: n, Count: 1}}, nil
+		return append(edges, skeleton.Edge{Child: n, Count: 1}), nil
 	case xq.RetPath:
-		return rb.emitPath(item.Term, tuple, prefix)
+		return rb.emitPath(edges, item.Term, tuple, prefix)
 	}
 	return nil, fmt.Errorf("core: unknown return item %T", item)
 }
 
 // emitPath copies, for the tuple's binding of the term's variable, every
-// subtree reachable via the term's path.
-func (rb *resultBuilder) emitPath(term xq.PathTerm, tuple map[string]binding, prefix string) ([]skeleton.Edge, error) {
+// subtree reachable via the term's path: per target class, the binding's
+// descendants there are one contiguous run, copied in one go.
+func (rb *resultBuilder) emitPath(edges []skeleton.Edge, term xq.PathTerm, tuple map[string]binding, prefix string) ([]skeleton.Edge, error) {
 	b, ok := tuple[term.Var]
 	if !ok {
 		return nil, fmt.Errorf("core: tuple missing %s", term.Var)
 	}
-	var edges []skeleton.Edge
 	if len(term.Path.Steps) == 0 {
-		ed, err := rb.copySubtree(b.class, b.occ, prefix)
-		if err != nil {
-			return nil, err
-		}
-		return append(edges, ed), nil
+		return rb.copyRun(edges, b.class, b.occ, 1, prefix)
 	}
 	for _, dst := range rb.x.e.resolveTargets(b.class, term.Path.Steps) {
-		curs := rb.chainFor(b.class, dst)
-		start, count := descendSpan(curs, b.occ, 1)
-		for i := int64(0); i < count; i++ {
-			ed, err := rb.copySubtree(dst, start+i, prefix)
-			if err != nil {
-				return nil, err
-			}
-			edges = append(edges, ed)
+		start, count := rb.descend(b.class, dst, b.occ)
+		if count == 0 {
+			continue
+		}
+		var err error
+		if edges, err = rb.copyRun(edges, dst, start, count, prefix); err != nil {
+			return nil, err
 		}
 	}
 	return edges, nil
 }
 
-// chainFor memoizes descent cursor chains between class pairs.
-func (rb *resultBuilder) chainFor(src, dst skeleton.ClassID) []*skeleton.Cursor {
-	key := [2]skeleton.ClassID{src, dst}
-	if c, ok := rb.chains[key]; ok {
-		return c
+// memo returns the per-query state of class c, allocating the table on
+// first use.
+func (rb *resultBuilder) memo(c skeleton.ClassID) *classMemo {
+	if rb.classes == nil {
+		rb.classes = make([]classMemo, rb.x.e.Classes.NumClasses())
 	}
-	c := rb.x.e.chainCursors(rb.x.e.chainBetween(src, dst))
-	rb.chains[key] = c
-	return c
+	return &rb.classes[c]
 }
 
-// copySubtree copies the occ-th instance of class into the output: the
-// skeleton node is imported (hash-consing shares repeats — stepwise
-// compression) and the instance's slice of every descendant data vector is
-// appended to the output vector named by the result-tree path.
-func (rb *resultBuilder) copySubtree(class skeleton.ClassID, occ int64, prefix string) (skeleton.Edge, error) {
-	x := rb.x
-	e := x.e
-	nc, ok := rb.cursors[class]
-	if !ok {
-		nc = skeleton.NewNodeCursor(e.Classes.NodeRuns(class))
-		rb.cursors[class] = nc
+// cursor returns the shared run-map cursor of class c (c is not the root).
+func (rb *resultBuilder) cursor(c skeleton.ClassID) *skeleton.Cursor {
+	m := rb.memo(c)
+	if m.cursor == nil {
+		m.cursor = rb.x.e.Classes.Cursor(c)
 	}
-	node := nc.At(occ)
-	imported := rb.importNode(node)
+	return m.cursor
+}
 
-	tag := e.Syms.Name(e.Classes.Tag(class))
-	subPrefix := prefix + "/" + tag
-	// Copy vector slices for every text class in the subtree. The val
-	// passed down aliases a pinned buffer-pool frame (Vector.Scan
-	// contract); Sink.Append is required to copy before returning, so the
-	// value is safe once the callback ends and the frame is unpinned.
-	for _, d := range e.Classes.Descendants(class, skeleton.TextStep) {
-		curs := rb.chainFor(class, d)
-		start, count := descendSpan(curs, occ, 1)
-		if count == 0 {
+// descend maps occurrence occ of class src to the span of its
+// descendants at class dst, which lies below src: one ChildSpan per class
+// on the way down.
+func (rb *resultBuilder) descend(src, dst skeleton.ClassID, occ int64) (start, count int64) {
+	if dst == src {
+		return occ, 1
+	}
+	start, count = rb.descend(src, rb.x.e.Classes.Parent(dst), occ)
+	if count == 0 {
+		return 0, 0
+	}
+	return rb.cursor(dst).ChildSpan(start, count)
+}
+
+// copyRun copies occurrences [start, start+count) of class into the
+// output under prefix. Consecutive occurrences that are instances of one
+// DAG node become one counted edge to the imported node (hash-consing
+// shares repeats — stepwise compression), and every text class below gets
+// its slice of the run in one Scan (copyTexts).
+func (rb *resultBuilder) copyRun(edges []skeleton.Edge, class skeleton.ClassID, start, count int64, prefix string) ([]skeleton.Edge, error) {
+	e := rb.x.e
+	m := rb.memo(class)
+	if m.nodes == nil {
+		m.nodes = skeleton.NewNodeCursor(e.Classes.NodeRuns(class))
+	}
+	end := start + count
+	for occ := start; occ < end; {
+		node := m.nodes.At(occ)
+		n := int64(1)
+		for occ+n < end && m.nodes.At(occ+n) == node {
+			n++
+		}
+		edges = append(edges, skeleton.Edge{Child: rb.importNode(node), Count: n})
+		occ += n
+	}
+	rb.path = append(append(append(rb.path[:0], prefix...), '/'), e.Syms.Name(e.Classes.Tag(class))...)
+	return edges, rb.copyTexts(class, start, count)
+}
+
+// copyTexts appends the values of every text class below class, for the
+// class's occurrences [start, start+count), to the output vectors named
+// by the output path rb.path of class. It walks the class trie top-down
+// carrying the span: one ChildSpan per trie edge, a sub-trie the span
+// does not reach is skipped whole, and each reached text class gets one
+// Scan for the whole span — so the cost follows the classes the run
+// actually reaches, not every class below it.
+func (rb *resultBuilder) copyTexts(class skeleton.ClassID, start, count int64) error {
+	e := rb.x.e
+	n := len(rb.path)
+	for _, kid := range e.Classes.Kids(class) {
+		s, k := rb.cursor(kid).ChildSpan(start, count)
+		if k == 0 {
 			continue
 		}
-		vec, err := x.vectorFor(d)
-		if err != nil {
-			return skeleton.Edge{}, err
+		var err error
+		if e.Classes.IsText(kid) {
+			err = rb.scanText(kid, s, k)
+		} else {
+			rb.path = append(append(rb.path, '/'), e.Syms.Name(e.Classes.Tag(kid))...)
+			err = rb.copyTexts(kid, s, k)
+			rb.path = rb.path[:n]
 		}
-		outName := subPrefix + rb.relPath(class, d)
-		x.stats.ValuesScanned += count
-		err = vec.Scan(start, count, func(_ int64, val []byte) error {
-			return rb.out.Append(outName, val)
-		})
 		if err != nil {
-			return skeleton.Edge{}, err
+			return err
 		}
 	}
-	return skeleton.Edge{Child: imported, Count: 1}, nil
+	return nil
 }
 
-// relPath is the path from class (exclusive) to the text class's parent
-// element (inclusive), e.g. "" when the text is directly under class.
-func (rb *resultBuilder) relPath(class, text skeleton.ClassID) string {
-	e := rb.x.e
-	var parts []string
-	for c := e.Classes.Parent(text); c != class; c = e.Classes.Parent(c) {
-		parts = append(parts, e.Syms.Name(e.Classes.Tag(c)))
+// scanText appends positions [start, start+count) of a text class's vector
+// to the output vector named rb.path. The name string is kept per class
+// and rebuilt only when the path differs (another return item or target).
+func (rb *resultBuilder) scanText(text skeleton.ClassID, start, count int64) error {
+	vec, err := rb.x.vectorFor(text)
+	if err != nil {
+		return err
 	}
-	if len(parts) == 0 {
-		return ""
+	m := rb.memo(text)
+	if m.name != string(rb.path) {
+		m.name = string(rb.path)
 	}
-	var b strings.Builder
-	for i := len(parts) - 1; i >= 0; i-- {
-		b.WriteByte('/')
-		b.WriteString(parts[i])
-	}
-	return b.String()
+	rb.outName = m.name
+	rb.x.stats.ValuesScanned += count
+	return vec.Scan(start, count, rb.appendOut)
+}
+
+// appendValue is the scan callback of scanText. The val passed down
+// aliases a pinned buffer-pool frame (Vector.Scan contract); Sink.Append
+// is required to copy before returning, so the value is safe once the
+// callback ends and the frame is unpinned.
+func (rb *resultBuilder) appendValue(_ int64, val []byte) error {
+	return rb.out.Append(rb.outName, val)
 }
 
 // importNode rehashes an input skeleton node into the output builder with

@@ -136,6 +136,20 @@ type Result struct {
 	xmlErr  error  // written once under xmlOnce
 }
 
+// WithEpoch returns a shallow copy of r stamped with epoch. A Result may
+// already be shared (cached, or held by another caller), so a layer that
+// re-stamps one — the shard coordinator — stamps its own copy instead of
+// writing to r. The copy serializes independently of r.
+func (r *Result) WithEpoch(epoch uint64) *Result {
+	return &Result{
+		Repo:            r.Repo,
+		Trace:           r.Trace,
+		Stats:           r.Stats,
+		Epoch:           epoch,
+		StaticallyEmpty: r.StaticallyEmpty,
+	}
+}
+
 // XML serializes the result, memoized: every consumer of a shared Result
 // gets the same bytes and the reconstruction runs once no matter how
 // many cache hits the entry serves.

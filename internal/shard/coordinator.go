@@ -276,7 +276,9 @@ func (c *Coordinator) queryTraced(ctx context.Context, query string) (*core.Resu
 	if err != nil {
 		return nil, src, err
 	}
-	res.Epoch = key.epoch
+	// The union service may hand back its own cached Result, which other
+	// callers read concurrently: stamp a copy this coordinator owns.
+	res = res.WithEpoch(key.epoch)
 	if res.StaticallyEmpty {
 		obsStaticEmpty.Inc()
 	}

@@ -26,6 +26,7 @@ type classInfo struct {
 	depth    int32
 	nodes    []*Node // distinct DAG nodes at this class, discovery order
 	kids     map[xmlmodel.Sym]ClassID
+	kidList  []ClassID // the kids' values in class-id (discovery) order
 	runs     RunMap    // parent-class occurrences -> this class's occurrences (lazy)
 	cursor   *Cursor   // shared positional cursor over runs (lazy)
 	nodeRuns []NodeRun // DAG node per occurrence, run-length (lazy)
@@ -83,6 +84,7 @@ func (c *Classes) discoverChildren(id ClassID) {
 				c.infos = append(c.infos, classInfo{parent: id, tag: step, depth: info.depth + 1, count: -1})
 				c.infos[id].kids[step] = kid
 				info = &c.infos[id] // re-take pointer: append may have moved the slice
+				info.kidList = append(info.kidList, kid)
 			}
 			key := [2]int32{int32(kid), int32(e.Child.ID)}
 			if !seen[key] {
@@ -145,6 +147,12 @@ func (c *Classes) Children(id ClassID) []ClassID {
 	return out
 }
 
+// Kids returns the child classes of id in class-id order, without
+// sorting or copying: the slice is shared and must not be modified. It is
+// the accessor for walks that visit every child and do not care about tag
+// order.
+func (c *Classes) Kids(id ClassID) []ClassID { return c.infos[id].kidList }
+
 // Descendants returns every class strictly below id whose tag matches
 // step (the '//' axis), sorted by class id. step may be TextStep. Results
 // are memoized: descendant-axis queries resolve the same (class, step)
@@ -166,6 +174,7 @@ func (c *Classes) Descendants(id ClassID, step xmlmodel.Sym) []ClassID {
 		queue = queue[1:]
 		for _, kid := range c.infos[cur].kids {
 			if c.infos[kid].tag == step {
+				//vx:alloc memo miss only: the answer is kept in descMemo per (class, step)
 				out = append(out, kid)
 			}
 			if c.infos[kid].tag != TextStep {
@@ -194,7 +203,7 @@ func (c *Classes) Cursor(id ClassID) *Cursor {
 // class renders as its parent element's path plus "/#"; the corresponding
 // data vector is named by the parent element path alone (VectorName).
 func (c *Classes) Path(id ClassID) string {
-	var parts []string
+	parts := make([]string, 0, c.infos[id].depth+1)
 	for cur := id; cur != NoClass; cur = c.infos[cur].parent {
 		if c.infos[cur].tag == TextStep {
 			parts = append(parts, "#")

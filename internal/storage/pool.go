@@ -235,6 +235,10 @@ func (p *BufferPool) newFrameLocked(key pageKey, f *File) (*Frame, error) {
 		}
 		return fr, nil
 	}
+	// A miss right after an eviction takes over the victim's page buffer
+	// instead of allocating and zeroing a fresh one: every caller
+	// overwrites it whole (a fill reads the full page, Alloc zeroes it).
+	var full []byte
 	for len(p.frames) >= p.capacity {
 		victim := p.lru.Front()
 		if victim == nil {
@@ -253,8 +257,14 @@ func (p *BufferPool) newFrameLocked(key pageKey, f *File) (*Frame, error) {
 				return nil, err
 			}
 		}
+		// The victim is unpinned, so no caller may still read it; a stale
+		// *Frame used anyway fails on the nil slices instead of reading the
+		// next page's bytes.
+		full, vf.full, vf.Data = vf.full, nil, nil
 	}
-	full := make([]byte, PageSize)
+	if full == nil {
+		full = make([]byte, PageSize)
+	}
 	fr := &Frame{key: key, file: f, full: full, Data: full[:PageDataSize], pins: 1}
 	p.frames[key] = fr
 	return fr, nil

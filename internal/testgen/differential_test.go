@@ -27,7 +27,10 @@ import (
 // as sorted multisets of top-level result items, because the engine
 // groups such matches by path class. A fixed 1-in-8 slice of pairs is
 // also evaluated over on-disk repositories, in both vector formats, and
-// must answer byte for byte as the in-memory engine does.
+// must answer byte for byte as the in-memory engine does. Another fixed
+// 1-in-8 slice draws from the wide configurations (WideDocConfig,
+// WideQueryConfig) and is also evaluated at Workers 1 and 4, byte for
+// byte as at the default.
 //
 // Knobs (environment):
 //
@@ -68,8 +71,13 @@ func TestDifferentialEngineVsNaive(t *testing.T) {
 func diffPair(t *testing.T, seed int64) bool {
 	r := rand.New(rand.NewSource(seed))
 	syms := xmlmodel.NewSymbols()
-	tree := Doc(r, DefaultDocConfig(), syms)
-	q := NewQuery(r, DefaultQueryConfig())
+	docCfg, queryCfg := DefaultDocConfig(), DefaultQueryConfig()
+	wide := seed%8 == 4
+	if wide {
+		docCfg, queryCfg = WideDocConfig(), WideQueryConfig()
+	}
+	tree := Doc(r, docCfg, syms)
+	q := NewQuery(r, queryCfg)
 
 	parsed, err := xq.Parse(q.Src)
 	if err != nil {
@@ -148,6 +156,13 @@ func diffPair(t *testing.T, seed int64) bool {
 		return false
 	}
 
+	if wide {
+		for _, workers := range []int{1, 4} {
+			if !workersPair(t, seed, repo, plan, workers, got) {
+				return false
+			}
+		}
+	}
 	if seed%8 == 0 {
 		for _, compress := range []bool{false, true} {
 			if !diskPair(t, seed, xmlmodel.TreeString(tree, syms), plan, compress, got) {
@@ -212,6 +227,27 @@ func diskPair(t *testing.T, seed int64, doc string, plan *qgraph.Plan, compress 
 	if b.String() != want {
 		t.Errorf("pair seed %d: disk result (compress=%v) diverged from in-memory result\ndisk:   %s\nmemory: %s",
 			seed, compress, b.String(), want)
+		return false
+	}
+	return true
+}
+
+// workersPair evaluates plan over repo with the given scan parallelism
+// and checks that the engine answers exactly as at the default (want).
+func workersPair(t *testing.T, seed int64, repo *vectorize.MemRepository, plan *qgraph.Plan, workers int, want string) bool {
+	res, err := core.NewMemEngine(repo, core.Options{Workers: workers}).Eval(context.Background(), plan)
+	if err != nil {
+		t.Errorf("pair seed %d: engine at Workers %d: %v", seed, workers, err)
+		return false
+	}
+	var b strings.Builder
+	if err := vectorize.ReconstructXML(res.Skel, res.Classes, res.Vectors, res.Syms, &b); err != nil {
+		t.Errorf("pair seed %d: reconstruct result at Workers %d: %v", seed, workers, err)
+		return false
+	}
+	if b.String() != want {
+		t.Errorf("pair seed %d: result at Workers %d diverged from the default\nworkers: %s\ndefault: %s",
+			seed, workers, b.String(), want)
 		return false
 	}
 	return true

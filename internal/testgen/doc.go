@@ -53,6 +53,22 @@ func DefaultDocConfig() DocConfig {
 	}
 }
 
+// WideDocConfig returns the configuration of the differential suite's
+// wide slice: a 12-tag alphabet, depth 6 and runs of up to 4 siblings, so
+// one element class has many descendant text classes while each instance
+// reaches few of them — the shape result construction's top-down class
+// walk prunes, with runs for it to copy at once.
+func WideDocConfig() DocConfig {
+	cfg := DefaultDocConfig()
+	cfg.Tags = wideTags
+	cfg.MaxDepth = 6
+	cfg.MaxRun = 4
+	cfg.LeafBias = 50
+	return cfg
+}
+
+var wideTags = []string{"a", "b", "c", "d", "e", "f", "g", "h", "i", "j", "k", "l"}
+
 // Doc generates one random document. Sibling groups repeat a single tag
 // for a random run length, so consecutive identical-class siblings (the
 // run-compressible case) occur frequently; within a run each element is

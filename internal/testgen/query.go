@@ -34,6 +34,16 @@ type QueryConfig struct {
 	// TemplatePct is the chance the return clause is an element template
 	// with {$v/p} holes instead of bare path items.
 	TemplatePct int
+
+	// The wide slice's biases (WideQueryConfig); zero leaves the general
+	// generator unchanged, draw for draw.
+	//
+	// maxBindingSteps bounds the steps of one binding path; 0 means 2.
+	maxBindingSteps int
+	// subtreePct is the chance the return clause is a single subtree copy
+	// of the first (shallowest) variable: a bare "$x", or "$x/t" whose
+	// child step selects runs of consecutive same-tag siblings.
+	subtreePct int
 }
 
 // DefaultQueryConfig returns the configuration used by the differential
@@ -51,6 +61,18 @@ func DefaultQueryConfig() QueryConfig {
 		QualifierPct:     30,
 		TemplatePct:      25,
 	}
+}
+
+// WideQueryConfig returns the query configuration of the wide slice (see
+// WideDocConfig): shallow bindings over the 12-tag alphabet, and mostly
+// return clauses that copy whole subtrees or runs of siblings.
+func WideQueryConfig() QueryConfig {
+	cfg := DefaultQueryConfig()
+	cfg.Tags = wideTags
+	cfg.MaxExtraBindings = 1
+	cfg.maxBindingSteps = 1
+	cfg.subtreePct = 60
+	return cfg
 }
 
 // Query is one generated query.
@@ -130,7 +152,11 @@ func (g *gen) qual() string {
 // of the dom baseline) counts each node once. That divergence is
 // documented engine behavior, not a differential target.
 func (g *gen) bindingPath() string {
-	n := 1 + g.r.Intn(2)
+	maxSteps := g.cfg.maxBindingSteps
+	if maxSteps == 0 {
+		maxSteps = 2
+	}
+	n := 1 + g.r.Intn(maxSteps)
 	axes := make([]string, n)
 	names := make([]string, n)
 	for i := 0; i < n; i++ {
@@ -213,7 +239,12 @@ func NewQuery(r *rand.Rand, cfg QueryConfig) Query {
 	// Return clause: bare variables / qualifier-free paths, or an element
 	// template with {$v/p} holes.
 	b.WriteString(" return ")
-	if g.pct(cfg.TemplatePct) {
+	if cfg.subtreePct > 0 && g.pct(cfg.subtreePct) {
+		b.WriteString(g.vars[0])
+		if g.pct(50) {
+			b.WriteString("/" + g.tag())
+		}
+	} else if g.pct(cfg.TemplatePct) {
 		fmt.Fprintf(&b, "<item>{%s}", g.retTerm())
 		if g.pct(40) {
 			fmt.Fprintf(&b, "<extra>{%s}</extra>", g.retTerm())
