@@ -2,11 +2,11 @@ package analysis
 
 // HotAlloc: no avoidable per-iteration allocation inside loops that run
 // on a hot path. Entry points carry a //vx:hot doc annotation (the
-// scan/merge choke points — cancelVector.Scan, shard.MergeResults);
+// scan/merge choke points — the engine's reader.Scan, shard.MergeResults);
 // every function reachable from one through the call graph is checked.
-// This is exactly the class of the cancelVector regression: a closure
-// allocated per scanned value cost ~8% on scan-bound queries before it
-// was rewritten into chunked sub-scans.
+// This is exactly the class of the cancel-polling regression: a closure
+// allocated per scanned value cost ~8% on scan-bound queries before the
+// engine's scan wrapper was rewritten into chunked sub-scans.
 //
 // Inside a loop of a hot function, three allocation shapes are flagged:
 //
@@ -68,7 +68,7 @@ func checkHotFunc(pass *ProgramPass, n *FuncNode) {
 			case *ast.FuncLit:
 				if inLoop && !exitPath {
 					if _, ok := ann.Marked(x.Pos(), "alloc"); !ok {
-						pass.Reportf(x.Pos(), "closure allocated per iteration in a //vx:hot loop (the cancelVector regression class); hoist it, restructure, or annotate //vx:alloc <why>")
+						pass.Reportf(x.Pos(), "closure allocated per iteration in a //vx:hot loop (the per-value closure regression class); hoist it, restructure, or annotate //vx:alloc <why>")
 					}
 				}
 				return false // the literal's own body is its own (reachable) node

@@ -191,17 +191,14 @@ func SetTaskTelemetry(on bool) bool {
 	return prev
 }
 
-// vectorFor lazily opens the data vector of a text class. It is called
-// from the serial part of every operation (never inside a scan fan-out),
-// so the per-evaluation cache needs no lock.
+// vectorFor lazily opens the data vector of a text class, as the view
+// that charges page faults to the query's meter and honors its context
+// during transient-read retry. It is called from the serial part of every
+// operation (never inside a scan fan-out), so the per-evaluation cache
+// needs no lock. Values are read through newReader, never from the view
+// directly.
 //
-// When the evaluation's context is cancellable the vector is wrapped so
-// every Scan observes cancellation within cancelCheckStride values —
-// long chunked scans are exactly where a query spends its time, so this
-// one choke point bounds cancellation latency for every operation.
-// Background contexts get the raw vector: no per-value overhead.
-//
-//vx:rawvector this IS the cancel-polling wrapper every other open goes through
+//vx:rawvector the one open every reader (and so every cancel poll) is built on
 func (x *evalContext) vectorFor(c skeleton.ClassID) (vector.Vector, error) {
 	if v, ok := x.vecs[c]; ok {
 		return v, nil
@@ -232,12 +229,6 @@ func (x *evalContext) vectorFor(c skeleton.ClassID) (vector.Vector, error) {
 			v = cv.WithContext(x.ctx)
 		}
 	}
-	if e.Health != nil {
-		v = &quarantineVector{Vector: v, health: e.Health, name: name, span: obs.SpanFrom(x.ctx)}
-	}
-	if x.ctx.Done() != nil {
-		v = &cancelVector{Vector: v, ctx: x.ctx}
-	}
 	x.vecs[c] = v
 	x.stats.VectorsOpened++
 	x.meter.VectorOpen()
@@ -249,27 +240,46 @@ func (x *evalContext) vectorFor(c skeleton.ClassID) (vector.Vector, error) {
 // check cost vanishes against value processing.
 const cancelCheckStride = 4096
 
-// cancelVector bounds how long a Scan can run past context cancellation.
-// It slices the scan into stride-sized sub-scans with a context check
-// between them, so the value callback passes through unwrapped and
-// cancellability costs nothing per value (the earlier per-value counting
-// closure showed up as ~8% on scan-bound queries).
-type cancelVector struct {
-	vector.Vector
-	ctx context.Context
+// reader is how the engine reads a text class's vector: a vector.Cursor
+// for one goroutine, so a pass over rows in document order resumes each
+// scan where the last one stopped. It is also the one choke point for
+// the two things every scan must do:
+//
+//   - observe cancellation within cancelCheckStride values: each scan is
+//     sliced into stride-sized sub-scans with a context check between
+//     them, so fn passes through unwrapped and cancellability costs
+//     nothing per value (a per-value counting closure once cost ~8 % on
+//     scan-bound queries), and the sub-scans resume on the cursor's page;
+//   - quarantine the vector when a scan observes persistent corruption
+//     (see quarantine).
+type reader struct {
+	cur   vector.Cursor
+	x     *evalContext
+	class skeleton.ClassID
 }
 
-// Scan polls ctx between chunked sub-scans of the wrapped vector.
+// newReader returns a reader over v, text class c's vector as vectorFor
+// opened it. Readers are single-goroutine: a scan fan-out makes one per
+// chunk, on the chunk's stack. Close it when done.
+func (x *evalContext) newReader(c skeleton.ClassID, v vector.Vector) reader {
+	return reader{cur: vector.NewCursor(v), x: x, class: c}
+}
+
+// Close releases the reader's cursor.
+func (r *reader) Close() { r.cur.Close() }
+
+// Scan reads positions [start, start+n) like Vector.Scan, polling the
+// evaluation's context between sub-scans.
 //
 //vx:hot every value a query touches flows through this scan loop
-func (cv *cancelVector) Scan(start, n int64, fn func(pos int64, val []byte) error) error {
-	if start < 0 || n < 0 || start+n > cv.Vector.Len() {
-		// Out-of-range scans surface the implementation's own error before
-		// fn observes any value, exactly as an unwrapped vector would.
-		return cv.Vector.Scan(start, n, fn)
+func (r *reader) Scan(start, n int64, fn func(pos int64, val []byte) error) error {
+	if start < 0 || n < 0 || start+n > r.cur.Len() {
+		// Out-of-range scans surface the vector's own error before fn
+		// observes any value.
+		return r.cur.Scan(start, n, fn)
 	}
 	for off := int64(0); ; off += cancelCheckStride {
-		if err := cv.ctx.Err(); err != nil {
+		if err := r.x.ctx.Err(); err != nil {
 			return err
 		}
 		chunk := n - off
@@ -279,7 +289,8 @@ func (cv *cancelVector) Scan(start, n int64, fn func(pos int64, val []byte) erro
 		if chunk > cancelCheckStride {
 			chunk = cancelCheckStride
 		}
-		if err := cv.Vector.Scan(start+off, chunk, fn); err != nil {
+		if err := r.cur.Scan(start+off, chunk, fn); err != nil {
+			r.x.quarantine(r.class, err)
 			return err
 		}
 	}

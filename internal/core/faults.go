@@ -5,14 +5,14 @@ import (
 	"fmt"
 
 	"vxml/internal/obs"
+	"vxml/internal/skeleton"
 	"vxml/internal/storage"
-	"vxml/internal/vector"
 )
 
 // This file is the engine's half of the fault-tolerance layer: the typed
 // errors a query can fail with when the fault is the system's rather than
-// the query's, and the vector wrapper that turns an observed integrity
-// failure into a repository-wide quarantine. The storage half (retry
+// the query's, and the hook that turns an integrity failure observed by a
+// reader's scan into a repository-wide quarantine. The storage half (retry
 // policy, Health table) lives in internal/storage; the HTTP mapping
 // (500 / 503 + Retry-After) lives in internal/serve.
 
@@ -61,29 +61,20 @@ func (e *QuarantinedError) Error() string {
 
 func (e *QuarantinedError) Unwrap() error { return ErrQuarantined }
 
-// quarantineVector watches one vector's scans for integrity failures.
-// The buffer pool has already re-read the page once by the time an
-// ErrCorrupt-wrapping error surfaces here, so the corruption is
-// persistent: the vector goes into the repository's Health table and
-// every later query touching it fails fast with ErrQuarantined instead
-// of re-reading (and re-failing) the bad page.
-type quarantineVector struct {
-	vector.Vector
-	health *storage.Health
-	name   string
-	// span is the evaluation's span at wrap time (nil when tracing is
-	// off). Scan has no context parameter, so the quarantine event is
-	// charged to the span captured when the vector was opened.
-	span *obs.Span
-}
-
-func (qv *quarantineVector) Scan(start, n int64, fn func(pos int64, val []byte) error) error {
-	err := qv.Vector.Scan(start, n, fn)
-	if err != nil && errors.Is(err, storage.ErrCorrupt) {
-		qv.health.Quarantine(qv.name, err.Error())
-		qv.span.Event(evQuarantine, obs.Str("vector", qv.name), obs.Str("error", err.Error()))
+// quarantine acts on a failed scan of text class c's vector. The buffer
+// pool has already re-read the page once by the time an ErrCorrupt-
+// wrapping error surfaces here, so the corruption is persistent: the
+// vector goes into the repository's Health table, with an event on the
+// evaluation's span, and every later query touching it fails fast with
+// ErrQuarantined instead of re-reading (and re-failing) the bad page.
+// Engines without a Health table do nothing.
+func (x *evalContext) quarantine(c skeleton.ClassID, err error) {
+	if x.e.Health == nil || !errors.Is(err, storage.ErrCorrupt) {
+		return
 	}
-	return err
+	name := x.e.Classes.VectorName(c)
+	x.e.Health.Quarantine(name, err.Error())
+	obs.SpanFrom(x.ctx).Event(evQuarantine, obs.Str("vector", name), obs.Str("error", err.Error()))
 }
 
 // evQuarantine is the span event recorded when a scan integrity failure

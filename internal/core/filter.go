@@ -215,7 +215,8 @@ func existsRuns(curs []*skeleton.Cursor, lvl int, p0, n int64) []span {
 
 // matchedSpans scans, per chain, the data vector over each row's span and
 // maps matching positions back up to op.Var occurrences. The row scans of
-// one chain fan out across the engine's worker pool in contiguous chunks;
+// one chain fan out across the engine's worker pool in contiguous chunks,
+// each reading its rows (in document order) through its own reader;
 // per-chunk hit lists and scan counters merge in chunk order (and the hits
 // are sorted before span building anyway), so the result — spans and
 // stats — is identical to a serial scan.
@@ -231,6 +232,8 @@ func (x *evalContext) matchedSpans(seg *Segment, col int, chains []selChain, pre
 		hitsByChunk := make([][]int64, nch)
 		scannedByChunk := make([]int64, nch)
 		err = parallelFor(x.ctx, nworkers, nch, func(ci int) error {
+			rd := x.newReader(sc.text, vec)
+			defer rd.Close()
 			lo, hi := chunkBounds(len(seg.Rows), nch, ci)
 			for ri := lo; ri < hi; ri++ {
 				r := seg.Rows[ri]
@@ -243,7 +246,7 @@ func (x *evalContext) matchedSpans(seg *Segment, col int, chains []selChain, pre
 					continue
 				}
 				scannedByChunk[ci] += count
-				err := vec.Scan(start, count, func(pos int64, val []byte) error {
+				err := rd.Scan(start, count, func(pos int64, val []byte) error {
 					if pred(val) {
 						hitsByChunk[ci] = append(hitsByChunk[ci], ascendPos(sc.down, pos))
 					}

@@ -27,7 +27,8 @@ type rowVals struct {
 // chain the per-row scans fan out across the engine's worker pool — every
 // row's value slot is written by exactly one goroutine, chains stay in
 // order, and scan counters merge in chunk order, so the gathered values
-// are identical to a serial pass.
+// are identical to a serial pass. Each chunk reads its rows, which come
+// in document order, through its own reader.
 func (x *evalContext) gatherVals(t *Table, col int, steps []xq.Step, op qgraph.Op) ([]rowVals, error) {
 	var out []rowVals
 	nworkers := x.e.workers()
@@ -46,6 +47,8 @@ func (x *evalContext) gatherVals(t *Table, col int, steps []xq.Step, op qgraph.O
 			nch := rowChunks(nworkers, len(seg.Rows))
 			scannedByChunk := make([]int64, nch)
 			err = parallelFor(x.ctx, nworkers, nch, func(ci int) error {
+				rd := x.newReader(sc.text, vec)
+				defer rd.Close()
 				lo, hi := chunkBounds(len(seg.Rows), nch, ci)
 				for ri := lo; ri < hi; ri++ {
 					r := seg.Rows[ri]
@@ -55,7 +58,7 @@ func (x *evalContext) gatherVals(t *Table, col int, steps []xq.Step, op qgraph.O
 					}
 					scannedByChunk[ci] += count
 					rv := &perRow[ri]
-					err := vec.Scan(start, count, func(_ int64, val []byte) error {
+					err := rd.Scan(start, count, func(_ int64, val []byte) error {
 						v := string(val)
 						if len(rv.vals) == 0 {
 							rv.min, rv.max = v, v

@@ -224,6 +224,7 @@ func (e *Engine) evalWithSinkTraced(ctx context.Context, plan *qgraph.Plan, sink
 		imports: make(map[*skeleton.Node]*skeleton.Node),
 	}
 	rb.appendOut = rb.appendValue
+	defer rb.close()
 	var emitStart time.Time
 	var before EvalStats
 	if trace != nil {
@@ -256,8 +257,10 @@ type resultBuilder struct {
 	imports   map[*skeleton.Node]*skeleton.Node
 
 	// classes is indexed by input ClassID, allocated by the first copy and
-	// filled lazily for the classes the copies reach.
+	// filled lazily for the classes the copies reach; readers lists the
+	// readers opened in it, closed when emission ends.
 	classes []classMemo
+	readers []*reader
 	// path is the output path of the class being walked; outName is the
 	// output vector the current scan appends to, through appendOut (the
 	// appendValue method value, bound once).
@@ -273,6 +276,7 @@ type classMemo struct {
 	cursor *skeleton.Cursor     // parent-class occurrences -> this class's
 	nodes  *skeleton.NodeCursor // DAG node of each occurrence (copied classes)
 	name   string               // last output vector name (text classes)
+	reader *reader              // the class's vector, read by scanText
 }
 
 // binding is one output variable's instance in a tuple.
@@ -507,18 +511,32 @@ func (rb *resultBuilder) copyTexts(class skeleton.ClassID, start, count int64) e
 // scanText appends positions [start, start+count) of a text class's vector
 // to the output vector named rb.path. The name string is kept per class
 // and rebuilt only when the path differs (another return item or target).
+// Each class has one reader for the whole emission: tuples come in
+// document order, so its scans resume where the previous one stopped.
 func (rb *resultBuilder) scanText(text skeleton.ClassID, start, count int64) error {
-	vec, err := rb.x.vectorFor(text)
-	if err != nil {
-		return err
-	}
 	m := rb.memo(text)
+	if m.reader == nil {
+		vec, err := rb.x.vectorFor(text)
+		if err != nil {
+			return err
+		}
+		rd := rb.x.newReader(text, vec)
+		m.reader = &rd
+		rb.readers = append(rb.readers, m.reader)
+	}
 	if m.name != string(rb.path) {
 		m.name = string(rb.path)
 	}
 	rb.outName = m.name
 	rb.x.stats.ValuesScanned += count
-	return vec.Scan(start, count, rb.appendOut)
+	return m.reader.Scan(start, count, rb.appendOut)
+}
+
+// close releases the readers scanText opened.
+func (rb *resultBuilder) close() {
+	for _, r := range rb.readers {
+		r.Close()
+	}
 }
 
 // appendValue is the scan callback of scanText. The val passed down

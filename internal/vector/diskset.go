@@ -211,7 +211,8 @@ func (s *DiskSet) VectorCtx(ctx context.Context, m *obs.TaskMeter, name string) 
 }
 
 // clamped exposes only the first n values of a vector — the catalog's view
-// of a file that carries an uncommitted append tail.
+// of a file that carries an uncommitted append tail. A Cursor over it
+// reads the Paged underneath directly, within the clamp.
 type clamped struct {
 	Vector
 	n int64

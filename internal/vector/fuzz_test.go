@@ -80,10 +80,60 @@ func scanSome(t *testing.T, v Vector) {
 	scan(n-1, 1)
 }
 
+// cursorScript drives one Cursor over v through a fixed script — forward
+// from the top, on along the same page, the next page, backward, the last
+// value — holding each scan to scanSome's contract and, when a one-shot
+// Scan of the same range succeeds too, to the same values.
+func cursorScript(t *testing.T, v Vector) {
+	t.Helper()
+	n := v.Len()
+	if n <= 0 {
+		return
+	}
+	c := NewCursor(v)
+	defer c.Close()
+	scan := func(start, cnt int64) {
+		start = min(start, n-1)
+		cnt = min(cnt, n-start)
+		got := collect(c.Scan, start, cnt, -1)
+		for i, pos := range got.pos {
+			if pos != start+int64(i) {
+				t.Fatalf("cursor Scan(%d, %d) delivered position %d, want %d", start, cnt, pos, start+int64(i))
+			}
+		}
+		if got.err == nil && int64(len(got.pos)) != cnt {
+			t.Fatalf("cursor Scan(%d, %d) returned nil after %d values", start, cnt, len(got.pos))
+		}
+		if want := collect(v.Scan, start, cnt, -1); got.err == nil && want.err == nil {
+			if err := sameScan(got, want); err != nil {
+				t.Fatalf("cursor Scan(%d, %d): %v", start, cnt, err)
+			}
+		}
+	}
+	scan(0, 1)
+	scan(1, 2)
+	scan(c.last, 2)
+	scan(0, 1)
+	scan(n-1, 1)
+}
+
+// nextPage returns a data page continuing data's: the same contents with
+// firstIdx moved past data's records, so a well-formed page becomes a
+// well-formed two-page vector.
+func nextPage(data []byte) []byte {
+	page := make([]byte, max(len(data), 12))
+	copy(page, data)
+	firstIdx, nrecs, _ := pageHeader(page)
+	binary.LittleEndian.PutUint64(page[0:8], uint64(firstIdx+int64(nrecs)))
+	return page
+}
+
 // FuzzPageDecode feeds arbitrary meta and data page contents (with valid
-// checksums) under both magics to the one reader and to the append-resume
-// paths of both formats. The contract under test: corrupt pages yield
-// errors, never panics and never short or misplaced scans.
+// checksums) under both magics to the one reader, to a Cursor's resume
+// (over that page and over two pages, the second continuing the first),
+// and to the append-resume paths of both formats. The contract under test:
+// corrupt pages yield errors, never panics and never short or misplaced
+// scans.
 func FuzzPageDecode(f *testing.F) {
 	// A well-formed plain vector: count 2, 2 value bytes; data page with
 	// firstIdx 0, 2 records, 4 used bytes: ["a", "b"].
@@ -95,6 +145,11 @@ func FuzzPageDecode(f *testing.F) {
 	binary.LittleEndian.PutUint16(data[10:12], 4)
 	copy(data[12:16], []byte{1, 'a', 1, 'b'})
 	f.Add(meta, data)
+	// The same page with a meta page counting its continuation too: the
+	// cursor script crosses into the second page.
+	meta4 := make([]byte, 16)
+	binary.LittleEndian.PutUint64(meta4[0:8], 4)
+	f.Add(meta4, data)
 	f.Add([]byte{}, []byte{})
 	// Absurd counts and record lengths.
 	huge := make([]byte, 16)
@@ -111,9 +166,14 @@ func FuzzPageDecode(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, meta []byte, data []byte) {
 		for _, magic := range []string{metaMagic, compMagic} {
+			pool2, file2 := fuzzFile(t, magic, meta, data, nextPage(data))
+			if v, err := OpenPaged(pool2, file2); err == nil {
+				cursorScript(t, v)
+			}
 			pool, file := fuzzFile(t, magic, meta, data)
 			if v, err := OpenPaged(pool, file); err == nil {
 				scanSome(t, v)
+				cursorScript(t, v)
 			}
 			for _, resume := range []int64{0, 1, 3} {
 				if w, err := OpenAppendWriter(pool, file, resume); err == nil {

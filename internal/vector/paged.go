@@ -23,8 +23,9 @@ import (
 // uvarint(length) + bytes. Records never span pages, so one value must fit
 // a page payload (MaxValue); the datasets this system targets (scientific
 // and synthetic repositories of short fields) satisfy this comfortably.
-// Positional seeks binary-search page headers via firstIdx, touching
-// O(log pages) pages.
+// A positional seek binary-searches page headers via firstIdx, touching
+// O(log pages) pages; a Cursor skips the search when the next scan starts
+// on the page its last one ended on, or on the page after.
 //
 // Two formats share that layout and one reader (Paged):
 //
@@ -140,8 +141,8 @@ func layout(compressed bool) (hdr, max int) {
 	return headerSize, payload
 }
 
-// pageDecoder turns a data page into its packed record bytes. Each Scan
-// owns one, so the inflate state is never shared between scans.
+// pageDecoder turns a data page into its packed record bytes. Each Cursor
+// owns one, so the inflate state is never shared between goroutines.
 type pageDecoder struct {
 	compressed bool
 	inf        *inflater // borrowed on the first DEFLATE page
@@ -174,8 +175,8 @@ func (d *pageDecoder) records(file *storage.File, pageNo int64, data []byte) (fi
 	return firstIdx, nrecs, recs, nil
 }
 
-// release returns the decoder's inflate state once its Scan is done with
-// the records it handed out.
+// release returns the decoder's inflate state once its Cursor is done
+// with the records it handed out.
 func (d *pageDecoder) release() {
 	if d.inf != nil {
 		inflaters.Put(d.inf)
@@ -363,77 +364,18 @@ func (p *Paged) Len() int64 { return p.count }
 // compression).
 func (p *Paged) ValueBytes() int64 { return p.bytes }
 
-// Scan implements Vector: it seeks to the page containing start with a
-// binary search over page headers, then streams pages sequentially.
+// Scan implements Vector as a one-shot Cursor: a binary search over page
+// headers for the page holding start, then pages in sequence.
 func (p *Paged) Scan(start, n int64, fn func(pos int64, val []byte) error) error {
-	if n == 0 {
-		return nil
-	}
-	if start < 0 || start+n > p.count {
-		return fmt.Errorf("vector: scan [%d,%d) out of range 0..%d", start, start+n, p.count)
-	}
-	pageNo, err := p.findPage(start)
-	if err != nil {
-		return err
-	}
-	dec := pageDecoder{compressed: p.compressed}
-	defer dec.release()
-	pos, end := start, start+n
-	for first := true; pos < end; first, pageNo = false, pageNo+1 {
-		if pageNo >= p.file.NumPages() {
-			return fmt.Errorf("vector: %s: scan ran past last page (pos %d, want %d): %w", p.file.Path(), pos, end, storage.ErrCorrupt)
-		}
-		fr, err := p.pool.GetMeteredCtx(p.context(), p.file, pageNo, p.meter)
-		if err != nil {
-			return err
-		}
-		obsPagesScanned.Inc()
-		pos, err = p.scanPage(&dec, fr.Data, pageNo, first, pos, end, fn)
-		p.pool.Unpin(fr, false)
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	c := NewCursor(p)
+	defer c.Close()
+	return c.Scan(start, n, fn)
 }
 
-// scanPage calls fn for the records of one data page at positions
-// [pos, end) and returns the position the next page must start at.
-func (p *Paged) scanPage(dec *pageDecoder, data []byte, pageNo int64, first bool, pos, end int64, fn func(pos int64, val []byte) error) (int64, error) {
-	firstIdx, nrecs, recs, err := dec.records(p.file, pageNo, data)
-	if err != nil {
-		return pos, err
-	}
-	// Positions come from disk too: the page found by the seek must hold
-	// pos, and each later page must start where the previous one ended.
-	// Otherwise the scan would deliver too few values, or values at the
-	// wrong positions, and still succeed.
-	last := firstIdx + int64(nrecs)
-	if first && (firstIdx > pos || pos >= last) || !first && firstIdx != pos {
-		return pos, fmt.Errorf("vector: %s: corrupt page %d: holds positions [%d,%d), scan expects %d: %w", p.file.Path(), pageNo, firstIdx, last, pos, storage.ErrCorrupt)
-	}
-	// Record lengths come from disk: every prefix and value must stay
-	// inside the page's records, or the record is corrupt.
-	idx, off := firstIdx, 0
-	for ; idx < last && idx < end; idx++ {
-		ln, sz := binary.Uvarint(recs[off:])
-		if sz <= 0 || ln > uint64(len(recs)-off-sz) {
-			return pos, fmt.Errorf("vector: %s: corrupt record on page %d: %w", p.file.Path(), pageNo, storage.ErrCorrupt)
-		}
-		off += sz
-		if idx >= pos {
-			if err := fn(idx, recs[off:off+int(ln)]); err != nil {
-				return pos, err
-			}
-		}
-		off += int(ln)
-	}
-	return idx, nil
-}
-
-// findPage binary-searches data pages for the one whose records cover pos.
-func (p *Paged) findPage(pos int64) (int64, error) {
-	lo, hi := int64(1), p.file.NumPages()-1
+// findPage binary-searches data pages lo and after for the one whose
+// records cover pos.
+func (p *Paged) findPage(lo, pos int64) (int64, error) {
+	hi := p.file.NumPages() - 1
 	for lo < hi {
 		mid := (lo + hi + 1) / 2
 		fr, err := p.pool.GetMeteredCtx(p.context(), p.file, mid, p.meter)

@@ -6,9 +6,12 @@
 // default (the paper departs from XMILL here) or, opt-in, DEFLATE-compressed
 // per page (the §6 extension); one reader, Paged, reads both. They are read
 // lazily: a query touches only the vectors its operations scan, which is
-// the system's central I/O win. Position i of a vector is exactly occurrence i of the corresponding
-// text class (see internal/skeleton), so all engine operations are simple
-// positional scans.
+// the system's central I/O win. Position i of a vector is exactly
+// occurrence i of the corresponding text class (see internal/skeleton), so
+// all engine operations are simple positional scans. Those scans arrive
+// row by row in document order, so the engine reads through a Cursor,
+// which resumes each scan where the previous one stopped instead of
+// searching for and re-decoding its page.
 package vector
 
 import (
