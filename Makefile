@@ -6,7 +6,8 @@ test:
 	go test ./...
 
 # The full suite under the race detector — required before merging
-# anything that touches the query engine, the buffer pool or the fd gate.
+# anything that touches the query engine, the buffer pool or the vector
+# segment.
 race:
 	go test -race ./...
 

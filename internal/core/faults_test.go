@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"os"
 	"strings"
 	"sync"
@@ -10,6 +11,7 @@ import (
 	"time"
 
 	"vxml/internal/obs"
+	"vxml/internal/qgraph"
 	"vxml/internal/storage"
 	"vxml/internal/vector"
 	"vxml/internal/vectorize"
@@ -37,9 +39,11 @@ func openFaultRepo(t testing.TB, doc string, poolPages int) (*vectorize.Reposito
 	return repo, ffs, mem
 }
 
-// bookTitleVector returns the /bib/book/title vector's name and its file's
-// full path on the repository's FS.
-func bookTitleVector(t testing.TB, repo *vectorize.Repository) (name, path string, file *storage.File) {
+// bookTitleVector returns the /bib/book/title vector's name, the segment
+// file holding it (its full path on the repository's FS, and the file) and
+// the segment offset of a byte inside its first extent, which is on a page
+// of its own.
+func bookTitleVector(t testing.TB, repo *vectorize.Repository) (name, path string, file *storage.File, off int64) {
 	t.Helper()
 	set, ok := repo.Vectors.(*vector.DiskSet)
 	if !ok {
@@ -54,15 +58,11 @@ func bookTitleVector(t testing.TB, repo *vectorize.Repository) (name, path strin
 	if name == "" {
 		t.Fatalf("no book title vector among %v", set.Names())
 	}
-	rel, ok := set.FileOf(name)
-	if !ok {
-		t.Fatalf("no file for vector %q", name)
+	ext, _ := set.Extents(name)
+	if len(ext) < 2 {
+		t.Fatalf("vector %q has %d extents, want a full page and more", name, len(ext))
 	}
-	f, err := repo.Store.Open(rel)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return name, f.Path(), f
+	return name, set.Segment().Path(), set.Segment(), ext[0].Page*storage.PageSize + int64(ext[0].Off) + 64
 }
 
 // flipByteAt XORs one byte of the file at path on fsys, returning the
@@ -116,10 +116,8 @@ func TestPersistentCorruptionQuarantinesPoisonedVector(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Corrupt a value page (page 0 is the vector's meta page, read once at
-	// open and cached; value scans read the later pages).
-	name, path, file := bookTitleVector(t, repo)
-	const poisonOff = storage.PageSize + 64
+	// Corrupt a page only the title vector uses.
+	name, path, file, poisonOff := bookTitleVector(t, repo)
 	orig := flipByteAt(t, mem, path, poisonOff)
 	// The baseline cached the now-poisoned page; force the next query back
 	// to the disk.
@@ -196,6 +194,93 @@ func TestPersistentCorruptionQuarantinesPoisonedVector(t *testing.T) {
 	}
 	if got != want {
 		t.Error("post-repair result differs from pre-corruption baseline")
+	}
+}
+
+// TestSharedPageCorruption: vectors A (book publishers) and B (book
+// titles, whose tail is packed beside A) share a page that goes bad. A
+// query reading A quarantines A, and later ones fail fast without reading
+// the page again; B is not quarantined on A's account — it opens and reads
+// cleanly from its own pages until a scan of B reaches the shared one, and
+// that query quarantines B. Once the page is repaired, a re-verify clears
+// both and results match the pre-corruption baseline.
+func TestSharedPageCorruption(t *testing.T) {
+	var doc strings.Builder
+	doc.WriteString("<bib>")
+	for i := 0; i < 250; i++ {
+		fmt.Fprintf(&doc, "<book><publisher>P%d</publisher><title>Book %d — a title long enough to fill vector pages reasonably fast</title></book>", i%7, i)
+	}
+	doc.WriteString("</bib>")
+	repo, _, mem := openFaultRepo(t, doc.String(), 64)
+	set := repo.Vectors.(*vector.DiskSet)
+	const a, b = "/bib/book/publisher", "/bib/book/title"
+	extA, _ := set.Extents(a)
+	extB, _ := set.Extents(b)
+	shared := extA[0].Page
+	if len(extA) != 1 || len(extB) < 2 || extB[len(extB)-1].Page != shared || extB[0].Page == shared {
+		t.Fatalf("extents %v and %v: want A on one page that B's tail shares, and B's head elsewhere", extA, extB)
+	}
+	ctx := context.Background()
+	queryA := planFor(t, `<result> for $b in doc("bib.xml")/bib/book return $b/publisher </result>`)
+	queryB := planFor(t, `<result> for $b in doc("bib.xml")/bib/book return $b/title </result>`)
+	baseline := func(plan *qgraph.Plan) string {
+		res, err := NewRepoEngine(repo, Options{Workers: 1}).Eval(ctx, plan)
+		if err != nil {
+			t.Fatalf("eval: %v", err)
+		}
+		fp, err := fingerprint(res.Skel, res.Syms, res.Vectors)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fp
+	}
+	wantA, wantB := baseline(queryA), baseline(queryB)
+
+	path := set.Segment().Path()
+	off := shared*storage.PageSize + int64(extA[0].Off) + 1
+	orig := flipByteAt(t, mem, path, off)
+	if err := repo.Store.Pool().DropFile(set.Segment()); err != nil {
+		t.Fatal(err)
+	}
+
+	if _, err := NewRepoEngine(repo, Options{Workers: 1}).Eval(ctx, queryA); !errors.Is(err, storage.ErrCorrupt) {
+		t.Fatalf("query on A = %v, want ErrCorrupt", err)
+	}
+	if list := repo.Health.List(); len(list) != 1 || list[0].Vector != a {
+		t.Fatalf("quarantined = %v, want exactly [%s]", list, a)
+	}
+	reads := repo.Store.Pool().StatsSnapshot().PagesRead
+	if _, err := NewRepoEngine(repo, Options{Workers: 1}).Eval(ctx, queryA); !errors.Is(err, ErrQuarantined) {
+		t.Fatalf("second query on A = %v, want ErrQuarantined", err)
+	}
+	if d := repo.Store.Pool().StatsSnapshot().PagesRead - reads; d != 0 {
+		t.Errorf("fail-fast query read %d pages, want 0", d)
+	}
+
+	v, err := repo.Vectors.Vector(b)
+	if err != nil {
+		t.Fatalf("open B: %v", err)
+	}
+	if err := v.Scan(0, int64(extB[0].N), func(int64, []byte) error { return nil }); err != nil {
+		t.Errorf("B's own page: %v", err)
+	}
+	if _, ok := repo.Health.Quarantined(b); ok {
+		t.Error("B quarantined before any scan of it reached the shared page")
+	}
+	if _, err := NewRepoEngine(repo, Options{Workers: 1}).Eval(ctx, queryB); !errors.Is(err, storage.ErrCorrupt) {
+		t.Fatalf("query on B = %v, want ErrCorrupt", err)
+	}
+	if n := repo.Health.Len(); n != 2 {
+		t.Fatalf("%d vectors quarantined, want A and B", n)
+	}
+
+	restoreByteAt(t, mem, path, off, orig)
+	cleared, kept := repo.ReverifyQuarantined()
+	if len(cleared) != 2 || len(kept) != 0 {
+		t.Fatalf("reverify after repair: cleared=%v kept=%v, want both cleared", cleared, kept)
+	}
+	if baseline(queryA) != wantA || baseline(queryB) != wantB {
+		t.Error("post-repair results differ from the pre-corruption baseline")
 	}
 }
 
@@ -287,7 +372,7 @@ func (p *panicVector) Scan(start, n int64, fn func(pos int64, val []byte) error)
 // poisonedEngine returns an engine whose book-title vector panics on Scan.
 func poisonedEngine(t testing.TB, repo *vectorize.Repository, opts Options) *Engine {
 	t.Helper()
-	name, _, _ := bookTitleVector(t, repo)
+	name, _, _, _ := bookTitleVector(t, repo)
 	e := NewEngine(repo.Skel, repo.Classes, &panicSet{Set: repo.Vectors, trigger: name}, repo.Syms, opts)
 	e.Health = repo.Health
 	return e

@@ -50,9 +50,9 @@ func (e *Engine) Eval(ctx context.Context, plan *qgraph.Plan) (*vectorize.MemRep
 // inputs, so pipelines compose on disk.
 //
 // The build is crash-safe the same way vectorize.Create is: the result is
-// written into dir+".building", fully committed (checksummed skeleton and
-// catalog, fsynced vectors, manifest) and renamed into place as the last
-// step. A crash or a cancelled ctx leaves either no result directory or a
+// written into dir+".building", fully committed (fsynced vector segment,
+// checksummed directory and skeleton, manifest) and renamed into place as
+// the last step. A crash or a cancelled ctx leaves either no result directory or a
 // complete one.
 //
 //vx:fault-classified materialization API: a failed result build removes the .building dir and surfaces raw to the pipeline driver
@@ -66,8 +66,11 @@ func (e *Engine) EvalToDir(ctx context.Context, plan *qgraph.Plan, dir string, p
 	if err != nil {
 		return nil, err
 	}
-	set := vector.CreateDiskSet(store)
-	sink := vectorize.NewDiskSink(set)
+	sink, err := vectorize.NewStoreSink(store, false)
+	if err != nil {
+		store.Close()
+		return nil, err
+	}
 	skel, err := e.evalWithSink(ctx, plan, sink)
 	if err != nil {
 		store.Close()
@@ -77,7 +80,7 @@ func (e *Engine) EvalToDir(ctx context.Context, plan *qgraph.Plan, dir string, p
 		store.Close()
 		return nil, err
 	}
-	if err := vectorize.CommitStore(store, skel, e.Syms, set); err != nil {
+	if err := vectorize.CommitStore(store, skel, e.Syms, sink.Set); err != nil {
 		store.Close()
 		return nil, err
 	}

@@ -2,18 +2,20 @@ package relational
 
 import (
 	"fmt"
+	"slices"
 
 	"vxml/internal/storage"
 	"vxml/internal/vector"
 )
 
-// ColTable is a vertically partitioned table: one paged value file per
-// column. Scanning k of n columns costs k/n of the row-store I/O — the
-// classic column-store win the paper generalizes to XML.
+// ColTable is a vertically partitioned table: one vector per column, the
+// columns sharing one vector segment. Scanning k of n columns costs k/n of
+// the row-store I/O — the classic column-store win the paper generalizes
+// to XML.
 type ColTable struct {
 	Name    string
 	Columns []string
-	cols    map[string]*vector.Paged
+	set     *vector.DiskSet
 	rows    int64
 }
 
@@ -21,19 +23,18 @@ type ColTable struct {
 type ColWriter struct {
 	t       *ColTable
 	writers []*vector.Writer
-	st      *storage.Store
 }
 
 // CreateColTable starts a new column table in the store.
 func CreateColTable(st *storage.Store, name string, columns []string) (*ColTable, *ColWriter, error) {
-	t := &ColTable{Name: name, Columns: columns, cols: make(map[string]*vector.Paged)}
-	w := &ColWriter{t: t, st: st}
+	set, err := vector.CreateDiskSet(st, "rel/"+name, false)
+	if err != nil {
+		return nil, nil, err
+	}
+	t := &ColTable{Name: name, Columns: columns, set: set}
+	w := &ColWriter{t: t}
 	for _, c := range columns {
-		f, err := st.Open("rel/" + name + "." + c + ".col")
-		if err != nil {
-			return nil, nil, err
-		}
-		vw, err := vector.NewWriter(st.Pool(), f)
+		vw, err := set.NewWriter(c)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -56,21 +57,13 @@ func (w *ColWriter) Append(vals []string) error {
 	return nil
 }
 
-// Close finalizes all column files and opens them for reading.
+// Close finalizes the columns. Nothing reopens a ColTable, so its vector
+// directory stays in memory and is never saved.
 func (w *ColWriter) Close() error {
-	for i, vw := range w.writers {
+	for _, vw := range w.writers {
 		if err := vw.Close(); err != nil {
 			return err
 		}
-		f, err := w.st.Open("rel/" + w.t.Name + "." + w.t.Columns[i] + ".col")
-		if err != nil {
-			return err
-		}
-		p, err := vector.OpenPaged(w.st.Pool(), f)
-		if err != nil {
-			return err
-		}
-		w.t.cols[w.t.Columns[i]] = p
 	}
 	return nil
 }
@@ -78,13 +71,12 @@ func (w *ColWriter) Close() error {
 // NumRows returns the record count.
 func (t *ColTable) NumRows() int64 { return t.rows }
 
-// Column returns the paged vector of one column.
-func (t *ColTable) Column(name string) (*vector.Paged, error) {
-	c, ok := t.cols[name]
-	if !ok {
+// Column returns the vector of one column.
+func (t *ColTable) Column(name string) (vector.Vector, error) {
+	if !slices.Contains(t.Columns, name) {
 		return nil, fmt.Errorf("relational: %s has no column %q", t.Name, name)
 	}
-	return c, nil
+	return t.set.Vector(name)
 }
 
 // ScanWhere scans predCol once, and for matching rows fetches the selected
@@ -94,7 +86,7 @@ func (t *ColTable) ScanWhere(predCol string, pred func(string) bool, select_ []s
 	if err != nil {
 		return err
 	}
-	sel := make([]*vector.Paged, len(select_))
+	sel := make([]vector.Vector, len(select_))
 	for i, c := range select_ {
 		if sel[i], err = t.Column(c); err != nil {
 			return err

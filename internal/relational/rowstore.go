@@ -4,8 +4,8 @@
 //
 //   - RowTable — a row store (heap file of complete records), standing in
 //     for the SQL Server setup of [17]: every scan reads every column.
-//   - ColTable — a column store (one paged file per column), standing in
-//     for vertically partitioned relational storage.
+//   - ColTable — a column store (one vector per column, sharing a
+//     segment), standing in for vertically partitioned relational storage.
 //   - SortedIndex + IndexNestedLoopJoin — the tuned-index configuration
 //     that wins the paper's SQ3.
 //   - Assoc — MonetDB's association-based ("binary relation per path")

@@ -20,8 +20,7 @@ import (
 )
 
 // genServeBib builds a bib document big enough that the title vector
-// spans several pages (page 0 is vector metadata; the corruption tests
-// poison a value page).
+// fills pages of its own (the corruption tests poison one).
 func genServeBib(n int) string {
 	var b strings.Builder
 	b.WriteString("<bib>")
@@ -32,9 +31,8 @@ func genServeBib(n int) string {
 	return b.String()
 }
 
-// createServeRepo builds a disk repository for doc and returns it with
-// the full path of the /bib/book/title vector's file.
-func createServeRepo(t *testing.T, doc string) (*vectorize.Repository, string) {
+// createServeRepo builds a disk repository for doc.
+func createServeRepo(t *testing.T, doc string) *vectorize.Repository {
 	t.Helper()
 	dir := filepath.Join(t.TempDir(), "repo")
 	repo, err := vectorize.Create(strings.NewReader(doc), dir, vectorize.Options{})
@@ -42,15 +40,22 @@ func createServeRepo(t *testing.T, doc string) (*vectorize.Repository, string) {
 		t.Fatalf("create repo: %v", err)
 	}
 	t.Cleanup(func() { repo.Close() })
+	return repo
+}
+
+// titlePage returns the full path of repo's vector segment and the offset
+// there of a byte on a page only the /bib/book/title vector uses.
+func titlePage(t *testing.T, repo *vectorize.Repository) (string, int64) {
+	t.Helper()
 	set, ok := repo.Vectors.(*vector.DiskSet)
 	if !ok {
 		t.Fatal("repository vectors are not a DiskSet")
 	}
-	rel, ok := set.FileOf(titleVector)
-	if !ok {
-		t.Fatalf("no file for %s among %v", titleVector, set.Names())
+	ext, ok := set.Extents(titleVector)
+	if !ok || len(ext) < 2 {
+		t.Fatalf("%s has extents %v, want a full page and more", titleVector, ext)
 	}
-	return repo, filepath.Join(dir, filepath.FromSlash(rel))
+	return set.Segment().Path(), ext[0].Page*storage.PageSize + int64(ext[0].Off) + 64
 }
 
 const titleVector = "/bib/book/title"
@@ -108,8 +113,9 @@ func postClear(t *testing.T, base string) (int, map[string][]string) {
 // keeps the quarantine; repairing the file and re-verifying clears it and
 // /healthz returns to ok.
 func TestQuarantineLifecycleHTTP(t *testing.T) {
-	repo, vecPath := createServeRepo(t, genServeBib(200))
-	xorFileByte(t, vecPath, storage.PageSize+64) // poison a value page
+	repo := createServeRepo(t, genServeBib(200))
+	segPath, poisonOff := titlePage(t, repo)
+	xorFileByte(t, segPath, poisonOff) // poison a title page
 	base, cancel, done := startServer(t, Config{Repo: repo})
 	defer func() { cancel(); <-done }()
 
@@ -153,7 +159,7 @@ func TestQuarantineLifecycleHTTP(t *testing.T) {
 	}
 
 	// Repair the byte (XOR is its own inverse) and re-verify: cleared.
-	xorFileByte(t, vecPath, storage.PageSize+64)
+	xorFileByte(t, segPath, poisonOff)
 	status, body = postClear(t, base)
 	if status != http.StatusOK {
 		t.Fatalf("clear status = %d", status)
@@ -211,7 +217,7 @@ func (p *panicOnScanVector) Scan(start, n int64, fn func(pos int64, val []byte) 
 // capture shows up at /debug/panics with its stack, and concurrent
 // queries on clean vectors complete normally throughout.
 func TestPanicIsolationHTTP(t *testing.T) {
-	repo, _ := createServeRepo(t, genServeBib(50))
+	repo := createServeRepo(t, genServeBib(50))
 	repo.Vectors = &panicOnScanSet{Set: repo.Vectors, trigger: titleVector}
 	base, cancel, done := startServer(t, Config{Repo: repo, Workers: 2})
 	defer func() { cancel(); <-done }()
@@ -294,7 +300,7 @@ func TestPanicIsolationHTTP(t *testing.T) {
 // handler directly: ok (200), degraded (200 — still serving), and
 // draining (503 — stop routing here).
 func TestHealthzStatuses(t *testing.T) {
-	repo, _ := createServeRepo(t, genServeBib(10))
+	repo := createServeRepo(t, genServeBib(10))
 	srv := New(Config{Repo: repo, Log: testLogger()})
 
 	get := func() (int, healthResponse) {

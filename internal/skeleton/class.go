@@ -24,27 +24,30 @@ type classInfo struct {
 	parent   ClassID
 	tag      xmlmodel.Sym // TextStep for a text class
 	depth    int32
+	path     string  // "/bib/book/title", "/bib/book/title/#" for a text class
 	nodes    []*Node // distinct DAG nodes at this class, discovery order
+	occ      []int64 // occurrences of each of nodes at this class, until its kids are discovered
 	kids     map[xmlmodel.Sym]ClassID
 	kidList  []ClassID // the kids' values in class-id (discovery) order
 	runs     RunMap    // parent-class occurrences -> this class's occurrences (lazy)
 	cursor   *Cursor   // shared positional cursor over runs (lazy)
 	nodeRuns []NodeRun // DAG node per occurrence, run-length (lazy)
-	count    int64     // total occurrences (lazy, -1 until computed)
+	count    int64     // total occurrences
 }
 
 // Classes is the path-class registry of one skeleton. It discovers all
-// classes eagerly (a DFS over (DAG node, class) pairs, each visited once)
-// and computes occurrence run-maps lazily, memoized per class.
+// classes and their occurrence counts eagerly (a pass over (DAG node,
+// class) pairs, each visited once) and computes occurrence run-maps
+// lazily, memoized per class.
 //
 // Classes is safe for concurrent use: the class topology (infos, kids,
-// parent/tag/depth) is immutable after NewClasses, and the lazily computed
-// memos (run maps, cursors, node runs, counts, descendant sets) are guarded
-// by one mutex, so many queries can share a registry.
+// parent/tag/depth, counts) is immutable after NewClasses, and the lazily
+// computed memos (run maps, cursors, node runs, descendant sets) are
+// guarded by one mutex, so many queries can share a registry.
 type Classes struct {
 	skel  *Skeleton
 	syms  *xmlmodel.Symbols
-	infos []classInfo
+	infos []*classInfo
 
 	mu       sync.Mutex             // guards the lazy fields below and in classInfo
 	descMemo map[[2]int32][]ClassID // (class, step) -> descendants; guarded by mu
@@ -53,44 +56,57 @@ type Classes struct {
 // NewClasses builds the class registry for a skeleton.
 func NewClasses(s *Skeleton, syms *xmlmodel.Symbols) *Classes {
 	c := &Classes{skel: s, syms: syms}
-	root := classInfo{parent: NoClass, tag: s.Root.Tag, depth: 0, count: -1}
-	root.nodes = []*Node{s.Root}
-	c.infos = append(c.infos, root)
-	// Level-order discovery: all nodes of a class are known before its
-	// children classes are explored, because contributions come only from
-	// the parent class.
+	root := classInfo{parent: NoClass, tag: s.Root.Tag, depth: 0, path: "/" + syms.Name(s.Root.Tag), count: 1}
+	root.nodes, root.occ = []*Node{s.Root}, []int64{1}
+	c.infos = append(c.infos, &root)
+	// Level-order discovery: all nodes of a class, and how often each
+	// occurs there, are known before its children classes are explored,
+	// because contributions come only from the parent class.
 	for id := ClassID(0); int(id) < len(c.infos); id++ {
 		c.discoverChildren(id)
 	}
 	return c
 }
 
+// discoverChildren finds the child classes of id, the DAG nodes at each
+// and their occurrence counts: an instance of a node at id occurring k
+// times contributes k × edge count occurrences of the edge's child.
 func (c *Classes) discoverChildren(id ClassID) {
-	info := &c.infos[id]
+	info := c.infos[id]
+	occs := info.occ
+	info.occ = nil // needed only to seed the kids' counts, here
 	if info.tag == TextStep {
 		return
 	}
 	info.kids = make(map[xmlmodel.Sym]ClassID)
-	seen := make(map[[2]int32]bool) // (classID, nodeID) dedup per child class
-	for _, n := range info.nodes {
+	at := make(map[[2]int32]int) // (classID, nodeID) -> index in the kid's nodes
+	for i, n := range info.nodes {
+		occ := occs[i]
 		for _, e := range n.Edges {
-			step := e.Child.Tag
+			step, name := e.Child.Tag, "#"
 			if e.Child.IsText {
 				step = TextStep
+			} else {
+				name = c.syms.Name(step)
 			}
 			kid, ok := info.kids[step]
 			if !ok {
 				kid = ClassID(len(c.infos))
-				c.infos = append(c.infos, classInfo{parent: id, tag: step, depth: info.depth + 1, count: -1})
-				c.infos[id].kids[step] = kid
-				info = &c.infos[id] // re-take pointer: append may have moved the slice
+				c.infos = append(c.infos, &classInfo{parent: id, tag: step, depth: info.depth + 1, path: info.path + "/" + name})
+				info.kids[step] = kid
 				info.kidList = append(info.kidList, kid)
 			}
+			k := c.infos[kid]
 			key := [2]int32{int32(kid), int32(e.Child.ID)}
-			if !seen[key] {
-				seen[key] = true
-				c.infos[kid].nodes = append(c.infos[kid].nodes, e.Child)
+			j, ok := at[key]
+			if !ok {
+				j = len(k.nodes)
+				at[key] = j
+				k.nodes = append(k.nodes, e.Child)
+				k.occ = append(k.occ, 0)
 			}
+			k.occ[j] += occ * e.Count
+			k.count += occ * e.Count
 		}
 	}
 }
@@ -192,7 +208,7 @@ func (c *Classes) Descendants(id ClassID, step xmlmodel.Sym) []ClassID {
 func (c *Classes) Cursor(id ClassID) *Cursor {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	info := &c.infos[id]
+	info := c.infos[id]
 	if info.cursor == nil {
 		info.cursor = NewCursor(c.runsLocked(id))
 	}
@@ -202,27 +218,12 @@ func (c *Classes) Cursor(id ClassID) *Cursor {
 // Path returns the class's path string, e.g. "/bib/book/title". A text
 // class renders as its parent element's path plus "/#"; the corresponding
 // data vector is named by the parent element path alone (VectorName).
-func (c *Classes) Path(id ClassID) string {
-	parts := make([]string, 0, c.infos[id].depth+1)
-	for cur := id; cur != NoClass; cur = c.infos[cur].parent {
-		if c.infos[cur].tag == TextStep {
-			parts = append(parts, "#")
-		} else {
-			parts = append(parts, c.syms.Name(c.infos[cur].tag))
-		}
-	}
-	var b strings.Builder
-	for i := len(parts) - 1; i >= 0; i-- {
-		b.WriteByte('/')
-		b.WriteString(parts[i])
-	}
-	return b.String()
-}
+func (c *Classes) Path(id ClassID) string { return c.infos[id].path }
 
 // VectorName returns the data-vector name for a text class: the path of
 // its parent element, as in the paper ("/bib/book/title").
 func (c *Classes) VectorName(id ClassID) string {
-	return c.Path(c.infos[id].parent)
+	return c.infos[c.infos[id].parent].path
 }
 
 // TextClasses returns all text classes, sorted by id (document discovery
@@ -264,22 +265,9 @@ func (c *Classes) Resolve(path string) ClassID {
 }
 
 // Count returns the total number of occurrences of a class in the
-// document. For a text class this is the data vector's length.
-func (c *Classes) Count(id ClassID) int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.infos[id].count >= 0 {
-		return c.infos[id].count
-	}
-	var n int64
-	if c.infos[id].parent == NoClass {
-		n = 1
-	} else {
-		n = c.runsLocked(id).TotalChildren()
-	}
-	c.infos[id].count = n
-	return n
-}
+// document, counted at discovery. For a text class this is the data
+// vector's length.
+func (c *Classes) Count(id ClassID) int64 { return c.infos[id].count }
 
 // Runs returns the run mapping from the parent class's occurrences to
 // this class's occurrences, computed and memoized on first use. It panics
@@ -298,7 +286,7 @@ func (c *Classes) Runs(id ClassID) RunMap {
 // given node has the same fanout for this class's step, so the run map
 // falls out in one linear pass — no per-query traversal of the DAG.
 func (c *Classes) runsLocked(id ClassID) RunMap {
-	info := &c.infos[id]
+	info := c.infos[id]
 	if info.runs != nil {
 		return info.runs
 	}

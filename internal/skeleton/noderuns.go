@@ -22,7 +22,7 @@ func (c *Classes) NodeRuns(id ClassID) []NodeRun {
 // nodeRunsLocked is NodeRuns with c.mu held (the derivation recurses up
 // the parent chain, and Go mutexes are not reentrant).
 func (c *Classes) nodeRunsLocked(id ClassID) []NodeRun {
-	info := &c.infos[id]
+	info := c.infos[id]
 	if info.nodeRuns != nil {
 		return info.nodeRuns
 	}

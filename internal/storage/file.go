@@ -10,14 +10,13 @@
 // I/O goes through an injectable FS (see fs.go), which is how the
 // crash-safety tests simulate power loss at every write.
 //
-// OS file descriptors are opened lazily and bounded by a per-store budget
-// (see fdcache.go), so stores with very many files — one per vector, and
-// irregular documents have hundreds of thousands of vectors — stay within
-// system limits.
+// A store holds a handful of files (a repository's vectors share one
+// segment), each opening its OS descriptor on first I/O.
 package storage
 
 import (
 	"fmt"
+	"os"
 	"sync"
 )
 
@@ -35,10 +34,9 @@ type File struct {
 	id   FileID
 	path string
 	fs   FS
-	gate *fdGate
 
 	mu    sync.Mutex
-	f     FSFile // nil while parked
+	f     FSFile // nil until the first I/O
 	pages int64  // allocated page count
 }
 
@@ -116,12 +114,26 @@ func (f *File) truncate(pages int64) error {
 	return nil
 }
 
+// ensureOpen opens f's descriptor on first use. The caller must hold f.mu.
+func (f *File) ensureOpen() error {
+	if f.f != nil {
+		return nil
+	}
+	fsys := f.fs
+	if fsys == nil {
+		fsys = DefaultFS
+	}
+	osf, err := fsys.OpenFile(f.path, os.O_RDWR|os.O_CREATE, 0o644)
+	if err != nil {
+		return fmt.Errorf("storage: open %s: %w", f.path, err)
+	}
+	f.f = osf
+	return nil
+}
+
 // Close closes the underlying OS file if open. The owner (Store or test)
 // must have flushed the buffer pool first.
 func (f *File) Close() error {
-	if f.gate != nil {
-		f.gate.forget(f)
-	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if f.f == nil {

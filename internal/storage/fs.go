@@ -118,6 +118,12 @@ func ReadFileChecksummed(fsys FS, path string) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
+	return VerifyFooter(path, data)
+}
+
+// VerifyFooter is ReadFileChecksummed for bytes already read from path:
+// it verifies their CRC32C footer and returns the body.
+func VerifyFooter(path string, data []byte) ([]byte, error) {
 	body, err := verifyChecksumFooter(data)
 	if err != nil {
 		return nil, fmt.Errorf("storage: %s: %w", path, err)

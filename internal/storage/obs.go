@@ -13,8 +13,6 @@ var (
 	obsPoolReads     = obs.GetCounter("storage.pool.pages_read")
 	obsPoolWrites    = obs.GetCounter("storage.pool.pages_written")
 	obsPoolEvictions = obs.GetCounter("storage.pool.evictions")
-	obsFDParks       = obs.GetCounter("storage.fd.parks")
-	obsFDReopens     = obs.GetCounter("storage.fd.reopens")
 	obsCkVerified    = obs.GetCounter("storage.checksum.pages_verified")
 	obsCkFailures    = obs.GetCounter("storage.checksum.failures")
 

@@ -311,16 +311,26 @@ func (p *BufferPool) Flush() error {
 }
 
 // DropFile flushes and forgets all frames of file f (used when closing a
-// single vector file). Pinned frames cause an error.
+// single file). Pinned frames cause an error.
 func (p *BufferPool) DropFile(f *File) error {
+	return p.drop(f, func(int64) bool { return true })
+}
+
+// DropPage flushes and forgets page pageNo of f, if cached, so the next
+// Get reads it from disk (the re-verify path). A pinned frame is an error.
+func (p *BufferPool) DropPage(f *File, pageNo int64) error {
+	return p.drop(f, func(page int64) bool { return page == pageNo })
+}
+
+func (p *BufferPool) drop(f *File, match func(page int64) bool) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	for key, fr := range p.frames {
-		if key.file != f.id {
+		if key.file != f.id || !match(key.page) {
 			continue
 		}
 		if fr.pins > 0 {
-			return fmt.Errorf("storage: DropFile %s: page %d still pinned", f.path, key.page)
+			return fmt.Errorf("storage: drop %s: page %d still pinned", f.path, key.page)
 		}
 		if fr.dirty {
 			atomic.AddInt64(&p.stats.PagesWrite, 1)

@@ -259,50 +259,3 @@ func BenchmarkPoolGetHit(b *testing.B) {
 		s.Pool().Unpin(fr, false)
 	}
 }
-
-func TestFDGateParksFiles(t *testing.T) {
-	s := newTestStore(t, 64)
-	s.SetFDLimit(8)
-	// Open and write 40 files: far more than the fd budget.
-	for i := 0; i < 40; i++ {
-		f, err := s.Open(fmt.Sprintf("many/v%d", i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		fr, _, err := s.Pool().Alloc(f)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fr.Data[0] = byte(i)
-		s.Pool().Unpin(fr, true)
-	}
-	if err := s.Pool().Flush(); err != nil {
-		t.Fatal(err)
-	}
-	// At most limit descriptors are open (park uses TryLock, so allow a
-	// small overshoot in theory; sequentially there is none).
-	openCount := 0
-	for i := 0; i < 40; i++ {
-		f, _ := s.Open(fmt.Sprintf("many/v%d", i))
-		f.mu.Lock()
-		if f.f != nil {
-			openCount++
-		}
-		f.mu.Unlock()
-	}
-	if openCount > 8 {
-		t.Errorf("open fds = %d, want <= 8", openCount)
-	}
-	// Every file still readable after parking.
-	for i := 0; i < 40; i++ {
-		f, _ := s.Open(fmt.Sprintf("many/v%d", i))
-		fr, err := s.Pool().Get(f, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if fr.Data[0] != byte(i) {
-			t.Errorf("file %d read %d", i, fr.Data[0])
-		}
-		s.Pool().Unpin(fr, false)
-	}
-}

@@ -15,7 +15,6 @@ type Store struct {
 	dir  string
 	fs   FS
 	pool *BufferPool
-	gate *fdGate
 
 	mu     sync.Mutex
 	nextID FileID
@@ -38,24 +37,12 @@ func OpenStoreFS(fsys FS, dir string, poolPages int) (*Store, error) {
 		dir:  dir,
 		fs:   fsys,
 		pool: NewBufferPool(poolPages),
-		gate: newFDGate(4096),
 		open: make(map[string]*File),
 	}, nil
 }
 
 // FS returns the filesystem this store performs its I/O on.
 func (s *Store) FS() FS { return s.fs }
-
-// SetFDLimit bounds the number of simultaneously open OS descriptors.
-// Lowering it below the current open count takes effect as files are used.
-func (s *Store) SetFDLimit(n int) {
-	s.gate.mu.Lock()
-	defer s.gate.mu.Unlock()
-	if n < 8 {
-		n = 8
-	}
-	s.gate.limit = n
-}
 
 // Dir returns the store's root directory.
 func (s *Store) Dir() string { return s.dir }
@@ -85,7 +72,7 @@ func (s *Store) Open(name string) (*File, error) {
 	} else if !os.IsNotExist(err) {
 		return nil, fmt.Errorf("storage: stat %s: %w", name, err)
 	}
-	f := &File{id: s.nextID, path: path, fs: s.fs, gate: s.gate, pages: pages}
+	f := &File{id: s.nextID, path: path, fs: s.fs, pages: pages}
 	s.nextID++
 	s.open[name] = f
 	return f, nil
@@ -121,26 +108,6 @@ func (s *Store) Remove(name string) error {
 		return s.fs.Remove(f.path)
 	}
 	return s.fs.Remove(filepath.Join(s.dir, filepath.FromSlash(name)))
-}
-
-// SyncAll flushes the pool and fsyncs every open file — the durability
-// barrier before a repository-level commit (catalog, skeleton, manifest).
-func (s *Store) SyncAll() error {
-	if err := s.pool.Flush(); err != nil {
-		return err
-	}
-	s.mu.Lock()
-	files := make([]*File, 0, len(s.open))
-	for _, f := range s.open {
-		files = append(files, f)
-	}
-	s.mu.Unlock()
-	for _, f := range files {
-		if err := f.Sync(); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // Close flushes the pool and closes all files.

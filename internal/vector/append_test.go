@@ -1,7 +1,7 @@
 package vector
 
 import (
-	"encoding/binary"
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -19,82 +19,10 @@ func scanAll(t *testing.T, v Vector) []string {
 	return out
 }
 
-// TestAppendResumeExactlyFullPage resumes a writer onto a last page with
-// zero free payload bytes: the first new value must go to a fresh page,
-// and positional reads must stay correct across the boundary.
-func TestAppendResumeExactlyFullPage(t *testing.T) {
-	store, pool := newPool(t, 64)
-	f, err := store.Open("v")
-	if err != nil {
-		t.Fatal(err)
-	}
-	w, err := NewWriter(pool, f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 81 values of 99 bytes (1-byte length prefix each) plus one of 75
-	// bytes fill the 8176-byte payload to the last byte.
-	var want []string
-	for i := 0; i < 81; i++ {
-		want = append(want, strings.Repeat("x", 99))
-	}
-	want = append(want, strings.Repeat("y", 75))
-	for _, v := range want {
-		if err := w.AppendString(v); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// Verify the last data page is exactly full.
-	fr, err := pool.Get(f, f.NumPages()-1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	used := int(binary.LittleEndian.Uint16(fr.Data[10:12]))
-	pool.Unpin(fr, false)
-	if used != payload {
-		t.Fatalf("last page used = %d, want exactly %d; adjust the test values", used, payload)
-	}
-
-	w2, err := OpenAppendWriter(pool, f, int64(len(want)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w2.AppendString("resumed"); err != nil {
-		t.Fatal(err)
-	}
-	if err := w2.Close(); err != nil {
-		t.Fatal(err)
-	}
-	p, err := OpenPaged(pool, f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := scanAll(t, p)
-	want = append(want, "resumed")
-	if len(got) != len(want) {
-		t.Fatalf("count = %d, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("value %d mismatch (len %d vs %d)", i, len(got[i]), len(want[i]))
-		}
-	}
-}
-
-// TestAppendResumeZeroValues re-opens a vector for append, writes nothing,
-// and Closes again: the meta page must be unchanged and the vector fully
-// readable.
-func TestAppendResumeZeroValues(t *testing.T) {
-	store, pool := newPool(t, 64)
-	f, err := store.Open("v")
-	if err != nil {
-		t.Fatal(err)
-	}
-	vals := []string{"one", "two", "three"}
-	w, err := NewWriter(pool, f)
+// appendSession appends vals to vector name of set and commits them.
+func appendSession(t *testing.T, set *DiskSet, name string, vals ...string) {
+	t.Helper()
+	w, err := set.AppendWriter(name)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,150 +34,205 @@ func TestAppendResumeZeroValues(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
+	if err := set.Save(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// read returns every value of vector name of set.
+func read(t *testing.T, set *DiskSet, name string) []string {
+	t.Helper()
+	v, err := set.Vector(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return scanAll(t, v)
+}
+
+// TestAppendResumeExactlyFullPage resumes a writer onto an own tail page
+// with zero free bytes: the first new value must go to a fresh page, and
+// positional reads must stay correct across the boundary.
+func TestAppendResumeExactlyFullPage(t *testing.T) {
+	store, _ := newPool(t, 64)
+	// 81 values of 99 bytes (1-byte length prefix each) plus one of 87
+	// bytes fill the 8188-byte page to the last byte.
+	var want []string
+	for i := 0; i < 81; i++ {
+		want = append(want, strings.Repeat("x", 99))
+	}
+	want = append(want, strings.Repeat("y", 87))
+	writeVector(t, store, "v", false, want)
+	set := reopen(t, store, "v")
+	// Packed alone, the vector fills its page exactly; a page no other
+	// vector shares is its own, so an empty append leaves it in place.
+	appendSession(t, set, "/v")
+	ext, _ := set.Extents("/v")
+	if len(ext) != 1 || ext[0].Off != 0 || ext[0].Len != pageData || set.dir.shared[ext[0].Page] {
+		t.Fatalf("extents after the move = %+v, want one exactly full own page; adjust the test values", ext)
+	}
+
+	appendSession(t, set, "/v", "resumed")
+	want = append(want, "resumed")
+	got := read(t, set, "/v")
+	if strings.Join(got, ",") != strings.Join(want, ",") {
+		t.Fatalf("after resuming on a full page: %d values, want %d", len(got), len(want))
+	}
+	ext2, _ := set.Extents("/v")
+	if len(ext2) != 2 || ext2[0] != ext[0] || ext2[1].Page == ext[0].Page {
+		t.Errorf("extents = %+v, want the full page unchanged and a new one", ext2)
+	}
+}
+
+// TestAppendResumeZeroValues re-opens a vector for append, writes nothing,
+// and commits, twice: the values and their byte total stay as they were,
+// and the second session leaves the extents as the first left them.
+func TestAppendResumeZeroValues(t *testing.T) {
+	store, _ := newPool(t, 64)
+	vals := []string{"one", "two", "three"}
+	writeVector(t, store, "v", false, vals)
+	set := reopen(t, store, "v")
+	var prev []Extent
 	for round := 0; round < 2; round++ {
-		w2, err := OpenAppendWriter(pool, f, int64(len(vals)))
+		w, err := set.AppendWriter("/v")
 		if err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
-		if w2.Count() != int64(len(vals)) {
-			t.Fatalf("round %d: resumed count = %d, want %d", round, w2.Count(), len(vals))
+		if w.Count() != int64(len(vals)) {
+			t.Fatalf("round %d: resumed count = %d, want %d", round, w.Count(), len(vals))
 		}
-		if err := w2.Close(); err != nil {
+		if err := w.Close(); err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
+		if err := set.Save(); err != nil {
+			t.Fatal(err)
+		}
+		ext, _ := set.Extents("/v")
+		if round == 1 && fmt.Sprint(ext) != fmt.Sprint(prev) {
+			t.Errorf("second session changed extents %v to %v", prev, ext)
+		}
+		prev = ext
 	}
-	p, err := OpenPaged(pool, f)
+	v, err := reopen(t, store, "v").Vector("/v")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := scanAll(t, p); strings.Join(got, ",") != strings.Join(vals, ",") {
+	if got := scanAll(t, v); strings.Join(got, ",") != strings.Join(vals, ",") {
 		t.Errorf("values = %v, want %v", got, vals)
 	}
-	if p.ValueBytes() != 11 {
-		t.Errorf("ValueBytes = %d, want 11", p.ValueBytes())
+	if b := v.(*Paged).ValueBytes(); b != 11 {
+		t.Errorf("ValueBytes = %d, want 11", b)
 	}
 }
 
-// staleMeta rewrites the meta page of f to claim oldCount/oldBytes,
-// simulating a crash after data pages were written but before Close
-// refreshed the meta page.
-func staleMeta(t *testing.T, pool *storage.BufferPool, f *storage.File, oldCount, oldBytes int64) {
-	t.Helper()
-	fr, err := pool.Get(f, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	binary.LittleEndian.PutUint64(fr.Data[4:12], uint64(oldCount))
-	binary.LittleEndian.PutUint64(fr.Data[12:20], uint64(oldBytes))
-	pool.Unpin(fr, true)
-	if err := pool.Flush(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestAppendResumeStaleMeta reopens vectors whose meta page disagrees
-// with the committed count in either direction — lagging (crash before
-// Close) or running ahead (crash after the page flush, before the catalog
-// commit). Both recover by recounting from the data pages; only a
-// committed count beyond what the data pages hold is corruption.
+// TestAppendResumeStaleMeta reopens a set whose segment disagrees with the
+// committed directory in either direction — holding more than it (an
+// append that wrote pages but crashed before its directory commit) or less
+// (the directory committed, the skeleton did not, so Rollback cuts it
+// back). Both recover the exact values and byte total; a committed count
+// beyond what the set holds is refused.
 func TestAppendResumeStaleMeta(t *testing.T) {
-	store, pool := newPool(t, 64)
-	f, err := store.Open("v")
-	if err != nil {
-		t.Fatal(err)
-	}
-	w, err := NewWriter(pool, f)
-	if err != nil {
-		t.Fatal(err)
-	}
+	store, _ := newPool(t, 64)
 	var vals []string
 	var nbytes int64
 	for i := 0; i < 5000; i++ { // several pages
 		v := fmt.Sprintf("value-%04d", i)
 		vals = append(vals, v)
 		nbytes += int64(len(v))
-		if err := w.AppendString(v); err != nil {
+	}
+	writeVector(t, store, "v", false, vals)
+
+	// Pages and bytes past the committed directory: an append that died
+	// before Save. The committed values read back exactly; the next append
+	// cuts the orphan pages and writes over the orphan bytes.
+	set := reopen(t, store, "v")
+	pages := set.Pages()
+	w, err := set.AppendWriter("/v")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3000; i++ {
+		if err := w.AppendString("orphan"); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-
-	// Meta behind the data pages (crash before Close): recoverable.
-	staleCount, staleBytes := int64(100), int64(10*100)
-	staleMeta(t, pool, f, staleCount, staleBytes)
-	w2, err := OpenAppendWriter(pool, f, int64(len(vals)))
-	if err != nil {
-		t.Fatalf("reopen with stale meta: %v", err)
-	}
-	if w2.Count() != int64(len(vals)) {
-		t.Errorf("recovered count = %d, want %d", w2.Count(), len(vals))
-	}
-	if w2.ValueBytes() != nbytes {
-		t.Errorf("recovered bytes = %d, want %d", w2.ValueBytes(), nbytes)
-	}
-	if err := w2.AppendString("after-recovery"); err != nil {
+	if err := store.Pool().Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if err := w2.Close(); err != nil {
-		t.Fatal(err)
+	set = reopen(t, store, "v")
+	if set.Segment().NumPages() <= pages {
+		t.Fatalf("the dead append left no orphan pages (%d pages)", set.Segment().NumPages())
 	}
-	p, err := OpenPaged(pool, f)
-	if err != nil {
-		t.Fatal(err)
+	if got := read(t, set, "/v"); len(got) != len(vals) || got[len(got)-1] != vals[len(vals)-1] {
+		t.Fatalf("with orphans: %d values, last %q", len(got), got[len(got)-1])
 	}
-	got := scanAll(t, p)
-	if len(got) != len(vals)+1 || got[len(got)-1] != "after-recovery" {
+	appendSession(t, set, "/v", "after-recovery")
+	vals = append(vals, "after-recovery")
+	nbytes += int64(len("after-recovery"))
+	if n := set.Segment().NumPages(); n != pages {
+		// The orphans are cut, and the tail page, which holds no other
+		// vector, grows in place.
+		t.Errorf("segment has %d pages after the recovering append, want %d", n, pages)
+	}
+	set = reopen(t, store, "v")
+	if got := read(t, set, "/v"); strings.Join(got, ",") != strings.Join(vals, ",") {
 		t.Fatalf("after recovery: %d values, last %q", len(got), got[len(got)-1])
 	}
 
-	// Meta page ahead of the committed count (crash after the page flush,
-	// before the catalog commit): recoverable — the byte total is recounted
-	// from the data pages.
-	staleMeta(t, pool, f, int64(len(got))+1000, nbytes+100)
-	w3, err := OpenAppendWriter(pool, f, int64(len(got)))
-	if err != nil {
-		t.Fatalf("reopen with meta ahead: %v", err)
-	}
-	if w3.Count() != int64(len(got)) {
-		t.Errorf("recovered count = %d, want %d", w3.Count(), len(got))
-	}
-	if w3.ValueBytes() != nbytes+int64(len("after-recovery")) {
-		t.Errorf("recounted bytes = %d, want %d", w3.ValueBytes(), nbytes+int64(len("after-recovery")))
-	}
-	if err := w3.Close(); err != nil {
+	// The directory ahead of the committed count: Rollback recounts the
+	// byte total and cuts the extent holding the new end.
+	appendSession(t, set, "/v", "ahead-1", "ahead-2", "ahead-3")
+	if err := set.Rollback("/v", int64(len(vals))); err != nil {
 		t.Fatal(err)
 	}
+	v, _ := set.Vector("/v")
+	if got := scanAll(t, v); strings.Join(got, ",") != strings.Join(vals, ",") {
+		t.Fatalf("after rollback: %d values, last %q", len(got), got[len(got)-1])
+	}
+	if b := v.(*Paged).ValueBytes(); b != nbytes {
+		t.Errorf("recounted bytes = %d, want %d", b, nbytes)
+	}
+	appendSession(t, set, "/v", "after-rollback")
+	vals = append(vals, "after-rollback")
+	if got := read(t, reopen(t, store, "v"), "/v"); strings.Join(got, ",") != strings.Join(vals, ",") {
+		t.Fatalf("after rollback and append: %d values, last %q", len(got), got[len(got)-1])
+	}
 
-	// A committed count beyond what the data pages hold is lost data.
-	if _, err := OpenAppendWriter(pool, f, int64(len(got))+1000); err == nil {
-		t.Error("reopen with committed count beyond data pages succeeded")
+	// A committed count beyond what the set holds is lost data.
+	if err := set.Rollback("/v", int64(len(vals))+1000); err == nil {
+		t.Error("rollback past the vector's end succeeded")
+	}
+	set.dir.vecs["/v"] = entry{count: int64(len(vals)) + 1000, ext: set.dir.vecs["/v"].ext}
+	if _, err := OpenDiskSet(store, "v", set.dir.encode(nil)); !errors.Is(err, storage.ErrCorrupt) {
+		t.Errorf("directory counting past its extents: err = %v, want ErrCorrupt", err)
 	}
 }
 
-// TestAppendCompressedStaleMeta: the compressed format detects a stale
-// meta page and refuses (recovery requires a rebuild).
+// TestAppendCompressedStaleMeta: appends never merge into a DEFLATE
+// extent, so a committed count inside one is corruption — recovery needs a
+// rebuild — while one on an extent boundary rolls back cleanly.
 func TestAppendCompressedStaleMeta(t *testing.T) {
-	store, pool := newPool(t, 64)
-	f, err := store.Open("v")
-	if err != nil {
-		t.Fatal(err)
-	}
-	w, err := NewCompressedWriter(pool, f)
-	if err != nil {
-		t.Fatal(err)
-	}
+	store, _ := newPool(t, 64)
+	var vals []string
 	for i := 0; i < 5000; i++ {
-		if err := w.AppendString(fmt.Sprintf("value-%04d", i)); err != nil {
-			t.Fatal(err)
-		}
+		vals = append(vals, fmt.Sprintf("value-%04d", i))
 	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
+	writeVector(t, store, "v", true, vals)
+	set := reopen(t, store, "v")
+	ext, _ := set.Extents("/v")
+	if ext[0].Codec != codecDeflate || ext[0].N < 2 {
+		t.Fatalf("first extent %+v, want DEFLATE with several records", ext[0])
 	}
-	staleMeta(t, pool, f, 100, 1000)
-	if _, err := OpenAppendCompressed(pool, f, 5000); err == nil {
-		t.Error("compressed reopen with stale meta succeeded")
+	if err := set.Rollback("/v", 1); !errors.Is(err, storage.ErrCorrupt) {
+		t.Errorf("rollback into a DEFLATE extent: err = %v, want ErrCorrupt", err)
+	}
+	boundary := ext[1].First
+	if err := set.Rollback("/v", boundary); err != nil {
+		t.Fatalf("rollback to an extent boundary: %v", err)
+	}
+	if got := read(t, set, "/v"); strings.Join(got, ",") != strings.Join(vals[:boundary], ",") {
+		t.Errorf("after rollback: %d values, want %d", len(got), boundary)
 	}
 }

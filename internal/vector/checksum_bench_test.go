@@ -18,37 +18,20 @@ import (
 // decode work dwarfs one 8 KiB CRC; wide values approach the worst case
 // where the CRC competes with a nearly free scan.
 func benchChecksumScan(b *testing.B, verify bool, wide bool) {
-	store, pool := newPool(b, 64)
-	f, err := store.Open("v")
-	if err != nil {
-		b.Fatal(err)
-	}
-	w, err := NewWriter(pool, f)
-	if err != nil {
-		b.Fatal(err)
-	}
+	store, _ := newPool(b, 64)
 	const nvals = 200_000
-	for i := 0; i < nvals; i++ {
-		var val string
+	vals := make([]string, nvals)
+	for i := range vals {
 		if wide {
-			val = fmt.Sprintf("value-%06d-%088d", i, i) // ~100 B → ~2500 pages
+			vals[i] = fmt.Sprintf("value-%06d-%088d", i, i) // ~100 B → ~2500 pages
 		} else {
-			val = fmt.Sprintf("value-%06d", i) // 12 B → ~300 pages
-		}
-		if err := w.AppendString(val); err != nil {
-			b.Fatal(err)
+			vals[i] = fmt.Sprintf("value-%06d", i) // 12 B → ~300 pages
 		}
 	}
-	if err := w.Close(); err != nil {
-		b.Fatal(err)
-	}
-	v, err := OpenPaged(pool, f)
-	if err != nil {
-		b.Fatal(err)
-	}
+	v := writeVector(b, store, "v", false, vals)
 	prev := storage.SetVerifyChecksums(verify)
 	defer storage.SetVerifyChecksums(prev)
-	b.SetBytes(f.NumPages() * storage.PageSize)
+	b.SetBytes(v.seg.Size())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var n int64

@@ -31,9 +31,8 @@ func TestCompressedRoundTrip(t *testing.T) {
 		}
 	}
 	// Compression must actually shrink redundant text.
-	f, _ := store.Open("cv")
-	if f.Size() >= p.ValueBytes() {
-		t.Errorf("compressed file %d >= raw %d", f.Size(), p.ValueBytes())
+	if p.seg.Size() >= p.ValueBytes() {
+		t.Errorf("compressed segment %d >= raw %d", p.seg.Size(), p.ValueBytes())
 	}
 }
 
@@ -60,14 +59,9 @@ func TestCompressedIncompressibleData(t *testing.T) {
 			t.Fatalf("val[%d] mismatch", i)
 		}
 	}
-	for pg := int64(1); pg < p.file.NumPages(); pg++ {
-		fr, err := p.pool.Get(p.file, pg)
-		if err != nil {
-			t.Fatal(err)
+	for _, x := range p.ext {
+		if x.Codec != codecRaw {
+			t.Errorf("extent %+v has codec %d, want %d (stored raw)", x, x.Codec, codecRaw)
 		}
-		if codec := fr.Data[12]; codec != codecRaw {
-			t.Errorf("page %d has codec %d, want %d (stored raw)", pg, codec, codecRaw)
-		}
-		p.pool.Unpin(fr, false)
 	}
 }

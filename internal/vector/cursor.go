@@ -1,79 +1,57 @@
 package vector
 
 import (
-	"encoding/binary"
-	"errors"
 	"fmt"
 
 	"vxml/internal/storage"
 )
 
-// Cursor reads one vector for one goroutine, remembering where its last
-// Scan stopped: the data page, the positions [first, last) that page
-// holds, and the byte offset of the next record. A scan that starts on
-// the same page resumes at that offset instead of re-decoding the page
-// from the top; one that starts past it reads the next page directly,
-// binary-searching only the pages after that one when the next page does
-// not hold the start either. So a row-by-row pass in document order — the
-// engine's per-row scans — decodes each page about once and skips the
-// page search for all but the long jumps.
+// Cursor reads one vector for one goroutine, remembering the value bounds
+// of the extent its last Scan ended in. A scan that starts in that extent
+// slices its values straight out of the records, with no walk from the
+// top of the extent; any other start finds its extent by a binary search
+// over the in-memory extent list, with no page reads. So a row-by-row pass
+// in document order — the engine's per-row scans — decodes each extent
+// once.
 //
-// The cursor pins a page only inside a Scan, so any number of cursors
-// share a small buffer pool. Every check of a plain Scan still runs on
-// every page it reads; the remembered offset is used only when the
-// page's header still names the remembered first position, and any
-// error forgets it. A page picked from the resume point that no longer
-// holds the start (an append grew or rewrote it) sends the scan back to
-// the full page search. Records a page already held are never rewritten
-// in place while it keeps its first position (appends only add records),
-// which is what makes the remembered offset safe to reuse.
+// Decoding an extent it has not read yet, the cursor checks that the
+// extent is exactly its record count of well-formed records before
+// delivering any value of it, so a damaged page never yields misplaced
+// values. It pins a page only inside a Scan, so any number of cursors
+// share a small buffer pool; any error forgets the remembered extent.
 //
-// Cursors read Paged vectors (also behind the DiskSet's clamp) page by
-// page; on any other Vector, Scan is the vector's own Scan.
+// Cursors read Paged vectors extent by extent; on any other Vector, Scan
+// is the vector's own Scan.
 type Cursor struct {
 	v   Vector
-	p   *Paged // nil: v is not page-backed, Scan forwards to it
+	p   *Paged // nil: v is not segment-backed, Scan forwards to it
 	n   int64  // v.Len()
 	dec pageDecoder
 
-	// The resume point: data page page (0 for none) holds positions
-	// [first, last), and record next starts at byte off of its records.
-	page        int64
-	first, last int64
-	next        int64
-	off         int
+	// The remembered extent: extent ext (-1 for none), whose records were
+	// nrecs bytes long, has value bounds bounds (pageDecoder.index).
+	ext    int
+	nrecs  int
+	bounds []uint16
 }
 
 // NewCursor returns a cursor over v, as a value so that a short-lived one
 // can live on its user's stack. Close it when done.
 func NewCursor(v Vector) Cursor {
-	c := Cursor{v: v, n: v.Len()}
-	switch t := v.(type) {
-	case *Paged:
-		c.p = t
-	case *clamped:
-		c.p, _ = t.Vector.(*Paged)
-	}
-	if c.p != nil {
-		c.dec.compressed = c.p.compressed
-	}
+	c := Cursor{v: v, n: v.Len(), ext: -1}
+	c.p, _ = v.(*Paged)
 	return c
 }
 
 // Len returns the length of the vector under the cursor.
 func (c *Cursor) Len() int64 { return c.n }
 
-// Close returns the cursor's inflate state. The cursor stays usable.
-func (c *Cursor) Close() { c.dec.release() }
-
-// A page picked from the resume point that does not hold the scan's first
-// position: errPast when the position lies past it, errStale otherwise
-// (the page changed since). Nothing has been delivered; the scan searches
-// for the position instead — after that page, or over the whole file.
-var (
-	errPast  = errors.New("vector: position past the resumed page")
-	errStale = errors.New("vector: stale resume point")
-)
+// Close returns the cursor's scratch state and forgets the remembered
+// extent. The cursor stays usable.
+func (c *Cursor) Close() {
+	c.dec.release()
+	c.ext, c.bounds = -1, nil
+}
 
 // Scan calls fn for positions [start, start+n) in order, exactly as the
 // vector's own Scan would (Vector.Scan's contract on val applies).
@@ -89,109 +67,66 @@ func (c *Cursor) Scan(start, n int64, fn func(pos int64, val []byte) error) erro
 	}
 	err := c.scan(start, start+n, fn)
 	if err != nil {
-		c.page = 0
+		c.ext = -1
 	}
 	return err
 }
 
-// scan reads [pos, end). A scan at or after the remembered page starts on
-// it when it holds pos, else on the page after it — the next row's page
-// in a pass in document order; a jump further on binary-searches the
-// pages after that one, and anything else searches the whole file.
+// scan reads [pos, end) extent by extent, from the one holding pos.
 func (c *Cursor) scan(pos, end int64, fn func(pos int64, val []byte) error) error {
-	lo := int64(1)
-	if c.page != 0 && pos >= c.first {
-		pageNo := c.page
-		if pos >= c.last {
-			pageNo++
-		}
-		switch err := c.scanFrom(pageNo, true, pos, end, fn); err {
-		case errPast:
-			lo = pageNo + 1
-		case errStale:
-		default:
-			return err
+	ext := c.p.ext
+	lo, hi := 0, len(ext)
+	for lo < hi {
+		mid := (lo + hi) / 2
+		if ext[mid].end() <= pos {
+			lo = mid + 1
+		} else {
+			hi = mid
 		}
 	}
-	pageNo, err := c.p.findPage(lo, pos)
-	if err != nil {
-		return err
-	}
-	return c.scanFrom(pageNo, false, pos, end, fn)
-}
-
-// scanFrom streams positions [pos, end) from data page pageNo onward,
-// leaving the resume point at the end of the last page it read. A
-// resumed scan (its first page picked from the resume point, not by a
-// search) whose first page does not hold pos returns errPast or errStale
-// before calling fn.
-func (c *Cursor) scanFrom(pageNo int64, resumed bool, pos, end int64, fn func(pos int64, val []byte) error) error {
-	p := c.p
-	for first := true; pos < end; first, pageNo = false, pageNo+1 {
-		if pageNo >= p.file.NumPages() {
-			if resumed && first {
-				return errStale
-			}
-			return fmt.Errorf("vector: %s: scan ran past last page (pos %d, want %d): %w", p.file.Path(), pos, end, storage.ErrCorrupt)
+	for i := lo; pos < end; i++ {
+		// The directory guarantees extents chain and cover the count; a
+		// reader built on anything else fails here instead of delivering
+		// values at the wrong positions.
+		if i == len(ext) || ext[i].First > pos || i > lo && ext[i].First != pos {
+			return fmt.Errorf("vector: %s (vector %q): no extent starts at position %d: %w", c.p.seg.Path(), c.p.name, pos, storage.ErrCorrupt)
 		}
-		fr, err := p.pool.GetMeteredCtx(p.context(), p.file, pageNo, p.meter)
-		if err != nil {
-			return err
-		}
-		pos, err = c.readPage(fr.Data, pageNo, first, first && resumed, pos, end, fn)
-		p.pool.Unpin(fr, false)
-		if err != nil {
+		var err error
+		if pos, err = c.readExtent(i, pos, end, fn); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// readPage calls fn for the records of one data page at positions
-// [pos, end) and returns the position the next page must start at. It
-// starts decoding at the resume point when the page is the remembered one
-// and its header still names the remembered first position, and from the
-// top of the page otherwise.
-func (c *Cursor) readPage(data []byte, pageNo int64, first, resumed bool, pos, end int64, fn func(pos int64, val []byte) error) (int64, error) {
-	firstIdx, nrecs, recs, err := c.dec.records(c.p.file, pageNo, data)
+// readExtent calls fn for the records of extent i at positions [pos, end)
+// and returns the position the next extent must start at.
+func (c *Cursor) readExtent(i int, pos, end int64, fn func(pos int64, val []byte) error) (int64, error) {
+	p := c.p
+	e := p.ext[i]
+	fr, err := p.pool.GetMeteredCtx(p.context(), p.seg, e.Page, p.meter)
 	if err != nil {
 		return pos, err
 	}
-	// Positions come from disk too: the page a scan starts on must hold
-	// pos, and each later page must start where the previous one ended.
-	// Otherwise the scan would deliver too few values, or values at the
-	// wrong positions, and still succeed.
-	last := firstIdx + int64(nrecs)
-	if first && (firstIdx > pos || pos >= last) || !first && firstIdx != pos {
-		switch {
-		case resumed && firstIdx <= pos:
-			return pos, errPast
-		case resumed:
-			return pos, errStale
-		}
-		return pos, fmt.Errorf("vector: %s: corrupt page %d: holds positions [%d,%d), scan expects %d: %w", c.p.file.Path(), pageNo, firstIdx, last, pos, storage.ErrCorrupt)
+	defer p.pool.Unpin(fr, false)
+	recs, err := c.dec.records(p, e, fr.Data)
+	if err != nil {
+		return pos, err
 	}
-	obsPagesScanned.Inc()
-	idx, off := firstIdx, 0
-	if pageNo == c.page && firstIdx == c.first && c.next <= pos && c.off <= len(recs) {
-		idx, off = c.next, c.off
-	}
-	c.page, c.first, c.last = pageNo, firstIdx, last
-	// Record lengths come from disk: every prefix and value must stay
-	// inside the page's records, or the record is corrupt.
-	for ; idx < last && idx < end; idx++ {
-		ln, sz := binary.Uvarint(recs[off:])
-		if sz <= 0 || ln > uint64(len(recs)-off-sz) {
-			return pos, fmt.Errorf("vector: %s: corrupt record on page %d: %w", c.p.file.Path(), pageNo, storage.ErrCorrupt)
+	if i != c.ext || len(recs) != c.nrecs {
+		var ok bool
+		if c.bounds, ok = c.dec.index(recs, e.N); !ok {
+			return pos, p.corrupt(e, "extent of %d bytes is not %d records", len(recs), e.N)
 		}
-		off += sz
-		if idx >= pos {
-			if err := fn(idx, recs[off:off+int(ln)]); err != nil {
-				return pos, err
-			}
-		}
-		off += int(ln)
+		c.ext, c.nrecs = i, len(recs)
+		obsPagesScanned.Inc()
 	}
-	c.next, c.off = idx, off
-	return idx, nil
+	b := c.bounds[2*int(pos-e.First) : 2*int(min(e.end(), end)-e.First)]
+	for k := 0; k < len(b); k += 2 {
+		if err := fn(pos, recs[b[k]:b[k+1]]); err != nil {
+			return pos, err
+		}
+		pos++
+	}
+	return pos, nil
 }

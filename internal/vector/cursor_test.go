@@ -6,8 +6,6 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
-
-	"vxml/internal/storage"
 )
 
 // scanned is what one scan delivered: positions, values and the error.
@@ -64,46 +62,52 @@ func randVals(r *rand.Rand, n int) []string {
 
 // TestCursorMatchesScan runs random scan scripts through one cursor and
 // checks every scan against a one-shot Scan of the same range and against
-// the values written: forward steps, same-page and next-page scans,
-// backward and far jumps, zero-length and out-of-range scans, callback
-// errors in the middle of a page followed by more scans, and — for raw
-// vectors — the tail rewritten in place under the cursor (so a page it
-// remembers starts at another position), on raw, DEFLATE and clamped
-// vectors through pools of 2 and 64 pages.
+// the values written: forward steps, same-extent and next-extent scans,
+// backward and far jumps, zero-length and out-of-range scans, and callback
+// errors in the middle of an extent followed by more scans — on raw,
+// DEFLATE and clamped vectors (a vector rolled back to fewer values than
+// its segment holds, as recovery leaves one an append died on) through
+// pools of 2 and 64 pages.
 func TestCursorMatchesScan(t *testing.T) {
 	kinds := []struct {
 		name       string
 		compressed bool
-		clampTail  int // values the file holds past the clamp; 0 = no clamp
+		clampTail  int // values the segment holds past the vector's end; 0 = none
 	}{{"raw", false, 0}, {"deflate", true, 0}, {"clamped", false, 300}}
 	for _, kind := range kinds {
 		for _, poolPages := range []int{2, 64} {
 			t.Run(fmt.Sprintf("%s/pool%d", kind.name, poolPages), func(t *testing.T) {
-				store, pool := newPool(t, poolPages)
+				store, _ := newPool(t, poolPages)
 				for script := 0; script < 20; script++ {
 					r := rand.New(rand.NewSource(int64(script)))
 					vals := randVals(r, 2000+r.Intn(3000))
-					name := fmt.Sprintf("v%d", script)
-					p := writeVector(t, store, name, kind.compressed, vals)
-					var v Vector = p
+					stem := fmt.Sprintf("v%d", script)
+					p := writeVector(t, store, stem, kind.compressed, vals)
 					n := int64(len(vals))
 					if kind.clampTail > 0 {
 						n -= int64(kind.clampTail)
-						v = &clamped{Vector: p, n: n}
+						set := reopen(t, store, stem)
+						if err := set.Rollback("/v", n); err != nil {
+							t.Fatal(err)
+						}
+						v, _ := set.Vector("/v")
+						p = v.(*Paged)
 					}
+					var v Vector = p
 					c := NewCursor(v)
 					if c.p != p {
-						t.Fatalf("cursor over %T does not read the pages", v)
+						t.Fatalf("cursor over %T does not read the extents", v)
 					}
 					var prevStart, prevEnd int64
-					rewritten := false
 					for step := 0; step < 200; step++ {
 						start, cnt, stopAt := int64(0), int64(1+r.Intn(5)), -1
-						switch r.Intn(11) {
-						case 0, 1, 2: // forward, often on the same page
+						switch r.Intn(9) {
+						case 0, 1, 2: // forward, often in the same extent
 							start = prevEnd + int64(r.Intn(4))
-						case 3: // the next page, directly
-							start = c.last
+						case 3: // the next extent, directly
+							if c.ext >= 0 {
+								start = p.ext[c.ext].end()
+							}
 						case 4: // back within the last scan
 							start = prevStart + int64(r.Intn(int(prevEnd-prevStart)+1))
 						case 5: // backward jump
@@ -115,12 +119,6 @@ func TestCursorMatchesScan(t *testing.T) {
 						case 8: // the callback fails mid-scan
 							start, cnt = prevEnd, int64(2+r.Intn(300))
 							stopAt = r.Intn(int(cnt))
-						case 9: // rewrite the tail under the cursor (once), then go on
-							if kind.compressed || rewritten || c.page < 2 {
-								continue
-							}
-							vals = rewriteTail(t, pool, p, vals, int64(r.Intn(int(c.first))))
-							rewritten, start = true, prevEnd
 						}
 						start, cnt = min(start, n), min(cnt, n-min(start, n))
 						if r.Intn(11) == 0 { // out of range
@@ -155,45 +153,17 @@ func TestCursorMatchesScan(t *testing.T) {
 	}
 }
 
-// rewriteTail rewrites a raw vector in place from position cut on, keeping
-// its length, with every value longer than the longest before: each page
-// past the cut holds fewer records, so it now starts at an earlier
-// position. It returns the vector's new values.
-func rewriteTail(t *testing.T, pool *storage.BufferPool, p *Paged, vals []string, cut int64) []string {
-	t.Helper()
-	w, err := OpenAppendWriter(pool, p.file, cut)
-	if err != nil {
-		t.Fatal(err)
-	}
-	longest := 0
-	for _, v := range vals {
-		longest = max(longest, len(v))
-	}
-	vals = append(vals[:cut:cut], vals[cut:]...)
-	for i := cut; i < int64(len(vals)); i++ {
-		vals[i] += strings.Repeat("R", longest+1)
-		if err := w.AppendString(vals[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	return vals
-}
-
-// A pass of ascending single-value probes through one cursor costs about
-// one pool Get per probe: no page search while the next probe is on the
-// same page or the next one. (A one-shot Scan per probe binary-searches
-// the page headers each time: about probes × (1 + log₂ pages) Gets.)
+// A pass of ascending single-value probes through one cursor costs one
+// pool Get per probe and checks each extent once: no page search, and no
+// walk from the top of the extent for a probe after the last one.
 func TestCursorPoolTraffic(t *testing.T) {
 	store, pool := newPool(t, 64)
 	r := rand.New(rand.NewSource(1))
 	vals := randVals(r, 20000)
 	p := writeVector(t, store, "v", false, vals)
-	pages := p.file.NumPages() - 1
+	pages := int64(len(p.ext))
 	if pages < 20 {
-		t.Fatalf("vector has %d data pages, want at least 20", pages)
+		t.Fatalf("vector has %d extents, want at least 20", pages)
 	}
 	const probes = 1000
 	step := p.Len() / probes
@@ -201,44 +171,45 @@ func TestCursorPoolTraffic(t *testing.T) {
 		st := pool.StatsSnapshot()
 		return st.Hits + st.Misses
 	}
-	probe := func(scan func(start, n int64, fn func(int64, []byte) error) error) int64 {
-		before := gets()
-		for i := int64(0); i < probes; i++ {
-			pos := i * step
-			if err := scan(pos, 1, func(got int64, val []byte) error {
-				if got != pos || string(val) != vals[pos] {
-					return fmt.Errorf("read %d=%q, want %d=%q", got, val, pos, vals[pos])
-				}
-				return nil
-			}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return gets() - before
-	}
 	c := NewCursor(p)
 	defer c.Close()
-	cursorGets, scanGets := probe(c.Scan), probe(p.Scan)
-	t.Logf("%d probes over %d pages: %d pool Gets through one cursor, %d through one-shot Scans", probes, pages, cursorGets, scanGets)
-	if cursorGets > probes+pages {
-		t.Errorf("cursor made %d pool Gets for %d probes over %d pages, want at most %d", cursorGets, probes, pages, probes+pages)
+	before, scanned := gets(), obsPagesScanned.Load()
+	for i := int64(0); i < probes; i++ {
+		pos := i * step
+		if err := c.Scan(pos, 1, func(got int64, val []byte) error {
+			if got != pos || string(val) != vals[pos] {
+				return fmt.Errorf("read %d=%q, want %d=%q", got, val, pos, vals[pos])
+			}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cursorGets := gets() - before
+	t.Logf("%d probes over %d extents: %d pool Gets, %d extent reads", probes, pages, cursorGets, obsPagesScanned.Load()-scanned)
+	if cursorGets > probes {
+		t.Errorf("cursor made %d pool Gets for %d probes, want at most one each", cursorGets, probes)
 	}
 }
 
-// TestCursorAfterAppendInPlace: a cursor that read a vector's last page
-// keeps reading correctly after an append grew that page in place — the
-// positions it read before and the new ones, through the same cursor once
-// its reader covers them.
+// TestCursorAfterAppendInPlace: a cursor over a reader opened before an
+// append grew its vector's tail page in place keeps reading that reader's
+// values correctly, forward and backward; a reader opened after sees the
+// appended values too, through the same page.
 func TestCursorAfterAppendInPlace(t *testing.T) {
-	store, pool := newPool(t, 64)
+	store, _ := newPool(t, 64)
 	var vals []string
 	for i := 0; i < 1000; i++ {
 		vals = append(vals, fmt.Sprintf("value-%04d", i))
 	}
-	p := writeVector(t, store, "v", false, vals)
+	writeVector(t, store, "v", false, vals)
+	set := reopen(t, store, "v")
+	appendSession(t, set, "/v") // moves the packed tail to a page of its own
+	v, _ := set.Vector("/v")
+	p := v.(*Paged)
 	c := NewCursor(p)
 	defer c.Close()
-	read := func(start, n int64) {
+	read := func(c *Cursor, start, n int64) {
 		t.Helper()
 		got := collect(c.Scan, start, n, -1)
 		if got.err != nil {
@@ -250,38 +221,31 @@ func TestCursorAfterAppendInPlace(t *testing.T) {
 			}
 		}
 	}
-	read(990, 5)
-	lastPage := c.page
-	w, err := OpenAppendWriter(pool, p.file, int64(len(vals)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Enough values to fill the last page and spill onto a new one.
+	read(&c, 990, 5)
+	tail := p.ext[len(p.ext)-1]
+	// Enough values to fill the tail page and spill onto a new one.
+	var more []string
 	for i := len(vals); i < 2000; i++ {
-		vals = append(vals, fmt.Sprintf("value-%04d", i))
-		if err := w.AppendString(vals[i]); err != nil {
-			t.Fatal(err)
-		}
+		more = append(more, fmt.Sprintf("value-%04d", i))
 	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
+	appendSession(t, set, "/v", more...)
+	vals = append(vals, more...)
+	read(&c, 995, 5) // resumes on the grown page
+	read(&c, 980, 3) // backward
+	if c.Len() != 1000 {
+		t.Errorf("the old reader's length changed to %d", c.Len())
 	}
-	if p.file.NumPages()-1 <= lastPage {
-		t.Fatalf("append did not spill past page %d", lastPage)
+	v2, _ := set.Vector("/v")
+	grown := v2.(*Paged).ext
+	if g := grown[len(p.ext)-1]; g.Page != tail.Page || g.Off != tail.Off || g.Len <= tail.Len || len(grown) <= len(p.ext) {
+		t.Fatalf("tail extent %+v became %+v of %d, want it grown in place and a new page after", tail, g, len(grown))
 	}
-	read(995, 5) // resumes on the grown page
-	read(980, 3) // backward
-	// The same cursor once its reader covers the appended values.
-	p.count = int64(len(vals))
-	c.n = p.count
-	read(1000, 10)
-	read(1010, 990)
-	read(500, 1)
-	p2, err := OpenPaged(pool, p.file)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := scanAll(t, p2); strings.Join(got, ",") != strings.Join(vals, ",") {
+	c2 := NewCursor(v2)
+	defer c2.Close()
+	read(&c2, 1000, 10)
+	read(&c2, 1010, 990)
+	read(&c2, 500, 1)
+	if got := scanAll(t, v2); strings.Join(got, ",") != strings.Join(vals, ",") {
 		t.Error("a fresh reader does not see the appended vector")
 	}
 }

@@ -1,362 +1,516 @@
 package vector
 
 import (
-	"context"
-	"encoding/json"
+	"bytes"
+	"compress/flate"
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"math/bits"
 	"path/filepath"
+	"slices"
 	"sort"
-	"sync"
 
-	"vxml/internal/obs"
 	"vxml/internal/storage"
 )
 
-// DiskSet is a Set backed by a storage.Store: one paged file per vector
-// plus a catalog mapping vector names (which contain '/') to file names.
-// Vectors are opened lazily — a query pays I/O only for the vectors it
-// scans, which is the paper's central claim.
+// DiskSet is a Set backed by a storage.Store: the vectors share one
+// segment file of pages, described by one directory (directory.go) that
+// maps each name to its count, value bytes and extents. The directory is
+// read whole at open, so opening a vector is a map lookup with no I/O; a
+// query pays page reads only for the extents it scans, which is the
+// paper's central claim.
 //
-// Concurrency: the read side (Vector, Count, Names, CatalogBytes) is safe
-// for concurrent use once the set is loaded — many queries can share one
-// DiskSet. The write side (NewWriter, AppendWriter, CloseVector, Save,
-// SetCompression) mutates the catalog and is single-owner: run it from one
-// goroutine, with no concurrent readers, as during vectorization.
+// Concurrency: the read side (Vector, Count, Names, Len, Extents,
+// CatalogBytes) is safe for concurrent use — many queries can share one
+// DiskSet. The write side (NewWriter, AppendWriter, Writer.Close, Save,
+// Rollback) is single-owner: run it from one goroutine, with no
+// concurrent readers, as during vectorization.
 type DiskSet struct {
-	store    *storage.Store
-	catalog  map[string]catalogEntry
-	mu       sync.Mutex // guards open
-	open     map[string]Vector
-	compress bool
+	store *storage.Store
+	stem  string
+	seg   *storage.File
+	dir   *directory
+
+	// Write-session state, from the first NewWriter or AppendWriter to Save.
+	writing  bool
+	packPage int64 // the session's shared page tails are packed into; -1 for none
+	packUsed int
+	deflate  bytes.Buffer
+	fw       *flate.Writer
+	dirBuf   []byte // the last directory written, its space reused by the next
+	cut      bool   // a Rollback the directory on disk does not hold yet
 }
 
-type catalogEntry struct {
-	File       string `json:"file"`
-	Count      int64  `json:"count"`
-	Bytes      int64  `json:"bytes"`
-	Compressed bool   `json:"compressed,omitempty"`
-}
-
-// SetCompression makes subsequently created vectors DEFLATE-compressed
-// per page (the §6 extension); existing vectors keep their format, which
-// the catalog records per vector.
-func (s *DiskSet) SetCompression(on bool) { s.compress = on }
-
-// SetWriter appends values to one vector of a DiskSet; both the plain and
-// the compressed writers satisfy it.
-type SetWriter interface {
-	Append(val []byte) error
-	AppendString(val string) error
-	Count() int64
-	ValueBytes() int64
-	Close() error
-}
-
-// CatalogName is the catalog's file name within a store directory.
-const CatalogName = "vectors.json"
-
-const catalogName = CatalogName
-
-// CreateDiskSet starts an empty disk set in store. Call Save after all
-// writers are closed.
-func CreateDiskSet(store *storage.Store) *DiskSet {
-	return &DiskSet{
-		store:   store,
-		catalog: make(map[string]catalogEntry),
-		open:    make(map[string]Vector),
-	}
-}
-
-// OpenDiskSet opens an existing disk set from store's directory, verifying
-// the catalog's checksum footer.
-func OpenDiskSet(store *storage.Store) (*DiskSet, error) {
-	data, err := storage.ReadFileChecksummed(store.FS(), filepath.Join(store.Dir(), catalogName))
+// CreateDiskSet starts an empty disk set in store, its segment and
+// directory named stem+".seg" and stem+".dir"; the segment must be empty.
+// Close every writer, then call Save.
+func CreateDiskSet(store *storage.Store, stem string, compress bool) (*DiskSet, error) {
+	s, err := newDiskSet(store, stem, &directory{compress: compress, vecs: make(map[string]entry), shared: make(map[int64]bool)})
 	if err != nil {
-		return nil, fmt.Errorf("vector: open disk set: %w", err)
+		return nil, err
 	}
-	s := CreateDiskSet(store)
-	if err := json.Unmarshal(data, &s.catalog); err != nil {
-		return nil, fmt.Errorf("vector: parse catalog: %v: %w", err, storage.ErrCorrupt)
+	if s.seg.NumPages() != 0 {
+		return nil, fmt.Errorf("vector: new disk set on non-empty segment %s", s.seg.Path())
 	}
 	return s, nil
 }
 
-// NewWriter creates the named vector and returns a writer for it. The name
-// must be new. The caller must Close the writer (via CloseVector), then
-// call Save once all vectors are written.
-func (s *DiskSet) NewWriter(name string) (SetWriter, error) {
-	if _, ok := s.catalog[name]; ok {
-		return nil, fmt.Errorf("vector: vector %q already exists", name)
+// OpenDiskSet opens the disk set stem of store from its directory's body,
+// as storage.ReadFileChecksummed returns it. The segment must hold every
+// page the directory committed; pages past them are the orphans of a write
+// that never committed, cut off by the next one.
+func OpenDiskSet(store *storage.Store, stem string, body []byte) (*DiskSet, error) {
+	d, err := decodeDirectory(body)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", filepath.Join(store.Dir(), stem+".dir"), err)
 	}
-	fileName := fmt.Sprintf("v%06d.vec", len(s.catalog))
-	f, err := s.store.Open(fileName)
+	s, err := newDiskSet(store, stem, d)
 	if err != nil {
 		return nil, err
 	}
-	s.catalog[name] = catalogEntry{File: fileName, Compressed: s.compress}
-	if s.compress {
-		return NewCompressedWriter(s.store.Pool(), f)
+	if n := s.seg.NumPages(); n < d.pages {
+		return nil, fmt.Errorf("vector: %s: truncated to %d pages, directory committed %d: %w", s.seg.Path(), n, d.pages, storage.ErrCorrupt)
 	}
-	return NewWriter(s.store.Pool(), f)
+	return s, nil
 }
 
-// CloseVector finalizes a vector written via NewWriter and records its
-// stats in the catalog.
-func (s *DiskSet) CloseVector(name string, w SetWriter) error {
-	count, bytes := w.Count(), w.ValueBytes()
-	if err := w.Close(); err != nil {
-		return err
-	}
-	e := s.catalog[name]
-	e.Count, e.Bytes = count, bytes
-	s.catalog[name] = e
-	return nil
-}
-
-// Save writes the catalog atomically with a checksum footer. The pool is
-// flushed first, so the catalog never describes pages still in memory.
-// Call it after all writers are closed.
-func (s *DiskSet) Save() error {
-	return s.SaveSync(nil)
-}
-
-// SaveSync is Save with a durability barrier: after the pool flush it
-// fsyncs the named vectors' files before the catalog goes down, so a crash
-// right after SaveSync leaves catalog and vector data consistent. Append
-// paths must list every vector they touched; nil skips the barrier (bulk
-// builds that commit durably at a higher level).
-func (s *DiskSet) SaveSync(touched []string) error {
-	if err := s.store.Pool().Flush(); err != nil {
-		return err
-	}
-	for _, name := range touched {
-		e, ok := s.catalog[name]
-		if !ok {
-			return fmt.Errorf("vector: sync unknown vector %q", name)
-		}
-		f, err := s.store.Open(e.File)
-		if err != nil {
-			return err
-		}
-		if err := f.Sync(); err != nil {
-			return err
-		}
-	}
-	data, err := json.MarshalIndent(s.catalog, "", " ")
+func newDiskSet(store *storage.Store, stem string, d *directory) (*DiskSet, error) {
+	seg, err := store.Open(stem + ".seg")
 	if err != nil {
-		return err
+		return nil, err
 	}
-	if err := storage.WriteFileAtomic(s.store.FS(), filepath.Join(s.store.Dir(), catalogName), data); err != nil {
-		return fmt.Errorf("vector: save catalog: %w", err)
-	}
-	return nil
+	return &DiskSet{store: store, stem: stem, seg: seg, dir: d, packPage: -1}, nil
 }
+
+// Segment returns the segment file.
+func (s *DiskSet) Segment() *storage.File { return s.seg }
+
+// Pages returns the segment page count the directory commits.
+func (s *DiskSet) Pages() int64 { return s.dir.pages }
+
+// Len returns the number of vectors.
+func (s *DiskSet) Len() int { return len(s.dir.vecs) }
 
 // Names implements Set.
 func (s *DiskSet) Names() []string {
-	out := make([]string, 0, len(s.catalog))
-	for n := range s.catalog {
+	out := make([]string, 0, len(s.dir.vecs))
+	for n := range s.dir.vecs {
 		out = append(out, n)
 	}
 	sort.Strings(out)
 	return out
 }
 
-// Vector implements Set, opening the paged file on first use. Concurrent
-// callers of the same name serialize on the set's lock and share one
-// reader (Paged is scan-state-free, so sharing is safe).
+// Vector implements Set: a reader over the named vector's extents as the
+// directory holds them now.
 func (s *DiskSet) Vector(name string) (Vector, error) {
-	return s.VectorCtx(context.Background(), nil, name)
-}
-
-// VectorCtx implements CtxSet: a cold open's meta-page read is charged to
-// m and retries trace on ctx's span, so the first query to touch a vector
-// owns the I/O its open cost. A warm open (cached reader) does no I/O and
-// ignores both.
-func (s *DiskSet) VectorCtx(ctx context.Context, m *obs.TaskMeter, name string) (Vector, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if v, ok := s.open[name]; ok {
-		return v, nil
-	}
-	e, ok := s.catalog[name]
+	e, ok := s.dir.vecs[name]
 	if !ok {
 		return nil, fmt.Errorf("vector: no vector %q", name)
 	}
-	f, err := s.store.Open(e.File)
-	if err != nil {
-		return nil, err
-	}
-	p, err := OpenPagedCtx(ctx, s.store.Pool(), f, m)
-	if err != nil {
-		return nil, err
-	}
-	if err := p.expect(f, e.Compressed); err != nil {
-		return nil, err
-	}
-	var v Vector = p
-	// The catalog is committed after vector data on every durable path, so
-	// its count is authoritative. A longer vector is the orphaned tail of an
-	// append that crashed before its catalog commit: clamp to the catalog
-	// count and the repository reads exactly as it did before that append.
-	// A shorter vector means lost committed data — corruption.
-	if n := v.Len(); n > e.Count {
-		v = &clamped{Vector: v, n: e.Count}
-	} else if n < e.Count {
-		return nil, fmt.Errorf("vector: %s (vector %q): catalog records %d values but file holds %d: %w",
-			f.Path(), name, e.Count, n, storage.ErrCorrupt)
-	}
-	s.open[name] = v
-	return v, nil
+	return &Paged{pool: s.store.Pool(), seg: s.seg, name: name, ext: e.ext, count: e.count, bytes: e.bytes}, nil
 }
 
-// clamped exposes only the first n values of a vector — the catalog's view
-// of a file that carries an uncommitted append tail. A Cursor over it
-// reads the Paged underneath directly, within the clamp.
-type clamped struct {
-	Vector
-	n int64
-}
-
-func (c *clamped) Len() int64 { return c.n }
-
-// Metered implements Meterable by forwarding to the wrapped vector's
-// Metered (Paged implements it), keeping the clamp.
-func (c *clamped) Metered(m *obs.TaskMeter) Vector {
-	if mv, ok := c.Vector.(Meterable); ok {
-		return &clamped{Vector: mv.Metered(m), n: c.n}
-	}
-	return c
-}
-
-// WithContext implements Contextual by forwarding to the wrapped vector,
-// keeping the clamp.
-func (c *clamped) WithContext(ctx context.Context) Vector {
-	if cv, ok := c.Vector.(Contextual); ok {
-		return &clamped{Vector: cv.WithContext(ctx), n: c.n}
-	}
-	return c
-}
-
-func (c *clamped) Scan(start, n int64, fn func(pos int64, val []byte) error) error {
-	if start < 0 || start+n > c.n {
-		return fmt.Errorf("vector: scan [%d,%d) out of range 0..%d", start, start+n, c.n)
-	}
-	return c.Vector.Scan(start, n, fn)
-}
-
-// Reverify re-reads the named vector from disk end to end — every page
-// through its CRC trailer, every record through its structural bounds —
-// and reports the first failure. It is the quarantine-clear path's proof
-// of health: the cached reader is discarded and the vector's buffered
-// pages dropped first, so the verification reads the *disk*, not frames
-// cached from before the failure. On success later Vector calls reopen
-// a fresh reader.
-func (s *DiskSet) Reverify(name string) error {
-	s.mu.Lock()
-	delete(s.open, name)
-	e, ok := s.catalog[name]
-	s.mu.Unlock()
-	if !ok {
-		return fmt.Errorf("vector: no vector %q", name)
-	}
-	f, err := s.store.Open(e.File)
-	if err != nil {
-		return err
-	}
-	// A frame pinned by an in-flight scan cannot be dropped; the caller
-	// retries once that query drains. (Quarantined vectors fail fast in
-	// the engine, so pins on them are short-lived stragglers.)
-	if err := s.store.Pool().DropFile(f); err != nil {
-		return fmt.Errorf("vector: reverify %q: %w", name, err)
-	}
-	v, err := s.Vector(name)
-	if err != nil {
-		return err
-	}
-	return v.Scan(0, v.Len(), func(int64, []byte) error { return nil })
-}
-
-// Files returns the on-disk file name and current page count of every
-// cataloged vector (for manifests and integrity checks).
-func (s *DiskSet) Files() (map[string]int64, error) {
-	out := make(map[string]int64, len(s.catalog))
-	for _, e := range s.catalog {
-		f, err := s.store.Open(e.File)
-		if err != nil {
-			return nil, err
-		}
-		out[e.File] = f.NumPages()
-	}
-	return out, nil
-}
-
-// FileOf returns the on-disk file name holding the named vector.
-func (s *DiskSet) FileOf(name string) (string, bool) {
-	e, ok := s.catalog[name]
-	return e.File, ok
-}
-
-// Count returns the catalog's record count for a vector without opening it.
+// Count returns the directory's record count for a vector.
 func (s *DiskSet) Count(name string) (int64, bool) {
-	e, ok := s.catalog[name]
-	return e.Count, ok
+	e, ok := s.dir.vecs[name]
+	return e.count, ok
+}
+
+// Extents returns a copy of the named vector's extents.
+func (s *DiskSet) Extents(name string) ([]Extent, bool) {
+	e, ok := s.dir.vecs[name]
+	return slices.Clone(e.ext), ok
 }
 
 // CatalogBytes returns the summed raw value bytes across all vectors, from
-// the catalog alone (no I/O).
+// the directory alone (no I/O).
 func (s *DiskSet) CatalogBytes() int64 {
 	var total int64
-	for _, e := range s.catalog {
-		total += e.Bytes
+	for _, e := range s.dir.vecs {
+		total += e.bytes
 	}
 	return total
 }
 
-// AppendWriter returns a writer positioned at the end of the named vector,
-// creating the vector if it does not exist yet (a newly appearing path).
-// Finalize with CloseVector, then Save.
-func (s *DiskSet) AppendWriter(name string) (SetWriter, error) {
-	e, ok := s.catalog[name]
-	if !ok {
-		return s.NewWriter(name)
-	}
-	s.mu.Lock()
-	delete(s.open, name) // invalidate any cached reader
-	s.mu.Unlock()
-	f, err := s.store.Open(e.File)
+// Reverify re-reads the named vector from disk end to end — every page
+// through its CRC trailer, every extent through its record checks — and
+// reports the first failure. It is the quarantine-clear path's proof of
+// health: the vector's buffered pages are dropped first, so the
+// verification reads the *disk*, not frames cached from before the
+// failure.
+func (s *DiskSet) Reverify(name string) error {
+	v, err := s.Vector(name)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	if e.Compressed {
-		return OpenAppendCompressed(s.store.Pool(), f, e.Count)
+	// A frame pinned by an in-flight scan cannot be dropped; the caller
+	// retries once that query drains. (Quarantined vectors fail fast in the
+	// engine, so pins on them are short-lived stragglers.)
+	for _, x := range v.(*Paged).ext {
+		if err := s.store.Pool().DropPage(s.seg, x.Page); err != nil {
+			return fmt.Errorf("vector: reverify %q: %w", name, err)
+		}
 	}
-	return OpenAppendWriter(s.store.Pool(), f, e.Count)
+	return v.Scan(0, v.Len(), func(int64, []byte) error { return nil })
 }
 
-// Rollback cuts the catalog's count for a vector back to n — the
-// recovery step for an append that committed its catalog but crashed
-// before the skeleton commit: the skeleton on disk (the authority, being
-// the last file committed) still describes the pre-append document, so
-// the extra cataloged values are orphans. The change is in-memory; the
-// next committed append rewrites the durable catalog. The recorded byte
-// total keeps its pre-rollback value until then (it feeds statistics,
-// not correctness, and the next append recomputes it exactly).
+// Rollback cuts a vector back to its first n values — the recovery step
+// for an append that committed the directory but crashed before the
+// skeleton commit: the skeleton on disk (the authority, being committed
+// last) still describes the pre-append document, so the values past n are
+// orphans. An extent holding position n is cut at the record boundary,
+// which reads its page; an append never merges new values into a DEFLATE
+// extent, so one of those holding position n is corruption. The change
+// is in memory until the next write session commits it, before that
+// session's first page write can overwrite the values cut off.
 func (s *DiskSet) Rollback(name string, n int64) error {
-	e, ok := s.catalog[name]
+	e, ok := s.dir.vecs[name]
 	if !ok {
 		return fmt.Errorf("vector: no vector %q", name)
 	}
-	if n > e.Count {
-		return fmt.Errorf("vector: rollback of %q to %d values, catalog has only %d", name, n, e.Count)
+	if n > e.count {
+		return fmt.Errorf("vector: rollback of %q to %d values, directory has only %d", name, n, e.count)
 	}
-	if n == e.Count {
+	if n == e.count {
 		return nil
 	}
-	e.Count = n
-	s.catalog[name] = e
-	s.mu.Lock()
-	delete(s.open, name) // drop any reader clamped to the old count
-	s.mu.Unlock()
+	v, _ := s.Vector(name)
+	p := v.(*Paged)
+	var dropped int64
+	if err := p.Scan(n, e.count-n, func(_ int64, val []byte) error {
+		dropped += int64(len(val))
+		return nil
+	}); err != nil {
+		return err
+	}
+	k := sort.Search(len(e.ext), func(i int) bool { return e.ext[i].end() > n })
+	ext := slices.Clone(e.ext[:k])
+	if x := e.ext[k]; x.First < n {
+		if x.Codec != codecRaw {
+			return p.corrupt(x, "committed count %d falls inside the DEFLATE extent [%d,%d)", n, x.First, x.end())
+		}
+		fr, err := s.store.Pool().Get(s.seg, x.Page)
+		if err != nil {
+			return err
+		}
+		recs, off := fr.Data[x.Off:x.Off+x.Len], 0
+		for i := x.First; i < n; i++ {
+			ln, sz := binary.Uvarint(recs[off:])
+			off += sz + int(ln)
+		}
+		s.store.Pool().Unpin(fr, false)
+		x.Len, x.N = off, int(n-x.First)
+		ext = append(ext, x)
+	}
+	s.dir.vecs[name] = entry{count: n, bytes: e.bytes - dropped, ext: ext}
+	s.cut = true
+	return nil
+}
+
+// begin starts a write session: the first write after a commit cuts the
+// segment back to the committed pages, dropping the orphans of a write
+// that never committed, and packs tails into pages of its own. A Rollback
+// is committed first: the session may write over the values it cut off,
+// which the directory on disk still lists, and a crash must not leave a
+// directory whose extents no longer decode.
+func (s *DiskSet) begin() error {
+	if s.writing {
+		return nil
+	}
+	if err := s.store.Pool().Truncate(s.seg, s.dir.pages); err != nil {
+		return err
+	}
+	if s.cut {
+		if err := s.writeDirectory(); err != nil {
+			return err
+		}
+	}
+	s.writing, s.packPage = true, -1
+	return nil
+}
+
+// NewWriter creates the named vector, which must be new, and returns a
+// writer for it. Its Close packs what is left of it into a shared page.
+func (s *DiskSet) NewWriter(name string) (*Writer, error) {
+	if _, ok := s.dir.vecs[name]; ok {
+		return nil, fmt.Errorf("vector: vector %q already exists", name)
+	}
+	if err := s.begin(); err != nil {
+		return nil, err
+	}
+	s.dir.vecs[name] = entry{}
+	return &Writer{set: s, name: name, page: -1, pack: true}, nil
+}
+
+// AppendWriter returns a writer positioned at the end of the named vector,
+// creating the vector if it does not exist yet (a newly appearing path).
+// An own tail page is extended in place, after the committed records. A
+// tail packed into a shared page is moved, once: its records are read back
+// and rewritten with the new ones to a page of the vector's own, and the
+// shared page is never written again. Close the writer, then Save.
+func (s *DiskSet) AppendWriter(name string) (*Writer, error) {
+	e, ok := s.dir.vecs[name]
+	if !ok {
+		return s.NewWriter(name)
+	}
+	if err := s.begin(); err != nil {
+		return nil, err
+	}
+	w := &Writer{set: s, name: name, count: e.count, bytes: e.bytes, ext: slices.Clone(e.ext), page: -1}
+	if len(e.ext) == 0 {
+		return w, nil
+	}
+	tail := e.ext[len(e.ext)-1]
+	v, _ := s.Vector(name)
+	if !s.dir.shared[tail.Page] {
+		// Reading the last value checks the tail extent whole, so new
+		// records only ever follow well-formed ones.
+		if err := v.Scan(e.count-1, 1, func(int64, []byte) error { return nil }); err != nil {
+			return nil, err
+		}
+		w.page, w.used = tail.Page, tail.Off+tail.Len
+		return w, nil
+	}
+	err := v.Scan(tail.First, int64(tail.N), func(_ int64, val []byte) error {
+		w.buf = binary.AppendUvarint(w.buf, uint64(len(val)))
+		w.buf = append(w.buf, val...)
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	w.ext, w.nbuf = w.ext[:len(w.ext)-1], tail.N
+	return w, nil
+}
+
+// Save commits the set: every page is flushed and the segment fsynced, then
+// the directory is written atomically. Close every writer first.
+func (s *DiskSet) Save() error {
+	if err := s.store.Pool().Flush(); err != nil {
+		return err
+	}
+	if err := s.seg.Sync(); err != nil {
+		return err
+	}
+	s.dir.pages = s.seg.NumPages()
+	if err := s.writeDirectory(); err != nil {
+		return err
+	}
+	s.writing = false
+	return nil
+}
+
+// writeDirectory atomically replaces the directory file with the one in
+// memory.
+func (s *DiskSet) writeDirectory() error {
+	s.dirBuf = s.dir.encode(s.dirBuf[:0])
+	if err := storage.WriteFileAtomic(s.store.FS(), filepath.Join(s.store.Dir(), s.stem+".dir"), s.dirBuf); err != nil {
+		return fmt.Errorf("vector: save directory: %w", err)
+	}
+	s.cut = false
+	return nil
+}
+
+// encode returns records as an extent stores them: DEFLATE-compressed when
+// the set compresses and that is smaller, raw otherwise. A compressed
+// result is valid until the next call.
+func (s *DiskSet) encode(recs []byte) ([]byte, byte, error) {
+	if !s.dir.compress {
+		return recs, codecRaw, nil
+	}
+	s.deflate.Reset()
+	if s.fw == nil {
+		fw, err := flate.NewWriter(&s.deflate, flate.BestSpeed)
+		if err != nil {
+			return nil, 0, err
+		}
+		s.fw = fw
+	} else {
+		s.fw.Reset(&s.deflate)
+	}
+	if _, err := s.fw.Write(recs); err != nil {
+		return nil, 0, err
+	}
+	if err := s.fw.Close(); err != nil {
+		return nil, 0, err
+	}
+	if s.deflate.Len() < len(recs) {
+		return s.deflate.Bytes(), codecDeflate, nil
+	}
+	return recs, codecRaw, nil
+}
+
+// put writes data at byte off of segment page page, or at the start of a
+// new page when page < 0, and returns the page.
+func (s *DiskSet) put(page int64, off int, data []byte) (int64, error) {
+	pool := s.store.Pool()
+	var fr *storage.Frame
+	var err error
+	if page < 0 {
+		fr, page, err = pool.Alloc(s.seg)
+	} else {
+		fr, err = pool.Get(s.seg, page)
+	}
+	if err != nil {
+		return 0, err
+	}
+	copy(fr.Data[off:], data)
+	pool.Unpin(fr, true)
+	return page, nil
+}
+
+// pack writes data into the session's shared page, or a new one when it
+// does not fit, and returns where it went.
+func (s *DiskSet) pack(data []byte) (int64, int, error) {
+	if s.packPage >= 0 && s.packUsed+len(data) > pageData {
+		s.packPage = -1
+	}
+	off := 0
+	if s.packPage >= 0 {
+		off = s.packUsed
+	}
+	page, err := s.put(s.packPage, off, data)
+	if err != nil {
+		return 0, 0, err
+	}
+	s.dir.shared[page] = true
+	s.packPage, s.packUsed = page, off+len(data)
+	return page, off, nil
+}
+
+var errWriterClosed = errors.New("vector: writer closed")
+
+// Writer appends values to one vector of a DiskSet. It buffers the records
+// not yet written — at most a page's worth — and writes them as one extent
+// when the next value would not fit: to the vector's own tail page while
+// it has room, else to a new page at the end of the segment. A Writer must
+// be the only user of its vector until closed.
+type Writer struct {
+	set   *DiskSet
+	name  string
+	buf   []byte // records not yet written
+	nbuf  int
+	count int64
+	bytes int64
+	ext   []Extent
+	page  int64 // the own page raw records extend, -1 for none
+	used  int   // bytes in use on page
+	pack  bool  // a new vector: Close packs its tail into a shared page
+	err   error
+}
+
+// Append adds one value at the next position.
+func (w *Writer) Append(val []byte) error {
+	if w.err != nil {
+		return w.err
+	}
+	if len(val) > MaxValue {
+		w.err = fmt.Errorf("vector: value of %d bytes exceeds max %d", len(val), MaxValue)
+		return w.err
+	}
+	need := (bits.Len(uint(len(val))|1)+6)/7 + len(val) // uvarint prefix + value
+	if len(w.buf)+need > w.room() {
+		if w.nbuf > 0 {
+			if err := w.flush(); err != nil {
+				return err
+			}
+		}
+		if need > w.room() {
+			w.page = -1
+		}
+	}
+	if len(w.buf)+need > cap(w.buf) {
+		// Grow by doubling, but never past a page: thousands of vectors
+		// buffer at once while a document is vectorized.
+		w.buf = append(make([]byte, 0, min(max(2*cap(w.buf), 64, len(w.buf)+need), pageData)), w.buf...)
+	}
+	w.buf = binary.AppendUvarint(w.buf, uint64(len(val)))
+	w.buf = append(w.buf, val...)
+	w.nbuf++
+	w.count++
+	w.bytes += int64(len(val))
+	return nil
+}
+
+// AppendString adds one string value.
+func (w *Writer) AppendString(val string) error { return w.Append([]byte(val)) }
+
+// Count returns the number of values appended so far.
+func (w *Writer) Count() int64 { return w.count }
+
+// ValueBytes returns the raw byte size of all appended values.
+func (w *Writer) ValueBytes() int64 { return w.bytes }
+
+// room is how many record bytes the buffer may hold: what is left on the
+// own page raw records extend, else a page.
+func (w *Writer) room() int {
+	if w.page >= 0 && !w.set.dir.compress {
+		return pageData - w.used
+	}
+	return pageData
+}
+
+// flush writes the buffered records as one extent: on the own page when
+// they fit there, else on a new page, which becomes the own page.
+func (w *Writer) flush() error {
+	data, codec, err := w.set.encode(w.buf)
+	if err == nil {
+		page, off := w.page, w.used
+		if page < 0 || off+len(data) > pageData {
+			page, off = -1, 0
+		}
+		if page, err = w.set.put(page, off, data); err == nil {
+			w.add(Extent{Page: page, Off: off, Len: len(data), Codec: codec})
+			w.page, w.used = page, off+len(data)
+		}
+	}
+	w.err = err
+	return err
+}
+
+// add records the buffered records as extent x (its position and count
+// filled in here), merging it into the last extent when x continues it on
+// the same page: that is how an own tail page grows in place.
+func (w *Writer) add(x Extent) {
+	x.First, x.N = w.count-int64(w.nbuf), w.nbuf
+	w.buf, w.nbuf = w.buf[:0], 0
+	if n := len(w.ext); n > 0 {
+		last := &w.ext[n-1]
+		if last.Page == x.Page && last.Off+last.Len == x.Off && last.Codec == codecRaw && x.Codec == codecRaw {
+			last.Len += x.Len
+			last.N += x.N
+			return
+		}
+	}
+	w.ext = append(w.ext, x)
+}
+
+// Close writes what is buffered — packed into a shared page for a new
+// vector, to the own page otherwise — and records the vector in the
+// directory (committed by the next Save). The Writer must not be used
+// afterwards.
+func (w *Writer) Close() error {
+	if w.err != nil {
+		return w.err
+	}
+	if w.nbuf > 0 && w.pack {
+		data, codec, err := w.set.encode(w.buf)
+		if err != nil {
+			return err
+		}
+		page, off, err := w.set.pack(data)
+		if err != nil {
+			return err
+		}
+		w.add(Extent{Page: page, Off: off, Len: len(data), Codec: codec})
+	} else if w.nbuf > 0 {
+		if err := w.flush(); err != nil {
+			return err
+		}
+	}
+	w.set.dir.vecs[w.name] = entry{count: w.count, bytes: w.bytes, ext: w.ext}
+	w.buf, w.err = nil, errWriterClosed
 	return nil
 }

@@ -2,16 +2,18 @@
 // representation VEC(T) = (S, V). A vector is the document-order sequence
 // of text values appearing under one root-to-leaf tag path ("/bib/book/title").
 //
-// Vectors are stored one clustered paged file per vector, uncompressed by
-// default (the paper departs from XMILL here) or, opt-in, DEFLATE-compressed
-// per page (the §6 extension); one reader, Paged, reads both. They are read
-// lazily: a query touches only the vectors its operations scan, which is
-// the system's central I/O win. Position i of a vector is exactly
-// occurrence i of the corresponding text class (see internal/skeleton), so
-// all engine operations are simple positional scans. Those scans arrive
-// row by row in document order, so the engine reads through a Cursor,
-// which resumes each scan where the previous one stopped instead of
-// searching for and re-decoding its page.
+// A DiskSet stores its vectors as extents of one segment of pages behind
+// one directory (segment.go, directory.go): a vector's full pages are its
+// own, and vectors of a few values share pages. Extents are uncompressed
+// by default (the paper departs from XMILL here) or, opt-in,
+// DEFLATE-compressed (the §6 extension); one reader, Paged, reads both.
+// Vectors are read lazily: a query touches only the extents its operations
+// scan, which is the system's central I/O win. Position i of a vector is
+// exactly occurrence i of the corresponding text class (see
+// internal/skeleton), so all engine operations are simple positional
+// scans. Those scans arrive row by row in document order, so the engine
+// reads through a Cursor, which resumes each scan where the previous one
+// stopped instead of searching for and re-decoding its extent.
 package vector
 
 import (
@@ -102,10 +104,10 @@ type Set interface {
 	Vector(name string) (Vector, error)
 }
 
-// CtxSet is an optional Set extension for request-attributed opens: the
-// open itself does I/O (the meta page of a cold vector file), and VectorCtx
-// charges that read to m and puts its transient-read retries on ctx's span.
-// Sets that wrap other sets forward the attribution to their base.
+// CtxSet is an optional Set extension for request-attributed opens, for
+// sets whose open itself may do I/O: VectorCtx charges those reads to m
+// and puts their transient-read retries on ctx's span. Sets that wrap
+// other sets forward the attribution to their base.
 type CtxSet interface {
 	VectorCtx(ctx context.Context, m *obs.TaskMeter, name string) (Vector, error)
 }

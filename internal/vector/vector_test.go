@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -22,25 +23,22 @@ func newPool(t testing.TB, pages int) (*storage.Store, *storage.BufferPool) {
 	return s, s.Pool()
 }
 
-// formats are the two on-disk vector formats; format-independent tests
-// run once per format, through the one reader.
+// formats are the two codecs; codec-independent tests run once per codec
+// setting, through the one reader.
 var formats = []struct {
 	name       string
 	compressed bool
 }{{"raw", false}, {"deflate", true}}
 
-func writeVector(t testing.TB, store *storage.Store, name string, compressed bool, vals []string) *Paged {
+// writeVector writes vals as the one vector "/v" of a fresh set stem in
+// store, commits it, and returns its reader from the reopened directory.
+func writeVector(t testing.TB, store *storage.Store, stem string, compressed bool, vals []string) *Paged {
 	t.Helper()
-	f, err := store.Open(name)
+	set, err := CreateDiskSet(store, stem, compressed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var w SetWriter
-	if compressed {
-		w, err = NewCompressedWriter(store.Pool(), f)
-	} else {
-		w, err = NewWriter(store.Pool(), f)
-	}
+	w, err := set.NewWriter("/v")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,14 +50,32 @@ func writeVector(t testing.TB, store *storage.Store, name string, compressed boo
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	p, err := OpenPaged(store.Pool(), f)
+	if err := set.Save(); err != nil {
+		t.Fatal(err)
+	}
+	set = reopen(t, store, stem)
+	if set.dir.compress != compressed {
+		t.Fatalf("%s reopened with compress = %v, want %v", stem, set.dir.compress, compressed)
+	}
+	v, err := set.Vector("/v")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.compressed != compressed {
-		t.Fatalf("%s reopened with compressed = %v, want %v", name, p.compressed, compressed)
+	return v.(*Paged)
+}
+
+// reopen opens set stem of store from its directory file.
+func reopen(t testing.TB, store *storage.Store, stem string) *DiskSet {
+	t.Helper()
+	body, err := storage.ReadFileChecksummed(store.FS(), filepath.Join(store.Dir(), stem+".dir"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	return p
+	set, err := OpenDiskSet(store, stem, body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return set
 }
 
 func TestMemVector(t *testing.T) {
@@ -109,8 +125,8 @@ func TestPagedMultiPage(t *testing.T) {
 				vals = append(vals, fmt.Sprintf("value-%06d", i))
 			}
 			p := writeVector(t, store, "v", fm.compressed, vals)
-			if p.file.NumPages() < 5 {
-				t.Fatalf("expected multiple pages, got %d", p.file.NumPages())
+			if p.seg.NumPages() < 5 || len(p.ext) < 5 {
+				t.Fatalf("expected multiple pages, got %d extents on %d pages", len(p.ext), p.seg.NumPages())
 			}
 			// Positional scans from arbitrary offsets.
 			for _, start := range []int64{0, 1, 499, 2500, 4999, 12345, 19999} {
@@ -163,36 +179,39 @@ func TestPagedScanBounds(t *testing.T) {
 
 func TestWriterRejectsOversize(t *testing.T) {
 	store, _ := newPool(t, 8)
-	f, _ := store.Open("v")
-	w, err := NewWriter(store.Pool(), f)
+	set, err := CreateDiskSet(store, "v", false)
 	if err != nil {
 		t.Fatal(err)
+	}
+	w, err := set.NewWriter("/v")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Append(make([]byte, MaxValue)); err != nil {
+		t.Errorf("append of MaxValue bytes: %v", err)
 	}
 	if err := w.Append(make([]byte, MaxValue+1)); err == nil {
 		t.Error("oversize append succeeded")
 	}
 }
 
+// TestWriterRequiresEmptyFile: a new set never writes over a segment that
+// already holds pages.
 func TestWriterRequiresEmptyFile(t *testing.T) {
 	store, _ := newPool(t, 8)
 	writeVector(t, store, "v", false, []string{"a"})
-	f, _ := store.Open("v")
-	if _, err := NewWriter(store.Pool(), f); err == nil {
-		t.Error("NewWriter on non-empty file succeeded")
+	if _, err := CreateDiskSet(store, "v", false); err == nil {
+		t.Error("CreateDiskSet on a non-empty segment succeeded")
 	}
 }
 
+// TestOpenPagedBadMagic: a directory that is not one is corruption.
 func TestOpenPagedBadMagic(t *testing.T) {
-	store, pool := newPool(t, 8)
-	f, _ := store.Open("junk")
-	fr, _, err := pool.Alloc(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	copy(fr.Data, []byte("XXXX"))
-	pool.Unpin(fr, true)
-	if _, err := OpenPaged(pool, f); err == nil {
-		t.Error("OpenPaged with bad magic succeeded")
+	store, _ := newPool(t, 8)
+	for _, body := range [][]byte{nil, []byte("XXXX"), []byte("XXXX\x00\x00\x00")} {
+		if _, err := OpenDiskSet(store, "junk", body); !errors.Is(err, storage.ErrCorrupt) {
+			t.Errorf("OpenDiskSet(%q) = %v, want ErrCorrupt", body, err)
+		}
 	}
 }
 
@@ -204,8 +223,10 @@ func TestDiskSetRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			set := CreateDiskSet(store)
-			set.SetCompression(fm.compressed)
+			set, err := CreateDiskSet(store, "vectors", fm.compressed)
+			if err != nil {
+				t.Fatal(err)
+			}
 			data := map[string][]string{
 				"/bib/book/title":     {"Curation", "XML", "AXML"},
 				"/bib/article/author": {"BC", "RH", "BC", "DD", "RH"},
@@ -224,7 +245,7 @@ func TestDiskSetRoundTrip(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
-				if err := set.CloseVector(name, w); err != nil {
+				if err := w.Close(); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -238,10 +259,7 @@ func TestDiskSetRoundTrip(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer store2.Close()
-			set2, err := OpenDiskSet(store2)
-			if err != nil {
-				t.Fatal(err)
-			}
+			set2 := reopen(t, store2, "vectors")
 			if got := set2.Names(); len(got) != 3 || got[0] != "/bib/article/author" {
 				t.Fatalf("Names = %v", got)
 			}
@@ -251,11 +269,16 @@ func TestDiskSetRoundTrip(t *testing.T) {
 					t.Fatal(err)
 				}
 				p, ok := v.(*Paged)
-				if !ok || p.compressed != fm.compressed {
-					t.Fatalf("%s reopened as %T, want a %s *Paged", name, v, fm.name)
+				if !ok {
+					t.Fatalf("%s reopened as %T, want a *Paged", name, v)
 				}
-				if name == "/bib/book/note" && p.file.NumPages() < 3 {
-					t.Fatalf("%s has %d pages, want several", name, p.file.NumPages())
+				if name == "/bib/book/note" {
+					if len(p.ext) < 2 {
+						t.Fatalf("%s has %d extents, want several", name, len(p.ext))
+					}
+					if fm.compressed && p.ext[0].Codec != codecDeflate {
+						t.Errorf("%s's first extent has codec %d, want DEFLATE", name, p.ext[0].Codec)
+					}
 				}
 				got, err := All(v)
 				if err != nil {
@@ -268,6 +291,12 @@ func TestDiskSetRoundTrip(t *testing.T) {
 					t.Errorf("Count(%s) = %d,%v", name, c, ok)
 				}
 			}
+			// The two short vectors and the long one's tail share a page.
+			title, _ := set2.Extents("/bib/book/title")
+			author, _ := set2.Extents("/bib/article/author")
+			if title[0].Page != author[0].Page {
+				t.Errorf("short vectors on pages %d and %d, want one shared page", title[0].Page, author[0].Page)
+			}
 			if set2.CatalogBytes() == 0 {
 				t.Error("CatalogBytes = 0")
 			}
@@ -278,29 +307,39 @@ func TestDiskSetRoundTrip(t *testing.T) {
 	}
 }
 
-// TestDiskSetFormatMismatch: a catalog whose compressed flag disagrees
-// with the vector file's magic is corruption, in either direction.
+// TestDiskSetFormatMismatch: a directory whose codec for an extent
+// disagrees with the bytes stored there is corruption, in either
+// direction.
 func TestDiskSetFormatMismatch(t *testing.T) {
 	for _, fm := range formats {
 		t.Run(fm.name, func(t *testing.T) {
 			store, _ := newPool(t, 8)
-			set := CreateDiskSet(store)
-			set.SetCompression(fm.compressed)
-			w, err := set.NewWriter("/v")
-			if err != nil {
-				t.Fatal(err)
+			vals := []string{"x"}
+			if fm.compressed {
+				vals = strings.Split(strings.Repeat("compressible,", 50), ",")
 			}
-			if err := w.AppendString("x"); err != nil {
-				t.Fatal(err)
+			p := writeVector(t, store, "v", fm.compressed, vals)
+			want := byte(codecRaw)
+			if fm.compressed {
+				want = codecDeflate
 			}
-			if err := set.CloseVector("/v", w); err != nil {
-				t.Fatal(err)
+			if p.ext[0].Codec != want {
+				t.Fatalf("extent codec %d, want %d", p.ext[0].Codec, want)
 			}
-			e := set.catalog["/v"]
-			e.Compressed = !fm.compressed
-			set.catalog["/v"] = e
-			if _, err := set.Vector("/v"); !errors.Is(err, storage.ErrCorrupt) {
-				t.Errorf("open with mismatched catalog format: err = %v, want ErrCorrupt", err)
+			set := reopen(t, store, "v")
+			e := set.dir.vecs["/v"]
+			e.ext[0].Codec ^= 1
+			// Caught by the directory's own checks (a raw extent shorter than
+			// its record count) or by the scan.
+			set, err := OpenDiskSet(store, "v", set.dir.encode(nil))
+			if err == nil {
+				var v Vector
+				if v, err = set.Vector("/v"); err == nil {
+					_, err = All(v)
+				}
+			}
+			if !errors.Is(err, storage.ErrCorrupt) {
+				t.Errorf("mismatched codec: err = %v, want ErrCorrupt", err)
 			}
 		})
 	}
@@ -308,7 +347,10 @@ func TestDiskSetFormatMismatch(t *testing.T) {
 
 func TestDiskSetDuplicateName(t *testing.T) {
 	store, _ := newPool(t, 8)
-	set := CreateDiskSet(store)
+	set, err := CreateDiskSet(store, "v", false)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if _, err := set.NewWriter("/v"); err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,9 @@ package vectorize
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -175,5 +178,117 @@ func TestAppendMatchesFromScratch(t *testing.T) {
 	}
 	if repo.Skel.NumNodes() != ref.Skel.NumNodes() {
 		t.Errorf("skeleton nodes %d vs %d", repo.Skel.NumNodes(), ref.Skel.NumNodes())
+	}
+}
+
+// TestAppendMovesPackedTailOnce: a repository's small vectors share a
+// page. The first append to one of them moves its tail to a page of its
+// own, once, leaving every other vector's extents byte-identical; a
+// second append grows that page in place.
+func TestAppendMovesPackedTailOnce(t *testing.T) {
+	dir := t.TempDir()
+	repo, err := Create(strings.NewReader(
+		`<bib><book><title>A</title><year>1999</year></book><book><title>B</title><year>2001</year></book></bib>`),
+		dir, Options{PoolPages: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer repo.Close()
+	set := repo.Vectors.(*vector.DiskSet)
+	const title, year = "/bib/book/title", "/bib/book/year"
+	extents := func(name string) []vector.Extent {
+		ext, _ := set.Extents(name)
+		return ext
+	}
+	t0, y0 := extents(title), extents(year)
+	if len(t0) != 1 || len(y0) != 1 || t0[0].Page != y0[0].Page {
+		t.Fatalf("title %v and year %v do not share a page", t0, y0)
+	}
+	pages := set.Segment().NumPages()
+
+	if err := repo.Append(strings.NewReader(`<bib><book><title>C</title></book></bib>`)); err != nil {
+		t.Fatal(err)
+	}
+	t1 := extents(title)
+	if len(t1) != 1 || t1[0].Page == t0[0].Page || t1[0].Off != 0 || t1[0].N != 3 {
+		t.Fatalf("after the first append title = %v, want one extent of 3 on a new page", t1)
+	}
+	if got := extents(year); !slices.Equal(got, y0) {
+		t.Errorf("year's extents changed from %v to %v", y0, got)
+	}
+	if n := set.Segment().NumPages(); n != pages+1 {
+		t.Errorf("segment grew from %d to %d pages, want one new page", pages, n)
+	}
+
+	if err := repo.Append(strings.NewReader(`<bib><book><title>D</title></book></bib>`)); err != nil {
+		t.Fatal(err)
+	}
+	t2 := extents(title)
+	if len(t2) != 1 || t2[0].Page != t1[0].Page || t2[0].Off != 0 || t2[0].N != 4 || t2[0].Len <= t1[0].Len {
+		t.Fatalf("after the second append title = %v, want %v grown in place", t2, t1)
+	}
+	if got := extents(year); !slices.Equal(got, y0) {
+		t.Errorf("year's extents changed from %v to %v", y0, got)
+	}
+	if n := set.Segment().NumPages(); n != pages+1 {
+		t.Errorf("the in-place append grew the segment to %d pages, want %d", n, pages+1)
+	}
+	v, err := repo.Vectors.Vector(title)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if vals, err := vector.All(v); err != nil || strings.Join(vals, ",") != "A,B,C,D" {
+		t.Errorf("titles = %v, %v", vals, err)
+	}
+	if _, err := Fsck(dir, Options{PoolPages: 64}); err != nil {
+		t.Errorf("fsck: %v", err)
+	}
+}
+
+// TestAppendAfterCrashedNewPath: an append that creates a vector for a new
+// path and crashes after committing the vector directory, before the
+// skeleton, leaves a vector no skeleton class reaches. Open cuts it to
+// nothing, so a later append of that path starts it afresh instead of
+// behind the dead append's values.
+func TestAppendAfterCrashedNewPath(t *testing.T) {
+	dir := t.TempDir()
+	repo, err := Create(strings.NewReader(`<bib><book><title>A</title></book></bib>`), dir, Options{PoolPages: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The skeleton and manifest as they were before the dead append.
+	var saved [2][]byte
+	for i, name := range []string{skeletonFile, ManifestName} {
+		if saved[i], err = os.ReadFile(filepath.Join(dir, name)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := repo.Append(strings.NewReader(`<bib><article><who>DEAD</who></article></bib>`)); err != nil {
+		t.Fatal(err)
+	}
+	repo.Close()
+	for i, name := range []string{skeletonFile, ManifestName} {
+		if err := os.WriteFile(filepath.Join(dir, name), saved[i], 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	repo, err = Open(dir, Options{PoolPages: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer repo.Close()
+	if n, _ := repo.Vectors.(*vector.DiskSet).Count("/bib/article/who"); n != 0 {
+		t.Fatalf("the dead append's vector holds %d values after Open, want 0", n)
+	}
+	if err := repo.Append(strings.NewReader(`<bib><article><who>LIVE</who></article></bib>`)); err != nil {
+		t.Fatal(err)
+	}
+	var out strings.Builder
+	if err := repo.WriteXML(&out); err != nil {
+		t.Fatal(err)
+	}
+	if want := `<bib><book><title>A</title></book><article><who>LIVE</who></article></bib>`; out.String() != want {
+		t.Errorf("after the crash and a new append:\n%s\nwant\n%s", out.String(), want)
 	}
 }

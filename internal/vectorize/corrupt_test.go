@@ -1,6 +1,7 @@
 package vectorize
 
 import (
+	"encoding/binary"
 	"errors"
 	"os"
 	"path/filepath"
@@ -8,6 +9,7 @@ import (
 	"testing"
 
 	"vxml/internal/storage"
+	"vxml/internal/vector"
 )
 
 // Failure injection: a damaged repository must fail loudly with a useful
@@ -53,81 +55,111 @@ func TestOpenCorruptSkeleton(t *testing.T) {
 
 func TestOpenMissingCatalog(t *testing.T) {
 	dir := corruptRepo(t)
-	if err := os.Remove(filepath.Join(dir, "vectors.json")); err != nil {
+	if err := os.Remove(filepath.Join(dir, directoryFile)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := Open(dir, Options{PoolPages: 64}); err == nil {
-		t.Error("Open without catalog succeeded")
+		t.Error("Open without the vector directory succeeded")
 	}
 }
 
 func TestOpenCorruptCatalog(t *testing.T) {
 	dir := corruptRepo(t)
-	if err := os.WriteFile(filepath.Join(dir, "vectors.json"), []byte("{not json"), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, directoryFile), []byte("{not a directory"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open(dir, Options{PoolPages: 64}); err == nil {
-		t.Error("Open with corrupt catalog succeeded")
+	if _, err := Open(dir, Options{PoolPages: 64}); !errors.Is(err, storage.ErrCorrupt) {
+		t.Errorf("Open with a corrupt vector directory = %v, want ErrCorrupt", err)
+	}
+}
+
+// TestOpenFormat2Repository: a repository of the previous format (one
+// file per vector) is refused with the same advice as format 1.
+func TestOpenFormat2Repository(t *testing.T) {
+	dir := corruptRepo(t)
+	data := []byte(`{"format": 2, "files": {}}`)
+	if err := storage.WriteFileAtomic(storage.DefaultFS, filepath.Join(dir, ManifestName), data); err != nil {
+		t.Fatal(err)
+	}
+	_, err := Open(dir, Options{PoolPages: 64})
+	if err == nil || !strings.Contains(err.Error(), "format 2") || !strings.Contains(err.Error(), "rebuild from the source XML") {
+		t.Errorf("Open of a format-2 repository = %v, want the rebuild advice", err)
 	}
 }
 
 func TestVectorFileMissing(t *testing.T) {
 	dir := corruptRepo(t)
-	repo, err := Open(dir, Options{PoolPages: 64})
-	if err != nil {
+	if err := os.Remove(filepath.Join(dir, segmentFile)); err != nil {
 		t.Fatal(err)
 	}
-	defer repo.Close()
-	// Remove a vector file out from under the catalog: opening the vector
-	// must fail (bad magic on the zero pages a lazy create would yield, or
-	// a read error).
-	matches, _ := filepath.Glob(filepath.Join(dir, "v*.vec"))
-	if len(matches) == 0 {
-		t.Fatal("no vector files found")
-	}
-	if err := os.Remove(matches[0]); err != nil {
-		t.Fatal(err)
-	}
-	var sawErr bool
-	for _, name := range repo.Vectors.Names() {
-		if _, err := repo.Vectors.Vector(name); err != nil {
-			sawErr = true
-		}
-	}
-	if !sawErr {
-		t.Error("no error opening vectors after deleting a file")
+	// The manifest lists the segment, so Open itself notices.
+	if _, err := Open(dir, Options{PoolPages: 64}); err == nil {
+		t.Error("Open after deleting the vector segment succeeded")
 	}
 }
 
-func TestVectorRecordLengthCorrupt(t *testing.T) {
-	dir := t.TempDir()
+// manyValues is a document whose one vector /d/v fills several pages.
+func manyValues(t *testing.T, n int) string {
+	t.Helper()
 	var doc strings.Builder
 	doc.WriteString("<d>")
-	for i := 0; i < 2000; i++ {
+	for i := 0; i < n; i++ {
 		doc.WriteString("<v>some value text here</v>")
 	}
 	doc.WriteString("</d>")
+	dir := t.TempDir()
 	repo, err := Create(strings.NewReader(doc.String()), dir, Options{PoolPages: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
 	repo.Close()
-	matches, _ := filepath.Glob(filepath.Join(dir, "v*.vec"))
-	if len(matches) == 0 {
-		t.Fatal("no vector files found")
-	}
-	// Smash the length prefix of the first record on the first data page:
-	// a huge uvarint that points far past the page's used payload. Scan
-	// must report a corrupt record, not slice out of bounds and panic.
-	f, err := os.OpenFile(matches[0], os.O_RDWR, 0o644)
+	return dir
+}
+
+// extentsOf returns the directory's extents of the named vector of the
+// repository at dir.
+func extentsOf(t *testing.T, dir, name string) []vector.Extent {
+	t.Helper()
+	repo, err := Open(dir, Options{PoolPages: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Page 1 starts at 8192; its 12-byte header is followed by records.
-	if _, err := f.WriteAt([]byte{0xff, 0xff, 0xff, 0xff, 0x7f}, 8192+12); err != nil {
+	defer repo.Close()
+	ext, ok := repo.Vectors.(*vector.DiskSet).Extents(name)
+	if !ok {
+		t.Fatalf("no vector %q", name)
+	}
+	return ext
+}
+
+// patchPage writes b at byte off of segment page page and re-stamps the
+// page's CRC, so only the format's own checks can notice.
+func patchPage(t *testing.T, dir string, page int64, off int, b []byte) {
+	t.Helper()
+	f, err := os.OpenFile(filepath.Join(dir, segmentFile), os.O_RDWR, 0o644)
+	if err != nil {
 		t.Fatal(err)
 	}
-	f.Close()
+	defer f.Close()
+	buf := make([]byte, storage.PageSize)
+	if _, err := f.ReadAt(buf, page*storage.PageSize); err != nil {
+		t.Fatal(err)
+	}
+	copy(buf[off:], b)
+	binary.LittleEndian.PutUint32(buf[storage.PageDataSize:], storage.Checksum(buf[:storage.PageDataSize]))
+	if _, err := f.WriteAt(buf, page*storage.PageSize); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestVectorRecordLengthCorrupt(t *testing.T) {
+	dir := manyValues(t, 2000)
+	// Smash the length prefix of the first record of the vector's first
+	// extent, under a valid page CRC: a huge uvarint that points far past
+	// the extent. Scan must report a corrupt extent, not slice out of
+	// bounds and panic.
+	x := extentsOf(t, dir, "/d/v")[0]
+	patchPage(t, dir, x.Page, x.Off, []byte{0xff, 0xff, 0xff, 0xff, 0x7f})
 	repo2, err := Open(dir, Options{PoolPages: 64})
 	if err != nil {
 		t.Fatal(err)
@@ -140,43 +172,32 @@ func TestVectorRecordLengthCorrupt(t *testing.T) {
 	err = v.Scan(0, v.Len(), func(int64, []byte) error { return nil })
 	if err == nil {
 		t.Error("scan over corrupt record length succeeded")
-	} else if !strings.Contains(err.Error(), "corrupt") {
-		t.Errorf("scan error %q does not mention corruption", err)
+	} else if !errors.Is(err, storage.ErrCorrupt) || !strings.Contains(err.Error(), `vector "/d/v"`) {
+		t.Errorf("scan error %q does not wrap ErrCorrupt naming the vector", err)
 	}
 }
 
 func TestVectorFileTruncated(t *testing.T) {
-	dir := t.TempDir()
-	var doc strings.Builder
-	doc.WriteString("<d>")
-	for i := 0; i < 5000; i++ {
-		doc.WriteString("<v>some value text here</v>")
-	}
-	doc.WriteString("</d>")
-	repo, err := Create(strings.NewReader(doc.String()), dir, Options{PoolPages: 64})
+	dir := manyValues(t, 5000)
+	path := filepath.Join(dir, segmentFile)
+	st, err := os.Stat(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	repo.Close()
-	matches, _ := filepath.Glob(filepath.Join(dir, "v*.vec"))
-	st, err := os.Stat(matches[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Cut the file to a page boundary shorter than the data. The manifest
-	// records the committed page count, so Open itself must refuse, with a
-	// typed error naming the file.
-	if err := os.Truncate(matches[0], st.Size()/2/8192*8192); err != nil {
+	// Cut the segment to a page boundary shorter than the data. The
+	// manifest records the committed page count, so Open itself must
+	// refuse, with a typed error naming the file.
+	if err := os.Truncate(path, st.Size()/2/8192*8192); err != nil {
 		t.Fatal(err)
 	}
 	_, err = Open(dir, Options{PoolPages: 64})
 	if err == nil {
-		t.Fatal("Open of repository with truncated vector file succeeded")
+		t.Fatal("Open of repository with truncated vector segment succeeded")
 	}
 	if !errors.Is(err, storage.ErrCorrupt) {
 		t.Errorf("error %q does not wrap storage.ErrCorrupt", err)
 	}
-	if !strings.Contains(err.Error(), filepath.Base(matches[0])) {
+	if !strings.Contains(err.Error(), segmentFile) {
 		t.Errorf("error %q does not name the damaged file", err)
 	}
 }
@@ -185,29 +206,15 @@ func TestVectorFileTruncated(t *testing.T) {
 // page CRC must catch it during a scan, with a typed error naming the
 // file, and the process must not panic.
 func TestVectorBitFlip(t *testing.T) {
-	dir := t.TempDir()
-	var doc strings.Builder
-	doc.WriteString("<d>")
-	for i := 0; i < 2000; i++ {
-		doc.WriteString("<v>some value text here</v>")
-	}
-	doc.WriteString("</d>")
-	repo, err := Create(strings.NewReader(doc.String()), dir, Options{PoolPages: 64})
+	dir := manyValues(t, 2000)
+	x := extentsOf(t, dir, "/d/v")[1]
+	f, err := os.OpenFile(filepath.Join(dir, segmentFile), os.O_RDWR, 0o644)
 	if err != nil {
 		t.Fatal(err)
 	}
-	repo.Close()
-	matches, _ := filepath.Glob(filepath.Join(dir, "v*.vec"))
-	if len(matches) == 0 {
-		t.Fatal("no vector files found")
-	}
-	f, err := os.OpenFile(matches[0], os.O_RDWR, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// One flipped byte in the middle of data page 2. Size and structure
-	// stay plausible; only the CRC can notice.
-	off := int64(2*8192 + 4000)
+	// One flipped byte in the middle of the vector's second page. Size and
+	// structure stay plausible; only the CRC can notice.
+	off := x.Page*storage.PageSize + 4000
 	var b [1]byte
 	if _, err := f.ReadAt(b[:], off); err != nil {
 		t.Fatal(err)
@@ -219,7 +226,7 @@ func TestVectorBitFlip(t *testing.T) {
 	f.Close()
 	repo2, err := Open(dir, Options{PoolPages: 64})
 	if err != nil {
-		t.Fatal(err) // damage is past the meta page; Open is lazy
+		t.Fatal(err) // Open reads no segment page
 	}
 	defer repo2.Close()
 	v, err := repo2.Vectors.Vector("/d/v")
@@ -233,7 +240,7 @@ func TestVectorBitFlip(t *testing.T) {
 	if !errors.Is(err, storage.ErrCorrupt) {
 		t.Errorf("error %q does not wrap storage.ErrCorrupt", err)
 	}
-	if !strings.Contains(err.Error(), filepath.Base(matches[0])) {
+	if !strings.Contains(err.Error(), segmentFile) {
 		t.Errorf("error %q does not name the damaged file", err)
 	}
 	// Fsck must find the same damage even without a scanning query.

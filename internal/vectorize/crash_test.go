@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"vxml/internal/storage"
+	"vxml/internal/vector"
 )
 
 // Crash-safety: every prefix of the write sequence of Create and Append
@@ -105,80 +106,194 @@ func TestCreateCrashAtEveryWrite(t *testing.T) {
 	}
 }
 
-func TestAppendCrashAtEveryWrite(t *testing.T) {
-	// References: document before and after a fault-free append.
-	build := func() (*storage.FaultFS, *storage.MemFS) {
-		mem := storage.NewMemFS()
-		ff := storage.NewFaultFS(mem)
-		repo, err := Create(strings.NewReader(crashDoc), "repo", Options{PoolPages: crashPool, FS: ff})
-		if err != nil {
+// buildCrashRepo creates crashDoc's repository on a fresh in-memory
+// filesystem and commits the first before appends of crashFrag.
+func buildCrashRepo(t *testing.T, before int) (*storage.FaultFS, *storage.MemFS) {
+	t.Helper()
+	mem := storage.NewMemFS()
+	ff := storage.NewFaultFS(mem)
+	repo, err := Create(strings.NewReader(crashDoc), "repo", Options{PoolPages: crashPool, FS: ff})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < before; i++ {
+		if err := repo.Append(strings.NewReader(crashFrag)); err != nil {
 			t.Fatal(err)
 		}
-		repo.Close()
-		return ff, mem
 	}
-	refFS, _ := build()
-	wantOld := xmlOf(t, "repo", refFS)
-	refRepo, err := Open("repo", Options{PoolPages: crashPool, FS: refFS})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := refRepo.Append(strings.NewReader(crashFrag)); err != nil {
-		t.Fatal(err)
-	}
-	refRepo.Close()
-	wantNew := xmlOf(t, "repo", refFS)
-	if wantNew == wantOld {
-		t.Fatal("append reference did not change the document")
-	}
+	repo.Close()
+	return ff, mem
+}
 
-	// Count the append's write sequence.
-	countFS, _ := build()
-	cr, err := Open("repo", Options{PoolPages: crashPool, FS: countFS})
+// directoryAhead reports whether the directory on disk holds more book
+// titles than the reopened repository: a commit the skeleton never saw.
+func directoryAhead(t *testing.T, fsys storage.FS, repo *Repository) bool {
+	t.Helper()
+	body, err := storage.ReadFileChecksummed(fsys, "repo/"+directoryFile)
 	if err != nil {
 		t.Fatal(err)
 	}
-	countFS.CrashAfterWrites(-1) // reset counter
-	if err := cr.Append(strings.NewReader(crashFrag)); err != nil {
+	store, err := storage.OpenStoreFS(fsys, "repo", crashPool)
+	if err != nil {
 		t.Fatal(err)
 	}
-	cr.Close()
-	total := countFS.Writes()
+	defer store.Close()
+	set, err := vector.OpenDiskSet(store, vectorStem, body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	onDisk, _ := set.Count("/bib/book/title")
+	now, _ := repo.Vectors.(*vector.DiskSet).Count("/bib/book/title")
+	return onDisk > now
+}
+
+// crashAppend opens the repository, appends frag with the write stream cut
+// after n writes (n < 0: never), resets the machine and returns the
+// reopened repository with the append's error.
+func crashAppend(t *testing.T, ff *storage.FaultFS, mem *storage.MemFS, frag string, n int64) (*Repository, error) {
+	t.Helper()
+	repo, err := Open("repo", Options{PoolPages: crashPool, FS: ff})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ff.CrashAfterWrites(n)
+	appendErr := repo.Append(strings.NewReader(frag))
+	// Machine reset mid- or post-append. The pre-crash Repository (and its
+	// page pool) is abandoned, like the process it lived in.
+	mem.Crash()
+	ff.CrashAfterWrites(-1)
+	reopened, err := Open("repo", Options{PoolPages: crashPool, FS: ff})
+	if err != nil {
+		t.Fatalf("crash@%d (append err: %v): repository lost: %v", n, appendErr, err)
+	}
+	return reopened, appendErr
+}
+
+// appendWrites counts the writes of appending frag to the repository.
+func appendWrites(t *testing.T, ff *storage.FaultFS, frag string) int64 {
+	t.Helper()
+	repo, err := Open("repo", Options{PoolPages: crashPool, FS: ff})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ff.CrashAfterWrites(-1) // reset counter
+	if err := repo.Append(strings.NewReader(frag)); err != nil {
+		t.Fatal(err)
+	}
+	repo.Close()
+	total := ff.Writes()
 	if total < 5 {
 		t.Fatalf("implausible append write count %d", total)
 	}
+	return total
+}
 
-	for n := int64(0); n <= total; n++ {
-		ff, mem := build()
-		repo, err := Open("repo", Options{PoolPages: crashPool, FS: ff})
+// TestAppendCrashAtEveryWrite sweeps a crash over every write of a first
+// append — which moves the packed tails of the vectors it extends to pages
+// of their own — and of a second one, which grows those pages in place.
+// Whatever the crash point, the repository reopens as the document before
+// or after the append, and fsck passes; some crash points leave the vector
+// directory committed ahead of the skeleton, which Open cuts back.
+func TestAppendCrashAtEveryWrite(t *testing.T) {
+	rolledBack := 0
+	for before := 0; before < 2; before++ {
+		// References: document before and after a fault-free append.
+		refFS, _ := buildCrashRepo(t, before)
+		wantOld := xmlOf(t, "repo", refFS)
+		refRepo, err := Open("repo", Options{PoolPages: crashPool, FS: refFS})
 		if err != nil {
 			t.Fatal(err)
 		}
-		ff.CrashAfterWrites(n)
-		appendErr := repo.Append(strings.NewReader(crashFrag))
-		// Machine reset mid- or post-append. The pre-crash Repository (and
-		// its page pool) is abandoned, like the process it lived in.
-		mem.Crash()
-		ff.CrashAfterWrites(-1)
+		if err := refRepo.Append(strings.NewReader(crashFrag)); err != nil {
+			t.Fatal(err)
+		}
+		refRepo.Close()
+		wantNew := xmlOf(t, "repo", refFS)
+		if wantNew == wantOld {
+			t.Fatal("append reference did not change the document")
+		}
 
-		reopened, openErr := Open("repo", Options{PoolPages: crashPool, FS: ff})
-		if openErr != nil {
-			t.Fatalf("crash@%d (append err: %v): repository lost: %v", n, appendErr, openErr)
+		countFS, _ := buildCrashRepo(t, before)
+		total := appendWrites(t, countFS, crashFrag)
+		for n := int64(0); n <= total; n++ {
+			ff, mem := buildCrashRepo(t, before)
+			reopened, appendErr := crashAppend(t, ff, mem, crashFrag, n)
+			var buf bytes.Buffer
+			if err := reopened.WriteXML(&buf); err != nil {
+				t.Fatalf("append %d crash@%d: reconstruct after crash: %v", before+1, n, err)
+			}
+			if directoryAhead(t, ff, reopened) {
+				rolledBack++
+			}
+			reopened.Close()
+			got := buf.String()
+			if got != wantOld && got != wantNew {
+				t.Fatalf("append %d crash@%d: document is neither pre- nor post-append state", before+1, n)
+			}
+			if appendErr == nil && got != wantNew {
+				t.Fatalf("append %d crash@%d: append reported success but document rolled back", before+1, n)
+			}
+			if _, err := Fsck("repo", Options{PoolPages: crashPool, FS: ff}); err != nil {
+				t.Fatalf("append %d crash@%d: fsck after crash recovery: %v", before+1, n, err)
+			}
 		}
-		var buf bytes.Buffer
-		if err := reopened.WriteXML(&buf); err != nil {
-			t.Fatalf("crash@%d: reconstruct after crash: %v", n, err)
+	}
+	if rolledBack == 0 {
+		t.Error("no crash point left the directory ahead of the skeleton: the rollback path went untested")
+	}
+}
+
+// TestAppendCrashAfterRolledBackAppend: an append that crashed between its
+// directory and skeleton commits leaves orphan records on a vector's own
+// tail page, past the count Open cuts it back to. The next append writes
+// over those orphans, with values of another length; a crash at any of its
+// writes must still leave a repository that opens as the document before
+// or after it.
+func TestAppendCrashAfterRolledBackAppend(t *testing.T) {
+	const frag = `<bib><book><title>CCCC</title><author>ZZZZ</author></book></bib>`
+	// One committed append first, so the titles have a page of their own.
+	refFS, refMem := buildCrashRepo(t, 1)
+	wantOld := xmlOf(t, "repo", refFS)
+	ref, _ := crashAppend(t, refFS, refMem, frag, -1)
+	ref.Close()
+	wantNew := xmlOf(t, "repo", refFS)
+
+	countFS, _ := buildCrashRepo(t, 1)
+	total1 := appendWrites(t, countFS, crashFrag)
+	rolledBack := 0
+	for n1 := int64(0); n1 <= total1; n1++ {
+		// crashFirst leaves the first append crashed after n1 writes.
+		crashFirst := func() (*storage.FaultFS, *storage.MemFS, *Repository) {
+			ff, mem := buildCrashRepo(t, 1)
+			repo, _ := crashAppend(t, ff, mem, crashFrag, n1)
+			return ff, mem, repo
 		}
-		reopened.Close()
-		got := buf.String()
-		if got != wantOld && got != wantNew {
-			t.Fatalf("crash@%d: document is neither pre- nor post-append state", n)
+		ff, _, repo := crashFirst()
+		ahead := directoryAhead(t, ff, repo)
+		repo.Close()
+		if !ahead {
+			continue
 		}
-		if appendErr == nil && got != wantNew {
-			t.Fatalf("crash@%d: append reported success but document rolled back", n)
+		rolledBack++
+		total2 := appendWrites(t, ff, frag)
+		for n2 := int64(0); n2 <= total2; n2++ {
+			ff, mem, repo := crashFirst()
+			repo.Close()
+			reopened, appendErr := crashAppend(t, ff, mem, frag, n2)
+			var buf bytes.Buffer
+			if err := reopened.WriteXML(&buf); err != nil {
+				t.Fatalf("first crash@%d, second crash@%d: reconstruct: %v", n1, n2, err)
+			}
+			reopened.Close()
+			if got := buf.String(); got != wantOld && got != wantNew || appendErr == nil && got != wantNew {
+				t.Fatalf("first crash@%d, second crash@%d (append err: %v): document is\n%s\nwant\n%s", n1, n2, appendErr, got, wantNew)
+			}
+			if _, err := Fsck("repo", Options{PoolPages: crashPool, FS: ff}); err != nil {
+				t.Fatalf("first crash@%d, second crash@%d: fsck: %v", n1, n2, err)
+			}
 		}
-		if _, err := Fsck("repo", Options{PoolPages: crashPool, FS: ff}); err != nil {
-			t.Fatalf("crash@%d: fsck after crash recovery: %v", n, err)
-		}
+	}
+	if rolledBack == 0 {
+		t.Error("no crash point of the first append left the directory ahead of the skeleton")
 	}
 }

@@ -6,13 +6,12 @@ import (
 	"sort"
 	"strings"
 
-	"vxml/internal/storage"
 	"vxml/internal/vector"
 )
 
 // FsckReport is the result of a clean Fsck run: what was verified, plus
 // warnings for benign anomalies that do not make the repository invalid
-// (orphaned append tails, unreferenced files).
+// (orphaned append pages, unreferenced files).
 type FsckReport struct {
 	Vectors   int64 // vectors fully scanned
 	Values    int64 // values decoded across all vectors
@@ -27,13 +26,16 @@ type FsckReport struct {
 //   - the manifest parses, and every file it lists is present with the
 //     committed size/checksum (or is a newer self-consistent version left
 //     by an interrupted append — reported as a warning, not an error);
-//   - the skeleton decodes under its checksum footer;
-//   - every page of every vector passes its CRC32C trailer and every
-//     record decodes, by scanning each vector end to end;
+//   - the skeleton decodes under its checksum footer, and the vector
+//     directory under its footer and its extent invariants;
+//   - every segment page an extent uses passes its CRC32C trailer and
+//     every extent decodes to exactly its records, by scanning each vector
+//     end to end;
 //   - the skeleton's text-class occurrence counts (the '#'-marker counts)
-//     equal the catalog counts and the scanned vector lengths — the
-//     cross-structure invariant queries rely on;
-//   - files in the directory that nothing references are warned about.
+//     equal the directory counts (Open's reconciliation) and the scanned
+//     vector lengths — the cross-structure invariant queries rely on;
+//   - segment pages past the committed ones, and files in the directory
+//     that nothing references, are warned about.
 //
 // Fsck never panics on hostile input and never writes to the repository.
 func Fsck(dir string, opts Options) (*FsckReport, error) {
@@ -44,13 +46,11 @@ func Fsck(dir string, opts Options) (*FsckReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	stale, err := verifyManifest(fsys, dir, m)
-	if err != nil {
+	if _, stale, err := verifyManifest(fsys, dir, m); err != nil {
 		return nil, err
-	}
-	if stale {
+	} else if stale {
 		rep.Warnings = append(rep.Warnings,
-			"manifest lags a newer committed skeleton/catalog (interrupted append; opening the repository repairs it)")
+			"manifest lags a newer committed skeleton/directory (interrupted append; opening the repository repairs it)")
 	}
 
 	r, err := Open(dir, Options{PoolPages: opts.poolPages(), FS: opts.FS})
@@ -63,46 +63,20 @@ func Fsck(dir string, opts Options) (*FsckReport, error) {
 		return nil, fmt.Errorf("vectorize: fsck: %s is not disk-backed", dir)
 	}
 
-	// Cross-check the skeleton against the catalog: every text class's
-	// occurrence count (how many '#' markers its runs cover) must have a
-	// matching vector with exactly that many values.
-	referenced := map[string]bool{
-		skeletonFile:       true,
-		vector.CatalogName: true,
-		ManifestName:       true,
-	}
-	for _, id := range r.Classes.TextClasses() {
-		name := r.Classes.VectorName(id)
-		want := r.Classes.Count(id)
-		got, ok := set.Count(name)
-		if !ok {
-			return nil, fmt.Errorf("vectorize: fsck: skeleton text class %s has %d occurrences but no vector in the catalog: %w",
-				name, want, storage.ErrCorrupt)
-		}
-		if got != want {
-			return nil, fmt.Errorf("vectorize: fsck: vector %q: skeleton counts %d occurrences, catalog records %d values: %w",
-				name, want, got, storage.ErrCorrupt)
-		}
-		if file, ok := set.FileOf(name); ok {
-			referenced[file] = true
-		}
-	}
-	catalogOnly := 0
-	for _, name := range set.Names() {
-		if file, ok := set.FileOf(name); ok {
-			if !referenced[file] {
-				catalogOnly++
-			}
-			referenced[file] = true
-		}
-	}
-	if catalogOnly > 0 {
+	// Open has reconciled the directory with the skeleton: every text
+	// class's occurrence count (how many '#' markers its runs cover) is its
+	// vector's count, or Open failed.
+	if n := set.Len() - len(r.Classes.TextClasses()); n > 0 {
 		rep.Warnings = append(rep.Warnings,
-			fmt.Sprintf("%d cataloged vector(s) not reachable from the skeleton", catalogOnly))
+			fmt.Sprintf("%d vector(s) in the directory not reachable from the skeleton", n))
+	}
+	if n := set.Segment().NumPages() - set.Pages(); n > 0 {
+		rep.Warnings = append(rep.Warnings,
+			fmt.Sprintf("%d segment page(s) past the %d committed (an interrupted append; the next append cuts them)", n, set.Pages()))
 	}
 
 	// Full scan of every vector: reads every page through the CRC-checking
-	// pool path and decodes every record.
+	// pool path and decodes every extent.
 	before := r.Store.Pool().StatsSnapshot()
 	for _, name := range set.Names() {
 		v, err := set.Vector(name)
@@ -113,20 +87,14 @@ func Fsck(dir string, opts Options) (*FsckReport, error) {
 		if err := v.Scan(0, v.Len(), func(int64, []byte) error { n++; return nil }); err != nil {
 			return nil, fmt.Errorf("vectorize: fsck: scan vector %q: %w", name, err)
 		}
-		if want, _ := set.Count(name); n != want {
-			return nil, fmt.Errorf("vectorize: fsck: vector %q: scanned %d values, catalog records %d: %w",
-				name, n, want, storage.ErrCorrupt)
-		}
 		rep.Vectors++
 		rep.Values += n
 	}
 	after := r.Store.Pool().StatsSnapshot()
 	rep.PagesRead = after.PagesRead - before.PagesRead
 
-	// Anything on disk that neither the manifest nor the catalog accounts
-	// for. Orphan tails live inside referenced files; whole unreferenced
-	// files are stranded space (a crashed Create never leaves these inside
-	// dir, but users copy things around).
+	// Anything on disk the manifest does not account for (a crashed Create
+	// never leaves these inside dir, but users copy things around).
 	entries, err := fsys.ReadDir(dir)
 	if err != nil {
 		return nil, err
@@ -134,10 +102,7 @@ func Fsck(dir string, opts Options) (*FsckReport, error) {
 	var orphans []string
 	for _, e := range entries {
 		name := e.Name()
-		if e.IsDir() || referenced[name] || strings.HasSuffix(name, ".tmp") {
-			continue
-		}
-		if _, listed := m.Files[name]; listed {
+		if _, listed := m.Files[name]; e.IsDir() || listed || name == ManifestName || strings.HasSuffix(name, ".tmp") {
 			continue
 		}
 		orphans = append(orphans, name)

@@ -52,16 +52,14 @@ type Repository struct {
 // every committed Append. Safe to read concurrently with queries.
 func (r *Repository) Epoch() uint64 { return r.epoch.Load() }
 
-const skeletonFile = "skeleton.bin"
-
 // Options configures repository creation and opening.
 type Options struct {
 	// PoolPages is the buffer pool capacity in 8 KiB pages (default 4096,
 	// i.e. 32 MiB — the paper used a 1 GB pool for gigabyte datasets).
 	PoolPages int
-	// Compress stores data vectors DEFLATE-compressed per page (the §6
+	// Compress stores data vectors DEFLATE-compressed per extent (the §6
 	// extension: less I/O for more CPU). Applies to Create only; Open
-	// detects the format from the catalog.
+	// detects it from the vector directory, and appends keep it.
 	Compress bool
 	// FS is the filesystem the repository lives on; nil means the real OS
 	// filesystem. Tests inject fault-injecting or crash-simulating
@@ -107,9 +105,11 @@ func Create(r io.Reader, dir string, opts Options) (*Repository, error) {
 		return nil, err
 	}
 	syms := xmlmodel.NewSymbols()
-	set := vector.CreateDiskSet(store)
-	set.SetCompression(opts.Compress)
-	sink := NewDiskSink(set)
+	sink, err := NewStoreSink(store, opts.Compress)
+	if err != nil {
+		store.Close()
+		return nil, err
+	}
 	skel, err := VectorizeStream(r, syms, sink)
 	if err != nil {
 		store.Close()
@@ -119,7 +119,7 @@ func Create(r io.Reader, dir string, opts Options) (*Repository, error) {
 		store.Close()
 		return nil, err
 	}
-	if err := CommitStore(store, skel, syms, set); err != nil {
+	if err := CommitStore(store, skel, syms, sink.Set); err != nil {
 		store.Close()
 		return nil, err
 	}
@@ -132,12 +132,12 @@ func Create(r io.Reader, dir string, opts Options) (*Repository, error) {
 	return Open(dir, opts)
 }
 
-// CommitStore makes a store directory a complete repository: the skeleton
-// goes down checksummed and atomic, every vector page and file is flushed
-// and fsynced, and the manifest is written last. Shared by Create and the
+// CommitStore makes a store directory whose vector set is committed (its
+// sink closed) a complete repository: the skeleton goes down checksummed
+// and atomic, and the manifest is written last. Shared by Create and the
 // engine's EvalToDir.
 func CommitStore(store *storage.Store, skel *skeleton.Skeleton, syms *xmlmodel.Symbols, set *vector.DiskSet) error {
-	return commitRepository(store.FS(), store, store.Dir(), skel, syms, set)
+	return commitSkeleton(store.FS(), store.Dir(), skel, syms, set)
 }
 
 // PromoteBuild moves a finished, fully-committed build directory into
@@ -163,7 +163,9 @@ func PromoteBuild(fsys storage.FS, building, dir string) error {
 	return fsys.SyncDir(filepath.Dir(dir))
 }
 
-func commitRepository(fsys storage.FS, store *storage.Store, dir string, skel *skeleton.Skeleton, syms *xmlmodel.Symbols, set *vector.DiskSet) error {
+// commitSkeleton writes the skeleton, then the manifest: the last two
+// steps of every commit, after the vector set's own.
+func commitSkeleton(fsys storage.FS, dir string, skel *skeleton.Skeleton, syms *xmlmodel.Symbols, set *vector.DiskSet) error {
 	var buf bytes.Buffer
 	if err := skeleton.Encode(&buf, skel, syms); err != nil {
 		return err
@@ -171,14 +173,7 @@ func commitRepository(fsys storage.FS, store *storage.Store, dir string, skel *s
 	if err := storage.WriteFileAtomic(fsys, filepath.Join(dir, skeletonFile), buf.Bytes()); err != nil {
 		return err
 	}
-	if err := store.SyncAll(); err != nil {
-		return err
-	}
-	vecPages, err := set.Files()
-	if err != nil {
-		return err
-	}
-	return writeManifest(fsys, dir, vecPages)
+	return writeManifest(fsys, dir, set.Pages())
 }
 
 // Open opens an existing repository: the manifest is validated, the
@@ -196,16 +191,12 @@ func Open(dir string, opts Options) (*Repository, error) {
 	if err != nil {
 		return nil, err
 	}
-	stale, err := verifyManifest(fsys, dir, m)
+	bodies, stale, err := verifyManifest(fsys, dir, m)
 	if err != nil {
 		return nil, err
 	}
-	skelData, err := storage.ReadFileChecksummed(fsys, filepath.Join(dir, skeletonFile))
-	if err != nil {
-		return nil, fmt.Errorf("vectorize: open repository: %w", err)
-	}
 	syms := xmlmodel.NewSymbols()
-	skel, err := skeleton.Decode(bytes.NewReader(skelData), syms)
+	skel, err := skeleton.Decode(bytes.NewReader(bodies[skeletonFile]), syms)
 	if err != nil {
 		return nil, fmt.Errorf("vectorize: decode %s: %v: %w", skeletonFile, err, storage.ErrCorrupt)
 	}
@@ -213,52 +204,23 @@ func Open(dir string, opts Options) (*Repository, error) {
 	if err != nil {
 		return nil, err
 	}
-	set, err := vector.OpenDiskSet(store)
+	classes := skeleton.NewClasses(skel, syms)
+	set, err := vector.OpenDiskSet(store, vectorStem, bodies[directoryFile])
+	if err == nil {
+		err = reconcile(classes, set)
+	}
+	if err == nil && stale {
+		// The skeleton or directory on disk is a newer committed version
+		// than the manifest records — an append was interrupted after its
+		// last file commit. The files are authoritative; bring the manifest
+		// back in step.
+		if err = writeManifest(fsys, dir, set.Pages()); err != nil {
+			err = fmt.Errorf("vectorize: repair manifest: %w", err)
+		}
+	}
 	if err != nil {
 		store.Close()
 		return nil, err
-	}
-	classes := skeleton.NewClasses(skel, syms)
-	// Reconcile the catalog against the skeleton. The skeleton is the last
-	// file an append commits, so it is the authority: a catalog count above
-	// the skeleton's occurrence count is the half-committed tail of an
-	// append that crashed between its catalog and skeleton commits — roll
-	// it back and the repository reads exactly as before that append. A
-	// catalog count below the skeleton's is lost committed data.
-	for _, id := range classes.TextClasses() {
-		name := classes.VectorName(id)
-		want := classes.Count(id)
-		got, ok := set.Count(name)
-		if !ok {
-			store.Close()
-			return nil, fmt.Errorf("vectorize: open repository: skeleton text class %s (%d occurrences) has no cataloged vector: %w",
-				name, want, storage.ErrCorrupt)
-		}
-		if got < want {
-			store.Close()
-			return nil, fmt.Errorf("vectorize: open repository: vector %q: skeleton references %d values but catalog committed only %d: %w",
-				name, want, got, storage.ErrCorrupt)
-		}
-		if got > want {
-			if err := set.Rollback(name, want); err != nil {
-				store.Close()
-				return nil, err
-			}
-		}
-	}
-	if stale {
-		// The skeleton or catalog on disk is a newer committed version than
-		// the manifest records — an append was interrupted after its last
-		// file commit. The files are authoritative; bring the manifest back
-		// in step.
-		vecPages, err := set.Files()
-		if err == nil {
-			err = writeManifest(fsys, dir, vecPages)
-		}
-		if err != nil {
-			store.Close()
-			return nil, fmt.Errorf("vectorize: repair manifest: %w", err)
-		}
 	}
 	return &Repository{
 		Dir:     dir,
@@ -269,6 +231,49 @@ func Open(dir string, opts Options) (*Repository, error) {
 		Vectors: set,
 		Health:  storage.NewHealth(),
 	}, nil
+}
+
+// reconcile rolls the vector directory back to the skeleton. The skeleton
+// is the last file an append commits, so it is the authority: a count
+// above the skeleton's occurrence count is the half-committed tail of an
+// append that crashed between its directory and skeleton commits — cut it
+// off and the repository reads exactly as before that append — and a
+// vector no text class reaches is such an append's new path, cut to
+// nothing. A count below the skeleton's is lost committed data.
+func reconcile(classes *skeleton.Classes, set *vector.DiskSet) error {
+	texts := classes.TextClasses()
+	for _, id := range texts {
+		name := classes.VectorName(id)
+		want := classes.Count(id)
+		got, ok := set.Count(name)
+		switch {
+		case !ok:
+			return fmt.Errorf("vectorize: open repository: skeleton text class %s (%d occurrences) has no vector in the directory: %w",
+				name, want, storage.ErrCorrupt)
+		case got < want:
+			return fmt.Errorf("vectorize: open repository: vector %q: skeleton references %d values but the directory committed only %d: %w",
+				name, want, got, storage.ErrCorrupt)
+		case got > want:
+			if err := set.Rollback(name, want); err != nil {
+				return err
+			}
+		}
+	}
+	if set.Len() == len(texts) {
+		return nil
+	}
+	reached := make(map[string]bool, len(texts))
+	for _, id := range texts {
+		reached[classes.VectorName(id)] = true
+	}
+	for _, name := range set.Names() {
+		if !reached[name] {
+			if err := set.Rollback(name, 0); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
 // Close flushes and closes the underlying store.
@@ -357,14 +362,14 @@ func FromString(doc string, syms *xmlmodel.Symbols) (*MemRepository, error) {
 // positions stay aligned with the grown classes), and the skeleton file
 // is rewritten, which is cheap because skeletons are small.
 //
-// The commit order makes a crash at any point recoverable: vector pages
-// are flushed and their files fsynced first, then the catalog, then the
-// skeleton (each checksummed and renamed into place atomically), then the
-// manifest. Appends only ever extend vector tails that the previous
-// skeleton and catalog never reference, so every prefix of the sequence
-// leaves a repository that opens and queries consistently — either fully
-// pre-append, fully post-append, or post-append with a manifest one step
-// behind, which Open repairs.
+// The commit order makes a crash at any point recoverable: segment pages
+// are flushed and the segment fsynced first, then the vector directory,
+// then the skeleton (each checksummed and renamed into place atomically),
+// then the manifest. Appends only ever write past the committed bytes of
+// a vector's own tail page, or to new pages, so every prefix of the
+// sequence leaves a repository that opens and queries consistently —
+// either fully pre-append, fully post-append, or post-append with a
+// manifest one step behind, which Open repairs.
 func (r *Repository) Append(frag io.Reader) error {
 	set, ok := r.Vectors.(*vector.DiskSet)
 	if !ok {
@@ -373,7 +378,7 @@ func (r *Repository) Append(frag io.Reader) error {
 	b := skeleton.NewBuilder()
 	oldRoot := b.Import(r.Skel.Root)
 
-	sink := NewAppendSink(set)
+	sink := NewDiskSink(set)
 	vz := NewVectorizer(r.Syms, sink)
 	vz.UseBuilder(b)
 	if err := xmlmodel.NewParser(frag, r.Syms).Run(vz); err != nil {
@@ -401,22 +406,9 @@ func (r *Repository) Append(frag io.Reader) error {
 	final := skeleton.NewBuilder()
 	newSkel := final.Finish(final.Import(newRoot))
 
-	// Commit the new skeleton (checksummed, fsynced, renamed into place,
-	// parent directory fsynced), then the manifest. sink.Close above already
-	// committed the vector data and catalog durably in that order.
-	fsys := r.Store.FS()
-	var buf bytes.Buffer
-	if err := skeleton.Encode(&buf, newSkel, r.Syms); err != nil {
-		return err
-	}
-	if err := storage.WriteFileAtomic(fsys, filepath.Join(r.Dir, skeletonFile), buf.Bytes()); err != nil {
-		return err
-	}
-	vecPages, err := set.Files()
-	if err != nil {
-		return err
-	}
-	if err := writeManifest(fsys, r.Dir, vecPages); err != nil {
+	// sink.Close above committed the segment and directory; the skeleton
+	// and then the manifest follow.
+	if err := commitSkeleton(r.Store.FS(), r.Dir, newSkel, r.Syms, set); err != nil {
 		return err
 	}
 	r.Skel = newSkel

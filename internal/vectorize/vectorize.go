@@ -2,14 +2,17 @@
 // document into its vectorized representation VEC(T) = (S, V) in a single
 // linear pass (Prop. 2.1), reconstructs the document losslessly from
 // (S, V) (Prop. 2.2), and manages on-disk repositories holding a skeleton
-// file plus one clustered vector file per root-to-text path.
+// file plus the vectors of every root-to-text path, packed into one
+// segment behind one directory.
 package vectorize
 
 import (
 	"fmt"
 	"io"
+	"sort"
 
 	"vxml/internal/skeleton"
+	"vxml/internal/storage"
 	"vxml/internal/vector"
 	"vxml/internal/xmlmodel"
 )
@@ -37,18 +40,29 @@ func (m MemSink) Append(name string, val []byte) error {
 	return nil
 }
 
-// DiskSink appends into a DiskSet, creating vector writers lazily.
-// Call Close after the parse to finalize all vectors. The vector writers
-// copy val into their own pages before returning, satisfying the Sink
-// contract.
+// DiskSink appends into a DiskSet: to the end of existing vectors, and
+// into vectors it creates for new paths, with one writer per vector opened
+// on its first value. Call Close after the parse to finalize all vectors
+// and commit the set. The vector writers copy val before returning,
+// satisfying the Sink contract.
 type DiskSink struct {
 	Set     *vector.DiskSet
-	writers map[string]vector.SetWriter
+	writers map[string]*vector.Writer
 }
 
-// NewDiskSink returns a sink writing into set.
+// NewDiskSink returns a sink appending into set.
 func NewDiskSink(set *vector.DiskSet) *DiskSink {
-	return &DiskSink{Set: set, writers: make(map[string]vector.SetWriter)}
+	return &DiskSink{Set: set, writers: make(map[string]*vector.Writer)}
+}
+
+// NewStoreSink starts a repository's empty vector set in store and returns
+// a sink writing into it — the bulk build of Create and EvalToDir.
+func NewStoreSink(store *storage.Store, compress bool) (*DiskSink, error) {
+	set, err := vector.CreateDiskSet(store, vectorStem, compress)
+	if err != nil {
+		return nil, err
+	}
+	return NewDiskSink(set), nil
 }
 
 // Append implements Sink.
@@ -56,8 +70,7 @@ func (d *DiskSink) Append(name string, val []byte) error {
 	w, ok := d.writers[name]
 	if !ok {
 		var err error
-		w, err = d.Set.NewWriter(name)
-		if err != nil {
+		if w, err = d.Set.AppendWriter(name); err != nil {
 			return err
 		}
 		d.writers[name] = w
@@ -65,10 +78,17 @@ func (d *DiskSink) Append(name string, val []byte) error {
 	return w.Append(val)
 }
 
-// Close finalizes all vectors and saves the catalog.
+// Close finalizes every vector written to, in name order — so vectors
+// sharing a path prefix pack their tails side by side — and commits the
+// set: segment pages fsynced, then the directory.
 func (d *DiskSink) Close() error {
-	for name, w := range d.writers {
-		if err := d.Set.CloseVector(name, w); err != nil {
+	names := make([]string, 0, len(d.writers))
+	for name := range d.writers {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		if err := d.writers[name].Close(); err != nil {
 			return err
 		}
 	}
@@ -192,43 +212,3 @@ func VectorizeTree(root *xmlmodel.Node, syms *xmlmodel.Symbols) (*skeleton.Skele
 // UseBuilder replaces the vectorizer's hash-cons builder, so fragments can
 // be built into an existing skeleton's builder (used by Repository.Append).
 func (v *Vectorizer) UseBuilder(b *skeleton.Builder) { v.builder = b }
-
-// AppendSink writes values to the END of existing DiskSet vectors (creating
-// vectors for newly appearing paths) — the incremental-maintenance sink.
-type AppendSink struct {
-	Set     *vector.DiskSet
-	writers map[string]vector.SetWriter
-}
-
-// NewAppendSink returns a sink appending into set.
-func NewAppendSink(set *vector.DiskSet) *AppendSink {
-	return &AppendSink{Set: set, writers: make(map[string]vector.SetWriter)}
-}
-
-// Append implements Sink.
-func (d *AppendSink) Append(name string, val []byte) error {
-	w, ok := d.writers[name]
-	if !ok {
-		var err error
-		w, err = d.Set.AppendWriter(name)
-		if err != nil {
-			return err
-		}
-		d.writers[name] = w
-	}
-	return w.Append(val)
-}
-
-// Close finalizes all touched vectors and saves the catalog durably: the
-// touched vectors' files are fsynced before the catalog commits, so the
-// catalog never records counts whose data could be lost by a crash.
-func (d *AppendSink) Close() error {
-	touched := make([]string, 0, len(d.writers))
-	for name, w := range d.writers {
-		if err := d.Set.CloseVector(name, w); err != nil {
-			return err
-		}
-		touched = append(touched, name)
-	}
-	return d.Set.SaveSync(touched)
-}

@@ -180,8 +180,17 @@ func TestSkeletonFileOnDisk(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(dir, "skeleton.bin")); err != nil {
 		t.Errorf("skeleton file missing: %v", err)
 	}
-	if _, err := os.Stat(filepath.Join(dir, "vectors.json")); err != nil {
-		t.Errorf("vector catalog missing: %v", err)
+	for _, name := range []string{"vectors.dir", "vectors.seg", ManifestName} {
+		if _, err := os.Stat(filepath.Join(dir, name)); err != nil {
+			t.Errorf("%s missing: %v", name, err)
+		}
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 4 {
+		t.Errorf("repository holds %d files, want 4 (skeleton, vector directory and segment, manifest)", len(entries))
 	}
 }
 
