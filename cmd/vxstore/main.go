@@ -315,8 +315,8 @@ func cmdQuery(args []string) error {
 	fmt.Println()
 	if *stats {
 		s := eng.Stats()
-		fmt.Fprintf(os.Stderr, "tuples=%d vectors-opened=%d values-scanned=%d rows=%d runs-expanded=%d index-hits=%d memo-hits=%d\n",
-			s.Tuples, s.VectorsOpened, s.ValuesScanned, s.RowsProduced, s.RunsExpanded, s.IndexHits, s.MemoHits)
+		fmt.Fprintf(os.Stderr, "tuples=%d vectors-opened=%d values-scanned=%d rows=%d runs-expanded=%d index-hits=%d\n",
+			s.Tuples, s.VectorsOpened, s.ValuesScanned, s.RowsProduced, s.RunsExpanded, s.IndexHits)
 	}
 	return nil
 }

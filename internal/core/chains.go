@@ -1,8 +1,7 @@
 package core
 
 import (
-	"fmt"
-	"sort"
+	"slices"
 
 	"vxml/internal/skeleton"
 	"vxml/internal/xmlmodel"
@@ -14,39 +13,10 @@ import (
 // wildcard can resolve to several target classes; each gets its own chain.
 
 // resolveTargets returns the set of classes reachable from src via the
-// steps, sorted by class id. An empty step list resolves to {src}.
-// Results are memoized per (source class, path): descendant-axis queries
-// re-resolve the same pair once per table segment, and concurrent
-// evaluations share the memo under the engine's memo lock.
+// steps, sorted by class id. An empty step list resolves to {src}. It has
+// no side effects: an op resolves each source class once (pathRes), and
+// CheckPlan walks the same code.
 func (e *Engine) resolveTargets(src skeleton.ClassID, steps []xq.Step) []skeleton.ClassID {
-	out, _ := e.resolveTargetsHit(src, steps)
-	return out
-}
-
-// resolveTargetsHit additionally reports whether the memo answered.
-func (e *Engine) resolveTargetsHit(src skeleton.ClassID, steps []xq.Step) ([]skeleton.ClassID, bool) {
-	key := targetKey(src, steps)
-	e.memoMu.Lock()
-	out, ok := e.targetMemo[key]
-	e.memoMu.Unlock()
-	if ok {
-		return out, true
-	}
-	out = e.resolveTargetsUncached(src, steps)
-	e.memoMu.Lock()
-	if e.targetMemo == nil {
-		e.targetMemo = make(map[string][]skeleton.ClassID)
-	}
-	e.targetMemo[key] = out
-	e.memoMu.Unlock()
-	return out, false
-}
-
-func targetKey(src skeleton.ClassID, steps []xq.Step) string {
-	return fmt.Sprintf("%d|%s", src, xq.Path{Steps: steps})
-}
-
-func (e *Engine) resolveTargetsUncached(src skeleton.ClassID, steps []xq.Step) []skeleton.ClassID {
 	cur := map[skeleton.ClassID]bool{src: true}
 	for _, s := range steps {
 		next := map[skeleton.ClassID]bool{}
@@ -89,8 +59,162 @@ func (e *Engine) resolveTargetsUncached(src skeleton.ClassID, steps []xq.Step) [
 	for c := range cur {
 		out = append(out, c)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
+}
+
+// chain is one target of an op's path from one source class.
+type chain struct {
+	dst  skeleton.ClassID   // the target class; for a value op, its text class
+	down []*skeleton.Cursor // one cursor per class below the source, down to dst
+	slot int                // value ops: index of dst in pathRes.texts
+}
+
+// pathRes is one op's resolution of its path: the chains from each source
+// class, resolved on first use and kept for the rest of the op, so a
+// class-set column resolves each of its classes once however many rows
+// it has. For a value op (text set) targets extend to their text child,
+// targets without one are skipped, and each distinct text class gets a
+// vector slot.
+type pathRes struct {
+	x     *evalContext
+	steps []xq.Step
+	text  bool
+	by    map[skeleton.ClassID][]chain
+	texts []skeleton.ClassID // text class of each vector slot
+	slots map[skeleton.ClassID]int
+}
+
+func (x *evalContext) paths(steps []xq.Step, text bool) *pathRes {
+	return &pathRes{x: x, steps: steps, text: text, by: map[skeleton.ClassID][]chain{}, slots: map[skeleton.ClassID]int{}}
+}
+
+// from returns the chains from source class src. It resolves on first
+// use, so only the serial part of an op may call it for a new class.
+func (p *pathRes) from(src skeleton.ClassID) []chain {
+	if chains, ok := p.by[src]; ok {
+		return chains
+	}
+	e := p.x.e
+	var chains []chain
+	for _, dst := range e.resolveTargets(src, p.steps) {
+		ch := chain{dst: dst}
+		if p.text {
+			if ch.dst = e.textTarget(dst); ch.dst == skeleton.NoClass {
+				continue
+			}
+			slot, ok := p.slots[ch.dst]
+			if !ok {
+				slot = len(p.texts)
+				p.slots[ch.dst] = slot
+				p.texts = append(p.texts, ch.dst)
+			}
+			ch.slot = slot
+		}
+		ch.down = e.chainCursors(src, ch.dst)
+		chains = append(chains, ch)
+	}
+	p.by[src] = chains
+	return chains
+}
+
+// scanRow is one row of a scan fan-out (pathRes.scan): chunk ci's row ri,
+// its class and occurrence in the scanned column, the op's chains from
+// that class, and the chunk's readers.
+type scanRow struct {
+	ci, ri int
+	class  skeleton.ClassID
+	occ    int64
+	chains []chain
+	rs     chunkReaders
+}
+
+// scan fans a value scan of column col out over seg's rows in nch chunks,
+// calling fn for each row. Rows go by their column entry, so a class-set
+// column's classes are contiguous and every vector is read forward, and
+// no chunk boundary splits a class. A chunk reads a vector through the
+// evaluation's reader (readerFor) when it is the first chunk to need the
+// vector, and through a reader of its own otherwise — so with one worker,
+// or chunks that share no vector, each extent is decoded once per
+// evaluation. Slots that a non-nil indexed reports are served without a
+// scan and never opened; it is called once per slot, before the fan-out.
+func (p *pathRes) scan(seg *Segment, col, nch int, indexed func(slot int, text skeleton.ClassID) bool, fn func(r scanRow) error) error {
+	classes := seg.classesOf(col)
+	for _, c := range classes {
+		p.from(c)
+	}
+	shared := make([]*reader, len(p.texts))
+	for slot, text := range p.texts {
+		if indexed == nil || !indexed(slot, text) {
+			var err error
+			if shared[slot], err = p.x.readerFor(text); err != nil {
+				return err
+			}
+		}
+	}
+	keys := seg.byEntry(col)
+	bounds := make([]int, nch+1)
+	for ci := 0; ci < nch; ci++ {
+		hi := max(bounds[ci], len(keys)*(ci+1)/nch)
+		for len(classes) > 1 && hi > 0 && hi < len(keys) && keys[hi].entry>>occBits == keys[hi-1].entry>>occBits {
+			hi++
+		}
+		bounds[ci+1] = hi
+	}
+	owner := make([]int, len(p.texts))
+	for ci := nch - 1; ci >= 0; ci-- { // the first chunk to need a slot owns it
+		prev := skeleton.NoClass
+		for _, k := range keys[bounds[ci]:bounds[ci+1]] {
+			if c, _ := seg.at(col, k.entry); c != prev {
+				prev = c
+				for _, ch := range p.by[c] {
+					owner[ch.slot] = ci
+				}
+			}
+		}
+	}
+	return parallelFor(p.x.ctx, p.x.e.workers(), nch, func(ci int) error {
+		r := scanRow{ci: ci, class: skeleton.NoClass, rs: chunkReaders{ci: ci, shared: shared, owner: owner, own: make([]*reader, len(shared))}}
+		defer r.rs.close()
+		for _, k := range keys[bounds[ci]:bounds[ci+1]] {
+			c, occ := seg.at(col, k.entry)
+			if c != r.class {
+				r.class, r.chains = c, p.by[c]
+			}
+			r.ri, r.occ = k.row, occ
+			if err := fn(r); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+}
+
+// chunkReaders are one scan chunk's readers (see pathRes.scan).
+type chunkReaders struct {
+	ci     int
+	shared []*reader // the evaluation's reader of each slot
+	owner  []int     // the chunk that reads each slot through shared
+	own    []*reader // this chunk's readers of the other slots, made on first use
+}
+
+func (rs chunkReaders) get(ch *chain) *reader {
+	if rs.owner[ch.slot] == rs.ci {
+		return rs.shared[ch.slot]
+	}
+	if rs.own[ch.slot] == nil {
+		sh := rs.shared[ch.slot]
+		rs.own[ch.slot] = sh.x.newReader(sh.class, sh.vec)
+	}
+	return rs.own[ch.slot]
+}
+
+func (rs chunkReaders) close() {
+	for _, rd := range rs.own {
+		if rd != nil {
+			rd.Close()
+		}
+	}
 }
 
 // descendantElements returns all element classes strictly below c.
@@ -104,39 +228,28 @@ func (e *Engine) descendantElements(c skeleton.ClassID) []skeleton.ClassID {
 			if e.Classes.IsText(k) {
 				continue
 			}
-			//vx:alloc once per '//*' resolution: resolveTargets memoizes per (class, path), opBind and CheckPlan call it once per query
+			//vx:alloc once per '//*' resolution: an op resolves each source class once (pathRes)
 			out = append(out, k)
 			queue = append(queue, k)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
-// chainBetween returns the class path (src, dst] — every class strictly
-// below src down to dst. dst must be a (transitive) child of src.
-func (e *Engine) chainBetween(src, dst skeleton.ClassID) []skeleton.ClassID {
-	var rev []skeleton.ClassID
+// chainCursors returns the shared per-class cursors of the class path
+// (src, dst] — every class strictly below src down to dst, which must lie
+// below src — for descending spans (ChildSpan) and ascending positions
+// (ParentOf). Cursors are stateless, so sharing them is safe.
+func (e *Engine) chainCursors(src, dst skeleton.ClassID) []*skeleton.Cursor {
+	var curs []*skeleton.Cursor
 	for c := dst; c != src; c = e.Classes.Parent(c) {
-		rev = append(rev, c)
 		if c == skeleton.NoClass {
-			panic("core: chainBetween: dst not under src")
+			panic("core: chainCursors: dst not under src")
 		}
+		curs = append(curs, e.Classes.Cursor(c))
 	}
-	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
-		rev[i], rev[j] = rev[j], rev[i]
-	}
-	return rev
-}
-
-// chainCursors returns the shared per-class cursors along a chain, for
-// descending spans (ChildSpan) and ascending positions (ParentOf).
-// Cursors are stateless, so sharing them across operations is safe.
-func (e *Engine) chainCursors(chain []skeleton.ClassID) []*skeleton.Cursor {
-	curs := make([]*skeleton.Cursor, len(chain))
-	for i, c := range chain {
-		curs[i] = e.Classes.Cursor(c)
-	}
+	slices.Reverse(curs)
 	return curs
 }
 

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -49,7 +51,6 @@ type EvalStats struct {
 	Tuples        int64 // final value tuples passed to the result skeleton
 	RunsExpanded  int64 // rows materialized by expanding run-compressed rows
 	IndexHits     int64 // predicates served from a VectorIndex instead of a scan
-	MemoHits      int64 // target/span/chain resolutions answered from engine memos
 }
 
 // add accumulates another stats snapshot (used to total per-op deltas).
@@ -60,7 +61,6 @@ func (s *EvalStats) add(d EvalStats) {
 	s.Tuples += d.Tuples
 	s.RunsExpanded += d.RunsExpanded
 	s.IndexHits += d.IndexHits
-	s.MemoHits += d.MemoHits
 }
 
 // delta returns s - prev, field-wise.
@@ -72,7 +72,6 @@ func (s EvalStats) delta(prev EvalStats) EvalStats {
 		Tuples:        s.Tuples - prev.Tuples,
 		RunsExpanded:  s.RunsExpanded - prev.RunsExpanded,
 		IndexHits:     s.IndexHits - prev.IndexHits,
-		MemoHits:      s.MemoHits - prev.MemoHits,
 	}
 }
 
@@ -81,8 +80,7 @@ func (s EvalStats) delta(prev EvalStats) EvalStats {
 // An Engine is safe for concurrent use: every Eval/EvalToDir call builds
 // its own evalContext holding all mutable per-evaluation state (stats,
 // lazily opened vectors, instantiation tables), while the engine itself
-// keeps only immutable inputs plus mutex-guarded caches that are pure
-// functions of the skeleton (target/span/chain memos, value indexes).
+// keeps only immutable inputs plus the mutex-guarded value indexes.
 // Build indexes with BuildVectorIndex before serving queries when
 // possible; concurrent builds are safe but serialize.
 type Engine struct {
@@ -98,11 +96,6 @@ type Engine struct {
 	// repositories) disables both — every storage.Health method is
 	// nil-safe.
 	Health *storage.Health
-
-	memoMu     sync.Mutex                                 // guards the skeleton-derived memos below
-	targetMemo map[string][]skeleton.ClassID              // guarded by memoMu
-	spanMemo   map[[2]skeleton.ClassID][]span             // guarded by memoMu
-	chainMemo  map[[2]skeleton.ClassID][]*skeleton.Cursor // guarded by memoMu
 
 	idxMu   sync.RWMutex                      // guards indexes
 	indexes map[skeleton.ClassID]*VectorIndex // guarded by idxMu
@@ -156,7 +149,7 @@ type evalContext struct {
 	trace *Trace         // nil unless this evaluation is being traced
 	meter *obs.TaskMeter // per-query attribution; nil-safe, may be nil
 
-	vecs    map[skeleton.ClassID]vector.Vector // text class -> opened vector
+	rds     map[skeleton.ClassID]*reader // text class -> the evaluation's reader (readerFor)
 	tables  []*Table
 	varTabs map[string]int // var -> index into tables
 }
@@ -169,7 +162,7 @@ func newEvalContext(e *Engine, ctx context.Context) *evalContext {
 		e:       e,
 		ctx:     ctx,
 		meter:   obs.MeterFrom(ctx),
-		vecs:    make(map[skeleton.ClassID]vector.Vector),
+		rds:     make(map[skeleton.ClassID]*reader),
 		varTabs: make(map[string]int),
 	}
 }
@@ -191,17 +184,20 @@ func SetTaskTelemetry(on bool) bool {
 	return prev
 }
 
-// vectorFor lazily opens the data vector of a text class, as the view
-// that charges page faults to the query's meter and honors its context
-// during transient-read retry. It is called from the serial part of every
-// operation (never inside a scan fan-out), so the per-evaluation cache
-// needs no lock. Values are read through newReader, never from the view
-// directly.
+// readerFor returns the evaluation's reader of a text class's vector,
+// opening the vector on first use as the view that charges page faults to
+// the query's meter and honors its context during transient-read retry.
+// The ops, the chunk of a scan fan-out that owns the vector and result
+// emission all read through this one reader, so its cursor resumes across
+// them and a pass in document order decodes each extent once per
+// evaluation. It is called from the serial part of an operation (never
+// inside a scan fan-out), so the cache needs no lock; closeReaders
+// releases the readers when the evaluation ends.
 //
 //vx:rawvector the one open every reader (and so every cancel poll) is built on
-func (x *evalContext) vectorFor(c skeleton.ClassID) (vector.Vector, error) {
-	if v, ok := x.vecs[c]; ok {
-		return v, nil
+func (x *evalContext) readerFor(c skeleton.ClassID) (*reader, error) {
+	if rd, ok := x.rds[c]; ok {
+		return rd, nil
 	}
 	e := x.e
 	name := e.Classes.VectorName(c)
@@ -229,10 +225,17 @@ func (x *evalContext) vectorFor(c skeleton.ClassID) (vector.Vector, error) {
 			v = cv.WithContext(x.ctx)
 		}
 	}
-	x.vecs[c] = v
+	rd := x.newReader(c, v)
+	x.rds[c] = rd
 	x.stats.VectorsOpened++
 	x.meter.VectorOpen()
-	return v, nil
+	return rd, nil
+}
+
+func (x *evalContext) closeReaders() {
+	for _, rd := range x.rds {
+		rd.Close()
+	}
 }
 
 // cancelCheckStride is how many scanned values may pass between context
@@ -254,15 +257,17 @@ const cancelCheckStride = 4096
 //     (see quarantine).
 type reader struct {
 	cur   vector.Cursor
+	vec   vector.Vector
 	x     *evalContext
 	class skeleton.ClassID
 }
 
-// newReader returns a reader over v, text class c's vector as vectorFor
-// opened it. Readers are single-goroutine: a scan fan-out makes one per
-// chunk, on the chunk's stack. Close it when done.
-func (x *evalContext) newReader(c skeleton.ClassID, v vector.Vector) reader {
-	return reader{cur: vector.NewCursor(v), x: x, class: c}
+// newReader returns a reader over v, text class c's vector as readerFor
+// opened it. Readers are single-goroutine: a chunk of a scan fan-out that
+// does not own a vector reads it through a reader of its own. Close it
+// when done.
+func (x *evalContext) newReader(c skeleton.ClassID, v vector.Vector) *reader {
+	return &reader{cur: vector.NewCursor(v), vec: v, x: x, class: c}
 }
 
 // Close releases the reader's cursor.
@@ -377,7 +382,7 @@ func (x *evalContext) liveRows() int64 {
 	var n int64
 	for _, t := range x.tables {
 		if t != nil {
-			n += int64(t.NumRows())
+			n += int64(len(t.Rows))
 		}
 	}
 	return n
@@ -385,13 +390,8 @@ func (x *evalContext) liveRows() int64 {
 
 func (x *evalContext) expandAll() {
 	for _, t := range x.tables {
-		if t == nil {
-			continue
-		}
-		for _, s := range t.Segs {
-			if len(s.Classes) > 0 {
-				x.normalizeSeg(s)
-			}
+		if t != nil && len(t.Classes) > 0 {
+			x.normalizeSeg(&t.Segment)
 		}
 	}
 }
@@ -406,56 +406,43 @@ func (x *evalContext) normalizeSeg(s *Segment) {
 	x.stats.RunsExpanded += int64(len(s.Rows) - before)
 }
 
-// Memo-counting wrappers: the engine-level memos are shared across
-// evaluations; these per-eval wrappers record whether this evaluation's
-// lookup was answered from the memo.
-
-func (x *evalContext) resolveTargets(src skeleton.ClassID, steps []xq.Step) []skeleton.ClassID {
-	out, hit := x.e.resolveTargetsHit(src, steps)
-	x.countMemo(hit)
-	return out
-}
-
-func (x *evalContext) cursorsBetween(src, dst skeleton.ClassID) []*skeleton.Cursor {
-	c, hit := x.e.cursorsBetweenHit(src, dst)
-	x.countMemo(hit)
-	return c
-}
-
-func (x *evalContext) nonEmptySpans(src, dst skeleton.ClassID, curs []*skeleton.Cursor) []span {
-	s, hit := x.e.nonEmptySpansHit(src, dst, curs)
-	x.countMemo(hit)
-	return s
-}
-
-// countMemo folds one memo lookup into the per-eval stats and meter.
-func (x *evalContext) countMemo(hit bool) {
-	if hit {
-		x.stats.MemoHits++
-		x.meter.MemoHit()
-	} else {
-		x.meter.MemoMiss()
-	}
-}
-
-// opBind instantiates a variable from the document root.
+// opBind instantiates a variable from the document root: one row per
+// target class, a run over all its occurrences. Several target classes
+// make the column class-set.
 func (x *evalContext) opBind(op qgraph.Op) error {
-	targets := x.e.resolveFromDoc(op.Path)
-	t := &Table{Vars: []string{op.Var}}
-	for _, c := range targets {
-		n := x.e.Classes.Count(c)
-		if n == 0 {
-			continue
+	var targets []skeleton.ClassID
+	for _, c := range x.e.resolveFromDoc(op.Path) {
+		if x.e.Classes.Count(c) > 0 {
+			targets = append(targets, c)
 		}
-		seg := &Segment{
-			Classes: []skeleton.ClassID{c},
-			Rows:    []Row{{Occ: []int64{0}, Run: n, Mult: 1}},
-		}
-		t.Segs = append(t.Segs, seg)
-		x.stats.RowsProduced++
 	}
+	t := &Table{Vars: []string{op.Var}, Segment: Segment{Classes: []skeleton.ClassID{skeleton.NoClass}}}
+	if err := x.e.setClass(&t.Segment, 0, targets); err != nil {
+		return err
+	}
+	for _, c := range targets {
+		t.Rows = append(t.Rows, Row{Occ: []int64{t.entry(0, c, 0)}, Run: x.e.Classes.Count(c), Mult: 1})
+	}
+	x.stats.RowsProduced += int64(len(t.Rows))
 	x.tables = append(x.tables, t)
 	x.varTabs[op.Var] = len(x.tables) - 1
+	return nil
+}
+
+// setClass makes column col of seg single-class when targets is one
+// class, and class-set otherwise, checking that the classes fit a tagged
+// entry (occBits).
+func (e *Engine) setClass(seg *Segment, col int, targets []skeleton.ClassID) error {
+	if len(targets) == 1 {
+		seg.Classes[col] = targets[0]
+		return nil
+	}
+	seg.Classes[col] = skeleton.NoClass
+	for _, c := range targets {
+		if int64(c) >= 1<<(63-occBits) || e.Classes.Count(c) >= 1<<occBits {
+			return fmt.Errorf("core: class %s is beyond a class-set column's range", e.Classes.Path(c))
+		}
+	}
 	return nil
 }
 
@@ -465,15 +452,6 @@ func (x *evalContext) opBind(op qgraph.Op) error {
 // other root; "//author" selects author elements anywhere, including the
 // root itself if it is named author.
 func (e *Engine) resolveFromDoc(steps []xq.Step) []skeleton.ClassID {
-	return e.resolveFromDocFunc(steps, e.resolveTargets)
-}
-
-// resolveFromDocFunc is resolveFromDoc with the relative-path resolver as a
-// parameter: evaluation passes the memoizing resolveTargets, while the
-// static checker (CheckPlan) passes resolveTargetsUncached so that checking
-// a plan never warms the engine's memo caches — a pre-warmed memo would
-// change the MemoHits counters of the evaluation that follows.
-func (e *Engine) resolveFromDocFunc(steps []xq.Step, resolve func(skeleton.ClassID, []xq.Step) []skeleton.ClassID) []skeleton.ClassID {
 	if len(steps) == 0 {
 		return nil
 	}
@@ -496,30 +474,17 @@ func (e *Engine) resolveFromDocFunc(steps []xq.Step, resolve func(skeleton.Class
 			seeds = append(seeds, e.Classes.Descendants(root, sym)...)
 		}
 	}
-	set := map[skeleton.ClassID]bool{}
+	var out []skeleton.ClassID
 	for _, s := range seeds {
-		for _, t := range resolve(s, rest) {
-			set[t] = true
-		}
+		out = append(out, e.resolveTargets(s, rest)...)
 	}
-	out := make([]skeleton.ClassID, 0, len(set))
-	for c := range set {
-		out = append(out, c)
-	}
-	sortClassIDs(out)
-	return out
-}
-
-func sortClassIDs(s []skeleton.ClassID) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // opProj instantiates op.Var from op.Src via op.Path — the projection
-// reduce step. Cardinality handling depends on liveness:
+// reduce step. The new column is class-set when the targets are several.
+// Cardinality handling depends on liveness:
 //
 //   - source live, target live: per-source expansion (pairs materialize);
 //   - source dying here: the whole source span maps to the child span,
@@ -531,48 +496,44 @@ func (x *evalContext) opProj(op qgraph.Op) error {
 	if err != nil {
 		return err
 	}
-	srcDies := contains(op.DropAfter, op.Src)
-	targetDead := contains(op.DropAfter, op.Var)
+	srcDies := slices.Contains(op.DropAfter, op.Src)
+	targetDead := slices.Contains(op.DropAfter, op.Var)
 
 	if len(op.Path) == 0 {
 		// Alias: same instances under a new name.
 		return x.projAlias(t, srcCol, op.Var, srcDies, targetDead)
 	}
 
-	lastCol := len(t.Vars) - 1
-	replaceInPlace := srcDies && srcCol == lastCol
-	// Resolve targets, cursor chains and existence spans once per distinct
-	// source class: with descendant-axis variables there can be thousands
-	// of (segment, target) pairs sharing the same source class.
-	resolved := map[skeleton.ClassID]*projTargets{}
-	resolve := func(src skeleton.ClassID) *projTargets {
-		if pt, ok := resolved[src]; ok {
-			return pt
+	replaceInPlace := srcDies && srcCol == len(t.Vars)-1
+	p := x.paths(op.Path, false)
+	seg := &t.Segment
+	var out *Segment
+	if targetDead {
+		out = x.projDead(seg, srcCol, p)
+	} else {
+		items := x.projItems(seg, srcCol, p, replaceInPlace)
+		targets := make([]skeleton.ClassID, len(items))
+		for i, it := range items {
+			targets[i] = it.dst
 		}
-		pt := &projTargets{classes: x.resolveTargets(src, op.Path)}
-		pt.curs = make([][]*skeleton.Cursor, len(pt.classes))
-		pt.keep = make([][]span, len(pt.classes))
-		for i, dst := range pt.classes {
-			pt.curs[i] = x.cursorsBetween(src, dst)
-			pt.keep[i] = x.nonEmptySpans(src, dst, pt.curs[i])
+		slices.Sort(targets)
+		if replaceInPlace {
+			out = &Segment{Classes: slices.Clone(seg.Classes)}
+		} else {
+			out = &Segment{Classes: append(dropIf(seg.Classes, srcCol, srcDies), skeleton.NoClass)}
 		}
-		resolved[src] = pt
-		return pt
-	}
-	var outSegs []*Segment
-	for _, seg := range t.Segs {
-		pt := resolve(seg.Classes[srcCol])
-		switch {
-		case targetDead:
-			outSegs = append(outSegs, x.projDead(seg, srcCol, pt.classes)...)
-		case replaceInPlace:
-			outSegs = append(outSegs, x.projReplace(seg, srcCol, pt.classes)...)
-		default:
-			outSegs = append(outSegs, x.projExpand(seg, srcCol, pt, srcDies)...)
+		if err := x.e.setClass(out, len(out.Classes)-1, slices.Compact(targets)); err != nil {
+			return err
+		}
+		if replaceInPlace {
+			projReplace(seg, out, srcCol, items)
+		} else {
+			projExpand(seg, out, srcCol, items, srcDies)
 		}
 	}
-
-	t.Segs = outSegs
+	out.Rows = mergeRows(out.Rows)
+	x.stats.RowsProduced += int64(len(out.Rows))
+	t.Segment = *out
 	switch {
 	case targetDead:
 		// Var never materializes; multiplicities carry its bindings.
@@ -581,164 +542,172 @@ func (x *evalContext) opProj(op qgraph.Op) error {
 		delete(x.varTabs, op.Src)
 		x.varTabs[op.Var] = indexOfTable(x.tables, t)
 	case srcDies:
-		t.Vars = append(removeStringAt(t.Vars, srcCol), op.Var)
+		t.Vars = append(dropIf(t.Vars, srcCol, true), op.Var)
 		delete(x.varTabs, op.Src)
 		x.varTabs[op.Var] = indexOfTable(x.tables, t)
 	default:
 		t.Vars = append(t.Vars, op.Var)
 		x.varTabs[op.Var] = indexOfTable(x.tables, t)
 	}
-	for _, s := range outSegs {
-		x.stats.RowsProduced += int64(len(s.Rows))
-	}
 	return nil
 }
 
-func removeStringAt(s []string, i int) []string {
-	out := make([]string, 0, len(s)-1)
-	out = append(out, s[:i]...)
-	return append(out, s[i+1:]...)
+// projItem is one match of a projection: a row, its source entry (one
+// occurrence, or the row's whole source run), a target class and the
+// span of the source's descendants there.
+type projItem struct {
+	row          int
+	src          int64
+	dst          skeleton.ClassID
+	start, count int64
+}
+
+// projItems finds every (row, source occurrence, target class) of seg
+// whose source has descendants at the target, sorted by row, source and
+// target class. It walks each target's keep spans — the source
+// occurrences with a descendant there, computed from the target side —
+// and binary-searches the rows each span meets, so the cost follows the
+// targets' occurrences and the matches, never rows × target classes, and
+// source occurrences without a match never become items. With perRow, an
+// item covers its row's whole source run instead of one occurrence.
+func (x *evalContext) projItems(seg *Segment, col int, p *pathRes, perRow bool) []projItem {
+	rows := seg.Rows
+	last := col == len(seg.Classes)-1
+	runOf := func(r *Row) int64 {
+		if last {
+			return r.Run
+		}
+		return 1
+	}
+	// A row covering a span starts less than maxRun entries before it.
+	keys := seg.byEntry(col)
+	maxRun := int64(1)
+	for i := range rows {
+		maxRun = max(maxRun, runOf(&rows[i]))
+	}
+	var items []projItem
+	for _, c := range seg.classesOf(col) {
+		for _, ch := range p.from(c) {
+			for _, k := range existsRuns(ch.down, x.e.Classes.Count(ch.dst)) {
+				lo, hi := seg.entry(col, c, k.Start), seg.entry(col, c, k.Start+k.Count)
+				i, _ := slices.BinarySearchFunc(keys, lo-maxRun+1, func(k rowKey, v int64) int { return cmp.Compare(k.entry, v) })
+				for ; i < len(keys) && keys[i].entry < hi; i++ {
+					r := &rows[keys[i].row]
+					a, b := max(r.Occ[col], lo), min(r.Occ[col]+runOf(r), hi)
+					if perRow && a < b {
+						a, b = r.Occ[col], r.Occ[col]+1
+					}
+					for v := a; v < b; v++ {
+						n := int64(1)
+						if perRow {
+							n = runOf(r)
+						}
+						_, occ := seg.at(col, v)
+						start, count := descendSpan(ch.down, occ, n)
+						items = append(items, projItem{keys[i].row, v, ch.dst, start, count})
+					}
+				}
+			}
+		}
+	}
+	slices.SortFunc(items, func(a, b projItem) int {
+		return cmp.Or(cmp.Compare(a.row, b.row), cmp.Compare(a.src, b.src), cmp.Compare(a.dst, b.dst))
+	})
+	// perRow: a row meeting several spans of one target matched once each.
+	return slices.CompactFunc(items, func(a, b projItem) bool { return a.row == b.row && a.dst == b.dst && a.src == b.src })
+}
+
+// projExpand materializes into out one row per (source occurrence,
+// target class, contiguous target run): the general both-live case, in
+// source row order. A run on another trailing column expands only into
+// output rows, for rows with matches. If srcDies (but src is not the
+// trailing column) the source column is removed from the result.
+func projExpand(seg, out *Segment, srcCol int, items []projItem, srcDies bool) {
+	last, col := len(seg.Classes)-1, len(out.Classes)-1
+	for g := 0; g < len(items); {
+		h := g + 1
+		for h < len(items) && items[h].row == items[g].row {
+			h++
+		}
+		r := seg.Rows[items[g].row]
+		n := int64(1)
+		if srcCol != last {
+			n = r.Run
+		}
+		for i := int64(0); i < n; i++ {
+			for _, it := range items[g:h] {
+				occ := append(make([]int64, 0, len(r.Occ)+1), r.Occ...)
+				occ[srcCol] = it.src
+				occ[last] += i
+				if srcDies {
+					occ = slices.Delete(occ, srcCol, srcCol+1)
+				}
+				occ = append(occ, out.entry(col, it.dst, it.start))
+				out.Rows = append(out.Rows, Row{Occ: occ, Run: it.count, Mult: r.Mult})
+			}
+		}
+		g = h
+	}
+}
+
+// projReplace replaces the trailing source column with the target: the
+// descendants of a run of sources at one target class are a contiguous
+// run of targets.
+func projReplace(seg, out *Segment, srcCol int, items []projItem) {
+	for _, it := range items {
+		r := seg.Rows[it.row]
+		occ := slices.Clone(r.Occ)
+		occ[srcCol] = out.entry(srcCol, it.dst, it.start)
+		out.Rows = append(out.Rows, Row{Occ: occ, Run: it.count, Mult: r.Mult})
+	}
 }
 
 // projDead folds the fanout into multiplicities: for each source
 // occurrence, Mult *= total target count (zero drops the occurrence).
-func (x *evalContext) projDead(seg *Segment, srcCol int, targets []skeleton.ClassID) []*Segment {
-	e := x.e
-	chains := make([][]*skeleton.Cursor, len(targets))
-	for i, dst := range targets {
-		chains[i] = e.chainCursors(e.chainBetween(seg.Classes[srcCol], dst))
-	}
+func (x *evalContext) projDead(seg *Segment, srcCol int, p *pathRes) *Segment {
 	out := &Segment{Classes: seg.Classes}
 	last := srcCol == len(seg.Classes)-1
-	for _, r := range seg.Rows {
-		if last && len(chains) == 1 && len(chains[0]) == 1 {
-			// Fast path: single one-step chain on the trailing run column —
-			// split by uniform fanout without expanding.
-			chains[0][0].Segments(r.Occ[srcCol], r.Run, func(p0, n, k, _ int64) {
-				if k == 0 {
-					return
-				}
-				occ := make([]int64, len(r.Occ))
-				copy(occ, r.Occ)
-				occ[srcCol] = p0
-				out.Rows = append(out.Rows, Row{Occ: occ, Run: n, Mult: r.Mult * k})
-			})
-			continue
-		}
-		// When the source is a middle column, the trailing run belongs to a
-		// different (live) variable and must survive: fanout is uniform
-		// across that run because it depends only on the source occurrence.
-		span, keepRun := int64(1), r.Run
+	// When the source is a middle column, the trailing run belongs to a
+	// different (live) variable and must survive: fanout is uniform
+	// across that run because it depends only on the source occurrence.
+	keepRun := func(r *Row, n int64) int64 {
 		if last {
-			span, keepRun = r.Run, 1
+			return n
 		}
-		for i := int64(0); i < span; i++ {
-			p := r.Occ[srcCol] + i
-			var total int64
-			for _, curs := range chains {
-				_, cnt := descendSpan(curs, p, 1)
-				total += cnt
-			}
-			if total == 0 {
-				continue
-			}
-			occ := make([]int64, len(r.Occ))
-			copy(occ, r.Occ)
-			occ[srcCol] = p
-			out.Rows = append(out.Rows, Row{Occ: occ, Run: keepRun, Mult: r.Mult * total})
-		}
+		return r.Run
 	}
-	out.Rows = mergeRows(out.Rows)
-	if len(out.Rows) == 0 {
-		return nil
-	}
-	return []*Segment{out}
-}
-
-// projReplace replaces the trailing source column with the target: the
-// children of a run of sources are a contiguous run of targets.
-func (x *evalContext) projReplace(seg *Segment, srcCol int, targets []skeleton.ClassID) []*Segment {
-	e := x.e
-	var out []*Segment
-	for _, dst := range targets {
-		curs := e.chainCursors(e.chainBetween(seg.Classes[srcCol], dst))
-		classes := make([]skeleton.ClassID, len(seg.Classes))
-		copy(classes, seg.Classes)
-		classes[srcCol] = dst
-		os := &Segment{Classes: classes}
-		for _, r := range seg.Rows {
-			start, count := descendSpan(curs, r.Occ[srcCol], r.Run)
-			if count == 0 {
-				continue
-			}
-			occ := make([]int64, len(r.Occ))
-			copy(occ, r.Occ)
-			occ[srcCol] = start
-			os.Rows = append(os.Rows, Row{Occ: occ, Run: count, Mult: r.Mult})
-		}
-		os.Rows = mergeRows(os.Rows)
-		if len(os.Rows) > 0 {
-			out = append(out, os)
-		}
-	}
-	return out
-}
-
-// projTargets caches, per source class, the resolved target classes with
-// their cursor chains and non-empty source spans.
-type projTargets struct {
-	classes []skeleton.ClassID
-	curs    [][]*skeleton.Cursor
-	keep    [][]span
-}
-
-// projExpand materializes one row per (source, contiguous-target-range):
-// the general both-live case. If srcDies (but src is not the trailing
-// column) the source column is removed from the result.
-//
-// With many target classes (descendant-axis variables over irregular
-// data), most (source occurrence, target class) pairs are empty; a
-// memoized whole-class existence pass prunes them before any per-row
-// descent, so the cost tracks matches rather than rows × classes.
-func (x *evalContext) projExpand(seg *Segment, srcCol int, pt *projTargets, srcDies bool) []*Segment {
-	x.normalizeSeg(seg) // runs only survive on the trailing column
-	var out []*Segment
-	for di, dst := range pt.classes {
-		curs, keep := pt.curs[di], pt.keep[di]
-		if len(keep) == 0 {
-			continue
-		}
-		var os *Segment // allocated on first surviving row
-		for _, r := range seg.Rows {
-			if !spanContains(keep, r.Occ[srcCol]) {
-				continue
-			}
-			start, count := descendSpan(curs, r.Occ[srcCol], 1)
-			if count == 0 {
-				continue
-			}
-			if os == nil {
-				var classes []skeleton.ClassID
-				if srcDies {
-					classes = removeAt(seg.Classes, srcCol)
-				} else {
-					classes = append([]skeleton.ClassID{}, seg.Classes...)
+	if c := seg.Classes[srcCol]; c != skeleton.NoClass {
+		if chains := p.from(c); len(chains) == 1 && len(chains[0].down) == 1 {
+			// Fast path: a single one-step chain — split by uniform fanout
+			// without expanding.
+			for _, r := range seg.Rows {
+				span := int64(1)
+				if last {
+					span = r.Run
 				}
-				os = &Segment{Classes: append(classes, dst)}
+				chains[0].down[0].Segments(r.Occ[srcCol], span, func(p0, n, k, _ int64) {
+					if k == 0 {
+						return
+					}
+					occ := slices.Clone(r.Occ)
+					occ[srcCol] = p0
+					out.Rows = append(out.Rows, Row{Occ: occ, Run: keepRun(&r, n), Mult: r.Mult * k})
+				})
 			}
-			var occ []int64
-			if srcDies {
-				occ = removeAt64(r.Occ, srcCol)
-			} else {
-				occ = append([]int64{}, r.Occ...)
-			}
-			occ = append(occ, start)
-			os.Rows = append(os.Rows, Row{Occ: occ, Run: count, Mult: r.Mult})
+			return out
 		}
-		if os != nil && len(os.Rows) > 0 {
-			os.Rows = mergeRows(os.Rows)
-			out = append(out, os)
+	}
+	items := x.projItems(seg, srcCol, p, false)
+	for g := 0; g < len(items); {
+		h, total := g, int64(0)
+		for ; h < len(items) && items[h].row == items[g].row && items[h].src == items[g].src; h++ {
+			total += items[h].count
 		}
+		r := seg.Rows[items[g].row]
+		occ := slices.Clone(r.Occ)
+		occ[srcCol] = items[g].src
+		out.Rows = append(out.Rows, Row{Occ: occ, Run: keepRun(&r, 1), Mult: r.Mult * total})
+		g = h
 	}
 	return out
 }
@@ -755,37 +724,22 @@ func (x *evalContext) projAlias(t *Table, srcCol int, newVar string, srcDies, ta
 		x.varTabs[newVar] = indexOfTable(x.tables, t)
 		return nil
 	}
-	for _, seg := range t.Segs {
-		x.normalizeSeg(seg)
-		seg.Classes = append(seg.Classes, seg.Classes[srcCol])
-		for i := range seg.Rows {
-			seg.Rows[i].Occ = append(seg.Rows[i].Occ, seg.Rows[i].Occ[srcCol])
-		}
+	x.normalizeSeg(&t.Segment)
+	t.Classes = append(t.Classes, t.Classes[srcCol])
+	for i := range t.Rows {
+		t.Rows[i].Occ = append(t.Rows[i].Occ, t.Rows[i].Occ[srcCol])
 	}
 	t.Vars = append(t.Vars, newVar)
 	x.varTabs[newVar] = indexOfTable(x.tables, t)
 	return nil
 }
 
-func contains(list []string, v string) bool {
-	for _, s := range list {
-		if s == v {
-			return true
-		}
+// dropIf returns a copy of s, without element i when drop is set.
+func dropIf[T any](s []T, i int, drop bool) []T {
+	if drop {
+		return slices.Delete(slices.Clone(s), i, i+1)
 	}
-	return false
-}
-
-func removeAt(s []skeleton.ClassID, i int) []skeleton.ClassID {
-	out := make([]skeleton.ClassID, 0, len(s)-1)
-	out = append(out, s[:i]...)
-	return append(out, s[i+1:]...)
-}
-
-func removeAt64(s []int64, i int) []int64 {
-	out := make([]int64, 0, len(s)-1)
-	out = append(out, s[:i]...)
-	return append(out, s[i+1:]...)
+	return slices.Clone(s)
 }
 
 func indexOfTable(tables []*Table, t *Table) int {
@@ -795,72 +749,4 @@ func indexOfTable(tables []*Table, t *Table) int {
 		}
 	}
 	panic("core: table not registered")
-}
-
-// nonEmptySpansHit returns (memoized) the spans of src-class occurrences
-// that have at least one descendant at dst along the chain, and whether
-// the answer came from the memo.
-func (e *Engine) nonEmptySpansHit(src, dst skeleton.ClassID, curs []*skeleton.Cursor) ([]span, bool) {
-	key := [2]skeleton.ClassID{src, dst}
-	e.memoMu.Lock()
-	s, ok := e.spanMemo[key]
-	e.memoMu.Unlock()
-	if ok {
-		return s, true
-	}
-	total := e.Classes.Count(src)
-	if len(curs) == 0 {
-		s = []span{{0, total}}
-	} else {
-		s = existsRuns(curs, 0, 0, total)
-	}
-	e.memoMu.Lock()
-	if e.spanMemo == nil {
-		e.spanMemo = make(map[[2]skeleton.ClassID][]span)
-	}
-	e.spanMemo[key] = s
-	e.memoMu.Unlock()
-	return s, false
-}
-
-// cursorsBetween memoizes the cursor chain from src down to dst.
-func (e *Engine) cursorsBetween(src, dst skeleton.ClassID) []*skeleton.Cursor {
-	c, _ := e.cursorsBetweenHit(src, dst)
-	return c
-}
-
-func (e *Engine) cursorsBetweenHit(src, dst skeleton.ClassID) ([]*skeleton.Cursor, bool) {
-	key := [2]skeleton.ClassID{src, dst}
-	e.memoMu.Lock()
-	c, ok := e.chainMemo[key]
-	e.memoMu.Unlock()
-	if ok {
-		return c, true
-	}
-	c = e.chainCursors(e.chainBetween(src, dst))
-	e.memoMu.Lock()
-	if e.chainMemo == nil {
-		e.chainMemo = make(map[[2]skeleton.ClassID][]*skeleton.Cursor)
-	}
-	e.chainMemo[key] = c
-	e.memoMu.Unlock()
-	return c, false
-}
-
-// spanContains reports whether sorted spans cover position p.
-func spanContains(spans []span, p int64) bool {
-	lo, hi := 0, len(spans)-1
-	for lo <= hi {
-		mid := (lo + hi) / 2
-		s := spans[mid]
-		switch {
-		case p < s.Start:
-			hi = mid - 1
-		case p >= s.Start+s.Count:
-			lo = mid + 1
-		default:
-			return true
-		}
-	}
-	return false
 }

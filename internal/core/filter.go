@@ -1,10 +1,12 @@
 package core
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"vxml/internal/qgraph"
 	"vxml/internal/skeleton"
+	"vxml/internal/xq"
 )
 
 // span is a run of consecutive occurrences [Start, Start+Count).
@@ -34,48 +36,6 @@ func mergeSpans(spans []span) []span {
 	return out
 }
 
-// unionSpans merges two sorted span lists.
-func unionSpans(a, b []span) []span {
-	if len(a) == 0 {
-		return b
-	}
-	if len(b) == 0 {
-		return a
-	}
-	merged := make([]span, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) || j < len(b) {
-		switch {
-		case j >= len(b) || (i < len(a) && a[i].Start <= b[j].Start):
-			merged = append(merged, a[i])
-			i++
-		default:
-			merged = append(merged, b[j])
-			j++
-		}
-	}
-	return mergeSpans(merged)
-}
-
-// intersectSpan clips sorted spans to the window [start, start+count).
-func intersectSpan(spans []span, start, count int64) []span {
-	var out []span
-	end := start + count
-	for _, s := range spans {
-		lo, hi := s.Start, s.Start+s.Count
-		if lo < start {
-			lo = start
-		}
-		if hi > end {
-			hi = end
-		}
-		if lo < hi {
-			out = append(out, span{lo, hi - lo})
-		}
-	}
-	return out
-}
-
 // spansFromSorted turns a sorted (possibly duplicated) position list into
 // merged spans.
 func spansFromSorted(ps []int64) []span {
@@ -96,219 +56,138 @@ func spansFromSorted(ps []int64) []span {
 	return out
 }
 
-// selChain is one class chain ending at a text class (selection) or
-// element class (existence); cursors are stateless and shared.
-type selChain struct {
-	down []*skeleton.Cursor
-	text skeleton.ClassID // text class for selections; NoClass for exists
-}
-
-// selChains resolves the chains of a filter operation. For selections the
-// target classes extend to their text child; element targets without text
-// anywhere are skipped (they can never satisfy a value comparison).
-// It is an evalContext method so memoized target resolutions count toward
-// the evaluation's MemoHits.
-func (x *evalContext) selChains(src skeleton.ClassID, op qgraph.Op, wantText bool) []selChain {
-	e := x.e
-	var out []selChain
-	for _, dst := range x.resolveTargets(src, op.Path) {
-		target := dst
-		if wantText {
-			target = e.textTarget(dst)
-			if target == skeleton.NoClass {
-				continue
-			}
-		}
-		chain := e.chainBetween(src, target)
-		sc := selChain{down: e.chainCursors(chain)}
-		if wantText {
-			sc.text = target
-		} else {
-			sc.text = skeleton.NoClass
-		}
-		out = append(out, sc)
-	}
-	return out
-}
-
 // opSel filters op.Var keeping occurrences with some value under op.Path
 // satisfying the comparison — the paper's selection reduce step. Each
-// needed data vector is scanned once per operation over the union of the
-// rows' spans (collection-at-a-time).
+// needed data vector is read once per operation, over the rows' spans in
+// document order (collection-at-a-time).
 func (x *evalContext) opSel(op qgraph.Op) error {
 	t, col, err := x.tableOf(op.Var)
 	if err != nil {
 		return err
 	}
-	for si, seg := range t.Segs {
-		chains := x.selChains(seg.Classes[col], op, true)
-		var keep []span
-		rest := chains[:0]
-		for _, sc := range chains {
-			if s, ok := x.e.indexedSpans(seg, col, sc, op.Cmp, op.Value); ok {
-				x.stats.IndexHits++
-				keep = unionSpans(keep, s)
-				continue
-			}
-			rest = append(rest, sc)
-		}
-		scanned, err := x.matchedSpans(seg, col, rest, func(val []byte) bool {
-			return satisfies(string(val), op.Cmp, op.Value)
-		})
-		if err != nil {
-			return err
-		}
-		keep = unionSpans(keep, scanned)
-		t.Segs[si] = filterSegment(seg, col, keep)
+	keep, err := x.matchedSpans(&t.Segment, col, x.paths(op.Path, true), op.Cmp, op.Value)
+	if err != nil {
+		return err
 	}
-	t.Segs = compactSegs(t.Segs)
+	t.filter(col, keep)
 	return nil
 }
 
 // opExists filters op.Var keeping occurrences that have any node reachable
-// via op.Path — a structure-only test that never touches data vectors
-// (run-compressed throughout, cost proportional to skeleton runs).
+// via op.Path — a structure-only test that never touches data vectors.
+// The kept occurrences of each class are its chains' existence spans,
+// computed from the target side (existsRuns), so the cost follows the
+// targets' runs, not the rows.
 func (x *evalContext) opExists(op qgraph.Op) error {
 	t, col, err := x.tableOf(op.Var)
 	if err != nil {
 		return err
 	}
-	for si, seg := range t.Segs {
-		chains := x.selChains(seg.Classes[col], op, false)
-		var keep []span
-		for _, sc := range chains {
-			for _, r := range seg.Rows {
-				occ, n := r.Occ[col], int64(1)
-				if col == len(seg.Classes)-1 {
-					n = r.Run
-				}
-				keep = unionSpans(keep, existsRuns(sc.down, 0, occ, n))
-			}
+	p := x.paths(op.Path, false)
+	var keep []span
+	for _, c := range t.classesOf(col) {
+		var spans []span
+		for _, ch := range p.from(c) {
+			spans = append(spans, existsRuns(ch.down, x.e.Classes.Count(ch.dst))...)
 		}
-		t.Segs[si] = filterSegment(seg, col, keep)
+		slices.SortFunc(spans, func(a, b span) int { return cmp.Compare(a.Start, b.Start) })
+		for _, s := range mergeSpans(spans) {
+			keep = append(keep, span{t.entry(col, c, s.Start), s.Count})
+		}
 	}
-	t.Segs = compactSegs(t.Segs)
+	t.filter(col, keep)
 	return nil
 }
 
-// existsRuns returns the sub-runs of parents [p0, p0+n) at cursor level
-// lvl that have at least one descendant through the remaining levels.
-// It recurses per uniform-fanout segment, so regular data costs O(runs).
-func existsRuns(curs []*skeleton.Cursor, lvl int, p0, n int64) []span {
-	var out []span
-	curs[lvl].Segments(p0, n, func(q0, m, k, c0 int64) {
-		if k == 0 {
-			return
-		}
-		if lvl == len(curs)-1 {
-			out = append(out, span{q0, m})
-			return
-		}
-		for _, s := range existsRuns(curs, lvl+1, c0, m*k) {
-			ps := q0 + (s.Start-c0)/k
-			pe := q0 + (s.Start+s.Count-1-c0)/k
-			out = append(out, span{ps, pe - ps + 1})
-		}
-	})
-	return mergeSpans(out)
-}
-
-// matchedSpans scans, per chain, the data vector over each row's span and
-// maps matching positions back up to op.Var occurrences. The row scans of
-// one chain fan out across the engine's worker pool in contiguous chunks,
-// each reading its rows (in document order) through its own reader;
-// per-chunk hit lists and scan counters merge in chunk order (and the hits
-// are sorted before span building anyway), so the result — spans and
-// stats — is identical to a serial scan.
-func (x *evalContext) matchedSpans(seg *Segment, col int, chains []selChain, pred func([]byte) bool) ([]span, error) {
-	var keep []span
-	nworkers := x.e.workers()
-	for _, sc := range chains {
-		vec, err := x.vectorFor(sc.text)
-		if err != nil {
-			return nil, err
-		}
-		nch := rowChunks(nworkers, len(seg.Rows))
-		hitsByChunk := make([][]int64, nch)
-		scannedByChunk := make([]int64, nch)
-		err = parallelFor(x.ctx, nworkers, nch, func(ci int) error {
-			rd := x.newReader(sc.text, vec)
-			defer rd.Close()
-			lo, hi := chunkBounds(len(seg.Rows), nch, ci)
-			for ri := lo; ri < hi; ri++ {
-				r := seg.Rows[ri]
-				occ, n := r.Occ[col], int64(1)
-				if col == len(seg.Classes)-1 {
-					n = r.Run
-				}
-				start, count := descendSpan(sc.down, occ, n)
-				if count == 0 {
-					continue
-				}
-				scannedByChunk[ci] += count
-				err := rd.Scan(start, count, func(pos int64, val []byte) error {
-					if pred(val) {
-						hitsByChunk[ci] = append(hitsByChunk[ci], ascendPos(sc.down, pos))
-					}
-					return nil
-				})
-				if err != nil {
-					return err
-				}
-			}
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		var hits []int64
-		for ci := 0; ci < nch; ci++ {
-			hits = append(hits, hitsByChunk[ci]...)
-			x.stats.ValuesScanned += scannedByChunk[ci]
-		}
-		sort.Slice(hits, func(i, j int) bool { return hits[i] < hits[j] })
-		keep = unionSpans(keep, spansFromSorted(hits))
+// existsRuns returns the spans of source occurrences that have at least
+// one of the n occurrences of the chain's last class below them. It
+// ascends from the target a class at a time: the parents of a span of
+// children are the run of parents from the first child's to the last
+// child's, less those with no children at all, found per uniform-fanout
+// run (Cursor.Segments) — so regular data costs O(runs), and irregular
+// data O(target occurrences), however many occurrences the source has.
+func existsRuns(curs []*skeleton.Cursor, n int64) []span {
+	if n == 0 {
+		return nil
 	}
-	return keep, nil
+	spans := []span{{0, n}}
+	for i := len(curs) - 1; i >= 0; i-- {
+		var up []span
+		for _, s := range spans {
+			p0 := curs[i].ParentOf(s.Start)
+			curs[i].Segments(p0, curs[i].ParentOf(s.Start+s.Count-1)-p0+1, func(q0, m, k, _ int64) {
+				if k > 0 {
+					up = append(up, span{q0, m})
+				}
+			})
+		}
+		spans = mergeSpans(up)
+	}
+	return spans
 }
 
-// filterSegment keeps only the occurrences of column col that fall in the
-// keep spans, splitting run rows as needed.
-func filterSegment(seg *Segment, col int, keep []span) *Segment {
-	out := &Segment{Classes: seg.Classes}
+// matchedSpans returns, as sorted spans of column col's entries, the
+// occurrences with some value under the op's path satisfying
+// "value op bound". Each row, per chain from its class, scans the chain's
+// vector over its span — or, when the chain's text class has a vector
+// index, looks the matching positions up there — and maps hits back up to
+// its occurrences. The rows fan out across the worker pool (pathRes.scan);
+// per-chunk hit lists and scan counters merge in chunk order and the hits
+// are sorted before span building, so the result — spans and stats — is
+// identical to a serial scan.
+func (x *evalContext) matchedSpans(seg *Segment, col int, p *pathRes, op xq.CmpOp, bound string) ([]span, error) {
+	var indexed [][]int64 // per slot; non-nil: the matching positions
+	index := func(slot int, text skeleton.ClassID) bool {
+		indexed = append(indexed, nil)
+		if idx, ok := x.e.lookupIndex(text); ok {
+			indexed[slot] = append([]int64{}, idx.Positions(op, bound)...)
+			x.stats.IndexHits++
+		}
+		return indexed[slot] != nil
+	}
 	last := col == len(seg.Classes)-1
-	for _, r := range seg.Rows {
+	nch := rowChunks(x.e.workers(), len(seg.Rows))
+	hitsByChunk := make([][]int64, nch)
+	scannedByChunk := make([]int64, nch)
+	err := p.scan(seg, col, nch, index, func(sr scanRow) error {
 		n := int64(1)
 		if last {
-			n = r.Run
+			n = seg.Rows[sr.ri].Run
 		}
-		for _, s := range intersectSpan(keep, r.Occ[col], n) {
-			occ := make([]int64, len(r.Occ))
-			copy(occ, r.Occ)
-			occ[col] = s.Start
-			nr := Row{Occ: occ, Run: s.Count, Mult: r.Mult}
-			if !last {
-				// The span is within a single occurrence; keep the row.
-				nr.Occ[col] = r.Occ[col]
-				nr.Run = r.Run
+		for i := range sr.chains {
+			ch := &sr.chains[i]
+			start, count := descendSpan(ch.down, sr.occ, n)
+			if count == 0 {
+				continue
 			}
-			out.Rows = append(out.Rows, nr)
-			if !last {
-				break // one keep decision per scalar occurrence
+			if ps := indexed[ch.slot]; ps != nil {
+				i, _ := slices.BinarySearch(ps, start)
+				for ; i < len(ps) && ps[i] < start+count; i++ {
+					hitsByChunk[sr.ci] = append(hitsByChunk[sr.ci], seg.entry(col, sr.class, ascendPos(ch.down, ps[i])))
+				}
+				continue
+			}
+			scannedByChunk[sr.ci] += count
+			err := sr.rs.get(ch).Scan(start, count, func(pos int64, val []byte) error {
+				if satisfies(string(val), op, bound) {
+					hitsByChunk[sr.ci] = append(hitsByChunk[sr.ci], seg.entry(col, sr.class, ascendPos(ch.down, pos)))
+				}
+				return nil
+			})
+			if err != nil {
+				return err
 			}
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	out.Rows = mergeRows(out.Rows)
-	return out
-}
-
-// compactSegs drops empty segments.
-func compactSegs(segs []*Segment) []*Segment {
-	out := segs[:0]
-	for _, s := range segs {
-		if len(s.Rows) > 0 {
-			out = append(out, s)
-		}
+	var hits []int64
+	for ci := 0; ci < nch; ci++ {
+		hits = append(hits, hitsByChunk[ci]...)
+		x.stats.ValuesScanned += scannedByChunk[ci]
 	}
-	return out
+	slices.Sort(hits)
+	return spansFromSorted(hits), nil
 }

@@ -115,36 +115,3 @@ func (idx *VectorIndex) Positions(op xq.CmpOp, bound string) []int64 {
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
-
-// indexedSpans serves a selection predicate from an index when one exists
-// for the chain's text class: the matching positions are fetched from the
-// index, clipped to the chain's reachable span, and mapped up to variable
-// occurrences. Returns (spans, true) on an index hit.
-func (e *Engine) indexedSpans(seg *Segment, col int, sc selChain, op xq.CmpOp, value string) ([]span, bool) {
-	idx, ok := e.lookupIndex(sc.text)
-	if !ok {
-		return nil, false
-	}
-	positions := idx.Positions(op, value)
-	if len(positions) == 0 {
-		return nil, true
-	}
-	var keep []int64
-	for _, r := range seg.Rows {
-		occ, n := r.Occ[col], int64(1)
-		if col == len(seg.Classes)-1 {
-			n = r.Run
-		}
-		start, count := descendSpan(sc.down, occ, n)
-		if count == 0 {
-			continue
-		}
-		// Binary search the sorted positions falling in [start, start+count).
-		lo := sort.Search(len(positions), func(i int) bool { return positions[i] >= start })
-		for i := lo; i < len(positions) && positions[i] < start+count; i++ {
-			keep = append(keep, ascendPos(sc.down, positions[i]))
-		}
-	}
-	sort.Slice(keep, func(i, j int) bool { return keep[i] < keep[j] })
-	return spansFromSorted(keep), true
-}

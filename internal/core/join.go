@@ -1,92 +1,69 @@
 package core
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"vxml/internal/qgraph"
 	"vxml/internal/skeleton"
 	"vxml/internal/xq"
 )
 
-// rowRef addresses one row of a table.
-type rowRef struct {
-	seg, row int
-}
-
 // rowVals is the value set reachable from one row via the join path,
-// with min/max under compareValues for inequality joins.
+// with min/max under compareValues for inequality joins. gatherVals
+// returns one per row, in row order.
 type rowVals struct {
-	ref      rowRef
 	vals     []string
 	min, max string
 }
 
 // gatherVals computes, per row of t, the values reachable from column col
 // via steps (existential set semantics). The column is normalized to
-// scalars first: each row contributes one variable instance. Within each
-// chain the per-row scans fan out across the engine's worker pool — every
-// row's value slot is written by exactly one goroutine, chains stay in
-// order, and scan counters merge in chunk order, so the gathered values
-// are identical to a serial pass. Each chunk reads its rows, which come
-// in document order, through its own reader.
-func (x *evalContext) gatherVals(t *Table, col int, steps []xq.Step, op qgraph.Op) ([]rowVals, error) {
-	var out []rowVals
-	nworkers := x.e.workers()
-	for si, seg := range t.Segs {
-		x.normalizeSeg(seg)
-		chains := x.selChains(seg.Classes[col], qgraph.Op{Path: steps}, true)
-		perRow := make([]rowVals, len(seg.Rows))
-		for ri := range seg.Rows {
-			perRow[ri].ref = rowRef{si, ri}
-		}
-		for _, sc := range chains {
-			vec, err := x.vectorFor(sc.text)
-			if err != nil {
-				return nil, err
+// scalars first: each row contributes one variable instance. The rows fan
+// out across the worker pool (pathRes.scan): every row's value slot is
+// written by exactly one goroutine, each row reads its chains in order,
+// and scan counters merge in chunk order, so the gathered values are
+// identical to a serial pass.
+func (x *evalContext) gatherVals(t *Table, col int, steps []xq.Step) ([]rowVals, error) {
+	x.normalizeSeg(&t.Segment)
+	p := x.paths(steps, true)
+	out := make([]rowVals, len(t.Rows))
+	nch := rowChunks(x.e.workers(), len(t.Rows))
+	scannedByChunk := make([]int64, nch)
+	err := p.scan(&t.Segment, col, nch, nil, func(sr scanRow) error {
+		rv := &out[sr.ri]
+		for i := range sr.chains {
+			start, count := descendSpan(sr.chains[i].down, sr.occ, 1)
+			if count == 0 {
+				continue
 			}
-			nch := rowChunks(nworkers, len(seg.Rows))
-			scannedByChunk := make([]int64, nch)
-			err = parallelFor(x.ctx, nworkers, nch, func(ci int) error {
-				rd := x.newReader(sc.text, vec)
-				defer rd.Close()
-				lo, hi := chunkBounds(len(seg.Rows), nch, ci)
-				for ri := lo; ri < hi; ri++ {
-					r := seg.Rows[ri]
-					start, count := descendSpan(sc.down, r.Occ[col], 1)
-					if count == 0 {
-						continue
+			scannedByChunk[sr.ci] += count
+			err := sr.rs.get(&sr.chains[i]).Scan(start, count, func(_ int64, val []byte) error {
+				v := string(val)
+				if len(rv.vals) == 0 {
+					rv.min, rv.max = v, v
+				} else {
+					if compareValues(v, rv.min) < 0 {
+						rv.min = v
 					}
-					scannedByChunk[ci] += count
-					rv := &perRow[ri]
-					err := rd.Scan(start, count, func(_ int64, val []byte) error {
-						v := string(val)
-						if len(rv.vals) == 0 {
-							rv.min, rv.max = v, v
-						} else {
-							if compareValues(v, rv.min) < 0 {
-								rv.min = v
-							}
-							if compareValues(v, rv.max) > 0 {
-								rv.max = v
-							}
-						}
-						rv.vals = append(rv.vals, v)
-						return nil
-					})
-					if err != nil {
-						return err
+					if compareValues(v, rv.max) > 0 {
+						rv.max = v
 					}
 				}
+				rv.vals = append(rv.vals, v)
 				return nil
 			})
 			if err != nil {
-				return nil, err
-			}
-			for ci := 0; ci < nch; ci++ {
-				x.stats.ValuesScanned += scannedByChunk[ci]
+				return err
 			}
 		}
-		out = append(out, perRow...)
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	for ci := 0; ci < nch; ci++ {
+		x.stats.ValuesScanned += scannedByChunk[ci]
 	}
 	return out, nil
 }
@@ -106,7 +83,7 @@ func (x *evalContext) opJoin(op qgraph.Op) error {
 	if err != nil {
 		return err
 	}
-	lvals, err := x.gatherVals(lt, lcol, op.Path, op)
+	lvals, err := x.gatherVals(lt, lcol, op.Path)
 	if err != nil {
 		return err
 	}
@@ -115,13 +92,13 @@ func (x *evalContext) opJoin(op qgraph.Op) error {
 	// scanning the right vector (the §6 extension; this is the plan that
 	// wins the paper's SQ3 for the tuned relational system).
 	if lt != rt && op.Cmp == xq.OpEq && !x.e.Opts.FilterOnlyJoins {
-		if pairs, ok, err := x.indexProbeJoin(lt, rt, rcol, op, lvals); err != nil {
+		if pairs, ok, err := x.indexProbeJoin(rt, rcol, op, lvals); err != nil {
 			return err
 		} else if ok {
 			return x.mergePairs(lt, rt, pairs)
 		}
 	}
-	rvals, err := x.gatherVals(rt, rcol, op.RPath, op)
+	rvals, err := x.gatherVals(rt, rcol, op.RPath)
 	if err != nil {
 		return err
 	}
@@ -137,25 +114,24 @@ func (x *evalContext) opJoin(op qgraph.Op) error {
 // indexProbeJoin pairs left rows with right rows via the right side's
 // vector index. Applicable when the right path resolves to one chain
 // whose text class is indexed.
-func (x *evalContext) indexProbeJoin(lt, rt *Table, rcol int, op qgraph.Op, lvals []rowVals) ([]pair, bool, error) {
-	if len(rt.Segs) != 1 {
-		return nil, false, nil
+func (x *evalContext) indexProbeJoin(rt *Table, rcol int, op qgraph.Op, lvals []rowVals) ([]pair, bool, error) {
+	if rt.Classes[rcol] == skeleton.NoClass {
+		return nil, false, nil // a class-set column: gather its values instead
 	}
-	seg := rt.Segs[0]
-	chains := x.selChains(seg.Classes[rcol], qgraph.Op{Path: op.RPath}, true)
+	chains := x.paths(op.RPath, true).from(rt.Classes[rcol])
 	if len(chains) != 1 {
 		return nil, false, nil
 	}
 	sc := chains[0]
-	idx, ok := x.e.lookupIndex(sc.text)
+	idx, ok := x.e.lookupIndex(sc.dst)
 	if !ok {
 		return nil, false, nil
 	}
 	x.stats.IndexHits++
-	x.normalizeSeg(seg)
+	x.normalizeSeg(&rt.Segment)
 	// Map right-variable occurrences to row indices.
-	occRow := make(map[int64]int, len(seg.Rows))
-	for ri, r := range seg.Rows {
+	occRow := make(map[int64]int, len(rt.Rows))
+	for ri, r := range rt.Rows {
 		occRow[r.Occ[rcol]] = ri
 	}
 	var pairs []pair
@@ -174,7 +150,7 @@ func (x *evalContext) indexProbeJoin(lt, rt *Table, rcol int, op qgraph.Op, lval
 				if !ok {
 					continue
 				}
-				p := pair{l.ref, rowRef{0, ri}}
+				p := pair{i, ri}
 				if !seen[p] {
 					seen[p] = true
 					pairs = append(pairs, p)
@@ -188,31 +164,11 @@ func (x *evalContext) indexProbeJoin(lt, rt *Table, rcol int, op qgraph.Op, lval
 
 // joinSameTable keeps rows whose left and right value sets are compatible.
 func (x *evalContext) joinSameTable(t *Table, lvals, rvals []rowVals, cmp xq.CmpOp) error {
-	right := make(map[rowRef]*rowVals, len(rvals))
-	for i := range rvals {
-		right[rvals[i].ref] = &rvals[i]
+	keep := make([]bool, len(t.Rows))
+	for i := range keep {
+		keep[i] = len(lvals[i].vals) > 0 && len(rvals[i].vals) > 0 && valsCompatible(&lvals[i], &rvals[i], cmp)
 	}
-	keep := make(map[rowRef]bool)
-	for i := range lvals {
-		l := &lvals[i]
-		r := right[l.ref]
-		if r == nil || len(l.vals) == 0 || len(r.vals) == 0 {
-			continue
-		}
-		if valsCompatible(l, r, cmp) {
-			keep[l.ref] = true
-		}
-	}
-	for si, seg := range t.Segs {
-		var rows []Row
-		for ri, r := range seg.Rows {
-			if keep[rowRef{si, ri}] {
-				rows = append(rows, r)
-			}
-		}
-		seg.Rows = mergeRows(rows)
-	}
-	t.Segs = compactSegs(t.Segs)
+	filterRows(t, keep)
 	return nil
 }
 
@@ -271,28 +227,18 @@ func (x *evalContext) joinMerge(lt, rt *Table, lvals, rvals []rowVals, cmp xq.Cm
 // mergePairs replaces lt and rt with their join on the given row pairs.
 func (x *evalContext) mergePairs(lt, rt *Table, pairs []pair) error {
 	// The left table's trailing runs become middle columns: normalize.
-	for _, seg := range lt.Segs {
-		x.normalizeSeg(seg)
+	x.normalizeSeg(&lt.Segment)
+	merged := &Table{
+		Vars:    append(slices.Clone(lt.Vars), rt.Vars...),
+		Segment: Segment{Classes: append(slices.Clone(lt.Classes), rt.Classes...)},
 	}
-	merged := &Table{Vars: append(append([]string{}, lt.Vars...), rt.Vars...)}
-	segIndex := map[[2]int]*Segment{}
 	for _, pr := range pairs {
-		ls, rs := lt.Segs[pr.l.seg], rt.Segs[pr.r.seg]
-		key := [2]int{pr.l.seg, pr.r.seg}
-		seg, ok := segIndex[key]
-		if !ok {
-			seg = &Segment{Classes: append(append([]skeleton.ClassID{}, ls.Classes...), rs.Classes...)}
-			segIndex[key] = seg
-			merged.Segs = append(merged.Segs, seg)
-		}
-		lr, rr := ls.Rows[pr.l.row], rs.Rows[pr.r.row]
-		occ := append(append([]int64{}, lr.Occ...), rr.Occ...)
-		seg.Rows = append(seg.Rows, Row{Occ: occ, Run: rr.Run, Mult: lr.Mult * rr.Mult})
+		lr, rr := lt.Rows[pr.l], rt.Rows[pr.r]
+		occ := append(slices.Clone(lr.Occ), rr.Occ...)
+		merged.Rows = append(merged.Rows, Row{Occ: occ, Run: rr.Run, Mult: lr.Mult * rr.Mult})
 	}
-	for _, seg := range merged.Segs {
-		seg.Rows = mergeRows(seg.Rows)
-		x.stats.RowsProduced += int64(len(seg.Rows))
-	}
+	merged.Rows = mergeRows(merged.Rows)
+	x.stats.RowsProduced += int64(len(merged.Rows))
 
 	// Replace the two tables with the merged one.
 	li, ri := indexOfTable(x.tables, lt), indexOfTable(x.tables, rt)
@@ -304,7 +250,8 @@ func (x *evalContext) mergePairs(lt, rt *Table, pairs []pair) error {
 	return nil
 }
 
-type pair struct{ l, r rowRef }
+// pair is a (left row, right row) match of a join.
+type pair struct{ l, r int }
 
 // matchPairs finds all (left row, right row) pairs with compatible values,
 // ordered left-major (nested-for order), deduplicated.
@@ -318,27 +265,25 @@ func matchPairs(lvals, rvals []rowVals, cmp xq.CmpOp) []pair {
 		}
 	}
 	if cmp == xq.OpEq {
-		index := make(map[string][]rowRef)
+		index := make(map[string][]int)
 		for i := range rvals {
-			r := &rvals[i]
 			dedup := map[string]bool{}
-			for _, v := range r.vals {
+			for _, v := range rvals[i].vals {
 				if !dedup[v] {
 					dedup[v] = true
-					index[v] = append(index[v], r.ref)
+					index[v] = append(index[v], i)
 				}
 			}
 		}
 		for i := range lvals {
-			l := &lvals[i]
 			dedup := map[string]bool{}
-			for _, v := range l.vals {
+			for _, v := range lvals[i].vals {
 				if dedup[v] {
 					continue
 				}
 				dedup[v] = true
-				for _, rref := range index[v] {
-					add(pair{l.ref, rref})
+				for _, j := range index[v] {
+					add(pair{i, j})
 				}
 			}
 		}
@@ -355,7 +300,7 @@ func matchPairs(lvals, rvals []rowVals, cmp xq.CmpOp) []pair {
 					continue
 				}
 				if valsCompatible(&lvals[i], &rvals[j], cmp) {
-					add(pair{lvals[i].ref, rvals[j].ref})
+					add(pair{i, j})
 				}
 			}
 		}
@@ -366,44 +311,28 @@ func matchPairs(lvals, rvals []rowVals, cmp xq.CmpOp) []pair {
 
 // sortPairs orders pairs left-major (nested-for order).
 func sortPairs(out []pair) {
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.l != b.l {
-			if a.l.seg != b.l.seg {
-				return a.l.seg < b.l.seg
-			}
-			return a.l.row < b.l.row
-		}
-		if a.r.seg != b.r.seg {
-			return a.r.seg < b.r.seg
-		}
-		return a.r.row < b.r.row
-	})
+	slices.SortFunc(out, func(a, b pair) int { return cmp.Or(cmp.Compare(a.l, b.l), cmp.Compare(a.r, b.r)) })
 }
 
 // joinFilterOnly is the ablation mode: both sides are filtered to the rows
 // participating in some match, without pairing.
 func (x *evalContext) joinFilterOnly(lt, rt *Table, lvals, rvals []rowVals, cmp xq.CmpOp) error {
-	pairs := matchPairs(lvals, rvals, cmp)
-	keepL, keepR := map[rowRef]bool{}, map[rowRef]bool{}
-	for _, p := range pairs {
-		keepL[p.l] = true
-		keepR[p.r] = true
+	keepL, keepR := make([]bool, len(lt.Rows)), make([]bool, len(rt.Rows))
+	for _, p := range matchPairs(lvals, rvals, cmp) {
+		keepL[p.l], keepR[p.r] = true, true
 	}
 	filterRows(lt, keepL)
 	filterRows(rt, keepR)
 	return nil
 }
 
-func filterRows(t *Table, keep map[rowRef]bool) {
-	for si, seg := range t.Segs {
-		var rows []Row
-		for ri, r := range seg.Rows {
-			if keep[rowRef{si, ri}] {
-				rows = append(rows, r)
-			}
+// filterRows keeps the rows of t that keep marks.
+func filterRows(t *Table, keep []bool) {
+	var rows []Row
+	for ri, r := range t.Rows {
+		if keep[ri] {
+			rows = append(rows, r)
 		}
-		seg.Rows = mergeRows(rows)
 	}
-	t.Segs = compactSegs(t.Segs)
+	t.Rows = mergeRows(rows)
 }

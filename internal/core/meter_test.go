@@ -104,9 +104,6 @@ func TestTaskMeterAttribution(t *testing.T) {
 	if got, want := delta("core.tuples"), concA.Tuples+concB.Tuples; got != want {
 		t.Errorf("global tuples delta = %d, want %d", got, want)
 	}
-	if got, want := delta("core.memo_hits"), concA.MemoHits+concB.MemoHits; got != want {
-		t.Errorf("global memo hits delta = %d, want %d", got, want)
-	}
 }
 
 // TestTaskMeterStaticEmpty: a statically-empty evaluation charges the

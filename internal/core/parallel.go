@@ -30,12 +30,6 @@ func rowChunks(workers, rows int) int {
 	return n
 }
 
-// chunkBounds returns the half-open range [lo, hi) of chunk ci out of n
-// chunks over total items — contiguous, near-equal, in order.
-func chunkBounds(total, n, ci int) (int, int) {
-	return total * ci / n, total * (ci + 1) / n
-}
-
 // parallelFor runs fn(0..n-1) across at most workers goroutines. Every
 // task runs exactly once (tasks claim indices from an atomic counter), and
 // on failure the error of the lowest-indexed failing task is returned —

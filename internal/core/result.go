@@ -143,6 +143,7 @@ func (e *Engine) evalWithSinkTraced(ctx context.Context, plan *qgraph.Plan, sink
 	}
 	x := newEvalContext(e, ctx)
 	x.trace = trace
+	defer x.closeReaders()
 	defer func() {
 		e.setStats(x.stats)
 		wall := time.Since(start)
@@ -225,9 +226,9 @@ func (e *Engine) evalWithSinkTraced(ctx context.Context, plan *qgraph.Plan, sink
 		builder: skeleton.NewBuilder(),
 		out:     sink,
 		imports: make(map[*skeleton.Node]*skeleton.Node),
+		targets: make(map[returnPath][]skeleton.ClassID),
 	}
 	rb.appendOut = rb.appendValue
-	defer rb.close()
 	var emitStart time.Time
 	var before EvalStats
 	if trace != nil {
@@ -258,12 +259,11 @@ type resultBuilder struct {
 	rootEdges []skeleton.Edge
 	edges     []skeleton.Edge // scratch: one return item's edges
 	imports   map[*skeleton.Node]*skeleton.Node
+	targets   map[returnPath][]skeleton.ClassID // resolved return paths
 
 	// classes is indexed by input ClassID, allocated by the first copy and
-	// filled lazily for the classes the copies reach; readers lists the
-	// readers opened in it, closed when emission ends.
+	// filled lazily for the classes the copies reach.
 	classes []classMemo
-	readers []*reader
 	// path is the output path of the class being walked; outName is the
 	// output vector the current scan appends to, through appendOut (the
 	// appendValue method value, bound once).
@@ -274,12 +274,19 @@ type resultBuilder struct {
 	lastCtxCheck int64 // Tuples count at the last cancellation check
 }
 
+// returnPath identifies a return item's path from one class: the plan's
+// step slice, by its first element, stands for the path.
+type returnPath struct {
+	class skeleton.ClassID
+	steps *xq.Step
+}
+
 // classMemo is the per-query state of one input class.
 type classMemo struct {
 	cursor *skeleton.Cursor     // parent-class occurrences -> this class's
 	nodes  *skeleton.NodeCursor // DAG node of each occurrence (copied classes)
 	name   string               // last output vector name (text classes)
-	reader *reader              // the class's vector, read by scanText
+	reader *reader              // the evaluation's reader of the class's vector
 }
 
 // binding is one output variable's instance in a tuple.
@@ -323,24 +330,23 @@ func (rb *resultBuilder) emitAll(plan *qgraph.Plan) error {
 			return rb.emitTuple(plan, tuple, mult, prefix)
 		}
 		t := tables[ti]
-		for _, seg := range t.Segs {
-			last := len(seg.Classes) - 1
-			for _, r := range seg.Rows {
-				n := r.Run
-				if last < 0 {
-					n = 1
+		last := len(t.Classes) - 1
+		for _, r := range t.Rows {
+			n := r.Run
+			if last < 0 {
+				n = 1
+			}
+			for i := int64(0); i < n; i++ {
+				for c := range t.Classes {
+					v := r.Occ[c]
+					if c == last {
+						v += i
+					}
+					cls, occ := t.at(c, v)
+					tuple[t.Vars[c]] = binding{cls, occ}
 				}
-				for i := int64(0); i < n; i++ {
-					for c := range seg.Classes {
-						occ := r.Occ[c]
-						if c == last {
-							occ += i
-						}
-						tuple[t.Vars[c]] = binding{seg.Classes[c], occ}
-					}
-					if err := rec(ti+1, mult*r.Mult); err != nil {
-						return err
-					}
+				if err := rec(ti+1, mult*r.Mult); err != nil {
+					return err
 				}
 			}
 		}
@@ -411,7 +417,13 @@ func (rb *resultBuilder) emitPath(edges []skeleton.Edge, term xq.PathTerm, tuple
 	if len(term.Path.Steps) == 0 {
 		return rb.copyRun(edges, b.class, b.occ, 1, prefix)
 	}
-	for _, dst := range rb.x.e.resolveTargets(b.class, term.Path.Steps) {
+	key := returnPath{b.class, &term.Path.Steps[0]}
+	targets, ok := rb.targets[key]
+	if !ok {
+		targets = rb.x.e.resolveTargets(b.class, term.Path.Steps)
+		rb.targets[key] = targets
+	}
+	for _, dst := range targets {
 		start, count := rb.descend(b.class, dst, b.occ)
 		if count == 0 {
 			continue
@@ -514,18 +526,16 @@ func (rb *resultBuilder) copyTexts(class skeleton.ClassID, start, count int64) e
 // scanText appends positions [start, start+count) of a text class's vector
 // to the output vector named rb.path. The name string is kept per class
 // and rebuilt only when the path differs (another return item or target).
-// Each class has one reader for the whole emission: tuples come in
-// document order, so its scans resume where the previous one stopped.
+// It reads through the evaluation's reader of the vector: tuples come in
+// document order, so its scans resume where the previous one — or the
+// op that read the vector last — stopped.
 func (rb *resultBuilder) scanText(text skeleton.ClassID, start, count int64) error {
 	m := rb.memo(text)
 	if m.reader == nil {
-		vec, err := rb.x.vectorFor(text)
-		if err != nil {
+		var err error
+		if m.reader, err = rb.x.readerFor(text); err != nil {
 			return err
 		}
-		rd := rb.x.newReader(text, vec)
-		m.reader = &rd
-		rb.readers = append(rb.readers, m.reader)
 	}
 	if m.name != string(rb.path) {
 		m.name = string(rb.path)
@@ -533,13 +543,6 @@ func (rb *resultBuilder) scanText(text skeleton.ClassID, start, count int64) err
 	rb.outName = m.name
 	rb.x.stats.ValuesScanned += count
 	return m.reader.Scan(start, count, rb.appendOut)
-}
-
-// close releases the readers scanText opened.
-func (rb *resultBuilder) close() {
-	for _, r := range rb.readers {
-		r.Close()
-	}
 }
 
 // appendValue is the scan callback of scanText. The val passed down

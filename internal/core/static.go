@@ -13,6 +13,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"vxml/internal/qgraph"
@@ -69,31 +70,25 @@ func (sc *StaticCheck) String() string {
 // catalog classes they can match. The walk mirrors evaluation exactly —
 // bind resolves from the document root, proj/sel/exists/join resolve
 // relative to the source variable's classes, and value edges additionally
-// require a text child — but uses unmemoized resolution, so checking is
-// free of evaluation side effects (no memo warming, no stats, no vectors).
+// require a text child — and resolution is pure, so checking is free of
+// evaluation side effects (no stats, no vectors).
 func (e *Engine) CheckPlan(plan *qgraph.Plan) *StaticCheck {
 	sc := &StaticCheck{}
 	classes := make(map[string][]skeleton.ClassID)
 	for _, pe := range plan.PathEdges() {
 		var targets []skeleton.ClassID
 		if pe.Kind == qgraph.OpBind {
-			for _, c := range e.resolveFromDocFunc(pe.Path, e.resolveTargetsUncached) {
+			for _, c := range e.resolveFromDoc(pe.Path) {
 				if e.Classes.Count(c) > 0 { // opBind skips never-occurring classes
 					targets = append(targets, c)
 				}
 			}
 		} else {
-			set := make(map[skeleton.ClassID]bool)
 			for _, src := range classes[pe.Src] {
-				for _, t := range e.resolveTargetsUncached(src, pe.Path) {
-					set[t] = true
-				}
+				targets = append(targets, e.resolveTargets(src, pe.Path)...)
 			}
-			targets = make([]skeleton.ClassID, 0, len(set))
-			for c := range set {
-				targets = append(targets, c)
-			}
-			sortClassIDs(targets)
+			slices.Sort(targets)
+			targets = slices.Compact(targets)
 		}
 		if pe.Value {
 			// Value edges compare text: a target with no text child can

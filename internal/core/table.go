@@ -15,7 +15,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"strings"
 
 	"vxml/internal/skeleton"
@@ -31,19 +33,105 @@ type Row struct {
 	Mult int64
 }
 
-// Segment groups rows whose columns share one class assignment. Variables
-// bound through the descendant axis can range over several classes; each
-// combination is a separate segment.
+// Segment is a table's rows with one class per column. A column bound
+// through '//' or '*' can range over several classes: it is then a
+// class-set column, Classes[col] == skeleton.NoClass, and each row's entry
+// carries its class (see tagOcc). Every other column is single-class and
+// its entries are plain occurrences.
 type Segment struct {
 	Classes []skeleton.ClassID
 	Rows    []Row
 }
 
+// occBits is the width of the occurrence in a class-set column's entry,
+// which packs the row's class above it: tagOcc(c, occ) = c<<occBits | occ.
+// Runs, merges and spans therefore work on such entries unchanged (a run
+// never leaves its class), and entries sort by class, then occurrence.
+// Classes must stay below 1<<(63-occBits) and counts below 1<<occBits
+// (Engine.setClass checks).
+const occBits = 40
+
+func tagOcc(c skeleton.ClassID, occ int64) int64 { return int64(c)<<occBits | occ }
+
+// at returns the class and occurrence of column col's entry v.
+func (s *Segment) at(col int, v int64) (skeleton.ClassID, int64) {
+	if c := s.Classes[col]; c != skeleton.NoClass {
+		return c, v
+	}
+	return skeleton.ClassID(v >> occBits), v & (1<<occBits - 1)
+}
+
+// entry encodes occurrence occ of class c for column col: tagged in a
+// class-set column, plain otherwise.
+func (s *Segment) entry(col int, c skeleton.ClassID, occ int64) int64 {
+	if s.Classes[col] == skeleton.NoClass {
+		return tagOcc(c, occ)
+	}
+	return occ
+}
+
+// classesOf returns the distinct classes of column col, ascending.
+func (s *Segment) classesOf(col int) []skeleton.ClassID {
+	if c := s.Classes[col]; c != skeleton.NoClass {
+		return []skeleton.ClassID{c}
+	}
+	var out []skeleton.ClassID
+	for _, r := range s.Rows {
+		out = append(out, skeleton.ClassID(r.Occ[col]>>occBits))
+	}
+	slices.Sort(out)
+	return slices.Compact(out)
+}
+
+// rowKey is a row's index with its entry in one column.
+type rowKey struct {
+	entry int64
+	row   int
+}
+
+// byEntry returns the keys of the rows in column col, sorted by entry,
+// then row: a class-set column's classes come out contiguous, each in
+// occurrence order.
+func (s *Segment) byEntry(col int) []rowKey {
+	keys := make([]rowKey, len(s.Rows))
+	for i, r := range s.Rows {
+		keys[i] = rowKey{r.Occ[col], i}
+	}
+	slices.SortFunc(keys, func(a, b rowKey) int { return cmp.Or(cmp.Compare(a.entry, b.entry), cmp.Compare(a.row, b.row)) })
+	return keys
+}
+
+// filter keeps only the entries of column col that fall in the sorted
+// keep spans, splitting run rows as needed. Each row binary-searches the
+// spans, so the cost follows the rows and the spans they meet.
+func (s *Segment) filter(col int, keep []span) {
+	last := col == len(s.Classes)-1
+	var rows []Row
+	for _, r := range s.Rows {
+		lo, n := r.Occ[col], int64(1)
+		if last {
+			n = r.Run
+		}
+		i, _ := slices.BinarySearchFunc(keep, lo, func(k span, v int64) int { return cmp.Compare(k.Start+k.Count, v+1) })
+		for ; i < len(keep) && keep[i].Start < lo+n; i++ {
+			if !last {
+				rows = append(rows, r) // one keep decision per scalar occurrence
+				break
+			}
+			a, b := max(keep[i].Start, lo), min(keep[i].Start+keep[i].Count, lo+n)
+			occ := slices.Clone(r.Occ)
+			occ[col] = a
+			rows = append(rows, Row{Occ: occ, Run: b - a, Mult: r.Mult})
+		}
+	}
+	s.Rows = mergeRows(rows)
+}
+
 // Table is an instantiation table: an ordered set of variables (columns)
-// and class-homogeneous segments of rows.
+// and their rows.
 type Table struct {
 	Vars []string
-	Segs []*Segment
+	Segment
 }
 
 // Col returns the column index of a variable, or -1.
@@ -56,23 +144,12 @@ func (t *Table) Col(v string) int {
 	return -1
 }
 
-// NumRows returns the total row count across segments (not expanding runs).
-func (t *Table) NumRows() int {
-	n := 0
-	for _, s := range t.Segs {
-		n += len(s.Rows)
-	}
-	return n
-}
-
 // NumTuples returns the number of logical tuples (expanding runs and
 // multiplicities).
 func (t *Table) NumTuples() int64 {
 	var n int64
-	for _, s := range t.Segs {
-		for _, r := range s.Rows {
-			n += r.Run * r.Mult
-		}
+	for _, r := range t.Rows {
+		n += r.Run * r.Mult
 	}
 	return n
 }
@@ -80,16 +157,13 @@ func (t *Table) NumTuples() int64 {
 // String renders the table for debugging.
 func (t *Table) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "table(%s)\n", strings.Join(t.Vars, ","))
-	for _, s := range t.Segs {
-		fmt.Fprintf(&b, " seg classes=%v rows=%d\n", s.Classes, len(s.Rows))
-		for i, r := range s.Rows {
-			if i >= 20 {
-				fmt.Fprintf(&b, "  ... %d more\n", len(s.Rows)-20)
-				break
-			}
-			fmt.Fprintf(&b, "  occ=%v run=%d mult=%d\n", r.Occ, r.Run, r.Mult)
+	fmt.Fprintf(&b, "table(%s) classes=%v rows=%d\n", strings.Join(t.Vars, ","), t.Classes, len(t.Rows))
+	for i, r := range t.Rows {
+		if i >= 20 {
+			fmt.Fprintf(&b, "  ... %d more\n", len(t.Rows)-20)
+			break
 		}
+		fmt.Fprintf(&b, "  occ=%v run=%d mult=%d\n", r.Occ, r.Run, r.Mult)
 	}
 	return b.String()
 }
@@ -128,27 +202,24 @@ func (s *Segment) normalizeCol(col int) {
 	s.Rows = out
 }
 
-// dropColumn removes column col from every segment of t, folding run/
-// multiplicity semantics: dropping a trailing run column multiplies Mult
-// by Run; identical adjacent rows merge (their multiplicities add, or
-// their runs merge when contiguous on the new trailing column).
+// dropColumn removes column col from t, folding run/multiplicity
+// semantics: dropping a trailing run column multiplies Mult by Run;
+// identical adjacent rows merge (their multiplicities add, or their runs
+// merge when contiguous on the new trailing column). Dropping the only
+// column folds everything into a single multiplicity row.
 func (t *Table) dropColumn(col int) {
 	last := len(t.Vars) - 1
 	t.Vars = append(t.Vars[:col], t.Vars[col+1:]...)
-	for _, s := range t.Segs {
-		for i := range s.Rows {
-			r := &s.Rows[i]
-			if col == last {
-				r.Mult *= r.Run
-				r.Run = 1
-			}
-			r.Occ = append(r.Occ[:col], r.Occ[col+1:]...)
+	for i := range t.Rows {
+		r := &t.Rows[i]
+		if col == last {
+			r.Mult *= r.Run
+			r.Run = 1
 		}
-		s.Classes = append(s.Classes[:col], s.Classes[col+1:]...)
-		s.Rows = mergeRows(s.Rows)
+		r.Occ = append(r.Occ[:col], r.Occ[col+1:]...)
 	}
-	// Dropping the only column leaves 0-column rows: fold everything into
-	// a single multiplicity row per segment (mergeRows already did).
+	t.Classes = append(t.Classes[:col], t.Classes[col+1:]...)
+	t.Rows = mergeRows(t.Rows)
 }
 
 // mergeRows merges adjacent rows that are identical (multiplicities add)
@@ -162,7 +233,7 @@ func mergeRows(rows []Row) []Row {
 	for _, r := range rows {
 		if len(out) > 0 {
 			p := &out[len(out)-1]
-			if sameOcc(p.Occ, r.Occ) && p.Run == r.Run {
+			if slices.Equal(p.Occ, r.Occ) && p.Run == r.Run {
 				p.Mult += r.Mult
 				continue
 			}
@@ -174,18 +245,6 @@ func mergeRows(rows []Row) []Row {
 		out = append(out, r)
 	}
 	return out
-}
-
-func sameOcc(a, b []int64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // contiguous reports whether r directly continues p's trailing run with

@@ -72,19 +72,19 @@ func TestNormalizeCol(t *testing.T) {
 func TestDropColumnFoldsRunIntoMult(t *testing.T) {
 	tab := &Table{
 		Vars: []string{"$a", "$b"},
-		Segs: []*Segment{{
+		Segment: Segment{
 			Classes: []skeleton.ClassID{1, 2},
 			Rows: []Row{
 				{Occ: []int64{0, 10}, Run: 4, Mult: 1},
 				{Occ: []int64{1, 20}, Run: 2, Mult: 3},
 			},
-		}},
+		},
 	}
 	tab.dropColumn(1)
 	if len(tab.Vars) != 1 || tab.Vars[0] != "$a" {
 		t.Fatalf("vars = %v", tab.Vars)
 	}
-	rows := tab.Segs[0].Rows
+	rows := tab.Rows
 	if len(rows) != 2 {
 		t.Fatalf("rows = %+v", rows)
 	}
@@ -99,16 +99,16 @@ func TestDropColumnFoldsRunIntoMult(t *testing.T) {
 func TestDropMiddleColumnMergesDuplicates(t *testing.T) {
 	tab := &Table{
 		Vars: []string{"$a", "$b", "$c"},
-		Segs: []*Segment{{
+		Segment: Segment{
 			Classes: []skeleton.ClassID{1, 2, 3},
 			Rows: []Row{
 				{Occ: []int64{0, 5, 10}, Run: 2, Mult: 1},
 				{Occ: []int64{0, 6, 12}, Run: 1, Mult: 1},
 			},
-		}},
+		},
 	}
 	tab.dropColumn(1)
-	rows := tab.Segs[0].Rows
+	rows := tab.Rows
 	// (0,10 run2) and (0,12 run1) are contiguous: merge into (0,10 run3).
 	if len(rows) != 1 || rows[0].Run != 3 {
 		t.Errorf("rows = %+v", rows)
@@ -118,16 +118,16 @@ func TestDropMiddleColumnMergesDuplicates(t *testing.T) {
 func TestTableCountsAndString(t *testing.T) {
 	tab := &Table{
 		Vars: []string{"$x"},
-		Segs: []*Segment{{
+		Segment: Segment{
 			Classes: []skeleton.ClassID{1},
 			Rows:    []Row{{Occ: []int64{0}, Run: 5, Mult: 2}},
-		}},
+		},
 	}
 	if tab.Col("$x") != 0 || tab.Col("$y") != -1 {
 		t.Error("Col lookup broken")
 	}
-	if tab.NumRows() != 1 || tab.NumTuples() != 10 {
-		t.Errorf("counts = %d rows, %d tuples", tab.NumRows(), tab.NumTuples())
+	if len(tab.Rows) != 1 || tab.NumTuples() != 10 {
+		t.Errorf("counts = %d rows, %d tuples", len(tab.Rows), tab.NumTuples())
 	}
 	if tab.String() == "" {
 		t.Error("empty String")
@@ -135,25 +135,27 @@ func TestTableCountsAndString(t *testing.T) {
 }
 
 func TestSpanOps(t *testing.T) {
-	a := []span{{0, 3}, {10, 2}}
-	b := []span{{2, 5}, {20, 1}}
-	u := unionSpans(a, b)
+	u := mergeSpans([]span{{0, 3}, {2, 5}, {10, 2}, {20, 1}})
 	want := []span{{0, 7}, {10, 2}, {20, 1}}
 	if len(u) != len(want) {
-		t.Fatalf("union = %+v", u)
+		t.Fatalf("merge = %+v", u)
 	}
 	for i := range want {
 		if u[i] != want[i] {
-			t.Errorf("union[%d] = %+v, want %+v", i, u[i], want[i])
+			t.Errorf("merge[%d] = %+v, want %+v", i, u[i], want[i])
 		}
 	}
-	got := intersectSpan(u, 5, 7) // window [5,12)
-	want = []span{{5, 2}, {10, 2}}
-	if len(got) != 2 || got[0] != want[0] || got[1] != want[1] {
-		t.Errorf("intersect = %+v", got)
+	// Filtering a trailing run column clips each run to the spans it meets.
+	seg := &Segment{Classes: []skeleton.ClassID{1}, Rows: []Row{{Occ: []int64{5}, Run: 7, Mult: 1}, {Occ: []int64{13}, Run: 1, Mult: 1}}}
+	seg.filter(0, u) // rows [5,12) and [13,14)
+	wantRows := []Row{{Occ: []int64{5}, Run: 2, Mult: 1}, {Occ: []int64{10}, Run: 2, Mult: 1}}
+	if len(seg.Rows) != len(wantRows) {
+		t.Fatalf("filtered = %+v", seg.Rows)
 	}
-	if !spanContains(u, 11) || spanContains(u, 8) || spanContains(u, 21) {
-		t.Error("spanContains broken")
+	for i, r := range wantRows {
+		if got := seg.Rows[i]; got.Occ[0] != r.Occ[0] || got.Run != r.Run {
+			t.Errorf("filtered[%d] = %+v, want %+v", i, got, r)
+		}
 	}
 }
 
@@ -175,7 +177,7 @@ func TestExistsRunsRegular(t *testing.T) {
 	// one grandchild except those of the last parent.
 	l1 := skeleton.NewCursor(skeleton.RunMap{{Parents: 1, Fanout: 2}, {Parents: 1, Fanout: 0}, {Parents: 1, Fanout: 1}, {Parents: 1, Fanout: 3}})
 	l2 := skeleton.NewCursor(skeleton.RunMap{{Parents: 3, Fanout: 1}, {Parents: 3, Fanout: 0}})
-	got := existsRuns([]*skeleton.Cursor{l1, l2}, 0, 0, 4)
+	got := existsRuns([]*skeleton.Cursor{l1, l2}, 3)
 	// Parent 0: children 0,1 -> grandchildren yes. Parent 1: none.
 	// Parent 2: child 2 -> grandchild yes. Parent 3: children 3,4,5 -> no.
 	want := []span{{0, 1}, {2, 1}}

@@ -47,7 +47,7 @@ func (t *Trace) Redacted() string { return t.render(true) }
 // render emits one line pair per op with a fixed field order:
 //
 //  1. sel $b/publisher = 'SBP'
-//     time=182µs scanned=604 rows=+0 live-rows=1 tuples=0 vectors=+1 runs-expanded=0 index-hits=0 memo-hits=0
+//     time=182µs scanned=604 rows=+0 live-rows=1 tuples=0 vectors=+1 runs-expanded=0 index-hits=0
 //
 // followed by a total line. The field set and order are stable API for
 // tests and tooling.
@@ -65,12 +65,12 @@ func (t *Trace) render(redact bool) string {
 	for i, op := range t.Ops {
 		fmt.Fprintf(&b, "%2d. %s\n", i+1, op.Op)
 		s := op.Stats
-		fmt.Fprintf(&b, "    time=%s scanned=%d rows=%+d live-rows=%d tuples=%d vectors=%+d runs-expanded=%d index-hits=%d memo-hits=%d\n",
-			dur(op.Wall), s.ValuesScanned, s.RowsProduced, op.LiveRows, s.Tuples, s.VectorsOpened, s.RunsExpanded, s.IndexHits, s.MemoHits)
+		fmt.Fprintf(&b, "    time=%s scanned=%d rows=%+d live-rows=%d tuples=%d vectors=%+d runs-expanded=%d index-hits=%d\n",
+			dur(op.Wall), s.ValuesScanned, s.RowsProduced, op.LiveRows, s.Tuples, s.VectorsOpened, s.RunsExpanded, s.IndexHits)
 	}
 	s := t.Total
-	fmt.Fprintf(&b, "total: time=%s scanned=%d rows=%d tuples=%d vectors=%d runs-expanded=%d index-hits=%d memo-hits=%d",
-		dur(t.Wall), s.ValuesScanned, s.RowsProduced, s.Tuples, s.VectorsOpened, s.RunsExpanded, s.IndexHits, s.MemoHits)
+	fmt.Fprintf(&b, "total: time=%s scanned=%d rows=%d tuples=%d vectors=%d runs-expanded=%d index-hits=%d",
+		dur(t.Wall), s.ValuesScanned, s.RowsProduced, s.Tuples, s.VectorsOpened, s.RunsExpanded, s.IndexHits)
 	return b.String()
 }
 
@@ -129,7 +129,6 @@ var (
 	obsRows     = obs.GetCounter("core.rows_produced")
 	obsTuples   = obs.GetCounter("core.tuples")
 	obsIndexHit = obs.GetCounter("core.index_hits")
-	obsMemoHit  = obs.GetCounter("core.memo_hits")
 	obsRunsExp  = obs.GetCounter("core.runs_expanded")
 	obsQueryDur = obs.GetHistogram("core.query_duration")
 	// obsStaticEmpty counts queries the static checker short-circuited.
@@ -158,7 +157,6 @@ func publishObs(s EvalStats, wall time.Duration, err error) {
 	obsRows.Add(s.RowsProduced)
 	obsTuples.Add(s.Tuples)
 	obsIndexHit.Add(s.IndexHits)
-	obsMemoHit.Add(s.MemoHits)
 	obsRunsExp.Add(s.RunsExpanded)
 	obsQueryDur.Observe(wall)
 }

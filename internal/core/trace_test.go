@@ -55,12 +55,12 @@ func TestExplainAnalyzeGoldenBib(t *testing.T) {
 		t.Fatalf("eval: %v", err)
 	}
 	want := ` 1. bind $b := doc/bib/book
-    time=- scanned=0 rows=+1 live-rows=1 tuples=0 vectors=+0 runs-expanded=0 index-hits=0 memo-hits=0
+    time=- scanned=0 rows=+1 live-rows=1 tuples=0 vectors=+0 runs-expanded=0 index-hits=0
  2. sel $b/publisher = 'SBP'
-    time=- scanned=3 rows=+0 live-rows=1 tuples=0 vectors=+1 runs-expanded=0 index-hits=0 memo-hits=0
+    time=- scanned=3 rows=+0 live-rows=1 tuples=0 vectors=+1 runs-expanded=0 index-hits=0
  3. emit result
-    time=- scanned=2 rows=+0 live-rows=1 tuples=2 vectors=+1 runs-expanded=0 index-hits=0 memo-hits=0
-total: time=- scanned=5 rows=1 tuples=2 vectors=2 runs-expanded=0 index-hits=0 memo-hits=0`
+    time=- scanned=2 rows=+0 live-rows=1 tuples=2 vectors=+1 runs-expanded=0 index-hits=0
+total: time=- scanned=5 rows=1 tuples=2 vectors=2 runs-expanded=0 index-hits=0`
 	if got := tr.Redacted(); got != want {
 		t.Errorf("Redacted trace =\n%s\nwant\n%s", got, want)
 	}
@@ -87,14 +87,14 @@ output: $x`
 		t.Errorf("Explain =\n%s\nwant\n%s", got, wantPlan)
 	}
 	want := ` 1. bind $.h1 := doc/bib/*
-    time=- scanned=0 rows=+2 live-rows=2 tuples=0 vectors=+0 runs-expanded=0 index-hits=0 memo-hits=0
+    time=- scanned=0 rows=+2 live-rows=2 tuples=0 vectors=+0 runs-expanded=0 index-hits=0
  2. exists $.h1/author
-    time=- scanned=0 rows=+0 live-rows=2 tuples=0 vectors=+0 runs-expanded=0 index-hits=0 memo-hits=0
+    time=- scanned=0 rows=+0 live-rows=2 tuples=0 vectors=+0 runs-expanded=0 index-hits=0
  3. proj $x := $.h1//title [drop $.h1]
-    time=- scanned=0 rows=+2 live-rows=2 tuples=0 vectors=+0 runs-expanded=0 index-hits=0 memo-hits=0
+    time=- scanned=0 rows=+2 live-rows=2 tuples=0 vectors=+0 runs-expanded=0 index-hits=0
  4. emit result
-    time=- scanned=6 rows=+0 live-rows=2 tuples=6 vectors=+2 runs-expanded=0 index-hits=0 memo-hits=0
-total: time=- scanned=6 rows=4 tuples=6 vectors=2 runs-expanded=0 index-hits=0 memo-hits=0`
+    time=- scanned=6 rows=+0 live-rows=2 tuples=6 vectors=+2 runs-expanded=0 index-hits=0
+total: time=- scanned=6 rows=4 tuples=6 vectors=2 runs-expanded=0 index-hits=0`
 	if got := tr.Redacted(); got != want {
 		t.Errorf("Redacted trace =\n%s\nwant\n%s", got, want)
 	}
@@ -137,8 +137,7 @@ var statsQueries = []string{
 
 // TestEvalStatsParallelMatchesSerial audits the stats merge under worker
 // parallelism: a parallel evaluation must produce byte-identical results
-// AND identical counters to serial evaluation — every field except
-// MemoHits, which depends on memo warmth and hence on scan interleaving.
+// AND identical counters to serial evaluation, every field of them.
 // Run under -race this also audits the merge for data races.
 func TestEvalStatsParallelMatchesSerial(t *testing.T) {
 	for _, src := range statsQueries {
@@ -155,9 +154,7 @@ func TestEvalStatsParallelMatchesSerial(t *testing.T) {
 		if got, want := resultXML(t, parRes), resultXML(t, serialRes); got != want {
 			t.Errorf("%s: parallel result %s != serial %s", src, got, want)
 		}
-		s, p := serialEng.Stats(), parEng.Stats()
-		s.MemoHits, p.MemoHits = 0, 0
-		if s != p {
+		if s, p := serialEng.Stats(), parEng.Stats(); s != p {
 			t.Errorf("%s: stats diverge under Workers=8\nserial   %+v\nparallel %+v", src, s, p)
 		}
 	}

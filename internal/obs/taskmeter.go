@@ -17,8 +17,6 @@ type TaskMeter struct {
 	bytesRead        atomic.Int64
 	checksumVerifies atomic.Int64
 	vectorOpens      atomic.Int64
-	memoHits         atomic.Int64
-	memoMisses       atomic.Int64
 	tuples           atomic.Int64
 	staticEmpty      atomic.Int64
 	cacheHits        atomic.Int64
@@ -43,20 +41,6 @@ func (m *TaskMeter) PageFault(pageBytes int64, verified bool) {
 func (m *TaskMeter) VectorOpen() {
 	if m != nil {
 		m.vectorOpens.Add(1)
-	}
-}
-
-// MemoHit charges one engine-memo lookup answered from the memo.
-func (m *TaskMeter) MemoHit() {
-	if m != nil {
-		m.memoHits.Add(1)
-	}
-}
-
-// MemoMiss charges one engine-memo lookup that had to compute its answer.
-func (m *TaskMeter) MemoMiss() {
-	if m != nil {
-		m.memoMisses.Add(1)
 	}
 }
 
@@ -133,8 +117,6 @@ type TaskCounters struct {
 	BytesRead        int64 `json:"bytes_read"`
 	ChecksumVerifies int64 `json:"checksum_verifies"`
 	VectorOpens      int64 `json:"vector_opens"`
-	MemoHits         int64 `json:"memo_hits"`
-	MemoMisses       int64 `json:"memo_misses"`
 	Tuples           int64 `json:"tuples"`
 	StaticEmpty      int64 `json:"static_empty"`
 	CacheHits        int64 `json:"cache_hits"`
@@ -154,8 +136,6 @@ func (m *TaskMeter) Add(c TaskCounters) {
 	m.bytesRead.Add(c.BytesRead)
 	m.checksumVerifies.Add(c.ChecksumVerifies)
 	m.vectorOpens.Add(c.VectorOpens)
-	m.memoHits.Add(c.MemoHits)
-	m.memoMisses.Add(c.MemoMisses)
 	m.tuples.Add(c.Tuples)
 	m.staticEmpty.Add(c.StaticEmpty)
 	m.cacheHits.Add(c.CacheHits)
@@ -173,8 +153,6 @@ func (m *TaskMeter) Counters() TaskCounters {
 		BytesRead:        m.bytesRead.Load(),
 		ChecksumVerifies: m.checksumVerifies.Load(),
 		VectorOpens:      m.vectorOpens.Load(),
-		MemoHits:         m.memoHits.Load(),
-		MemoMisses:       m.memoMisses.Load(),
 		Tuples:           m.tuples.Load(),
 		StaticEmpty:      m.staticEmpty.Load(),
 		CacheHits:        m.cacheHits.Load(),

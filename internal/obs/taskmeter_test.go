@@ -13,8 +13,6 @@ func TestTaskMeterNilSafe(t *testing.T) {
 	var m *TaskMeter
 	m.PageFault(8192, true)
 	m.VectorOpen()
-	m.MemoHit()
-	m.MemoMiss()
 	m.Tuples(5)
 	m.StaticEmpty()
 	if m.PagesFaulted() != 0 {
@@ -30,9 +28,6 @@ func TestTaskMeterCounts(t *testing.T) {
 	m.PageFault(8192, true)
 	m.PageFault(8192, false)
 	m.VectorOpen()
-	m.MemoHit()
-	m.MemoHit()
-	m.MemoMiss()
 	m.Tuples(7)
 	m.StaticEmpty()
 	want := TaskCounters{
@@ -40,8 +35,6 @@ func TestTaskMeterCounts(t *testing.T) {
 		BytesRead:        16384,
 		ChecksumVerifies: 1,
 		VectorOpens:      1,
-		MemoHits:         2,
-		MemoMisses:       1,
 		Tuples:           7,
 		StaticEmpty:      1,
 	}

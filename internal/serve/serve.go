@@ -148,7 +148,6 @@ type QueryStats struct {
 	Tuples        int64 `json:"tuples"`
 	RunsExpanded  int64 `json:"runs_expanded"`
 	IndexHits     int64 `json:"index_hits"`
-	MemoHits      int64 `json:"memo_hits"`
 }
 
 // QueryResponse is the POST /query reply.
@@ -657,9 +656,9 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if s.cfg.SlowQuery > 0 && elapsed > s.cfg.SlowQuery {
 		obsSlow.Inc()
 		mc := meter.Counters()
-		s.cfg.Log.Printf("serve: slow_query elapsed_ms=%d threshold_ms=%d pages_faulted=%d bytes_read=%d vector_opens=%d memo_hits=%d tuples=%d query=%q",
+		s.cfg.Log.Printf("serve: slow_query elapsed_ms=%d threshold_ms=%d pages_faulted=%d bytes_read=%d vector_opens=%d tuples=%d query=%q",
 			elapsed.Milliseconds(), s.cfg.SlowQuery.Milliseconds(),
-			mc.PagesFaulted, mc.BytesRead, mc.VectorOpens, mc.MemoHits, mc.Tuples,
+			mc.PagesFaulted, mc.BytesRead, mc.VectorOpens, mc.Tuples,
 			compactQuery(req.Query))
 	}
 	if err != nil {
@@ -856,7 +855,6 @@ func toQueryStats(s core.EvalStats) QueryStats {
 		Tuples:        s.Tuples,
 		RunsExpanded:  s.RunsExpanded,
 		IndexHits:     s.IndexHits,
-		MemoHits:      s.MemoHits,
 	}
 }
 

@@ -86,7 +86,6 @@ func MergeResults(results []*core.Result) (*core.Result, error) {
 		merged.Stats.Tuples += r.Stats.Tuples
 		merged.Stats.RunsExpanded += r.Stats.RunsExpanded
 		merged.Stats.IndexHits += r.Stats.IndexHits
-		merged.Stats.MemoHits += r.Stats.MemoHits
 		merged.StaticallyEmpty = merged.StaticallyEmpty && r.StaticallyEmpty
 	}
 	skel := b.Finish(b.Make(resultTag, edges))

@@ -25,12 +25,14 @@ import (
 // the serialized results. Child-axis queries must match byte for byte
 // (order and duplicates included); queries using '*' or '//' are compared
 // as sorted multisets of top-level result items, because the engine
-// groups such matches by path class. A fixed 1-in-8 slice of pairs is
-// also evaluated over on-disk repositories, in both vector formats, and
-// must answer byte for byte as the in-memory engine does. Another fixed
-// 1-in-8 slice draws from the wide configurations (WideDocConfig,
-// WideQueryConfig) and is also evaluated at Workers 1 and 4, byte for
-// byte as at the default.
+// groups such matches by path class. A fixed 1-in-8 slice of pairs
+// (seed%8 == 0) is also evaluated over on-disk repositories, in both
+// vector formats, and must answer byte for byte as the in-memory engine
+// does. The wide slice (seed%8 == 4) draws from WideDocConfig and
+// WideQueryConfig and is also evaluated at Workers 1 and 4, byte for byte
+// as at the default. The descendant slice (seed%8 == 2) draws from
+// DescendantDocConfig and DescendantQueryConfig and goes through both
+// checks.
 //
 // Knobs (environment):
 //
@@ -72,9 +74,12 @@ func diffPair(t *testing.T, seed int64) bool {
 	r := rand.New(rand.NewSource(seed))
 	syms := xmlmodel.NewSymbols()
 	docCfg, queryCfg := DefaultDocConfig(), DefaultQueryConfig()
-	wide := seed%8 == 4
-	if wide {
+	wide, desc := seed%8 == 4, seed%8 == 2
+	switch {
+	case wide:
 		docCfg, queryCfg = WideDocConfig(), WideQueryConfig()
+	case desc:
+		docCfg, queryCfg = DescendantDocConfig(), DescendantQueryConfig()
 	}
 	tree := Doc(r, docCfg, syms)
 	q := NewQuery(r, queryCfg)
@@ -156,14 +161,14 @@ func diffPair(t *testing.T, seed int64) bool {
 		return false
 	}
 
-	if wide {
+	if wide || desc {
 		for _, workers := range []int{1, 4} {
 			if !workersPair(t, seed, repo, plan, workers, got) {
 				return false
 			}
 		}
 	}
-	if seed%8 == 0 {
+	if seed%8 == 0 || desc {
 		for _, compress := range []bool{false, true} {
 			if !diskPair(t, seed, xmlmodel.TreeString(tree, syms), plan, compress, got) {
 				return false

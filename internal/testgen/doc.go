@@ -69,6 +69,21 @@ func WideDocConfig() DocConfig {
 
 var wideTags = []string{"a", "b", "c", "d", "e", "f", "g", "h", "i", "j", "k", "l"}
 
+// DescendantDocConfig returns the configuration of the differential
+// suite's descendant slice: deep, irregular nesting over a 3-tag
+// alphabet, so one '//t' step reaches dozens of path classes, with runs
+// of same-tag siblings beside matches scattered through the tree.
+func DescendantDocConfig() DocConfig {
+	cfg := DefaultDocConfig()
+	cfg.Tags = descTags
+	cfg.MaxDepth = 6
+	cfg.MaxRun = 2
+	cfg.LeafBias = 35
+	return cfg
+}
+
+var descTags = []string{"a", "b", "c"}
+
 // Doc generates one random document. Sibling groups repeat a single tag
 // for a random run length, so consecutive identical-class siblings (the
 // run-compressible case) occur frequently; within a run each element is

@@ -44,6 +44,9 @@ type QueryConfig struct {
 	// of the first (shallowest) variable: a bare "$x", or "$x/t" whose
 	// child step selects runs of consecutive same-tag siblings.
 	subtreePct int
+	// selPct is the chance a where conjunct is a selection rather than a
+	// join; 0 means 65.
+	selPct int
 }
 
 // DefaultQueryConfig returns the configuration used by the differential
@@ -72,6 +75,24 @@ func WideQueryConfig() QueryConfig {
 	cfg.MaxExtraBindings = 1
 	cfg.maxBindingSteps = 1
 	cfg.subtreePct = 60
+	return cfg
+}
+
+// DescendantQueryConfig returns the query configuration of the descendant
+// slice (see DescendantDocConfig): several bindings, most through '//',
+// joined with each other and with child-axis bindings, filtered by
+// selections and qualifier existence tests, and often returning the first
+// variable — the source the '//' bindings hang from.
+func DescendantQueryConfig() QueryConfig {
+	cfg := DefaultQueryConfig()
+	cfg.Tags = descTags
+	cfg.MaxExtraBindings = 2
+	cfg.MaxConds = 3
+	cfg.DescendantPct = 60
+	cfg.WildcardPct = 5
+	cfg.QualifierPct = 40
+	cfg.subtreePct = 40
+	cfg.selPct = 45
 	return cfg
 }
 
@@ -221,7 +242,11 @@ func NewQuery(r *rand.Rand, cfg QueryConfig) Query {
 	var conds []string
 	for i := 0; i < nconds; i++ {
 		left := g.anyVar() + "/" + g.relPath(2)
-		if g.pct(65) {
+		selPct := g.cfg.selPct
+		if selPct == 0 {
+			selPct = 65
+		}
+		if g.pct(selPct) {
 			ops := []string{"=", "=", "!=", "<", ">="}
 			conds = append(conds, fmt.Sprintf("%s %s '%s'", left, ops[g.r.Intn(len(ops))], g.value()))
 		} else {
