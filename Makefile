@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: test race vet lint lint-tools bench bench-full bench-snapshot profile fuzz examples clean
+.PHONY: test race vet lint lint-tools bench bench-full loc profile fuzz examples clean
 
 test:
 	go test ./...
@@ -59,14 +59,14 @@ profile:
 bench-full:
 	go run ./cmd/vxbench -work bench-work all
 
-# Machine-readable benchmark records for this change: concurrent serving
-# throughput plus the query-scoped telemetry overhead (BENCH_PR6.json),
-# and the sharded scatter-gather serving grid (BENCH_PR8.json). CI runs
-# this and uploads both as artifacts.
-bench-snapshot:
-	go run ./cmd/vxbench -quick -work bench-work -o BENCH_PR6.json snapshot
-	go run ./cmd/vxbench -quick -work bench-work -o BENCH_PR8.json sharded
-	go run ./cmd/vxbench -quick -work bench-work -o BENCH_PR10.json spans
+# Non-test lines of Go per package (every .go file go list counts as
+# part of the package build, _test.go files excluded), then the total.
+loc:
+	@go list -f '{{$$d := .Dir}}{{.ImportPath}}{{range .GoFiles}} {{$$d}}/{{.}}{{end}}' ./... | \
+	while read -r pkg files; do \
+	  n=0; [ -z "$$files" ] || n=$$(cat $$files | wc -l); \
+	  printf '%7d  %s\n' "$$n" "$$pkg"; \
+	done | awk '{ print; total += $$1 } END { printf "%7d  total\n", total }'
 
 fuzz:
 	go test -fuzz FuzzParse -fuzztime 30s ./internal/xq/

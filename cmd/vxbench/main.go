@@ -4,14 +4,10 @@
 //
 // Usage:
 //
-//	vxbench [-work DIR] [-quick] table1|table2|table3|fig8|ablations|verify|snapshot|sharded|spans|all
+//	vxbench [-work DIR] [-quick] table1|table2|table3|fig8|ablations|verify|all
 //
-// The snapshot experiment writes a machine-readable benchmark record
-// (concurrent throughput plus query-scoped telemetry overhead) to the
-// file named by -o, for CI artifact upload and cross-PR comparison. The
-// sharded experiment does the same for the scatter-gather serving
-// layer: the Zipf KQ1 mix through a shard coordinator across a
-// goroutines x shard-count grid.
+// Serving throughput, latency and per-layer cost are measured by the
+// benchmark harness under benchmark/ (bash benchmark/run.sh), not here.
 //
 // Datasets are generated and vectorized on first use and cached under the
 // work directory, so the first run is slower than subsequent ones.
@@ -20,7 +16,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"time"
 
@@ -36,10 +31,9 @@ func main() {
 	ssRows := flag.Int("ssrows", 0, "SkyServer rows override")
 	ssCols := flag.Int("sscols", 0, "SkyServer columns override")
 	timeout := flag.Duration("timeout", 0, "per-query timeout override")
-	out := flag.String("o", "", "output file for snapshot experiments (default BENCH_PR6.json, BENCH_PR8.json for sharded, BENCH_PR10.json for spans)")
 	flag.Parse()
 	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: vxbench [flags] table1|table2|table3|fig8|ablations|verify|snapshot|sharded|spans|all")
+		fmt.Fprintln(os.Stderr, "usage: vxbench [flags] table1|table2|table3|fig8|ablations|verify|all")
 		os.Exit(2)
 	}
 
@@ -114,52 +108,6 @@ func main() {
 		case "verify":
 			fmt.Println("== VX vs reference interpreter ==")
 			err = h.VerifyVX(os.Stdout)
-		case "snapshot":
-			snap, e := h.Snapshot(bench.KQ1, []int{1, 4, 16}, 51)
-			if e != nil {
-				return e
-			}
-			path := *out
-			if path == "" {
-				path = "BENCH_PR6.json"
-			}
-			if e := writeJSON(path, snap.WriteJSON); e != nil {
-				return e
-			}
-			fmt.Println("== Benchmark snapshot ==")
-			snap.WriteJSON(os.Stdout)
-			fmt.Printf("(written to %s)\n", path)
-		case "sharded":
-			snap, e := h.ShardedSnapshot(bench.KQ1, []int{1, 4, 16}, []int{1, 4, 8})
-			if e != nil {
-				return e
-			}
-			path := *out
-			if path == "" {
-				path = "BENCH_PR8.json"
-			}
-			if e := writeJSON(path, snap.WriteJSON); e != nil {
-				return e
-			}
-			fmt.Println("== Sharded serving snapshot ==")
-			bench.PrintSharded(os.Stdout, snap.Sharded)
-			fmt.Printf("(written to %s)\n", path)
-		case "spans":
-			sp, e := h.SpanOverhead(bench.KQ1, 51)
-			if e != nil {
-				return e
-			}
-			snap := &bench.SpansSnapshot{Spans: sp}
-			path := *out
-			if path == "" {
-				path = "BENCH_PR10.json"
-			}
-			if e := writeJSON(path, snap.WriteJSON); e != nil {
-				return e
-			}
-			fmt.Println("== Span overhead snapshot ==")
-			snap.WriteJSON(os.Stdout)
-			fmt.Printf("(written to %s)\n", path)
 		case "all":
 			for _, sub := range []string{"table1", "table2", "table3", "fig8", "ablations"} {
 				if err := run(sub); err != nil {
@@ -180,17 +128,4 @@ func main() {
 		fmt.Fprintln(os.Stderr, "vxbench:", err)
 		os.Exit(1)
 	}
-}
-
-// writeJSON writes one snapshot record to path.
-func writeJSON(path string, write func(io.Writer) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := write(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

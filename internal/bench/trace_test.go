@@ -3,7 +3,6 @@ package bench
 import (
 	"context"
 	"testing"
-	"time"
 
 	"vxml/internal/core"
 	"vxml/internal/qgraph"
@@ -62,45 +61,27 @@ func BenchmarkTraceOverhead(b *testing.B) {
 	}
 }
 
-// TestTraceOverheadBounded interleaves traced and untraced evaluations and
-// checks the median overhead stays small. The CI assertion is deliberately
-// loose (25%) — shared runners are noisy — while the real measurement for
-// EXPERIMENTS.md comes from BenchmarkTraceOverhead on quiet hardware; this
-// test exists to catch a rewrite that makes tracing accidentally O(rows).
+// TestTraceOverheadBounded compares traced and untraced evaluations of
+// KQ1, each on a fresh engine, through the paired measurement of
+// TestSpanOverheadBounded. The CI assertion is deliberately loose (25%) —
+// shared runners are noisy — while the real measurement for
+// EXPERIMENTS.md comes from BenchmarkTraceOverhead on quiet hardware;
+// this test exists to catch a rewrite that makes tracing accidentally
+// O(rows).
 func TestTraceOverheadBounded(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing-sensitive; skipped in -short")
 	}
 	mk, plan := traceSetup(t, KQ1)
-	const rounds = 15
-	median := func(ds []time.Duration) time.Duration {
-		for i := 1; i < len(ds); i++ {
-			for j := i; j > 0 && ds[j] < ds[j-1]; j-- {
-				ds[j], ds[j-1] = ds[j-1], ds[j]
-			}
-		}
-		return ds[len(ds)/2]
-	}
-	var plain, traced []time.Duration
-	for i := 0; i < rounds; i++ {
-		eng := mk()
-		start := time.Now()
-		if _, err := eng.Eval(context.Background(), plan); err != nil {
+	plain := func() {
+		if _, err := mk().Eval(context.Background(), plan); err != nil {
 			t.Fatal(err)
 		}
-		plain = append(plain, time.Since(start))
-
-		eng = mk()
-		start = time.Now()
-		if _, _, err := eng.EvalTraced(context.Background(), plan); err != nil {
+	}
+	traced := func() {
+		if _, _, err := mk().EvalTraced(context.Background(), plan); err != nil {
 			t.Fatal(err)
 		}
-		traced = append(traced, time.Since(start))
 	}
-	p, tr := median(plain), median(traced)
-	overhead := float64(tr-p) / float64(p) * 100
-	t.Logf("trace overhead: eval=%s eval-traced=%s overhead=%.1f%%", p, tr, overhead)
-	if overhead > 25 {
-		t.Errorf("median trace overhead %.1f%% exceeds 25%% — tracing is no longer per-op-constant", overhead)
-	}
+	requireOverheadBounded(t, "trace overhead", plain, traced)
 }

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"slices"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"vxml/internal/obs"
@@ -165,23 +164,6 @@ func newEvalContext(e *Engine, ctx context.Context) *evalContext {
 		rds:     make(map[skeleton.ClassID]*reader),
 		varTabs: make(map[string]int),
 	}
-}
-
-// taskTelemetry gates the query-scoped telemetry layer (TaskMeter
-// creation and active-query registration). It exists only so the
-// benchmark harness can measure the layer's cost against the trace
-// budget; production code never turns it off.
-var taskTelemetry atomic.Bool
-
-func init() { taskTelemetry.Store(true) }
-
-// SetTaskTelemetry toggles per-query TaskMeter attribution and
-// active-query registration, returning the previous setting. Benchmark
-// ablation only.
-func SetTaskTelemetry(on bool) bool {
-	prev := taskTelemetry.Load()
-	taskTelemetry.Store(on)
-	return prev
 }
 
 // readerFor returns the evaluation's reader of a text class's vector,

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"vxml/internal/obs"
-	"vxml/internal/qgraph"
 	"vxml/internal/vectorize"
 	"vxml/internal/xmlmodel"
 )
@@ -185,26 +184,5 @@ func TestActiveQueryRegistryCancel(t *testing.T) {
 		if q.ID == id {
 			t.Fatalf("query %d still listed after completion", id)
 		}
-	}
-}
-
-// TestTaskTelemetryAblation: with telemetry off no query registers, and
-// an engine evaluation still succeeds with correct results.
-func TestTaskTelemetryAblation(t *testing.T) {
-	prev := SetTaskTelemetry(false)
-	defer SetTaskTelemetry(prev)
-	syms := xmlmodel.NewSymbols()
-	repo, err := vectorize.FromString(bibXML, syms)
-	if err != nil {
-		t.Fatalf("vectorize: %v", err)
-	}
-	eng := NewEngine(repo.Skel, repo.Classes, repo.Vectors, syms, Options{})
-	var plan *qgraph.Plan = planFor(t, q0)
-	res, err := eng.Eval(context.Background(), plan)
-	if err != nil {
-		t.Fatalf("eval: %v", err)
-	}
-	if got := resultXML(t, res); !strings.Contains(got, "<title>Curation</title>") {
-		t.Errorf("telemetry-off result incomplete:\n%s", got)
 	}
 }

@@ -118,29 +118,25 @@ func (e *Engine) evalWithSinkTraced(ctx context.Context, plan *qgraph.Plan, sink
 		ctx = context.Background()
 	}
 	start := time.Now()
-	var meter *obs.TaskMeter
-	var regID int64
-	var label func() string
-	if taskTelemetry.Load() {
-		if meter = obs.MeterFrom(ctx); meter == nil {
-			meter = &obs.TaskMeter{}
-			ctx = obs.WithMeter(ctx, meter)
-		}
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithCancel(ctx)
-		defer cancel()
-		// Rendering plan.String() costs more than the whole telemetry layer,
-		// so the fallback label is lazy: it stringifies only when the query
-		// is actually listed or slow-captured.
-		if text := obs.QueryTextFrom(ctx); text != "" {
-			label = func() string { return text }
-		} else {
-			label = sync.OnceValue(func() string {
-				return strings.Join(strings.Fields(plan.String()), " ")
-			})
-		}
-		regID = obs.ActiveQueries.Register(label, meter, cancel)
+	meter := obs.MeterFrom(ctx)
+	if meter == nil {
+		meter = &obs.TaskMeter{}
+		ctx = obs.WithMeter(ctx, meter)
 	}
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	// Rendering plan.String() costs more than the whole telemetry layer,
+	// so the fallback label is lazy: it stringifies only when the query
+	// is actually listed or slow-captured.
+	var label func() string
+	if text := obs.QueryTextFrom(ctx); text != "" {
+		label = func() string { return text }
+	} else {
+		label = sync.OnceValue(func() string {
+			return strings.Join(strings.Fields(plan.String()), " ")
+		})
+	}
+	regID := obs.ActiveQueries.Register(label, meter, cancel)
 	x := newEvalContext(e, ctx)
 	x.trace = trace
 	defer x.closeReaders()
@@ -152,9 +148,6 @@ func (e *Engine) evalWithSinkTraced(ctx context.Context, plan *qgraph.Plan, sink
 			trace.Total = x.stats
 		}
 		publishObs(x.stats, wall, err)
-		if meter == nil {
-			return
-		}
 		obs.ActiveQueries.Finish(regID)
 		if obs.SlowQueries.ShouldCapture(wall, meter.PagesFaulted()) {
 			rec := obs.SlowQueryRecord{

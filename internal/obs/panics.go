@@ -27,17 +27,12 @@ type PanicRecord struct {
 // every one is captured.
 type PanicRing struct {
 	mu   sync.Mutex
-	buf  []PanicRecord // guarded by mu
-	next int           // guarded by mu
-	size int           // guarded by mu
+	ring ring[PanicRecord] // guarded by mu
 }
 
 // NewPanicRing returns a ring keeping the last n captures.
 func NewPanicRing(n int) *PanicRing {
-	if n < 1 {
-		n = 1
-	}
-	return &PanicRing{buf: make([]PanicRecord, n)}
+	return &PanicRing{ring: newRing[PanicRecord](n)}
 }
 
 // Record captures one panic, evicting the oldest when full.
@@ -45,21 +40,12 @@ func (p *PanicRing) Record(rec PanicRecord) {
 	obsPanicsCaptured.Inc()
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.buf[p.next] = rec
-	p.next = (p.next + 1) % len(p.buf)
-	if p.size < len(p.buf) {
-		p.size++
-	}
+	p.ring.push(rec)
 }
 
 // List returns the captures, newest first.
 func (p *PanicRing) List() []PanicRecord {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	out := make([]PanicRecord, 0, p.size)
-	for i := 0; i < p.size; i++ {
-		j := (p.next - 1 - i + len(p.buf)) % len(p.buf)
-		out = append(out, p.buf[j])
-	}
-	return out
+	return p.ring.newestFirst()
 }

@@ -168,18 +168,13 @@ type SlowRing struct {
 	pages  atomic.Int64 // capture at/over this many pages faulted; 0 disables
 
 	mu   sync.Mutex
-	buf  []SlowQueryRecord // guarded by mu
-	next int               // guarded by mu
-	size int               // guarded by mu
+	ring ring[SlowQueryRecord] // guarded by mu
 }
 
 // NewSlowRing returns a ring holding up to size records (min 1), with
 // both thresholds disabled.
 func NewSlowRing(size int) *SlowRing {
-	if size < 1 {
-		size = 1
-	}
-	return &SlowRing{size: size}
+	return &SlowRing{ring: newRing[SlowQueryRecord](size)}
 }
 
 // Configure sets the capture thresholds (zero disables each) and resizes
@@ -187,13 +182,8 @@ func NewSlowRing(size int) *SlowRing {
 func (s *SlowRing) Configure(wall time.Duration, pagesFaulted int64, size int) {
 	s.wallUS.Store(wall.Microseconds())
 	s.pages.Store(pagesFaulted)
-	if size < 1 {
-		size = 1
-	}
 	s.mu.Lock()
-	s.size = size
-	s.buf = nil
-	s.next = 0
+	s.ring = newRing[SlowQueryRecord](size)
 	s.mu.Unlock()
 }
 
@@ -212,12 +202,7 @@ func (s *SlowRing) ShouldCapture(wall time.Duration, pagesFaulted int64) bool {
 // Record appends one captured query, evicting the oldest at capacity.
 func (s *SlowRing) Record(rec SlowQueryRecord) {
 	s.mu.Lock()
-	if len(s.buf) < s.size {
-		s.buf = append(s.buf, rec)
-	} else {
-		s.buf[s.next] = rec
-		s.next = (s.next + 1) % s.size
-	}
+	s.ring.push(rec)
 	s.mu.Unlock()
 	obsSlowCaptured.Inc()
 }
@@ -226,14 +211,7 @@ func (s *SlowRing) Record(rec SlowQueryRecord) {
 func (s *SlowRing) List() []SlowQueryRecord {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]SlowQueryRecord, 0, len(s.buf))
-	// buf[next-1] is the newest once the ring has wrapped; before that,
-	// the newest is the last appended element.
-	for i := 0; i < len(s.buf); i++ {
-		j := (s.next - 1 - i + len(s.buf)) % len(s.buf)
-		out = append(out, s.buf[j])
-	}
-	return out
+	return s.ring.newestFirst()
 }
 
 // SlowQueries is the process-wide capture ring; thresholds are off until

@@ -38,21 +38,16 @@ type TraceRecord struct {
 // TraceRing is a bounded, sampled buffer of completed traces.
 type TraceRing struct {
 	mu     sync.Mutex
-	buf    []TraceRecord // guarded by mu
-	next   int           // guarded by mu
-	size   int           // guarded by mu
-	rate   int64         // guarded by mu; keep 1-in-rate healthy traces (<=1 keeps all)
-	slowNS int64         // guarded by mu; tail threshold (0 = only non-ok outcomes)
-	seen   int64         // guarded by mu; healthy-trace counter for head sampling
+	ring   ring[TraceRecord] // guarded by mu
+	rate   int64             // guarded by mu; keep 1-in-rate healthy traces (<=1 keeps all)
+	slowNS int64             // guarded by mu; tail threshold (0 = only non-ok outcomes)
+	seen   int64             // guarded by mu; healthy-trace counter for head sampling
 }
 
 // NewTraceRing returns a ring holding up to size traces with keep-all
 // head sampling until Configure is called.
 func NewTraceRing(size int) *TraceRing {
-	if size < 1 {
-		size = 1
-	}
-	return &TraceRing{buf: make([]TraceRecord, 0, size), size: size, rate: 1}
+	return &TraceRing{ring: newRing[TraceRecord](size), rate: 1}
 }
 
 // Traces is the process-wide trace ring served at /debug/traces.
@@ -66,16 +61,11 @@ func (r *TraceRing) Configure(size int, rate int64, slow time.Duration) {
 	if r == nil {
 		return
 	}
-	if size < 1 {
-		size = 1
-	}
 	if rate < 1 {
 		rate = 1
 	}
 	r.mu.Lock()
-	r.buf = make([]TraceRecord, 0, size)
-	r.next = 0
-	r.size = size
+	r.ring = newRing[TraceRecord](size)
 	r.rate = rate
 	r.slowNS = int64(slow)
 	r.seen = 0
@@ -134,12 +124,7 @@ func (r *TraceRing) sample(outcome string, wall time.Duration) string {
 func (r *TraceRing) keep(rec TraceRecord) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if len(r.buf) < r.size {
-		r.buf = append(r.buf, rec)
-		return
-	}
-	r.buf[r.next] = rec
-	r.next = (r.next + 1) % r.size
+	r.ring.push(rec)
 }
 
 // List returns retained traces, most recent first.
@@ -149,9 +134,5 @@ func (r *TraceRing) List() []TraceRecord {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make([]TraceRecord, 0, len(r.buf))
-	for i := len(r.buf) - 1; i >= 0; i-- {
-		out = append(out, r.buf[(r.next+i)%len(r.buf)])
-	}
-	return out
+	return r.ring.newestFirst()
 }
