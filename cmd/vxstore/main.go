@@ -98,7 +98,6 @@ func usage() {
                 [-plan-cache 256] [-result-cache 1024]
                 [-max-inflight N] [-max-inflight-pages N] [-admit-wait 5ms]
                 [-read-retries N] [-retry-backoff 2ms]
-                [-fan-out N] [-shard-retries N]
   vxstore shard split -out DIR -n N [-policy hash|range] [-compress] [-pool N] doc.xml...
   vxstore shard list -dir DIR [-pool N]
   vxstore shard rebalance -dir DIR -out NEWDIR -n M [-policy hash|range] [-compress] [-pool N]
@@ -445,8 +444,6 @@ func cmdServe(args []string) error {
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)
 	repoDir := fs.String("repo", "", "repository directory")
 	shardsDir := fs.String("shards", "", "federation directory (serve a sharded federation instead of -repo)")
-	fanOut := fs.Int("fan-out", 0, "max shards one query scatters to concurrently (0 = all)")
-	shardRetries := fs.Int("shard-retries", 1, "coordinator-level retries of a shard's transient read failure")
 	pool := fs.Int("pool", 8192, "buffer pool pages")
 	addr := fs.String("addr", ":8080", "listen address")
 	workers := fs.Int("workers", 0, "intra-query scan worker pool size (0 = GOMAXPROCS)")
@@ -521,8 +518,6 @@ func cmdServe(args []string) error {
 	srv := serve.New(serve.Config{
 		Repo:             repo,
 		Federation:       fed,
-		FanOut:           *fanOut,
-		ShardRetries:     *shardRetries,
 		Workers:          *workers,
 		Timeout:          *timeout,
 		SlowQuery:        *slow,

@@ -2,7 +2,7 @@ package analysis
 
 // GoLeak: every `go` statement must provably terminate. Spawning a
 // goroutine that nothing bounds is how serving layers leak memory under
-// sustained traffic — the scatter-gather coordinator, the worker pools
+// sustained traffic — the federation scatter, the worker pools
 // and the bench drivers all spawn, and each spawn must carry its proof.
 //
 // Accepted proofs, in the order checked:

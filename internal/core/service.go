@@ -13,9 +13,10 @@ import (
 	"vxml/internal/xq"
 )
 
-// The heavy-traffic serving layer. A Service wraps a repository with the
-// machinery that makes the paper's deterministic (S', V') query results
-// pay off under concurrent load:
+// The heavy-traffic serving layer. A Service wraps a repository (or a
+// federation of them, see shard.NewService) with the machinery that
+// makes the paper's deterministic (S', V') query results pay off under
+// concurrent load:
 //
 //   - a plan cache: normalized query text parses and plans once;
 //   - a result cache keyed (normalized query, append epoch), so an
@@ -79,8 +80,8 @@ const (
 
 // OutcomeClass buckets a completed query's error into the serving
 // outcome taxonomy used by span attributes, trace-ring tail sampling,
-// and the wide-event log. The shard coordinator layers "degraded" on
-// top via shard.OutcomeClass; the HTTP surface adds "bad_request" for
+// and the wide-event log. A federation layers "degraded" on top via
+// shard.OutcomeClass; the HTTP surface adds "bad_request" for
 // parse failures it rejects before Query runs.
 func OutcomeClass(err error) string {
 	switch {
@@ -136,20 +137,6 @@ type Result struct {
 	xmlErr  error  // written once under xmlOnce
 }
 
-// WithEpoch returns a shallow copy of r stamped with epoch. A Result may
-// already be shared (cached, or held by another caller), so a layer that
-// re-stamps one — the shard coordinator — stamps its own copy instead of
-// writing to r. The copy serializes independently of r.
-func (r *Result) WithEpoch(epoch uint64) *Result {
-	return &Result{
-		Repo:            r.Repo,
-		Trace:           r.Trace,
-		Stats:           r.Stats,
-		Epoch:           epoch,
-		StaticallyEmpty: r.StaticallyEmpty,
-	}
-}
-
 // XML serializes the result, memoized: every consumer of a shared Result
 // gets the same bytes and the reconstruction runs once no matter how
 // many cache hits the entry serves.
@@ -202,12 +189,14 @@ type planEntry struct {
 	plan  *qgraph.Plan
 }
 
-// Service serves queries over one repository with caching, single-flight
-// and admission control. All methods are safe for concurrent use.
+// Service serves queries with caching, single-flight and admission
+// control; only how a miss is evaluated depends on what it serves (one
+// repository, or a federation of them). All methods are safe for
+// concurrent use.
 type Service struct {
-	cfg       ServiceConfig
-	newEngine func() *Engine
-	epoch     func() uint64
+	cfg   ServiceConfig
+	eval  func(ctx context.Context, plan *qgraph.Plan) (*Result, error)
+	epoch func() uint64
 
 	plans   *lru[string, *planEntry] // nil when the plan cache is off
 	results *lru[resultKey, *Result] // nil when the result cache is off
@@ -230,21 +219,29 @@ type Service struct {
 // NewService returns a serving layer over an opened on-disk repository.
 // The repository's append epoch drives result-cache invalidation.
 func NewService(repo *vectorize.Repository, cfg ServiceConfig) *Service {
-	return newService(func() *Engine { return NewRepoEngine(repo, cfg.Opts) }, repo.Epoch, cfg)
+	return NewEvalService(func(ctx context.Context, plan *qgraph.Plan) (*Result, error) {
+		return NewRepoEngine(repo, cfg.Opts).EvalResult(ctx, plan)
+	}, repo.Epoch, cfg)
 }
 
 // NewMemService returns a serving layer over an in-memory repository,
 // which never changes, so the epoch is constant.
 func NewMemService(mem *vectorize.MemRepository, cfg ServiceConfig) *Service {
-	return newService(func() *Engine { return NewMemEngine(mem, cfg.Opts) }, func() uint64 { return 0 }, cfg)
+	return NewEvalService(func(ctx context.Context, plan *qgraph.Plan) (*Result, error) {
+		return NewMemEngine(mem, cfg.Opts).EvalResult(ctx, plan)
+	}, func() uint64 { return 0 }, cfg)
 }
 
-func newService(newEngine func() *Engine, epoch func() uint64, cfg ServiceConfig) *Service {
+// NewEvalService returns a serving layer whose cache misses run eval and
+// whose result cache keys on epoch, which must change whenever eval's
+// answers may. eval returns a fresh Result per call; the Service stamps
+// its Epoch before sharing it.
+func NewEvalService(eval func(ctx context.Context, plan *qgraph.Plan) (*Result, error), epoch func() uint64, cfg ServiceConfig) *Service {
 	s := &Service{
-		cfg:       cfg,
-		newEngine: newEngine,
-		epoch:     epoch,
-		flights:   make(map[resultKey]*flight),
+		cfg:     cfg,
+		eval:    eval,
+		epoch:   epoch,
+		flights: make(map[resultKey]*flight),
 	}
 	if cfg.PlanCacheSize > 0 {
 		s.plans = newLRU[string, *planEntry](cfg.PlanCacheSize)
@@ -324,10 +321,10 @@ func (s *Service) Query(ctx context.Context, query string) (*Result, Source, err
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	// Root-or-child: under the HTTP surface (or a federation coordinator)
-	// the context already carries a span and core.query nests inside it;
-	// called directly with the tracing gate on, this query roots its own
-	// trace and owns offering it to the /debug/traces ring.
+	// Root-or-child: under the HTTP surface the context already carries a
+	// span and core.query nests inside it; called directly with the
+	// tracing gate on, this query roots its own trace and owns offering
+	// it to the /debug/traces ring.
 	ctx, sp, owned := obs.StartRequestSpan(ctx, spanQuery)
 	res, src, err := s.queryTraced(ctx, query)
 	if sp != nil {
@@ -423,18 +420,12 @@ func (s *Service) lead(ctx context.Context, pe *planEntry, key resultKey, f *fli
 		obsResultCacheMisses.Inc()
 	}
 	ectx, esp := obs.StartSpan(ctx, spanEval)
-	repo, tr, err := s.newEngine().EvalTraced(ectx, pe.plan)
+	res, err = s.eval(ectx, pe.plan)
 	esp.End()
 	if err != nil {
 		return nil, err
 	}
-	res = &Result{
-		Repo:            repo,
-		Trace:           tr,
-		Stats:           tr.Total,
-		Epoch:           key.epoch,
-		StaticallyEmpty: tr.Static != nil && tr.Static.Empty,
-	}
+	res.Epoch = key.epoch
 	if s.results != nil {
 		s.results.put(key, res)
 	}

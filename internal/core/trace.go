@@ -107,6 +107,16 @@ func (e *Engine) EvalTraced(ctx context.Context, plan *qgraph.Plan) (*vectorize.
 	}, tr, nil
 }
 
+// EvalResult is EvalTraced packaged as a served Result: the miss path of
+// every Service.
+func (e *Engine) EvalResult(ctx context.Context, plan *qgraph.Plan) (*Result, error) {
+	repo, tr, err := e.EvalTraced(ctx, plan)
+	if err != nil {
+		return nil, err
+	}
+	return &Result{Repo: repo, Trace: tr, Stats: tr.Total, StaticallyEmpty: tr.Static != nil && tr.Static.Empty}, nil
+}
+
 // ExplainAnalyze runs the plan to completion and renders the executed
 // plan annotated with per-op wall times and counters. The result itself
 // is discarded; use EvalTraced to keep both.

@@ -144,19 +144,6 @@ type SlowQueryRecord struct {
 	// TraceID links the record to /debug/traces and the wide-event log
 	// when request tracing was active for this query.
 	TraceID string `json:"trace_id,omitempty"`
-	// ShardRetries counts coordinator-level shard query retries; Shards
-	// attributes a federated query's cost and errors to individual
-	// shards (empty for single-repository queries).
-	ShardRetries int64       `json:"shard_retries,omitempty"`
-	Shards       []SlowShard `json:"shards,omitempty"`
-}
-
-// SlowShard is one shard's share of a captured federated query.
-type SlowShard struct {
-	Shard    int          `json:"shard"`
-	Counters TaskCounters `json:"counters"`
-	Error    string       `json:"error,omitempty"`
-	Retries  int64        `json:"retries,omitempty"`
 }
 
 // SlowRing retains the most recent queries that crossed a latency or

@@ -21,7 +21,6 @@ type TaskMeter struct {
 	staticEmpty      atomic.Int64
 	cacheHits        atomic.Int64
 	readRetries      atomic.Int64
-	shardRetries     atomic.Int64
 }
 
 // PageFault charges one buffer-pool fault-in of n page bytes, plus the
@@ -84,23 +83,6 @@ func (m *TaskMeter) ReadRetries() int64 {
 	return m.readRetries.Load()
 }
 
-// ShardRetry charges one coordinator-level retry of a whole per-shard
-// sub-query (distinct from ReadRetry, which counts page-level retries
-// inside the buffer pool).
-func (m *TaskMeter) ShardRetry() {
-	if m != nil {
-		m.shardRetries.Add(1)
-	}
-}
-
-// ShardRetries returns the shard-level retries charged so far.
-func (m *TaskMeter) ShardRetries() int64 {
-	if m == nil {
-		return 0
-	}
-	return m.shardRetries.Load()
-}
-
 // PagesFaulted returns the pages faulted so far (the slow-capture
 // threshold input).
 func (m *TaskMeter) PagesFaulted() int64 {
@@ -121,13 +103,12 @@ type TaskCounters struct {
 	StaticEmpty      int64 `json:"static_empty"`
 	CacheHits        int64 `json:"cache_hits"`
 	ReadRetries      int64 `json:"read_retries"`
-	ShardRetries     int64 `json:"shard_retries"`
 }
 
-// Add folds a snapshot of another meter into this one. The shard
-// coordinator gives each per-shard sub-query its own meter (so the
-// active-query listing attributes work per shard) and folds them back
-// into the request's meter when the scatter completes.
+// Add folds a snapshot of another meter into this one. A federation's
+// scatter gives each shard evaluation its own meter (so the active-query
+// listing attributes work per shard) and folds them back into the
+// request's meter when the scatter completes.
 func (m *TaskMeter) Add(c TaskCounters) {
 	if m == nil {
 		return
@@ -140,7 +121,6 @@ func (m *TaskMeter) Add(c TaskCounters) {
 	m.staticEmpty.Add(c.StaticEmpty)
 	m.cacheHits.Add(c.CacheHits)
 	m.readRetries.Add(c.ReadRetries)
-	m.shardRetries.Add(c.ShardRetries)
 }
 
 // Counters snapshots the meter. A nil meter reads as all zeros.
@@ -157,7 +137,6 @@ func (m *TaskMeter) Counters() TaskCounters {
 		StaticEmpty:      m.staticEmpty.Load(),
 		CacheHits:        m.cacheHits.Load(),
 		ReadRetries:      m.readRetries.Load(),
-		ShardRetries:     m.shardRetries.Load(),
 	}
 }
 

@@ -55,7 +55,7 @@ func TestFederationQuery(t *testing.T) {
 	if qr.Cached {
 		t.Error("first answer reported cached")
 	}
-	// Repeat hits the coordinator's merged-result cache.
+	// Repeat hits the federation's result cache.
 	resp2, qr2 := postQuery(t, base, QueryRequest{Query: `for $b in /bib/book return $b/title`})
 	if resp2.StatusCode != http.StatusOK || !qr2.Cached || qr2.Source != "result-cache" {
 		t.Errorf("repeat: status=%d cached=%v source=%q", resp2.StatusCode, qr2.Cached, qr2.Source)

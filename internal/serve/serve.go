@@ -6,10 +6,12 @@
 // profiling handlers. One engine is built per request (the
 // engine-per-query serving pattern from the concurrency work), so
 // requests never share mutable state beyond the repository's own
-// concurrency-safe read path. With Config.Federation set, queries route
-// through a shard.Coordinator (scatter-gather with union fallback),
-// /healthz rolls per-shard health up, and GET /debug/shards reports
-// per-shard status.
+// concurrency-safe read path. Queries answer through one core.Service —
+// plan cache, result cache, single-flight and admission — whichever the
+// server fronts. With Config.Federation set that Service is
+// shard.NewService's, whose cache misses scatter to every shard and
+// merge (or run on the union view); /healthz rolls per-shard health up,
+// and GET /debug/shards reports per-shard status.
 //
 // Query-scoped telemetry rides every request: each evaluation carries a
 // per-query obs.TaskMeter, GET /debug/queries lists the in-flight
@@ -39,7 +41,6 @@ import (
 
 	"vxml/internal/core"
 	"vxml/internal/obs"
-	"vxml/internal/qgraph"
 	"vxml/internal/shard"
 	"vxml/internal/storage"
 	"vxml/internal/vectorize"
@@ -50,18 +51,11 @@ import (
 type Config struct {
 	Repo *vectorize.Repository
 	// Federation switches the server into sharded mode: queries answer
-	// through a shard.Coordinator over this federation instead of a
+	// through shard.NewService over this federation instead of a
 	// single-repository service, /healthz rolls shard health up, and
 	// GET /debug/shards reports per-shard status. Repo is ignored when
 	// Federation is set.
 	Federation *shard.Federation
-	// FanOut caps how many shards one query scatters to concurrently;
-	// 0 means all at once. Only meaningful with Federation.
-	FanOut int
-	// ShardRetries is how many times the coordinator re-asks a shard
-	// whose answer was a transient read fault. Only meaningful with
-	// Federation.
-	ShardRetries int
 	// Workers is the per-query scan worker pool size (core.Options.Workers).
 	Workers int
 	// Timeout caps each request's evaluation time; requests may ask for
@@ -83,8 +77,8 @@ type Config struct {
 	// PlanCacheSize bounds the plan cache in entries; 0 disables it.
 	PlanCacheSize int
 	// ResultCacheSize bounds the result cache in entries; 0 disables it.
-	// Entries are invalidated structurally by the repository's append
-	// epoch, so a cached answer is never stale.
+	// Entries are invalidated structurally by the repository's (or the
+	// federation's) append epoch, so a cached answer is never stale.
 	ResultCacheSize int
 	// MaxInflight caps concurrently evaluating queries; over the cap new
 	// queries queue for AdmitWait and are then shed with 429. 0 = no cap.
@@ -120,7 +114,7 @@ type Config struct {
 	TraceExport io.Writer
 	// WideEvents, when non-nil, receives one structured JSON record per
 	// completed /query request: trace ID, canonical query, cache source,
-	// shard fan-out, retry counts, every TaskMeter counter, and the
+	// shard fan-out, the degraded shard, every TaskMeter counter, and the
 	// outcome class.
 	WideEvents io.Writer
 }
@@ -181,15 +175,6 @@ type errorResponse struct {
 	Error string `json:"error"`
 }
 
-// QueryService is the serving surface the HTTP layer drives: both
-// core.Service (one repository) and shard.Coordinator (a federation)
-// implement it.
-type QueryService interface {
-	Plan(query string) (*qgraph.Plan, error)
-	Canonical(query string) (string, error)
-	Query(ctx context.Context, query string) (*core.Result, core.Source, error)
-}
-
 // spanRequest is the HTTP request root span (vxlint obsnames: span
 // names are package-level consts).
 const spanRequest = "serve.request"
@@ -197,8 +182,7 @@ const spanRequest = "serve.request"
 // Server serves queries over one repository or one federation.
 type Server struct {
 	cfg      Config
-	svc      QueryService
-	coord    *shard.Coordinator // non-nil iff serving a federation
+	svc      *core.Service
 	exporter *obs.TraceExporter // non-nil iff cfg.TraceExport set
 	mux      *http.ServeMux
 	wideMu   sync.Mutex // serializes wide-event lines on cfg.WideEvents
@@ -263,27 +247,18 @@ func New(cfg Config) *Server {
 	if cfg.TraceExport != nil {
 		s.exporter = obs.NewTraceExporter(cfg.TraceExport, "")
 	}
+	scfg := core.ServiceConfig{
+		Opts:             core.Options{Workers: cfg.Workers},
+		PlanCacheSize:    cfg.PlanCacheSize,
+		ResultCacheSize:  cfg.ResultCacheSize,
+		MaxInflight:      cfg.MaxInflight,
+		MaxInflightPages: cfg.MaxInflightPages,
+		AdmitWait:        cfg.AdmitWait,
+	}
 	if cfg.Federation != nil {
-		s.coord = shard.NewCoordinator(cfg.Federation, shard.Config{
-			Opts:             core.Options{Workers: cfg.Workers},
-			PlanCacheSize:    cfg.PlanCacheSize,
-			ResultCacheSize:  cfg.ResultCacheSize,
-			MaxInflight:      cfg.MaxInflight,
-			MaxInflightPages: cfg.MaxInflightPages,
-			AdmitWait:        cfg.AdmitWait,
-			FanOut:           cfg.FanOut,
-			ShardRetries:     cfg.ShardRetries,
-		})
-		s.svc = s.coord
+		s.svc = shard.NewService(cfg.Federation, scfg)
 	} else {
-		s.svc = core.NewService(cfg.Repo, core.ServiceConfig{
-			Opts:             core.Options{Workers: cfg.Workers},
-			PlanCacheSize:    cfg.PlanCacheSize,
-			ResultCacheSize:  cfg.ResultCacheSize,
-			MaxInflight:      cfg.MaxInflight,
-			MaxInflightPages: cfg.MaxInflightPages,
-			AdmitWait:        cfg.AdmitWait,
-		})
+		s.svc = core.NewService(cfg.Repo, scfg)
 	}
 	s.mux.HandleFunc("/query", s.handleQuery)
 	s.mux.HandleFunc("/metrics", s.handleMetrics)
@@ -608,14 +583,14 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if canon, cerr := s.svc.Canonical(req.Query); cerr == nil {
 		rt.ev.Canonical = canon
 	}
-	if s.coord != nil {
+	if s.cfg.Federation != nil {
 		rt.ev.ShardFanout = len(s.cfg.Federation.Shards)
 	}
 
 	if req.Check {
 		var sc *core.StaticCheck
-		if s.coord != nil {
-			sc = s.coord.Check(plan)
+		if s.cfg.Federation != nil {
+			sc = s.cfg.Federation.Check(plan)
 		} else {
 			sc = core.NewRepoEngine(s.cfg.Repo, core.Options{}).CheckPlan(plan)
 		}

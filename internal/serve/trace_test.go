@@ -205,10 +205,11 @@ func traceBib(lo, hi int) string {
 // TestFederationTraceUnderShardFault is the tentpole acceptance test:
 // one federated query, with an injected transient read fault on shard
 // 0, produces a single trace tree that covers the request root, the
-// coordinator, the per-shard scatter (including the storage retry event
-// on shard 0) and the merge — all under the trace ID the caller sent,
-// which also labels the response header, the /debug/traces record, and
-// the wide-event log line with its retry counters.
+// federation's serving layer, the per-shard scatter inside its miss
+// evaluation (including the storage retry event on shard 0) and the
+// merge — all under the trace ID the caller sent, which also labels the
+// response header, the /debug/traces record, and the wide-event log line
+// with its retry counters.
 func TestFederationTraceUnderShardFault(t *testing.T) {
 	mem := storage.NewMemFS()
 	var docs []string
@@ -268,16 +269,25 @@ func TestFederationTraceUnderShardFault(t *testing.T) {
 	if rec.Root == nil || rec.Root.Name != "serve.request" {
 		t.Fatalf("root = %+v, want serve.request", rec.Root)
 	}
-	coord := childNamed(rec.Root, "shard.query")
-	if coord == nil {
-		t.Fatalf("no shard.query under the request root:\n%s", rec.Root.Redacted())
+	// serve.request → core.query → {core.plan, core.cache_lookup,
+	// core.admission_wait, core.eval → {shard.scatter → shard.shard_query
+	// ×2, shard.merge}}.
+	query := childNamed(rec.Root, "core.query")
+	if query == nil {
+		t.Fatalf("no core.query under the request root:\n%s", rec.Root.Redacted())
 	}
-	for _, want := range []string{"shard.plan", "shard.cache_lookup", "shard.scatter", "shard.merge"} {
-		if childNamed(coord, want) == nil {
-			t.Errorf("coordinator span missing child %s:\n%s", want, rec.Root.Redacted())
+	for _, want := range []string{"core.plan", "core.cache_lookup", "core.admission_wait", "core.eval"} {
+		if childNamed(query, want) == nil {
+			t.Errorf("core.query span missing child %s:\n%s", want, rec.Root.Redacted())
 		}
 	}
-	scatter := childNamed(coord, "shard.scatter")
+	eval := childNamed(query, "core.eval")
+	for _, want := range []string{"shard.scatter", "shard.merge"} {
+		if childNamed(eval, want) == nil {
+			t.Errorf("core.eval span missing child %s:\n%s", want, rec.Root.Redacted())
+		}
+	}
+	scatter := childNamed(eval, "shard.scatter")
 	if scatter == nil {
 		t.Fatal("no scatter span")
 	}
@@ -314,6 +324,38 @@ func TestFederationTraceUnderShardFault(t *testing.T) {
 	}
 	if ev.Counters.ReadRetries == 0 {
 		t.Errorf("wide event read_retries = 0, want >= 1: %+v", ev.Counters)
+	}
+}
+
+// TestFederationDegradedAttribution: a degraded federated query is
+// attributed where an operator looks for it — the trace ring keeps its
+// trace under outcome "degraded" even with head sampling that would drop
+// a healthy one, and the wide event names the failing shard.
+func TestFederationDegradedAttribution(t *testing.T) {
+	sink := &syncSink{}
+	base, f := startFederationServer(t, 2, Config{
+		Tracing:     true,
+		TraceSample: 1 << 30,
+		WideEvents:  sink,
+	})
+	name := f.Shards[1].Vectors.Names()[0]
+	f.Shards[1].Health.Quarantine(name, "test fence")
+	defer f.Shards[1].Health.Clear(name)
+
+	const traceID = "5c0a2f3577b34da6a3ce929d0e0e4737"
+	resp, _ := postTraced(t, base, `for $b in /bib/book return $b/publisher`, "00-"+traceID+"-00f067aa0ba902b7-01")
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("degraded query status = %d, want 503", resp.StatusCode)
+	}
+	if rec := waitTrace(t, traceID); rec.Outcome != "degraded" {
+		t.Errorf("trace ring outcome = %q, want degraded", rec.Outcome)
+	}
+	ev := waitWideEvent(t, sink, traceID)
+	if ev.Outcome != "degraded" || ev.Status != http.StatusServiceUnavailable {
+		t.Errorf("wide event outcome=%q status=%d, want degraded 503", ev.Outcome, ev.Status)
+	}
+	if ev.DegradedShard == nil || *ev.DegradedShard != 1 {
+		t.Errorf("wide event degraded_shard = %v, want 1", ev.DegradedShard)
 	}
 }
 

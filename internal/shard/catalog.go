@@ -1,12 +1,12 @@
 // Package shard federates several vectorized repositories behind the
 // single-repository query surface. A federation directory holds N shard
 // repositories plus a SHARDS catalog mapping every loaded document to
-// its shard; the Coordinator answers queries over the federation either
-// by scattering the query to every shard and merging the per-shard
-// (S', V') results (when the query is provably document-decomposable,
-// see Shardable) or by evaluating it over a merged union view of all
-// shards. Both paths return exactly what a single repository built from
-// the union of the documents would return.
+// its shard. NewService serves a federation as one core.Service whose
+// cache misses either scatter the query to every shard and merge the
+// per-shard (S', V') results (when the query is provably
+// document-decomposable, see Shardable) or evaluate it over a merged
+// union view of all shards. Both paths return exactly what a single
+// repository built from the union of the documents would return.
 package shard
 
 import (

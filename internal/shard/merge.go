@@ -27,7 +27,7 @@ import (
 // The merged Trace is nil — per-shard traces describe per-shard work and
 // do not concatenate meaningfully. A shard whose result vectors cannot
 // be read surfaces as a DegradedError naming that shard, the same typed
-// failure the coordinator uses for every other per-shard fault.
+// failure scatter uses for every other per-shard fault.
 //
 //vx:hot the scatter-gather merge runs once per federated query
 func MergeResults(results []*core.Result) (*core.Result, error) {

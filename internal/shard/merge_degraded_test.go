@@ -31,7 +31,7 @@ func minimalResult(t *testing.T, vectors vector.Set) *core.Result {
 }
 
 // A shard whose result vectors fail to read must surface from
-// MergeResults as a DegradedError naming that shard — the coordinator's
+// MergeResults as a DegradedError naming that shard — scatter's
 // typed per-shard failure — with the storage taxonomy (errors.Is on
 // ErrCorrupt) still visible through the wrap. Regression test for the
 // faultflow finding that MergeResults leaked unclassified storage

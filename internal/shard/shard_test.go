@@ -3,8 +3,12 @@ package shard
 import (
 	"context"
 	"errors"
+	"os"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"vxml/internal/core"
 	"vxml/internal/obs"
@@ -16,9 +20,9 @@ import (
 	"vxml/internal/xq"
 )
 
-// buildFed builds a federation from docs on a fresh MemFS and opens a
-// coordinator over it.
-func buildFed(t *testing.T, docs []string, shards int, policy Policy) (*Federation, *Coordinator) {
+// buildFed builds a federation from docs on a fresh MemFS and opens its
+// serving layer.
+func buildFed(t *testing.T, docs []string, shards int, policy Policy) (*Federation, *core.Service) {
 	t.Helper()
 	mem := storage.NewMemFS()
 	opts := vectorize.Options{PoolPages: 16, FS: mem}
@@ -30,12 +34,12 @@ func buildFed(t *testing.T, docs []string, shards int, policy Policy) (*Federati
 		t.Fatalf("open federation: %v", err)
 	}
 	t.Cleanup(func() { f.Close() })
-	return f, NewCoordinator(f, Config{PlanCacheSize: 32, ResultCacheSize: 32})
+	return f, NewService(f, core.ServiceConfig{PlanCacheSize: 32, ResultCacheSize: 32})
 }
 
 // unionAnswer evaluates the query over a single in-memory repository
 // holding the union of the federation's documents in federation
-// (shard-major) document order — the baseline every coordinator answer
+// (shard-major) document order — the baseline every federated answer
 // must reproduce.
 func unionAnswer(t *testing.T, f *Federation, docs []string, query string) string {
 	t.Helper()
@@ -70,11 +74,11 @@ func unionAnswer(t *testing.T, f *Federation, docs []string, query string) strin
 	return xml
 }
 
-func coordAnswer(t *testing.T, c *Coordinator, query string) (string, *core.Result, core.Source) {
+func fedAnswer(t *testing.T, svc *core.Service, query string) (string, *core.Result, core.Source) {
 	t.Helper()
-	res, src, err := c.Query(context.Background(), query)
+	res, src, err := svc.Query(context.Background(), query)
 	if err != nil {
-		t.Fatalf("coordinator %q: %v", query, err)
+		t.Fatalf("federation %q: %v", query, err)
 	}
 	xml, err := res.XML()
 	if err != nil {
@@ -169,9 +173,9 @@ func TestRebalance(t *testing.T) {
 	docs := []string{
 		"<lib><b>1</b></lib>", "<lib><b>2</b><b>3</b></lib>", "<lib><b>4</b></lib>",
 	}
-	f, c := buildFed(t, docs, 2, PolicyRange)
+	f, svc := buildFed(t, docs, 2, PolicyRange)
 	const q = `for $b in /lib/b return $b`
-	want, _, _ := coordAnswer(t, c, q)
+	want, _, _ := fedAnswer(t, svc, q)
 
 	mem := storage.NewMemFS()
 	opts := vectorize.Options{PoolPages: 8, FS: mem}
@@ -183,8 +187,8 @@ func TestRebalance(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f2.Close()
-	c2 := NewCoordinator(f2, Config{PlanCacheSize: 8, ResultCacheSize: 8})
-	got, _, _ := coordAnswer(t, c2, q)
+	svc2 := NewService(f2, core.ServiceConfig{PlanCacheSize: 8, ResultCacheSize: 8})
+	got, _, _ := fedAnswer(t, svc2, q)
 	if got != want {
 		t.Errorf("rebalanced answer differs:\n got: %s\nwant: %s", got, want)
 	}
@@ -236,12 +240,12 @@ func TestShardable(t *testing.T) {
 // byte-identical to the union baseline with every document in one repo.
 func TestMergeSingleShard(t *testing.T) {
 	docs := []string{"<lib><b><t>x</t></b><b><t>y</t></b></lib>", "<lib><b><t>z</t></b></lib>"}
-	f, c := buildFed(t, docs, 1, PolicyRange)
+	f, svc := buildFed(t, docs, 1, PolicyRange)
 	for _, q := range []string{
 		`for $b in /lib/b return $b/t`,
 		`for $b in /lib/b return $b`,
 	} {
-		got, _, _ := coordAnswer(t, c, q)
+		got, _, _ := fedAnswer(t, svc, q)
 		if want := unionAnswer(t, f, docs, q); got != want {
 			t.Errorf("%q:\n got: %s\nwant: %s", q, got, want)
 		}
@@ -255,9 +259,9 @@ func TestMergeEmptyShard(t *testing.T) {
 	docs := []string{"<lib><b><t>x</t></b></lib>"}
 	// Range policy over 4 shards with one document: shards 1-3 hold only
 	// the bare <lib/> placeholder.
-	f, c := buildFed(t, docs, 4, PolicyRange)
+	f, svc := buildFed(t, docs, 4, PolicyRange)
 	const q = `for $b in /lib/b return $b/t`
-	got, res, _ := coordAnswer(t, c, q)
+	got, res, _ := fedAnswer(t, svc, q)
 	if want := unionAnswer(t, f, docs, q); got != want {
 		t.Errorf("%q:\n got: %s\nwant: %s", q, got, want)
 	}
@@ -277,9 +281,9 @@ func TestMergeRunCompression(t *testing.T) {
 		"<lib><b><t>x</t></b><b><t>y</t></b></lib>",
 		"<lib><b><t>z</t></b></lib>",
 	}
-	f, c := buildFed(t, docs, 2, PolicyRange)
+	f, svc := buildFed(t, docs, 2, PolicyRange)
 	const q = `for $b in /lib/b return $b`
-	got, res, _ := coordAnswer(t, c, q)
+	got, res, _ := fedAnswer(t, svc, q)
 	if want := unionAnswer(t, f, docs, q); got != want {
 		t.Errorf("%q:\n got: %s\nwant: %s", q, got, want)
 	}
@@ -294,19 +298,19 @@ func TestMergeRunCompression(t *testing.T) {
 
 // TestMergeAllShardsStaticallyEmpty: when the static checker proves the
 // query empty against every shard's catalog, the short-circuit must
-// propagate through the coordinator — per-shard static_empty fires once
-// per shard, the merged result is flagged, and the coordinator counts
-// one statically-empty federation answer.
+// propagate through the federation — per-shard static_empty fires once
+// per shard, the merged result is flagged, and the federation counts
+// one statically-empty answer.
 func TestMergeAllShardsStaticallyEmpty(t *testing.T) {
 	docs := []string{"<lib><b>x</b></lib>", "<lib><b>y</b></lib>", "<lib><b>z</b></lib>"}
-	f, c := buildFed(t, docs, 2, PolicyHash)
+	f, svc := buildFed(t, docs, 2, PolicyHash)
 	const q = `for $n in /lib/nosuchtag return $n` // no catalog path in any shard
 	want := unionAnswer(t, f, docs, q)             // before the counter snapshot: this evaluation counts too
 
 	coreEmpty := obs.GetCounter("core.static_empty").Load()
 	shardEmpty := obs.GetCounter("shard.static_empty").Load()
 	merges := obs.GetCounter("shard.merges").Load()
-	got, res, _ := coordAnswer(t, c, q)
+	got, res, _ := fedAnswer(t, svc, q)
 	if got != want {
 		t.Errorf("%q:\n got: %s\nwant: %s", q, got, want)
 	}
@@ -334,7 +338,7 @@ func TestUnionFallback(t *testing.T) {
 		"<lib><b><t>x</t></b><flag>on</flag></lib>",
 		"<lib><b><t>y</t></b></lib>",
 	}
-	f, c := buildFed(t, docs, 2, PolicyRange)
+	f, svc := buildFed(t, docs, 2, PolicyRange)
 	fallbacks := obs.GetCounter("shard.queries_union_fallback").Load()
 	scattered := obs.GetCounter("shard.queries_scattered").Load()
 
@@ -342,10 +346,14 @@ func TestUnionFallback(t *testing.T) {
 	// one document carries <flag>on</flag>, but the union root sees it,
 	// so the union answer includes every document's titles.
 	const q = `for $x in /lib where $x/flag = 'on' return $x/b/t`
-	if ok, reason, err := c.Shardable(q); err != nil || ok {
-		t.Fatalf("Shardable(%q) = %v, %q, %v; want a fallback", q, ok, reason, err)
+	plan, err := svc.Plan(q)
+	if err != nil {
+		t.Fatal(err)
 	}
-	got, _, _ := coordAnswer(t, c, q)
+	if ok, reason := Shardable(plan, f.Catalog.RootTag); ok {
+		t.Fatalf("Shardable(%q) = %v, %q; want a fallback", q, ok, reason)
+	}
+	got, _, _ := fedAnswer(t, svc, q)
 	if want := unionAnswer(t, f, docs, q); got != want {
 		t.Errorf("%q:\n got: %s\nwant: %s", q, got, want)
 	}
@@ -360,17 +368,17 @@ func TestUnionFallback(t *testing.T) {
 	}
 }
 
-// TestCoordinatorResultCache: repeats hit the merged-result cache; an
-// append on any shard structurally invalidates it.
-func TestCoordinatorResultCache(t *testing.T) {
+// TestFederationResultCache: repeats hit the federation's result cache;
+// an append on any shard structurally invalidates it.
+func TestFederationResultCache(t *testing.T) {
 	docs := []string{"<lib><b>x</b></lib>", "<lib><b>y</b></lib>"}
-	_, c := buildFed(t, docs, 2, PolicyRange)
+	f, svc := buildFed(t, docs, 2, PolicyRange)
 	const q = `for $b in /lib/b return $b`
-	first, _, src1 := coordAnswer(t, c, q)
+	first, _, src1 := fedAnswer(t, svc, q)
 	if src1.Cached() {
 		t.Fatalf("first answer source = %s", src1)
 	}
-	second, _, src2 := coordAnswer(t, c, q)
+	second, _, src2 := fedAnswer(t, svc, q)
 	if src2 != core.SourceResultCache {
 		t.Errorf("repeat source = %s, want result-cache", src2)
 	}
@@ -378,23 +386,26 @@ func TestCoordinatorResultCache(t *testing.T) {
 		t.Error("cached answer differs from evaluated answer")
 	}
 
-	if err := c.Federation().Shards[0].Append(strings.NewReader("<lib><b>zz</b></lib>")); err != nil {
+	if err := f.Shards[1].Append(strings.NewReader("<lib><b>zz</b></lib>")); err != nil {
 		t.Fatal(err)
 	}
-	third, _, src3 := coordAnswer(t, c, q)
+	third, res, src3 := fedAnswer(t, svc, q)
 	if src3.Cached() {
 		t.Errorf("post-append source = %s, want eval", src3)
 	}
 	if !strings.Contains(third, "zz") || third == second {
 		t.Errorf("post-append answer missing appended data: %s", third)
 	}
+	if res.Epoch != f.Epoch() {
+		t.Errorf("post-append result epoch = %d, want federation epoch %d", res.Epoch, f.Epoch())
+	}
 }
 
-// TestCoordinatorDegraded: a quarantined shard yields a typed degraded
+// TestFederationDegraded: a quarantined shard yields a typed degraded
 // error on both the scatter and union paths — never a partial answer.
-func TestCoordinatorDegraded(t *testing.T) {
+func TestFederationDegraded(t *testing.T) {
 	docs := []string{"<lib><b><t>x</t></b></lib>", "<lib><b><t>y</t></b></lib>"}
-	f, c := buildFed(t, docs, 2, PolicyRange)
+	f, svc := buildFed(t, docs, 2, PolicyRange)
 	name := f.Shards[0].Vectors.Names()[0]
 	f.Shards[0].Health.Quarantine(name, "test fence")
 	defer f.Shards[0].Health.Clear(name)
@@ -403,7 +414,7 @@ func TestCoordinatorDegraded(t *testing.T) {
 		`for $b in /lib/b return $b/t`,                  // scatters
 		`for $x in /lib where $x/b/t = 'x' return $x/b`, // union fallback
 	} {
-		_, _, err := c.Query(context.Background(), q)
+		_, _, err := svc.Query(context.Background(), q)
 		if err == nil {
 			t.Fatalf("%q: degraded federation answered", q)
 		}
@@ -418,44 +429,176 @@ func TestCoordinatorDegraded(t *testing.T) {
 		if !errors.Is(err, core.ErrQuarantined) {
 			t.Errorf("%q: degraded error does not unwrap to ErrQuarantined: %v", q, err)
 		}
+		if got := OutcomeClass(err); got != "degraded" {
+			t.Errorf("%q: outcome class = %q, want degraded", q, got)
+		}
 	}
 }
 
-// TestScatterMeterAttribution: per-shard sub-queries charge their own
-// meters, and the fold-up means the request meter sees the federation
-// total (here, via the cache-hit counter of fully cached shard answers).
+// TestScatterMeterAttribution: each shard evaluation charges its own
+// meter, and the scatter folds them into the request meter exactly once
+// — the request sees the federation total, and a cached repeat charges
+// one cache hit and nothing else.
 func TestScatterMeterAttribution(t *testing.T) {
-	docs := []string{"<lib><b>x</b></lib>", "<lib><b>y</b></lib>"}
-	_, c := buildFed(t, docs, 2, PolicyRange)
+	docs := []string{"<lib><b>x</b><b>w</b></lib>", "<lib><b>y</b></lib>"}
+	f, svc := buildFed(t, docs, 2, PolicyRange)
 	const q = `for $b in /lib/b return $b`
-	if _, _, err := c.Query(context.Background(), q); err != nil {
-		t.Fatal(err)
-	}
-	// Second pass from a cold coordinator key: drop the merged-result
-	// cache by using a spelling variant, so the coordinator scatters again
-	// and every shard answers from its own result cache.
-	m := &obs.TaskMeter{}
-	ctx := obs.WithMeter(context.Background(), m)
-	variant := `for $b in /lib/b  return $b` // same canon, different raw text
-	res, src, err := c.Query(ctx, variant)
+	plan, err := svc.Plan(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res == nil {
-		t.Fatal("nil result")
+	var want obs.TaskCounters
+	for k, repo := range f.Shards {
+		m := &obs.TaskMeter{}
+		if _, err := core.NewRepoEngine(repo, core.Options{}).EvalResult(obs.WithMeter(context.Background(), m), plan); err != nil {
+			t.Fatalf("shard %d: %v", k, err)
+		}
+		want.Tuples += m.Counters().Tuples
+		want.VectorOpens += m.Counters().VectorOpens
 	}
-	switch src {
-	case core.SourceResultCache:
-		// The coordinator's own cache answered (canonical key matched):
-		// exactly one cache hit on the request meter.
-		if got := m.Counters().CacheHits; got != 1 {
-			t.Errorf("cache hits = %d, want 1", got)
+	if want.Tuples == 0 || want.VectorOpens == 0 {
+		t.Fatalf("per-shard evaluations did no work: %+v", want)
+	}
+
+	m := &obs.TaskMeter{}
+	if _, src, err := svc.Query(obs.WithMeter(context.Background(), m), q); err != nil || src != core.SourceEval {
+		t.Fatalf("cold query: source %s, err %v", src, err)
+	}
+	if got := m.Counters(); got.Tuples != want.Tuples || got.VectorOpens != want.VectorOpens || got.CacheHits != 0 {
+		t.Errorf("request meter = %+v, want tuples %d and vector opens %d folded once, no cache hits",
+			got, want.Tuples, want.VectorOpens)
+	}
+
+	m2 := &obs.TaskMeter{}
+	if _, src, err := svc.Query(obs.WithMeter(context.Background(), m2), q); err != nil || src != core.SourceResultCache {
+		t.Fatalf("repeat: source %s, err %v", src, err)
+	}
+	if got := m2.Counters(); got != (obs.TaskCounters{CacheHits: 1}) {
+		t.Errorf("cached repeat meter = %+v, want exactly one cache hit", got)
+	}
+}
+
+// gateFS parks every file read while a gate is armed, so a test can hold
+// a federation's shard evaluations mid-flight.
+type gateFS struct {
+	storage.FS
+	gate atomic.Pointer[chan struct{}]
+}
+
+func (g *gateFS) OpenFile(path string, flag int, perm os.FileMode) (storage.FSFile, error) {
+	f, err := g.FS.OpenFile(path, flag, perm)
+	if err != nil {
+		return nil, err
+	}
+	return gateFile{FSFile: f, g: g}, nil
+}
+
+type gateFile struct {
+	storage.FSFile
+	g *gateFS
+}
+
+func (f gateFile) ReadAt(p []byte, off int64) (int, error) {
+	if ch := f.g.gate.Load(); ch != nil {
+		<-*ch
+	}
+	return f.FSFile.ReadAt(p, off)
+}
+
+// TestFederationSingleFlight: identical concurrent cold queries against a
+// federation share one scatter. The leader is parked on its shard reads
+// until every other request has joined its flight; then exactly one
+// scatter runs and the rest are single-flight followers. While parked,
+// the active-query registry lists the shard evaluations under their own
+// "[shard k]" labels and never the request itself, so no page is counted
+// twice.
+func TestFederationSingleFlight(t *testing.T) {
+	docs := []string{"<lib><b><t>x</t></b></lib>", "<lib><b><t>y</t></b><b><t>z</t></b></lib>"}
+	mem := storage.NewMemFS()
+	if _, err := Build(docs, "fed", BuildConfig{Shards: 2, Policy: PolicyRange, Opts: vectorize.Options{FS: mem}}); err != nil {
+		t.Fatal(err)
+	}
+	gfs := &gateFS{FS: mem}
+	f, err := OpenFederation("fed", vectorize.Options{PoolPages: 16, FS: gfs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	svc := NewService(f, core.ServiceConfig{PlanCacheSize: 8, ResultCacheSize: 8})
+	const q = `for $b in /lib/b return $b/t`
+
+	gate := make(chan struct{})
+	gfs.gate.Store(&gate)
+	release := sync.OnceFunc(func() {
+		gfs.gate.Store(nil)
+		close(gate)
+	})
+	defer release()
+	scattered := obs.GetCounter("shard.queries_scattered").Load()
+	followers := obs.GetCounter("core.singleflight_followers").Load()
+
+	const n = 8
+	var (
+		wg   sync.WaitGroup
+		srcs = make([]core.Source, n)
+		xmls = make([]string, n)
+		errs = make([]error, n)
+	)
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			res, src, err := svc.Query(obs.WithQueryText(context.Background(), q), q)
+			srcs[i], errs[i] = src, err
+			if err == nil {
+				xmls[i], errs[i] = res.XML()
+			}
+		}(i)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for obs.GetCounter("core.singleflight_followers").Load()-followers < n-1 {
+		if time.Now().After(deadline) {
+			release()
+			wg.Wait()
+			t.Fatalf("only %d of %d requests joined the leader's flight (sources %v)",
+				obs.GetCounter("core.singleflight_followers").Load()-followers, n-1, srcs)
 		}
-	default:
-		// Scattered over per-shard caches: one fold-up per shard.
-		if got := m.Counters().CacheHits; got != 2 {
-			t.Errorf("folded cache hits = %d, want 2 (one per shard)", got)
+		time.Sleep(time.Millisecond)
+	}
+	shardLabels := 0
+	for _, aq := range obs.ActiveQueries.List() {
+		if strings.HasPrefix(aq.Query, "[shard ") {
+			shardLabels++
+		} else if aq.Query == q {
+			t.Errorf("request registered as an active query beside its shard evaluations: %+v", aq)
 		}
+	}
+	if shardLabels == 0 {
+		t.Error("no [shard k] evaluation listed while the scatter is parked")
+	}
+	release()
+	wg.Wait()
+
+	if d := obs.GetCounter("shard.queries_scattered").Load() - scattered; d != 1 {
+		t.Errorf("shard.queries_scattered delta = %d, want 1", d)
+	}
+	var evals, follow int
+	for i := range srcs {
+		if errs[i] != nil {
+			t.Fatalf("request %d: %v", i, errs[i])
+		}
+		if xmls[i] != xmls[0] {
+			t.Errorf("request %d answer differs:\n%s\nvs\n%s", i, xmls[i], xmls[0])
+		}
+		switch srcs[i] {
+		case core.SourceEval:
+			evals++
+		case core.SourceFollower:
+			follow++
+		}
+	}
+	if evals != 1 || follow != n-1 {
+		t.Errorf("sources: %d eval, %d follower; want 1 and %d (%v)", evals, follow, n-1, srcs)
 	}
 }
 

@@ -33,9 +33,9 @@ import (
 //     the shapes where per-shard root multiplicity cancels out: every
 //     emitted value is anchored strictly below the root, once.
 //
-// Anything else falls back to the coordinator's union view, which is
-// always correct (it evaluates the single-repository semantics over a
-// merged skeleton) at the cost of no scatter parallelism.
+// Anything else falls back to the union view, which is always correct
+// (it evaluates the single-repository semantics over a merged skeleton)
+// at the cost of no scatter parallelism.
 func Shardable(plan *qgraph.Plan, rootTag string) (ok bool, reason string) {
 	var bind *qgraph.Op
 	for i := range plan.Ops {

@@ -4,7 +4,6 @@ import (
 	"context"
 	"sort"
 
-	"vxml/internal/core"
 	"vxml/internal/obs"
 	"vxml/internal/skeleton"
 	"vxml/internal/vector"
@@ -79,7 +78,7 @@ func (s *concatSet) Names() []string { return s.names }
 // Vector concatenates the shards' vectors for one class. A shard whose
 // vector cannot be opened (quarantined page, corrupt catalog) fails the
 // union read as a DegradedError naming that shard — the same typed
-// failure the coordinator's scatter path produces.
+// failure the scatter path produces.
 func (s *concatSet) Vector(name string) (vector.Vector, error) {
 	return s.VectorCtx(context.Background(), nil, name)
 }
@@ -176,17 +175,4 @@ func (c *concatVector) WithContext(ctx context.Context) vector.Vector {
 		}
 	}
 	return &concatVector{parts: parts, offs: c.offs, total: c.total}
-}
-
-// newUnionService wraps the union view in a serving layer sized like the
-// coordinator's per-shard services.
-func newUnionService(f *Federation, cfg Config) *core.Service {
-	return core.NewMemService(buildUnionView(f), core.ServiceConfig{
-		Opts:             cfg.Opts,
-		PlanCacheSize:    cfg.PlanCacheSize,
-		ResultCacheSize:  cfg.ResultCacheSize,
-		MaxInflight:      cfg.MaxInflight,
-		MaxInflightPages: cfg.MaxInflightPages,
-		AdmitWait:        cfg.AdmitWait,
-	})
 }

@@ -20,8 +20,8 @@ import (
 )
 
 // The sharded chaos soak: flaky-media fault injection against a SUBSET
-// of a federation's shards, driven through the coordinator. The
-// fault-tolerance contract extends the single-repository one:
+// of a federation's shards, driven through the federation's serving
+// layer (shard.NewService). The fault-tolerance contract extends the single-repository one:
 //
 //   - the process never dies;
 //   - every response is a success byte-identical to the fault-free
@@ -80,15 +80,15 @@ func TestShardedChaosSoak(t *testing.T) {
 		repos[k] = repo
 	}
 	fed := &shard.Federation{Dir: dir, Catalog: cat, Shards: repos}
-	coord := shard.NewCoordinator(fed, shard.Config{
+	svc := shard.NewService(fed, core.ServiceConfig{
 		Opts:            core.Options{Workers: 2},
 		PlanCacheSize:   64,
 		ResultCacheSize: 4, // smaller than the query mix: both cached and scattered paths run
 		MaxInflight:     4,
-		ShardRetries:    1,
 	})
+	readRetries := obs.GetCounter("storage.read_retries").Load()
 
-	// The query mix covers all three coordinator paths: scattered
+	// The query mix covers all three miss paths: scattered
 	// (publisher/price filters below the root), scattered root-bound
 	// transparent (single return path out of /bib), and union fallback
 	// (a filter on the root itself).
@@ -105,17 +105,19 @@ func TestShardedChaosSoak(t *testing.T) {
 		`for $x in /bib return $x/book/price`,
 		`for $x in /bib where $x/book/publisher = 'P1' return $x/book/title`)
 	for _, q := range queries[len(queries)-2:] {
-		if ok, _, err := coord.Shardable(q); err != nil {
+		plan, err := svc.Plan(q)
+		if err != nil {
 			t.Fatalf("classify %q: %v", q, err)
-		} else if q == queries[len(queries)-1] && ok {
+		}
+		if ok, _ := shard.Shardable(plan, cat.RootTag); q == queries[len(queries)-1] && ok {
 			t.Fatalf("%q should fall back to the union view", q)
 		}
 	}
 
-	// Cold, fault-free baselines through the coordinator itself.
+	// Cold, fault-free baselines through the federation itself.
 	baseline := make(map[string]string, len(queries))
 	for _, q := range queries {
-		res, _, err := coord.Query(context.Background(), q)
+		res, _, err := svc.Query(context.Background(), q)
 		if err != nil {
 			t.Fatalf("baseline %q: %v", q, err)
 		}
@@ -145,7 +147,7 @@ func TestShardedChaosSoak(t *testing.T) {
 			for time.Now().Before(deadline) {
 				q := queries[rng.Intn(len(queries))]
 				ctx := obs.WithMeter(context.Background(), &obs.TaskMeter{})
-				res, _, err := coord.Query(ctx, q)
+				res, _, err := svc.Query(ctx, q)
 				var de *shard.DegradedError
 				switch {
 				case err == nil:
@@ -194,9 +196,9 @@ func TestShardedChaosSoak(t *testing.T) {
 	wg.Wait()
 	injected, flipped := ffs.InjectedReads(), ffs.CorruptedReads()
 	ffs.SetChaos(storage.Chaos{})
-	t.Logf("soak: %d ok, %d shed, %d degraded, %d transient, %d corrupt; %d faults + %d bit-flips injected; %d coordinator retries",
+	t.Logf("soak: %d ok, %d shed, %d degraded, %d transient, %d corrupt; %d faults + %d bit-flips injected; %d read retries",
 		successes.Load(), shed.Load(), degraded.Load(), transient.Load(), corrupt.Load(),
-		injected, flipped, obs.GetCounter("shard.shard_retries").Load())
+		injected, flipped, obs.GetCounter("storage.read_retries").Load()-readRetries)
 
 	if successes.Load() == 0 {
 		t.Error("no query succeeded during the soak")
@@ -216,7 +218,7 @@ func TestShardedChaosSoak(t *testing.T) {
 		}
 	}
 	for _, q := range queries {
-		res, _, err := coord.Query(context.Background(), q)
+		res, _, err := svc.Query(context.Background(), q)
 		if err != nil {
 			t.Errorf("post-chaos %q: %v", q, err)
 			continue

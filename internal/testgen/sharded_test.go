@@ -2,7 +2,10 @@ package testgen
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 
 	"vxml/internal/core"
@@ -14,10 +17,10 @@ import (
 
 // The sharded differential harness: every random document set is loaded
 // twice — once as a single repository and once split across N shards —
-// and every random query must answer identically through the shard
-// coordinator (scatter-gather or union fallback) and through a plain
-// single-repository service over the union of the documents in
-// federation document order. Shard counts {1, 2, 4, 7} cover the
+// and every random query must answer identically through the
+// federation's serving layer (scatter-gather or union view) and through a
+// plain single-repository service over the union of the documents in
+// federation document order: cold, cached, and after an append. Shard counts {1, 2, 4, 7} cover the
 // degenerate single-shard case, even splits, and uneven splits where
 // some shards end up empty.
 //
@@ -33,7 +36,7 @@ import (
 var shardCounts = []int{1, 2, 4, 7}
 
 // TestShardedDifferential runs the ordered (child-axis only) fragment,
-// where the coordinator's contract is byte identity: no descendant or
+// where the federation's contract is byte identity: no descendant or
 // wildcard steps, so document order is fully specified.
 func TestShardedDifferential(t *testing.T) {
 	baseSeed := envInt64("VXSDIFF_SEED", 1)
@@ -72,7 +75,10 @@ func runShardedDifferential(t *testing.T, baseSeed, pairs int64, cfg QueryConfig
 }
 
 // shardedDiffPair runs one (document set, query) pair across every shard
-// count and reports success.
+// count and reports success. Each federation answers the query cold,
+// then from its result cache, then — after one more document is
+// appended to one shard — freshly again over the extended document
+// order.
 func shardedDiffPair(t *testing.T, seed int64, cfg QueryConfig, forceOrdered bool) bool {
 	r := rand.New(rand.NewSource(seed))
 	syms := xmlmodel.NewSymbols()
@@ -82,12 +88,15 @@ func shardedDiffPair(t *testing.T, seed int64, cfg QueryConfig, forceOrdered boo
 		docs[d] = xmlmodel.TreeString(Doc(r, DefaultDocConfig(), syms), syms)
 	}
 	q := NewQuery(r, cfg)
+	extra := xmlmodel.TreeString(Doc(r, DefaultDocConfig(), syms), syms)
+	extraPick := r.Intn(1 << 16)
 	// Odd pair seeds place documents by hash, even ones by range, so both
 	// policies (and their different empty-shard patterns) soak equally.
 	policy := shard.PolicyRange
 	if seed%2 != 0 {
 		policy = shard.PolicyHash
 	}
+	ordered := q.Ordered || forceOrdered
 
 	for _, n := range shardCounts {
 		mem := storage.NewMemFS()
@@ -103,73 +112,91 @@ func shardedDiffPair(t *testing.T, seed int64, cfg QueryConfig, forceOrdered boo
 		}
 		ok := func() bool {
 			defer f.Close()
-			c := shard.NewCoordinator(f, shard.Config{PlanCacheSize: 8, ResultCacheSize: 8})
+			svc := shard.NewService(f, core.ServiceConfig{PlanCacheSize: 8, ResultCacheSize: 8})
+			plan, err := svc.Plan(q.Src)
+			if err != nil {
+				t.Errorf("pair seed %d shards %d: plan: %v", seed, n, err)
+				return false
+			}
+			shardable, reason := shard.Shardable(plan, f.Catalog.RootTag)
+			// Federation document order: shard-major, catalog order within.
+			perShard := make([][]string, n)
+			for k, si := range f.Catalog.Shards {
+				for _, di := range si.Docs {
+					perShard[k] = append(perShard[k], docs[di.ID])
+				}
+			}
+			// answer checks one federated answer against want — byte for
+			// byte when exact, as a deep multiset otherwise — and returns
+			// it.
+			answer := func(step string, wantSrc core.Source, want string, exact bool) (string, bool) {
+				res, src, err := svc.Query(context.Background(), q.Src)
+				if err != nil {
+					t.Errorf("pair seed %d shards %d: %s: %v\nquery: %s", seed, n, step, err, q.Src)
+					return "", false
+				}
+				got, err := res.XML()
+				if err != nil {
+					t.Errorf("pair seed %d shards %d: %s: render: %v", seed, n, step, err)
+					return "", false
+				}
+				if src != wantSrc {
+					t.Errorf("pair seed %d shards %d: %s: source = %v, want %v\nquery: %s", seed, n, step, src, wantSrc, q.Src)
+					return "", false
+				}
+				if exact {
+					if got != want {
+						t.Errorf("pair seed %d shards %d: %s: mismatch (exact, shardable=%v %s)\nquery: %s\nfederation: %s\nsingle-repo: %s",
+							seed, n, step, shardable, reason, q.Src, got, want)
+						return "", false
+					}
+				} else {
+					gc, ok1 := canonicalForm(t, got, syms)
+					wc, ok2 := canonicalForm(t, want, syms)
+					if !ok1 || !ok2 || gc != wc {
+						t.Errorf("pair seed %d shards %d: %s: mismatch (multiset, shardable=%v %s)\nquery: %s\nfederation: %s\nsingle-repo: %s",
+							seed, n, step, shardable, reason, q.Src, got, want)
+						return "", false
+					}
+				}
+				return got, true
+			}
 
-			want, ok := shardedBaseline(t, seed, n, f, docs, q.Src)
+			want, ok := shardedBaseline(t, seed, n, slices.Concat(perShard...), q.Src)
 			if !ok {
 				return false
 			}
-			res, src, err := c.Query(context.Background(), q.Src)
-			if err != nil {
-				t.Errorf("pair seed %d shards %d: coordinator: %v\nquery: %s", seed, n, err, q.Src)
+			got, ok := answer("cold", core.SourceEval, want, ordered)
+			if !ok {
 				return false
 			}
-			got, err := res.XML()
-			if err != nil {
-				t.Errorf("pair seed %d shards %d: render: %v", seed, n, err)
-				return false
-			}
-			if q.Ordered || forceOrdered {
-				if got != want {
-					shardable, reason, _ := c.Shardable(q.Src)
-					t.Errorf("pair seed %d shards %d: mismatch (exact, shardable=%v %s)\nquery: %s\ncoordinator: %s\nsingle-repo: %s",
-						seed, n, shardable, reason, q.Src, got, want)
-					return false
-				}
-			} else {
-				gc, ok1 := canonicalForm(t, got, syms)
-				wc, ok2 := canonicalForm(t, want, syms)
-				if !ok1 || !ok2 || gc != wc {
-					t.Errorf("pair seed %d shards %d: mismatch (multiset)\nquery: %s\ncoordinator: %s\nsingle-repo: %s",
-						seed, n, q.Src, got, want)
-					return false
-				}
-			}
-
-			// Repeat: the merged-result cache must serve the same bytes.
-			res2, src2, err := c.Query(context.Background(), q.Src)
-			if err != nil {
-				t.Errorf("pair seed %d shards %d: repeat: %v", seed, n, err)
-				return false
-			}
-			got2, err := res2.XML()
-			if err != nil {
-				t.Errorf("pair seed %d shards %d: repeat render: %v", seed, n, err)
-				return false
-			}
-			if got2 != got {
-				t.Errorf("pair seed %d shards %d: cached answer differs (sources %v then %v)\nquery: %s",
-					seed, n, src, src2, q.Src)
-				return false
-			}
-			if src2 != core.SourceResultCache {
-				t.Errorf("pair seed %d shards %d: repeat source = %v, want result-cache", seed, n, src2)
+			// Repeat: the result cache must serve the same bytes.
+			if _, ok := answer("cached repeat", core.SourceResultCache, got, true); !ok {
 				return false
 			}
 
 			// Static-check rollup soundness: the federation checker may only
 			// call the query empty when the single-repo answer is a bare root.
-			plan, err := c.Plan(q.Src)
-			if err != nil {
-				t.Errorf("pair seed %d shards %d: plan: %v", seed, n, err)
-				return false
-			}
-			if sc := c.Check(plan); sc.Empty && !bareRoot(want, plan.ResultTag) {
+			if sc := f.Check(plan); sc.Empty && !bareRoot(want, plan.ResultTag) {
 				t.Errorf("pair seed %d shards %d: federated static check rejected an answerable query\nquery: %s\nreason: %s\nanswer: %s",
 					seed, n, q.Src, sc.Reason, want)
 				return false
 			}
-			return true
+
+			// Cached, then append: one more document on one shard moves the
+			// federation epoch, so the next answer is a fresh evaluation
+			// over the extended document order, never the cached one.
+			k := extraPick % n
+			if err := f.Shards[k].Append(strings.NewReader(extra)); err != nil {
+				t.Errorf("pair seed %d shards %d: append to shard %d: %v", seed, n, k, err)
+				return false
+			}
+			perShard[k] = append(perShard[k], extra)
+			if want, ok = shardedBaseline(t, seed, n, slices.Concat(perShard...), q.Src); !ok {
+				return false
+			}
+			_, ok = answer(fmt.Sprintf("after append to shard %d", k), core.SourceEval, want, ordered)
+			return ok
 		}()
 		if !ok {
 			return false
@@ -179,24 +206,21 @@ func shardedDiffPair(t *testing.T, seed int64, cfg QueryConfig, forceOrdered boo
 }
 
 // shardedBaseline evaluates the query over one in-memory repository
-// holding the union of the documents in federation (shard-major catalog)
-// document order.
-func shardedBaseline(t *testing.T, seed int64, n int, f *shard.Federation, docs []string, query string) (string, bool) {
+// holding the documents, in the given (federation) order.
+func shardedBaseline(t *testing.T, seed int64, n int, docs []string, query string) (string, bool) {
 	syms := xmlmodel.NewSymbols()
 	var root *xmlmodel.Node
-	for _, si := range f.Catalog.Shards {
-		for _, di := range si.Docs {
-			doc, err := xmlmodel.ParseString(docs[di.ID], syms)
-			if err != nil {
-				t.Errorf("pair seed %d shards %d: baseline parse: %v", seed, n, err)
-				return "", false
-			}
-			if root == nil {
-				root = xmlmodel.NewElem(doc.Tag)
-			}
-			for _, kid := range doc.Kids {
-				root.Append(kid)
-			}
+	for _, d := range docs {
+		doc, err := xmlmodel.ParseString(d, syms)
+		if err != nil {
+			t.Errorf("pair seed %d shards %d: baseline parse: %v", seed, n, err)
+			return "", false
+		}
+		if root == nil {
+			root = xmlmodel.NewElem(doc.Tag)
+		}
+		for _, kid := range doc.Kids {
+			root.Append(kid)
 		}
 	}
 	mem, err := vectorize.FromTree(root, syms)
