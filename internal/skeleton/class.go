@@ -1,7 +1,8 @@
 package skeleton
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"strings"
 	"sync"
 
@@ -20,95 +21,113 @@ const NoClass ClassID = -1
 // TextStep is the pseudo-tag selecting the text-marker child of a class.
 const TextStep xmlmodel.Sym = -1
 
+// classInfo is one class's place in the trie. It holds no pointer, so the
+// registry is a few flat arrays however many classes a document has.
 type classInfo struct {
-	parent   ClassID
-	tag      xmlmodel.Sym // TextStep for a text class
-	depth    int32
-	path     string  // "/bib/book/title", "/bib/book/title/#" for a text class
-	nodes    []*Node // distinct DAG nodes at this class, discovery order
-	occ      []int64 // occurrences of each of nodes at this class, until its kids are discovered
-	kids     map[xmlmodel.Sym]ClassID
-	kidList  []ClassID // the kids' values in class-id (discovery) order
-	runs     RunMap    // parent-class occurrences -> this class's occurrences (lazy)
-	cursor   *Cursor   // shared positional cursor over runs (lazy)
-	nodeRuns []NodeRun // DAG node per occurrence, run-length (lazy)
-	count    int64     // total occurrences
+	parent ClassID
+	tag    xmlmodel.Sym // TextStep for a text class
+	depth  int32
+	kidHi  ClassID // the kids are the IDs [kidLo, kidHi), kidLo being the previous class's kidHi
+	count  int64   // total occurrences
+}
+
+// classMemo holds one class's lazily derived values.
+type classMemo struct {
+	path     string    // "/bib/book/title", "/bib/book/title/#" for a text class
+	runs     RunMap    // parent-class occurrences -> this class's occurrences
+	cursor   *Cursor   // shared positional cursor over runs
+	nodeRuns []NodeRun // DAG node per occurrence, run-length
 }
 
 // Classes is the path-class registry of one skeleton. It discovers all
 // classes and their occurrence counts eagerly (a pass over (DAG node,
-// class) pairs, each visited once) and computes occurrence run-maps
-// lazily, memoized per class.
+// class) pairs, each visited once) and derives paths and occurrence
+// run-maps lazily, memoized per class. Level-order discovery gives the
+// kids of a class consecutive IDs, so the trie is flat arrays indexed by
+// ClassID and a class's kids are an ID range.
 //
-// Classes is safe for concurrent use: the class topology (infos, kids,
-// parent/tag/depth, counts) is immutable after NewClasses, and the lazily
-// computed memos (run maps, cursors, node runs, descendant sets) are
-// guarded by one mutex, so many queries can share a registry.
+// Classes is safe for concurrent use: the class topology (parent, tag,
+// depth, kids, counts) is immutable after NewClasses, and the lazily
+// computed memos (paths, run maps, cursors, node runs, descendant sets)
+// are guarded by one mutex, so many queries can share a registry.
 type Classes struct {
 	skel  *Skeleton
 	syms  *xmlmodel.Symbols
-	infos []*classInfo
+	infos []classInfo // by ClassID
+	ids   []ClassID   // ids[i] == i; Kids slices it
 
-	mu       sync.Mutex             // guards the lazy fields below and in classInfo
+	mu       sync.Mutex             // guards the lazy fields below
+	memos    []classMemo            // by ClassID; guarded by mu
 	descMemo map[[2]int32][]ClassID // (class, step) -> descendants; guarded by mu
 }
 
 // NewClasses builds the class registry for a skeleton.
+//
+// Level-order discovery: all nodes of a class, and how often each occurs
+// there, are known before its children classes are explored, because
+// contributions come only from the parent class. The nodes at the classes
+// sit in one buffer, bucketed by class in class order: a class's pass
+// over its nodes' edges appends each kid's nodes in order of first
+// appearance, and a stable sort by kid then makes the kids' buckets.
 func NewClasses(s *Skeleton, syms *xmlmodel.Symbols) *Classes {
-	c := &Classes{skel: s, syms: syms}
-	root := classInfo{parent: NoClass, tag: s.Root.Tag, depth: 0, path: "/" + syms.Name(s.Root.Tag), count: 1}
-	root.nodes, root.occ = []*Node{s.Root}, []int64{1}
-	c.infos = append(c.infos, &root)
-	// Level-order discovery: all nodes of a class, and how often each
-	// occurs there, are known before its children classes are explored,
-	// because contributions come only from the parent class.
-	for id := ClassID(0); int(id) < len(c.infos); id++ {
-		c.discoverChildren(id)
+	maxTag := xmlmodel.Sym(0)
+	for _, n := range s.nodes {
+		maxTag = max(maxTag, n.Tag)
+	}
+	type occurrence struct {
+		node  NodeID
+		class ClassID
+		occ   int64
+	}
+	// Documents have a few classes per DAG node: starting the arrays at
+	// twice the node count saves most of their regrowth.
+	guess := 2*len(s.nodes) + 1
+	nodes := s.nodes
+	infos := slices.Grow([]classInfo{{parent: NoClass, tag: s.Root.Tag, count: 1}}, guess)
+	occs := slices.Grow([]occurrence{{node: s.Root.ID, occ: 1}}, guess)
+	end := slices.Grow([]int{1}, guess) // ClassID -> end of its bucket in occs
+	kidOf := make([]ClassID, maxTag+2)  // step+1 -> its kid of the class in hand, if not below kidLo
+	at := make([]int, len(nodes))       // NodeID -> its slot in occs, if not below base
+	byClass := func(a, b occurrence) int { return cmp.Compare(a.class, b.class) }
+	for id, lo := ClassID(0), 0; int(id) < len(infos); id++ {
+		hi, kidLo, base := end[id], ClassID(len(infos)), len(occs)
+		for _, o := range occs[lo:hi] {
+			for _, e := range nodes[o.node].Edges {
+				st := e.Child.Tag
+				if e.Child.IsText {
+					st = TextStep
+				}
+				kid := kidOf[st+1]
+				if kid < kidLo {
+					kid = ClassID(len(infos))
+					kidOf[st+1] = kid
+					infos = append(infos, classInfo{parent: id, tag: st, depth: infos[id].depth + 1})
+				}
+				add := o.occ * e.Count
+				infos[kid].count += add
+				j := at[e.Child.ID]
+				if j < base {
+					j = len(occs)
+					at[e.Child.ID] = j
+					occs = append(occs, occurrence{node: e.Child.ID, class: kid})
+				}
+				occs[j].occ += add
+			}
+		}
+		slices.SortStableFunc(occs[base:], byClass)
+		for j := base; j < len(occs); j++ {
+			if j+1 == len(occs) || occs[j+1].class != occs[j].class {
+				end = append(end, j+1)
+			}
+		}
+		infos[id].kidHi = ClassID(len(infos))
+		lo = hi
+	}
+	c := &Classes{skel: s, syms: syms, infos: infos, ids: make([]ClassID, len(infos)), memos: make([]classMemo, len(infos))}
+	for i := range c.ids {
+		c.ids[i] = ClassID(i)
 	}
 	return c
-}
-
-// discoverChildren finds the child classes of id, the DAG nodes at each
-// and their occurrence counts: an instance of a node at id occurring k
-// times contributes k × edge count occurrences of the edge's child.
-func (c *Classes) discoverChildren(id ClassID) {
-	info := c.infos[id]
-	occs := info.occ
-	info.occ = nil // needed only to seed the kids' counts, here
-	if info.tag == TextStep {
-		return
-	}
-	info.kids = make(map[xmlmodel.Sym]ClassID)
-	at := make(map[[2]int32]int) // (classID, nodeID) -> index in the kid's nodes
-	for i, n := range info.nodes {
-		occ := occs[i]
-		for _, e := range n.Edges {
-			step, name := e.Child.Tag, "#"
-			if e.Child.IsText {
-				step = TextStep
-			} else {
-				name = c.syms.Name(step)
-			}
-			kid, ok := info.kids[step]
-			if !ok {
-				kid = ClassID(len(c.infos))
-				c.infos = append(c.infos, &classInfo{parent: id, tag: step, depth: info.depth + 1, path: info.path + "/" + name})
-				info.kids[step] = kid
-				info.kidList = append(info.kidList, kid)
-			}
-			k := c.infos[kid]
-			key := [2]int32{int32(kid), int32(e.Child.ID)}
-			j, ok := at[key]
-			if !ok {
-				j = len(k.nodes)
-				at[key] = j
-				k.nodes = append(k.nodes, e.Child)
-				k.occ = append(k.occ, 0)
-			}
-			k.occ[j] += occ * e.Count
-			k.count += occ * e.Count
-		}
-	}
 }
 
 // Root returns the root element's class.
@@ -132,12 +151,10 @@ func (c *Classes) Depth(id ClassID) int { return int(c.infos[id].depth) }
 // Child resolves one step from a class: a tag, or TextStep for the text
 // child. It returns NoClass if the document has no such path.
 func (c *Classes) Child(id ClassID, step xmlmodel.Sym) ClassID {
-	kids := c.infos[id].kids
-	if kids == nil {
-		return NoClass
-	}
-	if kid, ok := kids[step]; ok {
-		return kid
+	for _, kid := range c.Kids(id) {
+		if c.infos[kid].tag == step {
+			return kid
+		}
 	}
 	return NoClass
 }
@@ -145,20 +162,13 @@ func (c *Classes) Child(id ClassID, step xmlmodel.Sym) ClassID {
 // Children returns all child classes of id, element classes sorted by tag
 // name and the text class (if any) last.
 func (c *Classes) Children(id ClassID) []ClassID {
-	kids := c.infos[id].kids
-	out := make([]ClassID, 0, len(kids))
-	for _, kid := range kids {
-		out = append(out, kid)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		ti, tj := c.infos[out[i]].tag, c.infos[out[j]].tag
-		if (ti == TextStep) != (tj == TextStep) {
-			return tj == TextStep
+	out := slices.Clone(c.Kids(id))
+	slices.SortFunc(out, func(a, b ClassID) int {
+		ta, tb := c.infos[a].tag, c.infos[b].tag
+		if ta == TextStep || tb == TextStep {
+			return cmp.Compare(tb, ta) // TextStep is below every tag
 		}
-		if ti == TextStep {
-			return false
-		}
-		return c.syms.Name(ti) < c.syms.Name(tj)
+		return strings.Compare(c.syms.Name(ta), c.syms.Name(tb))
 	})
 	return out
 }
@@ -167,7 +177,13 @@ func (c *Classes) Children(id ClassID) []ClassID {
 // sorting or copying: the slice is shared and must not be modified. It is
 // the accessor for walks that visit every child and do not care about tag
 // order.
-func (c *Classes) Kids(id ClassID) []ClassID { return c.infos[id].kidList }
+func (c *Classes) Kids(id ClassID) []ClassID {
+	lo, hi := ClassID(1), c.infos[id].kidHi
+	if id > 0 {
+		lo = c.infos[id-1].kidHi
+	}
+	return c.ids[lo:hi:hi]
+}
 
 // Descendants returns every class strictly below id whose tag matches
 // step (the '//' axis), sorted by class id. step may be TextStep. Results
@@ -188,7 +204,7 @@ func (c *Classes) Descendants(id ClassID, step xmlmodel.Sym) []ClassID {
 	for len(queue) > 0 {
 		cur := queue[0]
 		queue = queue[1:]
-		for _, kid := range c.infos[cur].kids {
+		for _, kid := range c.Kids(cur) {
 			if c.infos[kid].tag == step {
 				//vx:alloc memo miss only: the answer is kept in descMemo per (class, step)
 				out = append(out, kid)
@@ -198,7 +214,7 @@ func (c *Classes) Descendants(id ClassID, step xmlmodel.Sym) []ClassID {
 			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	c.descMemo[key] = out
 	return out
 }
@@ -208,22 +224,44 @@ func (c *Classes) Descendants(id ClassID, step xmlmodel.Sym) []ClassID {
 func (c *Classes) Cursor(id ClassID) *Cursor {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	info := c.infos[id]
-	if info.cursor == nil {
-		info.cursor = NewCursor(c.runsLocked(id))
+	m := &c.memos[id]
+	if m.cursor == nil {
+		m.cursor = NewCursor(c.runsLocked(id))
 	}
-	return info.cursor
+	return m.cursor
 }
 
 // Path returns the class's path string, e.g. "/bib/book/title". A text
 // class renders as its parent element's path plus "/#"; the corresponding
 // data vector is named by the parent element path alone (VectorName).
-func (c *Classes) Path(id ClassID) string { return c.infos[id].path }
+// Paths are derived along the parent chain on first use and memoized, so
+// only the classes callers reach, and their ancestors, pay for a string.
+func (c *Classes) Path(id ClassID) string {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.pathLocked(id)
+}
+
+//vx:locked mu
+func (c *Classes) pathLocked(id ClassID) string {
+	m := &c.memos[id]
+	if m.path == "" {
+		prefix, name := "", "#"
+		if p := c.infos[id].parent; p != NoClass {
+			prefix = c.pathLocked(p)
+		}
+		if tag := c.infos[id].tag; tag != TextStep {
+			name = c.syms.Name(tag)
+		}
+		m.path = prefix + "/" + name
+	}
+	return m.path
+}
 
 // VectorName returns the data-vector name for a text class: the path of
 // its parent element, as in the paper ("/bib/book/title").
 func (c *Classes) VectorName(id ClassID) string {
-	return c.infos[c.infos[id].parent].path
+	return c.Path(c.infos[id].parent)
 }
 
 // TextClasses returns all text classes, sorted by id (document discovery
@@ -285,24 +323,26 @@ func (c *Classes) Runs(id ClassID) RunMap {
 // DAG node each parent occurrence is an instance of; every instance of a
 // given node has the same fanout for this class's step, so the run map
 // falls out in one linear pass — no per-query traversal of the DAG.
+//
+//vx:locked mu
 func (c *Classes) runsLocked(id ClassID) RunMap {
-	info := c.infos[id]
-	if info.runs != nil {
-		return info.runs
+	m := &c.memos[id]
+	if m.runs != nil {
+		return m.runs
 	}
+	info := c.infos[id]
 	if info.parent == NoClass {
 		panic("skeleton: Runs on root class")
 	}
-	step := info.tag
 	var rm RunMap
 	for _, nr := range c.nodeRunsLocked(info.parent) {
-		rm = appendRepeated(rm, RunMap{{Parents: 1, Fanout: fanout(nr.Node, step)}}, nr.Count)
+		rm = appendRepeated(rm, RunMap{{Parents: 1, Fanout: fanout(nr.Node, info.tag)}}, nr.Count)
 	}
 	if rm == nil {
 		rm = RunMap{}
 	}
-	info.runs = rm.normalized()
-	return info.runs
+	m.runs = rm.normalized()
+	return m.runs
 }
 
 func matchStep(n *Node, step xmlmodel.Sym) bool {

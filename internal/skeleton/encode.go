@@ -2,9 +2,11 @@ package skeleton
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 
 	"vxml/internal/xmlmodel"
 )
@@ -56,8 +58,15 @@ func Encode(w io.Writer, s *Skeleton, syms *xmlmodel.Symbols) error {
 
 // Decode reads a skeleton written by Encode. Symbol names are re-interned
 // into syms; tags are remapped accordingly, so syms need not be empty.
+// Nodes and edges decode into one array each. Counts are bounded by the
+// bytes left, and a document of more than 2^63-1 nodes is rejected, which
+// bounds every occurrence count derived from the skeleton.
 func Decode(r io.Reader, syms *xmlmodel.Symbols) (*Skeleton, error) {
-	br := bufio.NewReader(r)
+	var buf bytes.Buffer
+	if _, err := io.Copy(&buf, r); err != nil {
+		return nil, fmt.Errorf("skeleton: decode: %w", err)
+	}
+	br := bytes.NewReader(buf.Bytes())
 	magic := make([]byte, len(skelMagic))
 	if _, err := io.ReadFull(br, magic); err != nil {
 		return nil, fmt.Errorf("skeleton: decode: %w", err)
@@ -66,9 +75,13 @@ func Decode(r io.Reader, syms *xmlmodel.Symbols) (*Skeleton, error) {
 		return nil, fmt.Errorf("skeleton: decode: bad magic %q", magic)
 	}
 	get := func() (int64, error) { return binary.ReadVarint(br) }
+	// A symbol takes at least one byte, a node one and an edge two.
 	nsyms, err := get()
 	if err != nil {
 		return nil, err
+	}
+	if nsyms < 0 || nsyms > int64(br.Len()) {
+		return nil, fmt.Errorf("skeleton: decode: bad symbol count %d", nsyms)
 	}
 	remap := make([]xmlmodel.Sym, nsyms+1)
 	nameBuf := make([]byte, 0, 64)
@@ -93,60 +106,64 @@ func Decode(r io.Reader, syms *xmlmodel.Symbols) (*Skeleton, error) {
 	if err != nil {
 		return nil, err
 	}
-	if nnodes <= 0 || nnodes > 1<<31 {
+	if nnodes <= 0 || nnodes > int64(br.Len()) || nnodes > math.MaxInt32 {
 		return nil, fmt.Errorf("skeleton: decode: bad node count %d", nnodes)
 	}
+	arena := make([]Node, nnodes)
 	nodes := make([]*Node, nnodes)
-	for i := int64(0); i < nnodes; i++ {
+	size := make([]int64, nnodes) // expanded subtree sizes
+	edges := make([]Edge, 0, br.Len()/2)
+	for i := range arena {
 		tag, err := get()
 		if err != nil {
 			return nil, err
 		}
-		n := &Node{ID: NodeID(i)}
+		n := &arena[i]
+		n.ID, nodes[i], size[i] = NodeID(i), n, 1
 		if tag == -1 {
 			n.IsText = true
-		} else {
-			if tag <= 0 || tag > nsyms {
-				return nil, fmt.Errorf("skeleton: decode: node %d bad tag %d", i, tag)
-			}
-			n.Tag = remap[tag]
-			ne, err := get()
+			continue
+		}
+		if tag <= 0 || tag > nsyms {
+			return nil, fmt.Errorf("skeleton: decode: node %d bad tag %d", i, tag)
+		}
+		n.Tag = remap[tag]
+		ne, err := get()
+		if err != nil {
+			return nil, err
+		}
+		if ne < 0 || ne > int64(br.Len()/2) {
+			return nil, fmt.Errorf("skeleton: decode: node %d bad edge count %d", i, ne)
+		}
+		for j := int64(0); j < ne; j++ {
+			child, err := get()
 			if err != nil {
 				return nil, err
 			}
-			// A node can have at most one run-length edge per prior unique
-			// node times the maximal interleaving, but arbitrary documents
-			// (e.g. a root with thousands of distinct children) make large
-			// edge lists legitimate; only reject clearly corrupt values.
-			if ne < 0 || ne > 1<<31 {
-				return nil, fmt.Errorf("skeleton: decode: node %d bad edge count %d", i, ne)
+			count, err := get()
+			if err != nil {
+				return nil, err
 			}
-			n.Edges = make([]Edge, ne)
-			for j := int64(0); j < ne; j++ {
-				child, err := get()
-				if err != nil {
-					return nil, err
-				}
-				count, err := get()
-				if err != nil {
-					return nil, err
-				}
-				if child < 0 || child >= i {
-					return nil, fmt.Errorf("skeleton: decode: node %d bad child %d", i, child)
-				}
-				if count <= 0 {
-					return nil, fmt.Errorf("skeleton: decode: node %d bad count %d", i, count)
-				}
-				n.Edges[j] = Edge{Child: nodes[child], Count: count}
+			if child < 0 || child >= int64(i) {
+				return nil, fmt.Errorf("skeleton: decode: node %d bad child %d", i, child)
 			}
+			if count <= 0 {
+				return nil, fmt.Errorf("skeleton: decode: node %d bad count %d", i, count)
+			}
+			if size[child] > (math.MaxInt64-size[i])/count {
+				return nil, fmt.Errorf("skeleton: decode: node %d expands to more than 2^63-1 nodes", i)
+			}
+			size[i] += count * size[child]
+			edges = append(edges, Edge{Child: nodes[child], Count: count})
 		}
-		nodes[i] = n
+		// edges keeps its capacity; cutting it keeps appends off the next node's.
+		n.Edges = edges[len(edges)-int(ne) : len(edges) : len(edges)]
 	}
 	rootID, err := get()
 	if err != nil {
 		return nil, err
 	}
-	if rootID < 0 || rootID >= nnodes {
+	if rootID < 0 || rootID >= nnodes || nodes[rootID].IsText {
 		return nil, fmt.Errorf("skeleton: decode: bad root %d", rootID)
 	}
 	return &Skeleton{Root: nodes[rootID], nodes: nodes}, nil

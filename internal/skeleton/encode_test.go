@@ -2,11 +2,14 @@ package skeleton
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
 
+	"vxml/internal/datagen"
 	"vxml/internal/xmlmodel"
 )
 
@@ -74,11 +77,135 @@ func TestDecodeRejectsCorrupt(t *testing.T) {
 	bad := append([]byte{}, good...)
 	bad[len(bad)-1] ^= 0x7f
 	cases = append(cases, bad)
+	// Hostile counts: each is rejected before anything is allocated for
+	// it, since the input holds too few bytes for that many records.
+	hostile := func(counts ...int64) []byte {
+		b := []byte(skelMagic)
+		for _, v := range counts {
+			b = binary.AppendVarint(b, v)
+		}
+		return b
+	}
+	cases = append(cases,
+		hostile(-3),       // symbol count
+		hostile(1<<62),    // symbol count
+		hostile(1, 1<<40), // name length
+		hostile(0, 1<<31), // node count
+		hostile(0, 1<<62), // node count
+	)
+	// One symbol "a", then two nodes: the text marker, and an "a" claiming
+	// 2^31 edges.
+	edges := append(hostile(1, 1), 'a')
+	for _, v := range []int64{2, -1, 1, 1 << 31} {
+		edges = binary.AppendVarint(edges, v)
+	}
+	cases = append(cases, edges)
 	for i, data := range cases {
-		if _, err := Decode(bytes.NewReader(data), xmlmodel.NewSymbols()); err == nil {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := Decode(bytes.NewReader(data), xmlmodel.NewSymbols())
+		runtime.ReadMemStats(&after)
+		if err == nil {
 			t.Errorf("case %d: corrupt decode succeeded", i)
 		}
+		if n := after.TotalAlloc - before.TotalAlloc; n > 1<<20 {
+			t.Errorf("case %d: decoding %d corrupt bytes allocated %d bytes", i, len(data), n)
+		}
 	}
+}
+
+// TestDecodeRejectsOverflowingCounts: a skeleton whose document would have
+// more nodes than an int64 counts is corrupt. Accepting it would wrap
+// occurrence counts around, here /a/b/# to 0.
+func TestDecodeRejectsOverflowingCounts(t *testing.T) {
+	syms := xmlmodel.NewSymbols()
+	b := NewBuilder()
+	bNode := b.Make(syms.Intern("b"), []Edge{{Child: b.Text(), Count: 1 << 40}})
+	skel := b.Finish(b.Make(syms.Intern("a"), []Edge{{Child: bNode, Count: 1 << 40}}))
+	var buf bytes.Buffer
+	if err := Encode(&buf, skel, syms); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Decode(&buf, xmlmodel.NewSymbols()); err == nil || !strings.Contains(err.Error(), "expands to more than") {
+		t.Fatalf("decoding a skeleton of 2^80 text nodes: err = %v", err)
+	}
+
+	// Below the limit, every count is exact.
+	b = NewBuilder()
+	bNode = b.Make(syms.Intern("b"), []Edge{{Child: b.Text(), Count: 1 << 31}})
+	skel = b.Finish(b.Make(syms.Intern("a"), []Edge{{Child: bNode, Count: 1 << 31}}))
+	buf.Reset()
+	if err := Encode(&buf, skel, syms); err != nil {
+		t.Fatal(err)
+	}
+	syms2 := xmlmodel.NewSymbols()
+	back, err := Decode(&buf, syms2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cls := NewClasses(back, syms2)
+	if n := cls.Count(cls.Resolve("/a/b/#")); n != 1<<62 {
+		t.Errorf("/a/b/# count = %d, want 2^62", n)
+	}
+	if n := back.ExpandedSize(); n != 1+1<<31+1<<62 {
+		t.Errorf("ExpandedSize = %d, want 1+2^31+2^62", n)
+	}
+}
+
+// encodeDoc parses an XML document and returns its encoded skeleton.
+func encodeDoc(tb testing.TB, doc string) []byte {
+	tb.Helper()
+	syms := xmlmodel.NewSymbols()
+	root, err := xmlmodel.ParseString(doc, syms)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := Encode(&buf, FromTree(root, NewBuilder()), syms); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// FuzzSkeletonDecode: Decode never panics on hostile bytes. What it
+// accepts re-encodes to a skeleton that decodes equal, and its class
+// registry builds.
+func FuzzSkeletonDecode(f *testing.F) {
+	var tb strings.Builder
+	if err := (datagen.TreeBank{Sentences: 12, MaxDepth: 4}).Generate(&tb); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(encodeDoc(f, bibXML))
+	f.Add(encodeDoc(f, tb.String()))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		syms := xmlmodel.NewSymbols()
+		skel, err := Decode(bytes.NewReader(data), syms)
+		if err != nil {
+			return
+		}
+		var enc bytes.Buffer
+		if err := Encode(&enc, skel, syms); err != nil {
+			t.Fatalf("re-encoding a decoded skeleton: %v", err)
+		}
+		syms2 := xmlmodel.NewSymbols()
+		back, err := Decode(bytes.NewReader(enc.Bytes()), syms2)
+		if err != nil {
+			t.Fatalf("decoding a re-encoded skeleton: %v", err)
+		}
+		if back.String(syms2) != skel.String(syms) || back.NumNodes() != skel.NumNodes() ||
+			back.NumEdges() != skel.NumEdges() || back.ExpandedSize() != skel.ExpandedSize() {
+			t.Fatalf("round trip changed the skeleton:\n%s\nvs\n%s", skel.String(syms), back.String(syms2))
+		}
+		// A document has at most as many classes as nodes; keep the
+		// registry small enough to build in a fuzz iteration. The last
+		// class is one of the deepest, so its path walks the longest
+		// parent chain.
+		if skel.ExpandedSize() > 1<<16 {
+			return
+		}
+		cls := NewClasses(skel, syms)
+		cls.Path(ClassID(cls.NumClasses() - 1))
+	})
 }
 
 // TestPropertyEncodeDecodeIdentity: round trip for random trees.
@@ -116,9 +243,9 @@ func TestNodeRunsBib(t *testing.T) {
 	if runs[0].Node == runs[1].Node {
 		t.Error("distinct article shapes share a node")
 	}
-	// NodeAt addresses instances across runs.
-	if cls.NodeAt(art, 0) != runs[0].Node || cls.NodeAt(art, 2) != runs[1].Node {
-		t.Error("NodeAt mismatch")
+	// A node cursor addresses instances across runs.
+	if nc := NewNodeCursor(runs); nc.At(0) != runs[0].Node || nc.At(2) != runs[1].Node {
+		t.Error("NodeCursor.At mismatch")
 	}
 }
 

@@ -21,14 +21,17 @@ func (c *Classes) NodeRuns(id ClassID) []NodeRun {
 
 // nodeRunsLocked is NodeRuns with c.mu held (the derivation recurses up
 // the parent chain, and Go mutexes are not reentrant).
+//
+//vx:locked mu
 func (c *Classes) nodeRunsLocked(id ClassID) []NodeRun {
-	info := c.infos[id]
-	if info.nodeRuns != nil {
-		return info.nodeRuns
+	m := &c.memos[id]
+	if m.nodeRuns != nil {
+		return m.nodeRuns
 	}
+	info := c.infos[id]
 	if info.parent == NoClass {
-		info.nodeRuns = []NodeRun{{Count: 1, Node: c.skel.Root}}
-		return info.nodeRuns
+		m.nodeRuns = []NodeRun{{Count: 1, Node: c.skel.Root}}
+		return m.nodeRuns
 	}
 	step := info.tag
 	var out []NodeRun
@@ -50,7 +53,7 @@ func (c *Classes) nodeRunsLocked(id ClassID) []NodeRun {
 	if out == nil {
 		out = []NodeRun{}
 	}
-	info.nodeRuns = out
+	m.nodeRuns = out
 	return out
 }
 
@@ -90,13 +93,6 @@ func appendNodeRuns(out, sub []NodeRun, times int64) []NodeRun {
 		}
 	}
 	return out
-}
-
-// NodeAt returns the DAG node of occurrence occ of the class. The cursor
-// form below is preferred for sequential access.
-func (c *Classes) NodeAt(id ClassID, occ int64) *Node {
-	nc := NewNodeCursor(c.NodeRuns(id))
-	return nc.At(occ)
 }
 
 // NodeCursor iterates NodeRuns with monotonic-friendly seeks.

@@ -353,8 +353,9 @@ func TestPropertyWalkReconstructsShape(t *testing.T) {
 	}
 }
 
-// TestPropertyRunMapTotals: for every class, the run map totals agree with
-// independently counted occurrences.
+// TestPropertyRunMapTotals: for every class, the trie — path, count,
+// parent, kids and child steps — and the run map totals agree with a
+// brute-force walk of the decompressed tree.
 func TestPropertyRunMapTotals(t *testing.T) {
 	syms := xmlmodel.NewSymbols()
 	f := func(seed int64) bool {
@@ -363,25 +364,67 @@ func TestPropertyRunMapTotals(t *testing.T) {
 		skel := FromTree(tree, NewBuilder())
 		cls := NewClasses(skel, syms)
 
-		// Count occurrences per class by brute-force walk of the tree.
+		// Count occurrences per path, and collect each path's child
+		// paths by step, by brute-force walk of the tree.
 		brute := make(map[string]int64)
+		kids := make(map[string]map[string]string) // path -> step -> child path
 		var rec func(n *xmlmodel.Node, path string)
 		rec = func(n *xmlmodel.Node, path string) {
-			if n.IsText() {
-				brute[path+"/#"]++
-				return
+			step := "#"
+			if !n.IsText() {
+				step = syms.Name(n.Tag)
 			}
-			p := path + "/" + syms.Name(n.Tag)
+			p := path + "/" + step
 			brute[p]++
+			if path != "" {
+				if kids[path] == nil {
+					kids[path] = make(map[string]string)
+				}
+				kids[path][step] = p
+			}
 			for _, k := range n.Kids {
 				rec(k, p)
 			}
 		}
 		rec(tree, "")
 
+		if cls.NumClasses() != len(brute) {
+			t.Logf("seed %d: %d classes, %d distinct paths", seed, cls.NumClasses(), len(brute))
+			return false
+		}
 		for id := ClassID(0); int(id) < cls.NumClasses(); id++ {
-			if cls.Count(id) != brute[cls.Path(id)] {
-				t.Logf("seed %d: class %s count %d, brute %d", seed, cls.Path(id), cls.Count(id), brute[cls.Path(id)])
+			path := cls.Path(id)
+			if cls.Count(id) != brute[path] {
+				t.Logf("seed %d: class %s count %d, brute %d", seed, path, cls.Count(id), brute[path])
+				return false
+			}
+			p, parentPath := cls.Parent(id), path[:strings.LastIndexByte(path, '/')]
+			if id == cls.Root() && p != NoClass || id != cls.Root() && (p >= id || cls.Path(p) != parentPath) {
+				t.Logf("seed %d: class %s has parent %d", seed, path, p)
+				return false
+			}
+			ks := cls.Kids(id)
+			if len(ks) != len(kids[path]) {
+				t.Logf("seed %d: class %s has %d kids, the tree %d", seed, path, len(ks), len(kids[path]))
+				return false
+			}
+			for i, k := range ks {
+				if cls.Parent(k) != id || i > 0 && k <= ks[i-1] {
+					t.Logf("seed %d: class %s kids %v out of order or not its own", seed, path, ks)
+					return false
+				}
+			}
+			for step, kidPath := range kids[path] {
+				st := TextStep
+				if step != "#" {
+					st = syms.Lookup(step)
+				}
+				if k := cls.Child(id, st); k == NoClass || cls.Path(k) != kidPath {
+					t.Logf("seed %d: class %s step %s resolves to %d", seed, path, step, k)
+					return false
+				}
+			}
+			if cls.Child(id, syms.Intern("absent")) != NoClass {
 				return false
 			}
 			if id != cls.Root() {
@@ -398,6 +441,56 @@ func TestPropertyRunMapTotals(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestClassesConcurrentMemos: goroutines sharing one registry derive
+// paths, vector names, run maps, cursors and node runs concurrently, and
+// see what a serial registry sees. Run it under the race detector: the
+// lazy memos are what it guards.
+func TestClassesConcurrentMemos(t *testing.T) {
+	syms := xmlmodel.NewSymbols()
+	tree := genTree(rand.New(rand.NewSource(7)), syms, 0)
+	for i := int64(0); i < 8; i++ {
+		tree.Append(genTree(rand.New(rand.NewSource(i)), syms, 1))
+	}
+	skel := FromTree(tree, NewBuilder())
+	describe := func(cls *Classes, id ClassID) string {
+		s := cls.Path(id)
+		if cls.IsText(id) {
+			s += " " + cls.VectorName(id)
+		}
+		if id != cls.Root() {
+			s += fmt.Sprint(cls.Runs(id), cls.Cursor(id).Prefix(1))
+		}
+		return s + fmt.Sprint(len(cls.NodeRuns(id)))
+	}
+	serial := NewClasses(skel, syms)
+	want := make([]string, serial.NumClasses())
+	for id := range want {
+		want[id] = describe(serial, ClassID(id))
+	}
+	shared := NewClasses(skel, syms)
+	const workers = 16
+	errs := make(chan string, workers)
+	for w := 0; w < workers; w++ {
+		go func(w int) {
+			// Each worker visits the classes in its own order, so first
+			// derivations race with memo reads.
+			r := rand.New(rand.NewSource(int64(w)))
+			for _, i := range r.Perm(len(want)) {
+				if got := describe(shared, ClassID(i)); got != want[i] {
+					errs <- fmt.Sprintf("class %d: %q, serially %q", i, got, want[i])
+					return
+				}
+			}
+			errs <- ""
+		}(w)
+	}
+	for w := 0; w < workers; w++ {
+		if e := <-errs; e != "" {
+			t.Error(e)
+		}
 	}
 }
 

@@ -1,11 +1,13 @@
 package vector
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"math"
 	"slices"
 	"sort"
+	"strings"
 
 	"vxml/internal/storage"
 )
@@ -126,14 +128,16 @@ func (r *dirReader) bytes(n int) []byte {
 	return out
 }
 
-// decodeDirectory parses and validates a directory file body.
+// decodeDirectory parses and validates a directory file body. The extents
+// go in one array, the names in arenas of at least the body's size that
+// are replaced when full, never grown, so the keys cut from them stay put.
 func decodeDirectory(data []byte) (*directory, error) {
 	r := &dirReader{b: data}
 	if string(r.bytes(len(dirMagic))) != dirMagic {
 		r.fail("bad magic")
 	}
 	flags := r.bytes(1)
-	d := &directory{vecs: make(map[string]entry), shared: make(map[int64]bool)}
+	d := &directory{shared: make(map[int64]bool)}
 	if r.err == nil {
 		if flags[0]&^flagCompress != 0 {
 			r.fail("unknown flags %#x", flags[0])
@@ -144,15 +148,26 @@ func decodeDirectory(data []byte) (*directory, error) {
 	// Every vector takes at least 5 bytes and every extent 6, which bounds
 	// what a hostile count can make us allocate.
 	nvec := int(r.uint("vector count", uint64(len(r.b)/5)))
+	d.vecs = make(map[string]entry, nvec)
+	exts := make([]Extent, 0, len(r.b)/6)
 	type placed struct {
 		Extent
 		vec int
 	}
-	var all []placed
+	all := make([]placed, 0, nvec)
+	var arena strings.Builder
 	prev := ""
 	for i := 0; i < nvec && r.err == nil; i++ {
 		p := int(r.uint("name prefix", uint64(len(prev))))
-		name := prev[:p] + string(r.bytes(int(r.uint("name length", uint64(len(r.b))))))
+		suffix := r.bytes(int(r.uint("name length", uint64(len(r.b)))))
+		if arena.Cap()-arena.Len() < p+len(suffix) {
+			arena = strings.Builder{}
+			arena.Grow(max(p+len(suffix), len(data)))
+		}
+		lo := arena.Len()
+		arena.WriteString(prev[:p])
+		arena.Write(suffix)
+		name := arena.String()[lo:]
 		if r.err == nil && i > 0 && name <= prev {
 			r.fail("vector %q out of order after %q", name, prev)
 		}
@@ -161,9 +176,7 @@ func decodeDirectory(data []byte) (*directory, error) {
 			bytes: int64(r.uint("value bytes", math.MaxInt64)),
 		}
 		next := int(r.uint("extent count", uint64(len(r.b)/6)))
-		if r.err == nil && next > 0 {
-			e.ext = make([]Extent, next)
-		}
+		first := len(exts)
 		var pos int64
 		for j := 0; j < next && r.err == nil; j++ {
 			x := Extent{
@@ -186,11 +199,15 @@ func decodeDirectory(data []byte) (*directory, error) {
 				r.fail("vector %q: extent %d starts at position %d, want %d", name, j, x.First, pos)
 			}
 			pos = x.end()
-			e.ext[j] = x
+			exts = append(exts, x)
 			all = append(all, placed{x, i})
 		}
 		if r.err == nil && pos != e.count {
 			r.fail("vector %q: extents hold %d records, count is %d", name, pos, e.count)
+		}
+		if len(exts) > first {
+			// exts keeps its capacity; cutting it keeps appends off the next vector's.
+			e.ext = exts[first:len(exts):len(exts)]
 		}
 		d.vecs[name] = e
 		prev = name
@@ -201,11 +218,8 @@ func decodeDirectory(data []byte) (*directory, error) {
 	if r.err != nil {
 		return nil, r.err
 	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].Page != all[j].Page {
-			return all[i].Page < all[j].Page
-		}
-		return all[i].Off < all[j].Off
+	slices.SortFunc(all, func(a, b placed) int {
+		return cmp.Or(cmp.Compare(a.Page, b.Page), cmp.Compare(a.Off, b.Off))
 	})
 	for i := 1; i < len(all); i++ {
 		a, b := all[i-1], all[i]

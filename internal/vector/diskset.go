@@ -21,7 +21,7 @@ import (
 // query pays page reads only for the extents it scans, which is the
 // paper's central claim.
 //
-// Concurrency: the read side (Vector, Count, Names, Len, Extents,
+// Concurrency: the read side (Vector, Count, CountBytes, Names, Len, Extents,
 // CatalogBytes) is safe for concurrent use — many queries can share one
 // DiskSet. The write side (NewWriter, AppendWriter, Writer.Close, Save,
 // Rollback) is single-owner: run it from one goroutine, with no
@@ -115,6 +115,13 @@ func (s *DiskSet) Vector(name string) (Vector, error) {
 // Count returns the directory's record count for a vector.
 func (s *DiskSet) Count(name string) (int64, bool) {
 	e, ok := s.dir.vecs[name]
+	return e.count, ok
+}
+
+// CountBytes is Count for a name held in a byte slice, looked up without
+// converting it to a string.
+func (s *DiskSet) CountBytes(name []byte) (int64, bool) {
+	e, ok := s.dir.vecs[string(name)]
 	return e.count, ok
 }
 
@@ -439,9 +446,6 @@ func (w *Writer) AppendString(val string) error { return w.Append([]byte(val)) }
 
 // Count returns the number of values appended so far.
 func (w *Writer) Count() int64 { return w.count }
-
-// ValueBytes returns the raw byte size of all appended values.
-func (w *Writer) ValueBytes() int64 { return w.bytes }
 
 // room is how many record bytes the buffer may hold: what is left on the
 // own page raw records extend, else a page.

@@ -160,36 +160,3 @@ func (s *MemSet) Vector(name string) (Vector, error) {
 	}
 	return v, nil
 }
-
-// TotalValues returns the number of values across all vectors of a set.
-func TotalValues(s Set) (int64, error) {
-	var total int64
-	for _, name := range s.Names() {
-		v, err := s.Vector(name)
-		if err != nil {
-			return 0, err
-		}
-		total += v.Len()
-	}
-	return total, nil
-}
-
-// TotalBytes returns the summed byte length of all values of a set (the
-// paper's "Vectors' Size" column, measured on the raw values).
-func TotalBytes(s Set) (int64, error) {
-	var total int64
-	for _, name := range s.Names() {
-		v, err := s.Vector(name)
-		if err != nil {
-			return 0, err
-		}
-		err = v.Scan(0, v.Len(), func(_ int64, val []byte) error {
-			total += int64(len(val))
-			return nil
-		})
-		if err != nil {
-			return 0, err
-		}
-	}
-	return total, nil
-}

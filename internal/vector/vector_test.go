@@ -359,21 +359,6 @@ func TestDiskSetDuplicateName(t *testing.T) {
 	}
 }
 
-func TestTotalValuesAndBytes(t *testing.T) {
-	s := NewMemSet()
-	s.Add("/a").Append("xy")
-	s.Add("/a").Append("z")
-	s.Add("/b").Append("1234")
-	n, err := TotalValues(s)
-	if err != nil || n != 3 {
-		t.Errorf("TotalValues = %d, %v", n, err)
-	}
-	b, err := TotalBytes(s)
-	if err != nil || b != 7 {
-		t.Errorf("TotalBytes = %d, %v", b, err)
-	}
-}
-
 // TestPropertyPagedMatchesMem: a paged vector behaves exactly like the
 // in-memory reference for random values and random range scans.
 func TestPropertyPagedMatchesMem(t *testing.T) {

@@ -207,7 +207,7 @@ func Open(dir string, opts Options) (*Repository, error) {
 	classes := skeleton.NewClasses(skel, syms)
 	set, err := vector.OpenDiskSet(store, vectorStem, bodies[directoryFile])
 	if err == nil {
-		err = reconcile(classes, set)
+		err = reconcile(classes, syms, set)
 	}
 	if err == nil && stale {
 		// The skeleton or directory on disk is a newer committed version
@@ -240,34 +240,55 @@ func Open(dir string, opts Options) (*Repository, error) {
 // off and the repository reads exactly as before that append — and a
 // vector no text class reaches is such an append's new path, cut to
 // nothing. A count below the skeleton's is lost committed data.
-func reconcile(classes *skeleton.Classes, set *vector.DiskSet) error {
-	texts := classes.TextClasses()
-	for _, id := range texts {
-		name := classes.VectorName(id)
-		want := classes.Count(id)
-		got, ok := set.Count(name)
+//
+// A walk of the class trie spells the vector names out in one buffer, so
+// no class path is built unless an error or a rollback needs it.
+func reconcile(classes *skeleton.Classes, syms *xmlmodel.Symbols, set *vector.DiskSet) error {
+	got := make([]int64, classes.NumClasses()) // text class -> its vector's count, -1 for none
+	reached := 0
+	var path []byte
+	var walk func(id skeleton.ClassID)
+	walk = func(id skeleton.ClassID) {
+		n := len(path)
+		path = append(append(path, '/'), syms.Name(classes.Tag(id))...)
+		for _, kid := range classes.Kids(id) {
+			if !classes.IsText(kid) {
+				walk(kid)
+			} else if count, ok := set.CountBytes(path); ok {
+				got[kid], reached = count, reached+1
+			} else {
+				got[kid] = -1
+			}
+		}
+		path = path[:n]
+	}
+	walk(classes.Root())
+	for id, n := range got {
+		id, want := skeleton.ClassID(id), classes.Count(skeleton.ClassID(id))
 		switch {
-		case !ok:
+		case !classes.IsText(id):
+		case n < 0:
 			return fmt.Errorf("vectorize: open repository: skeleton text class %s (%d occurrences) has no vector in the directory: %w",
-				name, want, storage.ErrCorrupt)
-		case got < want:
+				classes.VectorName(id), want, storage.ErrCorrupt)
+		case n < want:
 			return fmt.Errorf("vectorize: open repository: vector %q: skeleton references %d values but the directory committed only %d: %w",
-				name, want, got, storage.ErrCorrupt)
-		case got > want:
-			if err := set.Rollback(name, want); err != nil {
+				classes.VectorName(id), want, n, storage.ErrCorrupt)
+		case n > want:
+			if err := set.Rollback(classes.VectorName(id), want); err != nil {
 				return err
 			}
 		}
 	}
-	if set.Len() == len(texts) {
+	if set.Len() == reached {
 		return nil
 	}
-	reached := make(map[string]bool, len(texts))
+	texts := classes.TextClasses()
+	isText := make(map[string]bool, len(texts))
 	for _, id := range texts {
-		reached[classes.VectorName(id)] = true
+		isText[classes.VectorName(id)] = true
 	}
 	for _, name := range set.Names() {
-		if !reached[name] {
+		if !isText[name] {
 			if err := set.Rollback(name, 0); err != nil {
 				return err
 			}

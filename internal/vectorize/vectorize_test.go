@@ -256,8 +256,15 @@ func TestPropertyVectorTotals(t *testing.T) {
 			}
 			return true
 		})
-		total, err := vector.TotalValues(repo.Vectors)
-		return err == nil && total == texts
+		var total int64
+		for _, name := range repo.Vectors.Names() {
+			v, err := repo.Vectors.Vector(name)
+			if err != nil {
+				return false
+			}
+			total += v.Len()
+		}
+		return total == texts
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
