@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: test race vet lint lint-tools bench bench-full loc profile fuzz examples clean
+.PHONY: test race vet lint lint-tools bench bench-full bench-leftover loc profile fuzz examples clean
 
 test:
 	go test ./...
@@ -58,6 +58,13 @@ profile:
 # The full-scale experiment suite (Tables 1-3, Figure 8, ablations).
 bench-full:
 	go run ./cmd/vxbench -work bench-work all
+
+# One short run of a benchmark/ workload (bash benchmark/run.sh
+# --workload $(W) --seed 1 --seconds 2 --trace 0), then a check that no
+# process started during the run outlives it: exit 1 if one does.
+W ?= cold_regular
+bench-leftover:
+	bash scripts/bench-leftover.sh $(W)
 
 # Non-test lines of Go per package (every .go file go list counts as
 # part of the package build, _test.go files excluded), then the total.

@@ -32,11 +32,11 @@ type Options struct {
 	// over-produces pairs when value matches do not align; the default
 	// merges the tables with true pairing.
 	FilterOnlyJoins bool
-	// Workers bounds the intra-query parallelism of the vector-scanning
-	// operations (selections and join value gathering): row scans fan out
-	// across this many goroutines and merge deterministically, so results
-	// are byte-identical to serial evaluation. <= 0 means GOMAXPROCS;
-	// 1 disables the fan-out.
+	// Workers bounds the intra-query parallelism of selection scans: row
+	// scans fan out across this many goroutines and merge
+	// deterministically, so results are byte-identical to serial
+	// evaluation (joins read in one pass). <= 0 means GOMAXPROCS; 1
+	// disables the fan-out.
 	Workers int
 }
 

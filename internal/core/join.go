@@ -3,77 +3,20 @@ package core
 import (
 	"cmp"
 	"slices"
+	"sort"
 
 	"vxml/internal/qgraph"
 	"vxml/internal/skeleton"
 	"vxml/internal/xq"
 )
 
-// rowVals is the value set reachable from one row via the join path,
-// with min/max under compareValues for inequality joins. gatherVals
-// returns one per row, in row order.
-type rowVals struct {
-	vals     []string
-	min, max string
-}
-
-// gatherVals computes, per row of t, the values reachable from column col
-// via steps (existential set semantics). The column is normalized to
-// scalars first: each row contributes one variable instance. The rows fan
-// out across the worker pool (pathRes.scan): every row's value slot is
-// written by exactly one goroutine, each row reads its chains in order,
-// and scan counters merge in chunk order, so the gathered values are
-// identical to a serial pass.
-func (x *evalContext) gatherVals(t *Table, col int, steps []xq.Step) ([]rowVals, error) {
-	x.normalizeSeg(&t.Segment)
-	p := x.paths(steps, true)
-	out := make([]rowVals, len(t.Rows))
-	nch := rowChunks(x.e.workers(), len(t.Rows))
-	scannedByChunk := make([]int64, nch)
-	err := p.scan(&t.Segment, col, nch, nil, func(sr scanRow) error {
-		rv := &out[sr.ri]
-		for i := range sr.chains {
-			start, count := descendSpan(sr.chains[i].down, sr.occ, 1)
-			if count == 0 {
-				continue
-			}
-			scannedByChunk[sr.ci] += count
-			err := sr.rs.get(&sr.chains[i]).Scan(start, count, func(_ int64, val []byte) error {
-				v := string(val)
-				if len(rv.vals) == 0 {
-					rv.min, rv.max = v, v
-				} else {
-					if compareValues(v, rv.min) < 0 {
-						rv.min = v
-					}
-					if compareValues(v, rv.max) > 0 {
-						rv.max = v
-					}
-				}
-				rv.vals = append(rv.vals, v)
-				return nil
-			})
-			if err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	for ci := 0; ci < nch; ci++ {
-		x.stats.ValuesScanned += scannedByChunk[ci]
-	}
-	return out, nil
-}
-
 // opJoin evaluates an equality (or comparison) edge. Within one table it
 // is a row filter: a row survives iff some pair of its left/right values
 // satisfies the comparison. Across tables it merges the two instantiation
-// tables, pairing rows whose value sets match — the paper's node merge.
-// With Options.FilterOnlyJoins, cross-table joins only filter each side
-// (the §4.2 literal reading) and pairing happens by cartesian grouping.
+// tables on the units whose value sets match — the paper's node merge —
+// or counts the matches into multiplicities (joinUnits). With
+// Options.FilterOnlyJoins, cross-table joins only filter each side (the
+// §4.2 literal reading) and pairing happens by cartesian grouping.
 func (x *evalContext) opJoin(op qgraph.Op) error {
 	lt, lcol, err := x.tableOf(op.Var)
 	if err != nil {
@@ -83,256 +26,392 @@ func (x *evalContext) opJoin(op qgraph.Op) error {
 	if err != nil {
 		return err
 	}
-	lvals, err := x.gatherVals(lt, lcol, op.Path)
+	if lt != rt && op.Cmp == xq.OpEq {
+		return x.equiJoin(op, lt, lcol, rt, rcol)
+	}
+	// Otherwise the tables go scalar: each row is one unit.
+	x.normalizeSeg(&lt.Segment)
+	x.normalizeSeg(&rt.Segment)
+	l, r := newJoinSide(lt, lcol, op.Path), newJoinSide(rt, rcol, op.RPath)
+	lvals, err := x.unitVals(l)
 	if err != nil {
 		return err
 	}
-	// Index-nested-loops: for a cross-table equality join whose right side
-	// has a vector index, probe the index with the left values instead of
-	// scanning the right vector (the §6 extension; this is the plan that
-	// wins the paper's SQ3 for the tuned relational system).
-	if lt != rt && op.Cmp == xq.OpEq && !x.e.Opts.FilterOnlyJoins {
-		if pairs, ok, err := x.indexProbeJoin(rt, rcol, op, lvals); err != nil {
-			return err
-		} else if ok {
-			return x.mergePairs(lt, rt, pairs)
-		}
-	}
-	rvals, err := x.gatherVals(rt, rcol, op.RPath)
+	rvals, err := x.unitVals(r)
 	if err != nil {
 		return err
 	}
 	if lt == rt {
-		return x.joinSameTable(lt, lvals, rvals, op.Cmp)
-	}
-	if x.e.Opts.FilterOnlyJoins {
-		return x.joinFilterOnly(lt, rt, lvals, rvals, op.Cmp)
-	}
-	return x.joinMerge(lt, rt, lvals, rvals, op.Cmp)
-}
-
-// indexProbeJoin pairs left rows with right rows via the right side's
-// vector index. Applicable when the right path resolves to one chain
-// whose text class is indexed.
-func (x *evalContext) indexProbeJoin(rt *Table, rcol int, op qgraph.Op, lvals []rowVals) ([]pair, bool, error) {
-	if rt.Classes[rcol] == skeleton.NoClass {
-		return nil, false, nil // a class-set column: gather its values instead
-	}
-	chains := x.paths(op.RPath, true).from(rt.Classes[rcol])
-	if len(chains) != 1 {
-		return nil, false, nil
-	}
-	sc := chains[0]
-	idx, ok := x.e.lookupIndex(sc.dst)
-	if !ok {
-		return nil, false, nil
-	}
-	x.stats.IndexHits++
-	x.normalizeSeg(&rt.Segment)
-	// Map right-variable occurrences to row indices.
-	occRow := make(map[int64]int, len(rt.Rows))
-	for ri, r := range rt.Rows {
-		occRow[r.Occ[rcol]] = ri
-	}
-	var pairs []pair
-	seen := map[pair]bool{}
-	for i := range lvals {
-		l := &lvals[i]
-		dedup := map[string]bool{}
-		for _, v := range l.vals {
-			if dedup[v] {
-				continue
+		var rows []Row
+		for ri, row := range lt.Rows {
+			if valsCompatible(lvals[ri], rvals[ri], op.Cmp) {
+				rows = append(rows, row)
 			}
-			dedup[v] = true
-			for _, pos := range idx.Positions(xq.OpEq, v) {
-				rOcc := ascendPos(sc.down, pos)
-				ri, ok := occRow[rOcc]
-				if !ok {
-					continue
-				}
-				p := pair{i, ri}
-				if !seen[p] {
-					seen[p] = true
-					pairs = append(pairs, p)
-				}
+		}
+		lt.Rows = mergeRows(rows)
+		return nil
+	}
+	// Cross-table comparisons are rare and small: check every pair.
+	var pairs []pair
+	for i := range lvals {
+		for j := range rvals {
+			if valsCompatible(lvals[i], rvals[j], op.Cmp) {
+				pairs = append(pairs, pair{i, j})
 			}
 		}
 	}
-	sortPairs(pairs)
-	return pairs, true, nil
+	return x.joinUnits(op, l, r, pairs)
 }
 
-// joinSameTable keeps rows whose left and right value sets are compatible.
-func (x *evalContext) joinSameTable(t *Table, lvals, rvals []rowVals, cmp xq.CmpOp) error {
-	keep := make([]bool, len(t.Rows))
-	for i := range keep {
-		keep[i] = len(lvals[i].vals) > 0 && len(rvals[i].vals) > 0 && valsCompatible(&lvals[i], &rvals[i], cmp)
-	}
-	filterRows(t, keep)
-	return nil
+// unitVals returns the values of each unit of s as strings.
+func (x *evalContext) unitVals(s *joinSide) ([][]string, error) {
+	vals := make([][]string, s.base[len(s.t.Rows)])
+	return vals, x.scanUnits(s, func(u int, val []byte) {
+		vals[u] = append(vals[u], string(val))
+	})
 }
 
 // valsCompatible reports whether some (l, r) value pair satisfies cmp.
-func valsCompatible(l, r *rowVals, cmp xq.CmpOp) bool {
+func valsCompatible(l, r []string, cmp xq.CmpOp) bool {
+	if len(l) == 0 || len(r) == 0 {
+		return false
+	}
+	lmin, lmax := extrema(l)
+	rmin, rmax := extrema(r)
 	switch cmp {
 	case xq.OpEq:
-		if len(l.vals) > len(r.vals) {
-			l, r = r, l
-		}
-		set := make(map[string]bool, len(l.vals))
-		for _, v := range l.vals {
-			set[v] = true
-		}
-		for _, v := range r.vals {
-			if set[v] {
-				return true
-			}
-		}
-		// Numeric-equality fallback ("40" vs "40.0"): compare extrema.
-		return compareValues(l.min, r.max) == 0 || compareValues(l.max, r.min) == 0
-	case xq.OpNe:
-		// Fails only when both sides hold exactly one distinct value and
-		// they are equal.
-		if !allEqual(l.vals) || !allEqual(r.vals) {
+		// Numeric equality ("40" vs "40.0") shows in the extrema.
+		if compareValues(lmin, rmax) == 0 || compareValues(lmax, rmin) == 0 {
 			return true
 		}
-		return l.vals[0] != r.vals[0]
+		set := make(map[string]bool, len(l))
+		for _, v := range l {
+			set[v] = true
+		}
+		return slices.ContainsFunc(r, func(v string) bool { return set[v] })
+	case xq.OpNe:
+		// Fails only when both sides hold one and the same distinct value.
+		return slices.ContainsFunc(l, func(v string) bool { return v != r[0] }) || slices.ContainsFunc(r, func(v string) bool { return v != l[0] })
 	case xq.OpLt:
-		return compareValues(l.min, r.max) < 0
+		return compareValues(lmin, rmax) < 0
 	case xq.OpLe:
-		return compareValues(l.min, r.max) <= 0
+		return compareValues(lmin, rmax) <= 0
 	case xq.OpGt:
-		return compareValues(l.max, r.min) > 0
+		return compareValues(lmax, rmin) > 0
 	case xq.OpGe:
-		return compareValues(l.max, r.min) >= 0
+		return compareValues(lmax, rmin) >= 0
 	}
 	return false
 }
 
-func allEqual(vals []string) bool {
+// extrema returns the least and the greatest of vals under compareValues.
+func extrema(vals []string) (lo, hi string) {
+	lo, hi = vals[0], vals[0]
 	for _, v := range vals[1:] {
-		if v != vals[0] {
-			return false
+		if compareValues(v, lo) < 0 {
+			lo = v
+		}
+		if compareValues(v, hi) > 0 {
+			hi = v
 		}
 	}
-	return true
+	return lo, hi
 }
 
-// joinMerge merges two tables on a value comparison: output rows are the
-// pairs (deduplicated — the condition is a predicate, not a multiplier).
-func (x *evalContext) joinMerge(lt, rt *Table, lvals, rvals []rowVals, cmp xq.CmpOp) error {
-	return x.mergePairs(lt, rt, matchPairs(lvals, rvals, cmp))
+// pair is a match of a cross-table join: a unit of each side.
+type pair struct{ a, b int }
+
+// joinSide is one table of a cross-table join. Its units are what a match
+// pairs: one occurrence of a row's run when the join column is the
+// table's trailing one, else the whole row. Units are numbered in row
+// order, then run order: the table's for-order.
+type joinSide struct {
+	t     *Table
+	col   int
+	path  []xq.Step
+	trail bool  // col is the trailing column
+	base  []int // row ri's units are [base[ri], base[ri+1])
 }
 
-// mergePairs replaces lt and rt with their join on the given row pairs.
-func (x *evalContext) mergePairs(lt, rt *Table, pairs []pair) error {
-	// The left table's trailing runs become middle columns: normalize.
-	x.normalizeSeg(&lt.Segment)
-	merged := &Table{
-		Vars:    append(slices.Clone(lt.Vars), rt.Vars...),
-		Segment: Segment{Classes: append(slices.Clone(lt.Classes), rt.Classes...)},
+func newJoinSide(t *Table, col int, path []xq.Step) *joinSide {
+	s := &joinSide{t: t, col: col, path: path, trail: col == len(t.Classes)-1, base: make([]int, len(t.Rows)+1)}
+	for ri := range t.Rows {
+		s.base[ri+1] = s.base[ri] + int(s.width(ri))
 	}
-	for _, pr := range pairs {
-		lr, rr := lt.Rows[pr.l], rt.Rows[pr.r]
-		occ := append(slices.Clone(lr.Occ), rr.Occ...)
-		merged.Rows = append(merged.Rows, Row{Occ: occ, Run: rr.Run, Mult: lr.Mult * rr.Mult})
+	return s
+}
+
+// width is the number of units of row ri.
+func (s *joinSide) width(ri int) int64 {
+	if s.trail {
+		return s.t.Rows[ri].Run
+	}
+	return 1
+}
+
+// unit returns the row of unit u and u's offset in the row's run.
+func (s *joinSide) unit(u int) (int, int64) {
+	ri := sort.Search(len(s.t.Rows), func(i int) bool { return s.base[i+1] > u })
+	return ri, int64(u - s.base[ri])
+}
+
+// scanUnits reads s's join values, one scan per row and chain over the
+// row's whole run (pathRes.scan), and calls fn with the value's unit
+// (through the chain's cursors) and the value. It reads in one pass:
+// readers of their own per chunk would re-read pages.
+func (x *evalContext) scanUnits(s *joinSide, fn func(u int, val []byte)) error {
+	var down []*skeleton.Cursor
+	var occ, n int64
+	var u0 int
+	visit := func(pos int64, val []byte) error {
+		u := u0
+		if n > 1 {
+			u += int(ascendPos(down, pos) - occ)
+		}
+		fn(u, val)
+		return nil
+	}
+	return x.paths(s.path, true).scan(&s.t.Segment, s.col, 1, nil, func(sr scanRow) error {
+		occ, n, u0 = sr.occ, s.width(sr.ri), s.base[sr.ri]
+		for i := range sr.chains {
+			ch := &sr.chains[i]
+			start, count := descendSpan(ch.down, occ, n)
+			if count == 0 {
+				continue
+			}
+			x.stats.ValuesScanned += count
+			down = ch.down
+			if err := sr.rs.get(ch).Scan(start, count, visit); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+}
+
+// matcher finds the units of a join's build side holding a value: those
+// its scan found the raw value in — key k's are units[i] for i = head[k],
+// next[i], ... up to -1 — or those at its vector index's positions.
+type matcher struct {
+	side                    *joinSide
+	keys                    map[string]int
+	head, tail, next, units []int
+	idx                     *VectorIndex
+	down                    []*skeleton.Cursor // the index's chain from the side's column
+}
+
+// hashSide reads s's values once and hashes them: one string per
+// distinct value, sized for one per unit.
+func (x *evalContext) hashSide(s *joinSide) (*matcher, error) {
+	n := s.base[len(s.t.Rows)]
+	m := &matcher{side: s, keys: make(map[string]int, n), next: make([]int, 0, n), units: make([]int, 0, n)}
+	err := x.scanUnits(s, func(u int, val []byte) {
+		i := len(m.units)
+		if k, ok := m.keys[string(val)]; ok {
+			m.next[m.tail[k]], m.tail[k] = i, i
+		} else {
+			m.keys[string(val)] = len(m.head)
+			m.head, m.tail = append(m.head, i), append(m.tail, i)
+		}
+		m.next, m.units = append(m.next, -1), append(m.units, u)
+	})
+	return m, err
+}
+
+// indexSide returns a matcher over s's vector index, when s is one row
+// and its join path one chain from a single-class column to an indexed
+// text class (the §6 extension: an index nested-loops join, the plan
+// that wins the paper's SQ3 for the tuned relational system).
+func (x *evalContext) indexSide(s *joinSide) (*matcher, bool) {
+	if len(s.t.Rows) != 1 || s.t.Classes[s.col] == skeleton.NoClass {
+		return nil, false
+	}
+	chains := x.paths(s.path, true).from(s.t.Classes[s.col])
+	if len(chains) != 1 {
+		return nil, false
+	}
+	idx, ok := x.e.lookupIndex(chains[0].dst)
+	if !ok {
+		return nil, false
+	}
+	x.stats.IndexHits++
+	return &matcher{side: s, idx: idx, down: chains[0].down}, true
+}
+
+// match appends to dst a pair of probe unit u with each build unit
+// holding val.
+func (m *matcher) match(dst []pair, u int, val []byte) []pair {
+	if m.idx == nil {
+		if k, ok := m.keys[string(val)]; ok {
+			for i := m.head[k]; i >= 0; i = m.next[i] {
+				dst = append(dst, pair{u, m.units[i]})
+			}
+		}
+		return dst
+	}
+	for _, pos := range m.idx.Positions(xq.OpEq, string(val)) {
+		if b := ascendPos(m.down, pos) - m.side.t.Rows[0].Occ[m.side.col]; b >= 0 && b < m.side.width(0) {
+			dst = append(dst, pair{u, int(b)})
+		}
+	}
+	return dst
+}
+
+// equiJoin evaluates a cross-table equality join, reading each side's
+// values once: the later-bound side's are hashed, as raw bytes, to the
+// units holding them (or looked up unread in the right side's vector
+// index), and the other side's probe them. A pairing join first makes the
+// earlier-bound table scalar, its columns becoming middle ones.
+func (x *evalContext) equiJoin(op qgraph.Op, lt *Table, lcol int, rt *Table, rcol int) error {
+	left, right := newJoinSide(lt, lcol, op.Path), newJoinSide(rt, rcol, op.RPath)
+	e, l := left, right
+	if indexOfTable(x.tables, rt) < indexOfTable(x.tables, lt) {
+		e, l = right, left
+	}
+	if !x.e.Opts.FilterOnlyJoins && !dies(op, l.t) {
+		x.normalizeSeg(&e.t.Segment)
+		*e = *newJoinSide(e.t, e.col, e.path)
+	}
+	probe := left
+	m, ok := x.indexSide(right)
+	if !ok {
+		probe = e
+		var err error
+		if m, err = x.hashSide(l); err != nil {
+			return err
+		}
+	}
+	pairs := make([]pair, 0, probe.base[len(probe.t.Rows)])
+	err := x.scanUnits(probe, func(u int, val []byte) {
+		pairs = m.match(pairs, u, val)
+	})
+	if err != nil {
+		return err
+	}
+	return x.joinUnits(op, probe, m.side, pairs)
+}
+
+// joinUnits applies a cross-table join's matches: pairs of a unit of a
+// and one of b, in any order, possibly repeated. Oriented to pair the
+// earlier-bound side e's unit with the later-bound side l's and sorted,
+// each distinct match counts once, in for-order. With
+// Options.FilterOnlyJoins each side keeps its matched units. If l dies at
+// the join it goes, and each matched unit of e has its multiplicity
+// scaled by the tuples it matches (a counting semijoin: no run expands).
+// Otherwise the tables merge on the pairs into e's slot (mergeUnits).
+func (x *evalContext) joinUnits(op qgraph.Op, a, b *joinSide, pairs []pair) error {
+	e, l, swap := a, b, indexOfTable(x.tables, b.t) < indexOfTable(x.tables, a.t)
+	if swap {
+		e, l = b, a
+	}
+	sortPairs(pairs, swap)
+	pairs = slices.Compact(pairs)
+	switch {
+	case x.e.Opts.FilterOnlyJoins:
+		one := func(int) int64 { return 1 }
+		e.keep(tally(pairs, one))
+		sortPairs(pairs, true)
+		l.keep(tally(pairs, one))
+	case dies(op, l.t):
+		e.keep(tally(pairs, func(u int) int64 {
+			ri, _ := l.unit(u)
+			r := l.t.Rows[ri]
+			return r.Mult * (r.Run / l.width(ri)) // a whole-row unit stands for its run
+		}))
+		x.stats.RowsProduced += int64(len(e.t.Rows))
+		x.tables[indexOfTable(x.tables, l.t)] = nil
+		for _, v := range l.t.Vars {
+			delete(x.varTabs, v)
+		}
+	default:
+		x.mergeUnits(e, l, pairs)
+	}
+	return nil
+}
+
+// dies reports whether every column of t dies at op.
+func dies(op qgraph.Op, t *Table) bool {
+	return !slices.ContainsFunc(t.Vars, func(v string) bool { return !slices.Contains(op.DropAfter, v) })
+}
+
+// sortPairs sorts pairs by their a unit, then their b unit, after
+// swapping each one's units if swap.
+func sortPairs(pairs []pair, swap bool) {
+	if swap {
+		for i, p := range pairs {
+			pairs[i] = pair{p.b, p.a}
+		}
+	}
+	byAB := func(p, q pair) int { return cmp.Or(cmp.Compare(p.a, q.a), cmp.Compare(p.b, q.b)) }
+	if !slices.IsSortedFunc(pairs, byAB) {
+		slices.SortFunc(pairs, byAB)
+	}
+}
+
+// tally returns the distinct a units of sorted pairs, and the sum of w
+// over each one's b units.
+func tally(pairs []pair, w func(b int) int64) (units []int, sums []int64) {
+	for i, p := range pairs {
+		if i == 0 || p.a != pairs[i-1].a {
+			units, sums = append(units, p.a), append(sums, 0)
+		}
+		sums[len(sums)-1] += w(p.b)
+	}
+	return units, sums
+}
+
+// keep rebuilds s's table from the given units, ascending and distinct,
+// multiplying the i-th one's multiplicity by mult[i]; the other units
+// drop, and mergeRows re-forms the runs.
+func (s *joinSide) keep(units []int, mult []int64) {
+	rows := make([]Row, 0, len(units))
+	arena := make([]int64, 0, len(units)*len(s.t.Classes))
+	for i, ri := 0, 0; i < len(units); i++ {
+		for s.base[ri+1] <= units[i] {
+			ri++
+		}
+		r := s.t.Rows[ri]
+		r.Mult *= mult[i]
+		if s.trail {
+			at := len(arena)
+			arena = append(arena, r.Occ...)
+			r.Occ, r.Run = arena[at:len(arena):len(arena)], 1
+			r.Occ[s.col] += int64(units[i] - s.base[ri])
+		}
+		rows = append(rows, r)
+	}
+	s.t.Rows = mergeRows(rows)
+}
+
+// mergeUnits replaces e's and l's tables with their join on the sorted
+// pairs, e's columns then l's, in e's slot: rows in for-order. e is
+// scalar (each row one unit); an l unit keeps its row's run unless it is
+// one occurrence of it, which counts as a run expanded.
+func (x *evalContext) mergeUnits(e, l *joinSide, pairs []pair) {
+	merged := &Table{
+		Vars:    append(slices.Clone(e.t.Vars), l.t.Vars...),
+		Segment: Segment{Classes: append(slices.Clone(e.t.Classes), l.t.Classes...)},
+	}
+	for _, p := range pairs {
+		er := e.t.Rows[p.a]
+		ri, off := l.unit(p.b)
+		lr := l.t.Rows[ri]
+		occ := append(append(make([]int64, 0, len(merged.Classes)), er.Occ...), lr.Occ...)
+		run := lr.Run
+		if l.trail {
+			occ[len(occ)-1] += off
+			run = 1
+		}
+		if run < lr.Run {
+			x.stats.RunsExpanded++
+		}
+		merged.Rows = append(merged.Rows, Row{Occ: occ, Run: run, Mult: er.Mult * lr.Mult})
 	}
 	merged.Rows = mergeRows(merged.Rows)
 	x.stats.RowsProduced += int64(len(merged.Rows))
-
-	// Replace the two tables with the merged one.
-	li, ri := indexOfTable(x.tables, lt), indexOfTable(x.tables, rt)
-	x.tables[li] = merged
-	x.tables[ri] = nil
+	ei, li := indexOfTable(x.tables, e.t), indexOfTable(x.tables, l.t)
+	x.tables[ei], x.tables[li] = merged, nil
 	for _, v := range merged.Vars {
-		x.varTabs[v] = li
+		x.varTabs[v] = ei
 	}
-	return nil
-}
-
-// pair is a (left row, right row) match of a join.
-type pair struct{ l, r int }
-
-// matchPairs finds all (left row, right row) pairs with compatible values,
-// ordered left-major (nested-for order), deduplicated.
-func matchPairs(lvals, rvals []rowVals, cmp xq.CmpOp) []pair {
-	var out []pair
-	seen := map[pair]bool{}
-	add := func(p pair) {
-		if !seen[p] {
-			seen[p] = true
-			out = append(out, p)
-		}
-	}
-	if cmp == xq.OpEq {
-		index := make(map[string][]int)
-		for i := range rvals {
-			dedup := map[string]bool{}
-			for _, v := range rvals[i].vals {
-				if !dedup[v] {
-					dedup[v] = true
-					index[v] = append(index[v], i)
-				}
-			}
-		}
-		for i := range lvals {
-			dedup := map[string]bool{}
-			for _, v := range lvals[i].vals {
-				if dedup[v] {
-					continue
-				}
-				dedup[v] = true
-				for _, j := range index[v] {
-					add(pair{i, j})
-				}
-			}
-		}
-	} else {
-		// Comparison join: sort right rows by max (or min) and probe.
-		// Kept simple (per-pair check) — the workload's comparison joins
-		// are same-table; cross-table ones are small.
-		for i := range lvals {
-			if len(lvals[i].vals) == 0 {
-				continue
-			}
-			for j := range rvals {
-				if len(rvals[j].vals) == 0 {
-					continue
-				}
-				if valsCompatible(&lvals[i], &rvals[j], cmp) {
-					add(pair{i, j})
-				}
-			}
-		}
-	}
-	sortPairs(out)
-	return out
-}
-
-// sortPairs orders pairs left-major (nested-for order).
-func sortPairs(out []pair) {
-	slices.SortFunc(out, func(a, b pair) int { return cmp.Or(cmp.Compare(a.l, b.l), cmp.Compare(a.r, b.r)) })
-}
-
-// joinFilterOnly is the ablation mode: both sides are filtered to the rows
-// participating in some match, without pairing.
-func (x *evalContext) joinFilterOnly(lt, rt *Table, lvals, rvals []rowVals, cmp xq.CmpOp) error {
-	keepL, keepR := make([]bool, len(lt.Rows)), make([]bool, len(rt.Rows))
-	for _, p := range matchPairs(lvals, rvals, cmp) {
-		keepL[p.l], keepR[p.r] = true, true
-	}
-	filterRows(lt, keepL)
-	filterRows(rt, keepR)
-	return nil
-}
-
-// filterRows keeps the rows of t that keep marks.
-func filterRows(t *Table, keep []bool) {
-	var rows []Row
-	for ri, r := range t.Rows {
-		if keep[ri] {
-			rows = append(rows, r)
-		}
-	}
-	t.Rows = mergeRows(rows)
 }

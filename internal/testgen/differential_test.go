@@ -32,7 +32,9 @@ import (
 // WideQueryConfig and is also evaluated at Workers 1 and 4, byte for byte
 // as at the default. The descendant slice (seed%8 == 2) draws from
 // DescendantDocConfig and DescendantQueryConfig and goes through both
-// checks.
+// checks. The cross-table slice (seed%8 == 6) draws from CrossDocConfig
+// and CrossQueryConfig — document-rooted bindings joined across their
+// instantiation tables — and also goes through both checks.
 //
 // Knobs (environment):
 //
@@ -74,12 +76,14 @@ func diffPair(t *testing.T, seed int64) bool {
 	r := rand.New(rand.NewSource(seed))
 	syms := xmlmodel.NewSymbols()
 	docCfg, queryCfg := DefaultDocConfig(), DefaultQueryConfig()
-	wide, desc := seed%8 == 4, seed%8 == 2
+	wide, desc, cross := seed%8 == 4, seed%8 == 2, seed%8 == 6
 	switch {
 	case wide:
 		docCfg, queryCfg = WideDocConfig(), WideQueryConfig()
 	case desc:
 		docCfg, queryCfg = DescendantDocConfig(), DescendantQueryConfig()
+	case cross:
+		docCfg, queryCfg = CrossDocConfig(), CrossQueryConfig()
 	}
 	tree := Doc(r, docCfg, syms)
 	q := NewQuery(r, queryCfg)
@@ -161,14 +165,14 @@ func diffPair(t *testing.T, seed int64) bool {
 		return false
 	}
 
-	if wide || desc {
+	if wide || desc || cross {
 		for _, workers := range []int{1, 4} {
 			if !workersPair(t, seed, repo, plan, workers, got) {
 				return false
 			}
 		}
 	}
-	if seed%8 == 0 || desc {
+	if seed%8 == 0 || desc || cross {
 		for _, compress := range []bool{false, true} {
 			if !diskPair(t, seed, xmlmodel.TreeString(tree, syms), plan, compress, got) {
 				return false

@@ -84,6 +84,28 @@ func DescendantDocConfig() DocConfig {
 
 var descTags = []string{"a", "b", "c"}
 
+// CrossDocConfig returns the configuration of the differential suite's
+// cross-table slice: two levels below the root over a 2-tag, 3-value
+// alphabet, up to 4 groups of up to 4 siblings, the root's children
+// mostly holding runs of text leaves: a binding below the root has
+// several instances, the values one step below two bindings are often
+// equal, and one instance often holds a value several times.
+func CrossDocConfig() DocConfig {
+	cfg := DefaultDocConfig()
+	cfg.Tags = crossTags
+	cfg.Values = crossValues
+	cfg.MaxDepth = 2
+	cfg.MaxGroups = 4
+	cfg.MaxRun = 4
+	cfg.LeafBias = 20
+	return cfg
+}
+
+var (
+	crossTags   = []string{"a", "b"}
+	crossValues = []string{"x", "7", "10"}
+)
+
 // Doc generates one random document. Sibling groups repeat a single tag
 // for a random run length, so consecutive identical-class siblings (the
 // run-compressible case) occur frequently; within a run each element is

@@ -3,6 +3,7 @@ package testgen
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 )
 
@@ -47,6 +48,8 @@ type QueryConfig struct {
 	// selPct is the chance a where conjunct is a selection rather than a
 	// join; 0 means 65.
 	selPct int
+	// cross draws from the cross-table slice instead (crossQuery).
+	cross bool
 }
 
 // DefaultQueryConfig returns the configuration used by the differential
@@ -93,6 +96,21 @@ func DescendantQueryConfig() QueryConfig {
 	cfg.QualifierPct = 40
 	cfg.subtreePct = 40
 	cfg.selPct = 45
+	return cfg
+}
+
+// CrossQueryConfig returns the query configuration of the cross-table
+// slice (see CrossDocConfig): every binding is document-rooted, so each
+// is its own instantiation table, and the where clause joins them across
+// tables (see crossQuery).
+func CrossQueryConfig() QueryConfig {
+	cfg := DefaultQueryConfig()
+	cfg.Tags, cfg.Values = crossTags, crossValues
+	cfg.DescendantPct = 10
+	cfg.WildcardPct = 5
+	cfg.QualifierPct = 15
+	cfg.maxBindingSteps = 1
+	cfg.cross = true
 	return cfg
 }
 
@@ -210,6 +228,9 @@ func (g *gen) bindingPath() string {
 // function of r's stream, so reusing a seed reproduces the query.
 func NewQuery(r *rand.Rand, cfg QueryConfig) Query {
 	g := &gen{r: r, cfg: cfg, ordered: true}
+	if cfg.cross {
+		return g.crossQuery()
+	}
 	var b strings.Builder
 
 	// First binding is document-rooted at /RootTag, optionally stepping
@@ -294,4 +315,88 @@ func (g *gen) retTerm() string {
 		return v
 	}
 	return v + "/" + g.relPath(2)
+}
+
+// crossQuery renders a query of the cross-table slice: 2 or 3 bindings,
+// each rooted at the document, 1 to n-1 equality joins between two of them
+// written in either order (their paths reach several values per binding
+// as often as the document repeats a tag), maybe a selection, and a
+// return clause over a non-empty subset of the variables. With two
+// bindings that subset is the earlier, the later or both: a dead
+// later-bound side, a dead earlier-bound side, or both sides live.
+//
+// Ordered holds when, besides no '//' or '*' step, the engine keeps
+// for-order. A dead variable folds into the multiplicities of the rows
+// that remain, which repeat innermost: so with two bindings the earlier
+// must be returned (a dead later one repeats each earlier tuple in place,
+// as the nested loops do), and with three all must be, and the table
+// merges must keep for-order (crossForOrder).
+func (g *gen) crossQuery() Query {
+	var b strings.Builder
+	n := 2 + g.r.Intn(2)
+	for i := 0; i < n; i++ {
+		v := []string{"$x", "$y", "$z"}[i]
+		sep := ", "
+		if i == 0 {
+			sep = "for "
+		}
+		fmt.Fprintf(&b, "%s%s in /%s%s", sep, v, g.cfg.RootTag, g.bindingPath())
+		g.vars = append(g.vars, v)
+	}
+	var conds []string
+	var joins [][2]int // the joined bindings, earlier first, in where order
+	for j := 1 + g.r.Intn(n-1); j > 0; j-- {
+		l, r := g.r.Intn(n), g.r.Intn(n-1)
+		if r >= l {
+			r++
+		}
+		joins = append(joins, [2]int{min(l, r), max(l, r)})
+		right := g.vars[r]
+		if g.pct(85) {
+			right += "/" + g.relPath(1)
+		}
+		conds = append(conds, fmt.Sprintf("%s/%s = %s", g.vars[l], g.relPath(1), right))
+	}
+	if g.pct(20) {
+		ops := []string{"=", "!=", "<", ">="}
+		conds = append(conds, fmt.Sprintf("%s/%s %s '%s'", g.anyVar(), g.relPath(1), ops[g.r.Intn(len(ops))], g.value()))
+	}
+	live := 1 + g.r.Intn(1<<n-1) // bit i: variable i is returned
+	var items []string
+	for i, v := range g.vars {
+		if live>>i&1 == 1 {
+			if g.pct(50) {
+				v += "/" + g.relPath(2)
+			}
+			items = append(items, v)
+		}
+	}
+	fmt.Fprintf(&b, " where %s return %s", strings.Join(conds, " and "), strings.Join(items, ", "))
+	ordered := g.ordered && (n == 2 && live&1 == 1 || live == 1<<n-1 && crossForOrder(n, joins))
+	return Query{Src: b.String(), Ordered: ordered}
+}
+
+// crossForOrder reports whether the engine emits n live document-rooted
+// bindings in for-order after the given joins: a join of two tables
+// leaves one table in the earlier one's slot, its columns followed by the
+// later one's, rows major by the earlier; tables are emitted in slot
+// order.
+func crossForOrder(n int, joins [][2]int) bool {
+	tables := make([][]int, n) // per slot, the bindings of its table in column order
+	slot := make([]int, n)     // per binding, its table's slot
+	for i := range tables {
+		tables[i], slot[i] = []int{i}, i
+	}
+	for _, j := range joins {
+		a, c := slot[j[0]], slot[j[1]]
+		if a == c {
+			continue
+		}
+		a, c = min(a, c), max(a, c)
+		for _, v := range tables[c] {
+			slot[v] = a
+		}
+		tables[a], tables[c] = append(tables[a], tables[c]...), nil
+	}
+	return slices.IsSorted(slices.Concat(tables...))
 }

@@ -1,10 +1,13 @@
 package testgen
 
 import (
+	"context"
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
 
+	"vxml/internal/core"
 	"vxml/internal/qgraph"
 	"vxml/internal/vectorize"
 	"vxml/internal/xmlmodel"
@@ -108,4 +111,78 @@ func hasSiblingRun(n *xmlmodel.Node) bool {
 		}
 	}
 	return false
+}
+
+// TestCrossSliceShapes: the cross-table slice's queries stay in the
+// planner's fragment and cover what it is for — two and three
+// document-rooted bindings, joins written later-bound side first and
+// earlier first, with two bindings a dead later side, a dead earlier
+// side and both live, ordered and multiset comparisons — and over its
+// documents the joins do match: a good share of the results is non-empty.
+func TestCrossSliceShapes(t *testing.T) {
+	cfg := CrossQueryConfig()
+	saw := map[string]bool{}
+	nonEmpty := 0
+	const queries = 2000
+	for seed := int64(0); seed < queries; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		syms := xmlmodel.NewSymbols()
+		tree := Doc(r, CrossDocConfig(), syms)
+		q := NewQuery(r, cfg)
+		parsed, err := xq.Parse(q.Src)
+		if err != nil {
+			t.Fatalf("seed %d: parse: %v\nquery: %s", seed, err, q.Src)
+		}
+		plan, err := qgraph.Build(parsed)
+		if err != nil {
+			t.Fatalf("seed %d: plan: %v\nquery: %s", seed, err, q.Src)
+		}
+		if q.Ordered && (strings.Contains(q.Src, "//") || strings.Contains(q.Src, "*")) {
+			t.Fatalf("seed %d: marked ordered with a '//' or '*' step: %s", seed, q.Src)
+		}
+		rank := map[string]int{}
+		for i, b := range parsed.Bindings {
+			if b.Term.Var != "" {
+				t.Fatalf("seed %d: binding %s is not document-rooted: %s", seed, b.Var, q.Src)
+			}
+			rank[b.Var] = i
+		}
+		saw[fmt.Sprintf("%d bindings", len(parsed.Bindings))] = true
+		saw[fmt.Sprintf("ordered=%v", q.Ordered)] = true
+		for _, c := range parsed.Conds {
+			if c.Right.Term != nil {
+				saw[fmt.Sprintf("later first=%v", rank[c.Left.Term.Var] > rank[c.Right.Term.Var])] = true
+			}
+		}
+		if len(parsed.Bindings) == 2 {
+			live := map[string]bool{}
+			for _, v := range plan.OutputVars {
+				live[v] = true
+			}
+			saw[fmt.Sprintf("earlier live=%v later live=%v", live["$x"], live["$y"])] = true
+		}
+		if seed < 300 {
+			repo, err := vectorize.FromTree(tree, syms)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := core.NewMemEngine(repo, core.Options{}).Eval(context.Background(), plan)
+			if err != nil {
+				t.Fatalf("seed %d: %v\nquery: %s", seed, err, q.Src)
+			}
+			if len(res.Skel.Root.Edges) > 0 {
+				nonEmpty++
+			}
+		}
+	}
+	for _, want := range []string{"2 bindings", "3 bindings", "ordered=true", "ordered=false",
+		"later first=true", "later first=false",
+		"earlier live=true later live=false", "earlier live=false later live=true", "earlier live=true later live=true"} {
+		if !saw[want] {
+			t.Errorf("cross slice never drew %q", want)
+		}
+	}
+	if nonEmpty < 300/4 {
+		t.Errorf("only %d/300 cross-table queries answered non-empty; the joins rarely match", nonEmpty)
+	}
 }
