@@ -2,9 +2,7 @@ package core
 
 import "vxml/internal/xq"
 
-// compareValues and satisfies delegate to the shared xq semantics so the
-// engine and the DOM reference interpreter agree exactly (differential
-// tests depend on this).
+// compareValues delegates to the shared xq semantics so the engine and the
+// DOM reference interpreter agree exactly (differential tests depend on
+// this); selections compare through xq.Bound, the same rule.
 func compareValues(a, b string) int { return xq.CompareValues(a, b) }
-
-func satisfies(a string, op xq.CmpOp, b string) bool { return xq.Satisfies(a, op, b) }

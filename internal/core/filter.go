@@ -145,6 +145,7 @@ func (x *evalContext) matchedSpans(seg *Segment, col int, p *pathRes, op xq.CmpO
 		}
 		return indexed[slot] != nil
 	}
+	bd := xq.NewBound(bound)
 	last := col == len(seg.Classes)-1
 	nch := rowChunks(x.e.workers(), len(seg.Rows))
 	hitsByChunk := make([][]int64, nch)
@@ -169,7 +170,7 @@ func (x *evalContext) matchedSpans(seg *Segment, col int, p *pathRes, op xq.CmpO
 			}
 			scannedByChunk[sr.ci] += count
 			err := sr.rs.get(ch).Scan(start, count, func(pos int64, val []byte) error {
-				if satisfies(string(val), op, bound) {
+				if bd.Holds(string(val), op) {
 					hitsByChunk[sr.ci] = append(hitsByChunk[sr.ci], seg.entry(col, sr.class, ascendPos(ch.down, pos)))
 				}
 				return nil

@@ -86,12 +86,12 @@ func (e *Engine) lookupIndex(text skeleton.ClassID) (*VectorIndex, bool) {
 // Positions returns, sorted ascending, the vector positions whose value
 // satisfies "value op bound".
 func (idx *VectorIndex) Positions(op xq.CmpOp, bound string) []int64 {
-	n := len(idx.vals)
+	n, bd := len(idx.vals), xq.NewBound(bound)
 	lower := func() int { // first i with vals[i] >= bound
-		return sort.Search(n, func(i int) bool { return xq.CompareValues(idx.vals[i], bound) >= 0 })
+		return sort.Search(n, func(i int) bool { return bd.Compare(idx.vals[i]) >= 0 })
 	}
 	upper := func() int { // first i with vals[i] > bound
-		return sort.Search(n, func(i int) bool { return xq.CompareValues(idx.vals[i], bound) > 0 })
+		return sort.Search(n, func(i int) bool { return bd.Compare(idx.vals[i]) > 0 })
 	}
 	var out []int64
 	collect := func(lo, hi int) {

@@ -137,7 +137,7 @@ func TestCrossJoinCountsWithoutExpanding(t *testing.T) {
 			if js.ValuesScanned != want {
 				t.Errorf("%s: join scanned %d values, want %d (each join path's values once)", c.name, js.ValuesScanned, want)
 			}
-			if allocs := joinAllocs(t, eng, plan, ji); allocs >= float64(js.ValuesScanned) {
+			if allocs := opAllocs(t, eng, plan, ji); allocs >= float64(js.ValuesScanned) {
 				t.Errorf("%s: join allocated %.0f objects for %d values, want fewer than one per value", c.name, allocs, js.ValuesScanned)
 			}
 		}
@@ -156,9 +156,9 @@ func TestCrossJoinCountsWithoutExpanding(t *testing.T) {
 	}
 }
 
-// joinAllocs returns the allocations of plan's op ji: fresh evaluations
+// opAllocs returns the allocations of plan's op ji: fresh evaluations
 // run the ops up to and including it, less the same up to just before.
-func joinAllocs(t *testing.T, eng *Engine, plan *qgraph.Plan, ji int) float64 {
+func opAllocs(t *testing.T, eng *Engine, plan *qgraph.Plan, ji int) float64 {
 	upTo := func(n int) func() {
 		return func() {
 			p := *plan

@@ -56,6 +56,13 @@ type Classes struct {
 	infos []classInfo // by ClassID
 	ids   []ClassID   // ids[i] == i; Kids slices it
 
+	// The distinct DAG nodes instancing each class, bucketed by class in
+	// ID order: class id's are nodes[end[id-1]:end[id]] (from 0 for the
+	// root). Regular classes have one or a few, which is what lets
+	// runsLocked and nodeRunsLocked answer them without an occurrence walk.
+	nodes []NodeID
+	end   []int
+
 	mu       sync.Mutex             // guards the lazy fields below
 	memos    []classMemo            // by ClassID; guarded by mu
 	descMemo map[[2]int32][]ClassID // (class, step) -> descendants; guarded by mu
@@ -123,11 +130,24 @@ func NewClasses(s *Skeleton, syms *xmlmodel.Symbols) *Classes {
 		infos[id].kidHi = ClassID(len(infos))
 		lo = hi
 	}
-	c := &Classes{skel: s, syms: syms, infos: infos, ids: make([]ClassID, len(infos)), memos: make([]classMemo, len(infos))}
+	c := &Classes{skel: s, syms: syms, infos: infos, ids: make([]ClassID, len(infos)), memos: make([]classMemo, len(infos)),
+		nodes: make([]NodeID, len(occs)), end: end}
 	for i := range c.ids {
 		c.ids[i] = ClassID(i)
 	}
+	for i, o := range occs {
+		c.nodes[i] = o.node
+	}
 	return c
+}
+
+// nodesOf returns the distinct DAG nodes instancing class id.
+func (c *Classes) nodesOf(id ClassID) []NodeID {
+	lo := 0
+	if id > 0 {
+		lo = c.end[id-1]
+	}
+	return c.nodes[lo:c.end[id]]
 }
 
 // Root returns the root element's class.
@@ -319,10 +339,13 @@ func (c *Classes) Runs(id ClassID) RunMap {
 // runsLocked is Runs with c.mu held; lazy derivations recurse through the
 // unlocked internals so the mutex is taken exactly once per public call.
 //
-// Derivation: the parent class's NodeRuns give, in document order, which
-// DAG node each parent occurrence is an instance of; every instance of a
-// given node has the same fanout for this class's step, so the run map
-// falls out in one linear pass — no per-query traversal of the DAG.
+// Every instance of a given DAG node has the same fanout for this class's
+// step. So when all the nodes instancing the parent class have the same
+// fanout f, the run map is one run {parents, f}, read off the class's
+// nodes without visiting a parent occurrence (regular data: a table row,
+// an XMark person). Otherwise the parent class's NodeRuns give, in
+// document order, which node each parent occurrence is an instance of,
+// and the run map falls out of them in one linear pass (deriveRuns).
 //
 //vx:locked mu
 func (c *Classes) runsLocked(id ClassID) RunMap {
@@ -334,15 +357,38 @@ func (c *Classes) runsLocked(id ClassID) RunMap {
 	if info.parent == NoClass {
 		panic("skeleton: Runs on root class")
 	}
+	if f, ok := c.uniformFanout(info.parent, info.tag); ok {
+		m.runs = RunMap{{Parents: c.infos[info.parent].count, Fanout: f}}
+	} else {
+		m.runs = deriveRuns(c.nodeRunsLocked(info.parent), info.tag)
+	}
+	return m.runs
+}
+
+// uniformFanout reports the fanout for step shared by every DAG node
+// instancing class p, if they all share one.
+func (c *Classes) uniformFanout(p ClassID, step xmlmodel.Sym) (int64, bool) {
+	nodes := c.nodesOf(p)
+	f := fanout(c.skel.nodes[nodes[0]], step)
+	for _, n := range nodes[1:] {
+		if fanout(c.skel.nodes[n], step) != f {
+			return 0, false
+		}
+	}
+	return f, true
+}
+
+// deriveRuns is the run map of the child class reached by step from a
+// class whose occurrences are the node runs parent.
+func deriveRuns(parent []NodeRun, step xmlmodel.Sym) RunMap {
 	var rm RunMap
-	for _, nr := range c.nodeRunsLocked(info.parent) {
-		rm = appendRepeated(rm, RunMap{{Parents: 1, Fanout: fanout(nr.Node, info.tag)}}, nr.Count)
+	for _, nr := range parent {
+		rm = appendRepeated(rm, RunMap{{Parents: 1, Fanout: fanout(nr.Node, step)}}, nr.Count)
 	}
 	if rm == nil {
 		rm = RunMap{}
 	}
-	m.runs = rm.normalized()
-	return m.runs
+	return rm.normalized()
 }
 
 func matchStep(n *Node, step xmlmodel.Sym) bool {

@@ -1,5 +1,7 @@
 package skeleton
 
+import "vxml/internal/xmlmodel"
+
 // NodeRun says that the next Count occurrences of a class are instances of
 // the same DAG node.
 type NodeRun struct {
@@ -8,11 +10,11 @@ type NodeRun struct {
 }
 
 // NodeRuns returns, in document order and run-length encoded, which DAG
-// node each occurrence of the class is an instance of. It is derived
-// incrementally from the parent class's NodeRuns (each parent-node
-// instance contributes its matching child-edge sequence), memoized per
-// class, and underpins both positional run maps and result-skeleton
-// subtree copies.
+// node each occurrence of the class is an instance of. A class instanced
+// by one node is one run; otherwise the runs are derived from the parent
+// class's NodeRuns (each parent-node instance contributes its matching
+// child-edge sequence). They are memoized per class, and underpin both
+// positional run maps and result-skeleton subtree copies.
 func (c *Classes) NodeRuns(id ClassID) []NodeRun {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -29,14 +31,20 @@ func (c *Classes) nodeRunsLocked(id ClassID) []NodeRun {
 		return m.nodeRuns
 	}
 	info := c.infos[id]
-	if info.parent == NoClass {
-		m.nodeRuns = []NodeRun{{Count: 1, Node: c.skel.Root}}
-		return m.nodeRuns
+	if nodes := c.nodesOf(id); len(nodes) == 1 {
+		m.nodeRuns = []NodeRun{{Count: info.count, Node: c.skel.nodes[nodes[0]]}}
+	} else {
+		m.nodeRuns = deriveNodeRuns(c.nodeRunsLocked(info.parent), info.tag)
 	}
-	step := info.tag
+	return m.nodeRuns
+}
+
+// deriveNodeRuns is the node runs of the child class reached by step from
+// a class whose occurrences are the node runs parent.
+func deriveNodeRuns(parent []NodeRun, step xmlmodel.Sym) []NodeRun {
 	var out []NodeRun
 	var sub []NodeRun // scratch: child sequence of one parent instance
-	for _, pr := range c.nodeRunsLocked(info.parent) {
+	for _, pr := range parent {
 		sub = sub[:0]
 		for _, e := range pr.Node.Edges {
 			if !matchStep(e.Child, step) {
@@ -53,7 +61,6 @@ func (c *Classes) nodeRunsLocked(id ClassID) []NodeRun {
 	if out == nil {
 		out = []NodeRun{}
 	}
-	m.nodeRuns = out
 	return out
 }
 

@@ -1,7 +1,6 @@
 package storage
 
 import (
-	"container/list"
 	"context"
 	"errors"
 	"fmt"
@@ -27,7 +26,10 @@ type Frame struct {
 	Data  []byte // full[:PageDataSize]
 	pins  int32
 	dirty bool
-	elem  *list.Element // position in LRU list when unpinned
+	// The frame's neighbours on the pool's LRU ring while it is unpinned;
+	// nil while pinned. The links live in the frame, so unpinning
+	// allocates nothing.
+	prev, next *Frame
 }
 
 // BufferPool caches pages of many files with LRU eviction. Pinned frames
@@ -37,7 +39,7 @@ type BufferPool struct {
 	mu       sync.Mutex
 	capacity int
 	frames   map[pageKey]*Frame
-	lru      *list.List // unpinned frames, front = least recently used
+	lru      Frame // sentinel of the ring of unpinned frames: lru.next is the least recently used
 	stats    Stats
 	retry    RetryPolicy // guarded by mu
 }
@@ -47,11 +49,20 @@ func NewBufferPool(capacity int) *BufferPool {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &BufferPool{
+	p := &BufferPool{
 		capacity: capacity,
 		frames:   make(map[pageKey]*Frame, capacity),
-		lru:      list.New(),
 		retry:    DefaultRetryPolicy,
+	}
+	p.lru.prev, p.lru.next = &p.lru, &p.lru
+	return p
+}
+
+// unlink takes fr off the LRU ring if it is on it. Caller holds p.mu.
+func (p *BufferPool) unlink(fr *Frame) {
+	if fr.next != nil {
+		fr.prev.next, fr.next.prev = fr.next, fr.prev
+		fr.prev, fr.next = nil, nil
 	}
 }
 
@@ -100,15 +111,17 @@ func (p *BufferPool) GetMetered(f *File, pageNo int64, m *obs.TaskMeter) (*Frame
 // reads clean the second time) inside the fill, and an error wrapping
 // ErrCorrupt after that surfaces unchanged for the caller to quarantine.
 func (p *BufferPool) GetMeteredCtx(ctx context.Context, f *File, pageNo int64, m *obs.TaskMeter) (*Frame, error) {
-	rp := p.retryPolicy()
-	var attempt int
-	for {
+	var rp RetryPolicy
+	for attempt := 0; ; attempt++ {
 		fr, err := p.getOnce(f, pageNo, m)
 		if err == nil {
 			return fr, nil
 		}
 		if !IsTransientRead(err) {
 			return nil, err
+		}
+		if attempt == 0 {
+			rp = p.retryPolicy() // read once, and only when a read failed
 		}
 		if attempt >= rp.Retries {
 			if rp.Retries > 0 {
@@ -136,7 +149,6 @@ func (p *BufferPool) GetMeteredCtx(ctx context.Context, f *File, pageNo int64, m
 			// the fault that sent us to sleep attached for the log line.
 			return nil, fmt.Errorf("%w (while retrying: %v)", serr, err)
 		}
-		attempt++
 	}
 }
 
@@ -153,10 +165,7 @@ func (p *BufferPool) getOnce(f *File, pageNo int64, m *obs.TaskMeter) (*Frame, e
 	p.mu.Lock()
 	if fr, ok := p.frames[key]; ok {
 		fr.pins++
-		if fr.elem != nil {
-			p.lru.Remove(fr.elem)
-			fr.elem = nil
-		}
+		p.unlink(fr)
 		atomic.AddInt64(&p.stats.Hits, 1)
 		obsPoolHits.Inc()
 		p.mu.Unlock()
@@ -229,10 +238,7 @@ func (p *BufferPool) newFrameLocked(key pageKey, f *File) (*Frame, error) {
 	// whole time in this implementation, so just check again).
 	if fr, ok := p.frames[key]; ok {
 		fr.pins++
-		if fr.elem != nil {
-			p.lru.Remove(fr.elem)
-			fr.elem = nil
-		}
+		p.unlink(fr)
 		return fr, nil
 	}
 	// A miss right after an eviction takes over the victim's page buffer
@@ -240,13 +246,11 @@ func (p *BufferPool) newFrameLocked(key pageKey, f *File) (*Frame, error) {
 	// overwrites it whole (a fill reads the full page, Alloc zeroes it).
 	var full []byte
 	for len(p.frames) >= p.capacity {
-		victim := p.lru.Front()
-		if victim == nil {
+		vf := p.lru.next
+		if vf == &p.lru {
 			return nil, fmt.Errorf("storage: buffer pool exhausted (%d pages, all pinned)", p.capacity)
 		}
-		vf := victim.Value.(*Frame)
-		p.lru.Remove(victim)
-		vf.elem = nil
+		p.unlink(vf)
 		delete(p.frames, vf.key)
 		atomic.AddInt64(&p.stats.Evictions, 1)
 		obsPoolEvictions.Inc()
@@ -288,7 +292,8 @@ func (p *BufferPool) release(fr *Frame, dirty bool) {
 		panic("storage: unbalanced Unpin")
 	}
 	if fr.pins == 0 {
-		fr.elem = p.lru.PushBack(fr)
+		fr.prev, fr.next = p.lru.prev, &p.lru
+		fr.prev.next, p.lru.prev = fr, fr
 	}
 }
 
@@ -339,9 +344,7 @@ func (p *BufferPool) drop(f *File, match func(page int64) bool) error {
 				return err
 			}
 		}
-		if fr.elem != nil {
-			p.lru.Remove(fr.elem)
-		}
+		p.unlink(fr)
 		delete(p.frames, key)
 	}
 	return nil
@@ -361,9 +364,7 @@ func (p *BufferPool) Truncate(f *File, pages int64) error {
 			p.mu.Unlock()
 			return fmt.Errorf("storage: Truncate %s to %d pages: page %d still pinned", f.path, pages, key.page)
 		}
-		if fr.elem != nil {
-			p.lru.Remove(fr.elem)
-		}
+		p.unlink(fr)
 		delete(p.frames, key)
 	}
 	p.mu.Unlock()

@@ -2,6 +2,7 @@ package storage
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"testing"
@@ -97,5 +98,60 @@ func TestPoolFailedFillOnReusedBufferLeavesNoFrame(t *testing.T) {
 			t.Errorf("read %q, want %q", got, tc.want)
 		}
 		pool.Unpin(fr, false)
+	}
+}
+
+// A pool hit pins and unpins without allocating: the LRU links live in
+// the frame, and the retry policy is read only after a failed read.
+func TestPoolHitAllocatesNothing(t *testing.T) {
+	s, _, _ := newFaultStore(t, 4)
+	f := writeOnePage(t, s, "a", []byte("page a"))
+	pool := s.Pool()
+	fr, err := pool.Get(f, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool.Unpin(fr, false)
+	allocs := testing.AllocsPerRun(100, func() {
+		fr, err := pool.GetMeteredCtx(context.Background(), f, 0, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pool.Unpin(fr, false)
+	})
+	if allocs != 0 {
+		t.Fatalf("pool hit = %v allocations, want 0", allocs)
+	}
+}
+
+// Eviction takes the frame unpinned longest ago; a hit moves a frame to
+// the recent end.
+func TestPoolEvictsLeastRecentlyUnpinned(t *testing.T) {
+	s, _, _ := newFaultStore(t, 2)
+	a := writeOnePage(t, s, "a", []byte("page a"))
+	b := writeOnePage(t, s, "b", []byte("page b"))
+	c := writeOnePage(t, s, "c", []byte("page c"))
+	pool := s.Pool()
+	get := func(f *File) {
+		t.Helper()
+		fr, err := pool.Get(f, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pool.Unpin(fr, false)
+	}
+	get(a)
+	get(b)
+	get(a) // a is now more recent than b
+	get(c) // evicts b
+	pool.ResetStats()
+	get(a)
+	get(c)
+	if st := pool.StatsSnapshot(); st.Hits != 2 || st.Misses != 0 {
+		t.Fatalf("after evicting b: stats = %+v, want a and c to hit", st)
+	}
+	get(b)
+	if st := pool.StatsSnapshot(); st.Misses != 1 {
+		t.Fatalf("b: stats = %+v, want a miss", st)
 	}
 }

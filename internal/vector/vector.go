@@ -83,13 +83,17 @@ func (m *Mem) Append(val string) { m.Values = append(m.Values, val) }
 // Len implements Vector.
 func (m *Mem) Len() int64 { return int64(len(m.Values)) }
 
-// Scan implements Vector.
+// Scan implements Vector. Each value is copied into one scratch buffer
+// reused across the scan, so a scan allocates only as the buffer grows to
+// its longest value.
 func (m *Mem) Scan(start, n int64, fn func(pos int64, val []byte) error) error {
 	if start < 0 || start+n > int64(len(m.Values)) {
 		return fmt.Errorf("vector: scan [%d,%d) out of range 0..%d", start, start+n, len(m.Values))
 	}
+	var buf []byte
 	for i := start; i < start+n; i++ {
-		if err := fn(i, []byte(m.Values[i])); err != nil {
+		buf = append(buf[:0], m.Values[i]...)
+		if err := fn(i, buf); err != nil {
 			return err
 		}
 	}

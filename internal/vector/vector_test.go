@@ -94,6 +94,36 @@ func TestMemVector(t *testing.T) {
 	}
 }
 
+// Mem.Scan hands values through one reused buffer: a scan of many values
+// allocates no more than a scan of a few, and each value arrives intact.
+func TestMemScanAllocsPerScan(t *testing.T) {
+	m := &Mem{}
+	for i := 0; i < 1000; i++ {
+		m.Append(fmt.Sprintf("value %04d", i))
+	}
+	var sum int
+	scan := func(n int64) func() {
+		return func() {
+			if err := m.Scan(0, n, func(_ int64, val []byte) error {
+				sum += len(val)
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if few, many := testing.AllocsPerRun(20, scan(10)), testing.AllocsPerRun(20, scan(1000)); many > few {
+		t.Fatalf("Mem.Scan of 1000 values = %v allocations, of 10 values %v: want none per value", many, few)
+	}
+	var got []string
+	if err := m.Scan(998, 2, func(_ int64, val []byte) error {
+		got = append(got, string(val))
+		return nil
+	}); err != nil || strings.Join(got, ",") != "value 0998,value 0999" {
+		t.Fatalf("Scan = %q, %v", got, err)
+	}
+}
+
 func TestPagedRoundTrip(t *testing.T) {
 	for _, fm := range formats {
 		t.Run(fm.name, func(t *testing.T) {

@@ -35,6 +35,9 @@ func Reconstruct(skel *skeleton.Skeleton, cls *skeleton.Classes, vecs vector.Set
 					return err
 				}
 				cur = &vecCursor{v: v}
+				if m, ok := v.(*vector.Mem); ok {
+					cur.buf = m.Values // the values as Mem holds them: no copies
+				}
 				cursors[id] = cur
 			}
 			val, err := cur.next()
@@ -86,7 +89,10 @@ func ReconstructTree(skel *skeleton.Skeleton, cls *skeleton.Classes, vecs vector
 }
 
 // vecCursor streams one vector sequentially with chunked prefetch, so the
-// reconstruction's many small reads amortize into page-sized scans.
+// reconstruction's many small reads amortize into page-sized scans. Over
+// an in-memory vector its buffer is the vector's own Values from the
+// start, only ever read: the vector's length bounds every read, so that
+// buffer is never refilled.
 type vecCursor struct {
 	v        vector.Vector
 	pos      int64

@@ -78,6 +78,34 @@ func TestReconstructBib(t *testing.T) {
 	}
 }
 
+// ReconstructXML of an in-memory repository takes each value as the
+// string the vector holds: fewer allocations than values.
+func TestReconstructMemAllocsBelowValues(t *testing.T) {
+	var b strings.Builder
+	b.WriteString("<r>")
+	for i := 0; i < 2000; i++ {
+		fmt.Fprintf(&b, "<c><v>value %d</v></c>", i)
+	}
+	b.WriteString("</r>")
+	repo, err := FromString(b.String(), xmlmodel.NewSymbols())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out strings.Builder
+	allocs := testing.AllocsPerRun(5, func() {
+		out.Reset()
+		if err := ReconstructXML(repo.Skel, repo.Classes, repo.Vectors, repo.Syms, &out); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs >= 2000 {
+		t.Fatalf("ReconstructXML of 2000 values = %v allocations, want fewer than one per value", allocs)
+	}
+	if out.String() != b.String() {
+		t.Fatal("reconstruction differs from the document")
+	}
+}
+
 func TestReconstructMixedContentAndAttrs(t *testing.T) {
 	docs := []string{
 		`<p>hello <b>bold</b> world</p>`,

@@ -45,13 +45,13 @@ func (s *Serializer) Event(ev Event) error {
 			// Attribute of the currently open element.
 			s.attrDepth = 1
 			s.attrBuf.Reset()
-			s.writeString(" " + name[1:] + `="`)
+			s.writeString(" ", name[1:], `="`)
 			s.stack = append(s.stack, ev.Tag)
 			return s.err
 		}
 		s.closeOpenTag()
 		s.markChild()
-		s.writeString("<" + name)
+		s.writeString("<", name)
 		s.openTag = true
 		s.stack = append(s.stack, ev.Tag)
 		s.hadChild = append(s.hadChild, false)
@@ -73,7 +73,7 @@ func (s *Serializer) Event(ev Event) error {
 			s.openTag = false
 		} else {
 			s.closeOpenTag()
-			s.writeString("</" + name + ">")
+			s.writeString("</", name, ">")
 		}
 		s.hadChild = s.hadChild[:len(s.hadChild)-1]
 	case Text:
@@ -109,9 +109,13 @@ func (s *Serializer) markChild() {
 	}
 }
 
-func (s *Serializer) writeString(str string) {
-	if s.err == nil {
-		_, s.err = s.w.WriteString(str)
+// writeString writes the parts one after another: no concatenated string
+// per tag.
+func (s *Serializer) writeString(parts ...string) {
+	for _, str := range parts {
+		if s.err == nil {
+			_, s.err = s.w.WriteString(str)
+		}
 	}
 }
 
