@@ -14,9 +14,13 @@ import (
 // insert/evict path, which runs once per distinct (query, epoch), not
 // once per request.
 //
-// Both caches are bounded by entry count: plans are a few kilobytes and
-// results are whole (small) vectorized answers, so a count bound keeps
-// sizing predictable for operators without weighing entries.
+// Both caches are bounded by entry count, not by bytes. Plans are a few
+// kilobytes each, but a result is a whole answer (its vectorized form
+// plus one serialized form) and answers range from a few hundred bytes
+// to tens of megabytes (the paper's TQ2 at full scale holds 44.9 MB as
+// (S', V') and 10.6 MB as XML). So the result cache's memory is entries
+// × the largest answers it holds, and a count bound alone does not cap
+// it.
 type lru[K comparable, V any] struct {
 	cap   int
 	items sync.Map // K -> *lruEntry[K, V]

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"strings"
 	"sync"
@@ -121,6 +122,11 @@ var (
 // (MemRepository and Trace are never mutated after evaluation), so one
 // Result is safely shared by the cache, the leader and any number of
 // followers.
+//
+// A Result serializes lazily into one of two forms, each memoized: the
+// wire form (JSON, what the HTTP surface serves) or the XML text (XML,
+// for every other consumer). A served Result only ever builds the wire
+// form, so a cached answer is held once, in the bytes every hit writes.
 type Result struct {
 	Repo  *vectorize.MemRepository
 	Trace *Trace
@@ -135,18 +141,41 @@ type Result struct {
 	xmlOnce sync.Once
 	xml     string // written once under xmlOnce
 	xmlErr  error  // written once under xmlOnce
+
+	litOnce sync.Once
+	lit     []byte // written once under litOnce
+	litErr  error  // written once under litOnce
 }
 
 // XML serializes the result, memoized: every consumer of a shared Result
 // gets the same bytes and the reconstruction runs once no matter how
-// many cache hits the entry serves.
+// many times it is asked.
 func (r *Result) XML() (string, error) {
-	r.xmlOnce.Do(func() {
-		var b strings.Builder
-		r.xmlErr = vectorize.ReconstructXML(r.Repo.Skel, r.Repo.Classes, r.Repo.Vectors, r.Repo.Syms, &b)
-		r.xml = b.String()
-	})
+	r.xmlOnce.Do(func() { r.xml, r.xmlErr = r.render() })
 	return r.xml, r.xmlErr
+}
+
+// JSON returns the answer's wire form: the result XML as a JSON string
+// literal, quotes included, exactly what encoding/json writes for XML's
+// text. It is built on first use from its own reconstruction (the XML
+// text is dropped, never memoized beside it) and memoized, so a cache
+// hit costs a copy of these bytes and no escaping. Callers must not
+// modify them.
+func (r *Result) JSON() ([]byte, error) {
+	r.litOnce.Do(func() {
+		xml, err := r.render()
+		if err == nil {
+			r.lit, err = json.Marshal(xml)
+		}
+		r.litErr = err
+	})
+	return r.lit, r.litErr
+}
+
+func (r *Result) render() (string, error) {
+	var b strings.Builder
+	err := vectorize.ReconstructXML(r.Repo.Skel, r.Repo.Classes, r.Repo.Vectors, r.Repo.Syms, &b)
+	return b.String(), err
 }
 
 // ServiceConfig sizes the serving layer. Zero values disable each
@@ -184,9 +213,34 @@ type resultKey struct {
 	epoch uint64
 }
 
-type planEntry struct {
+// Prepared is a query text resolved through the plan cache: its plan,
+// its canonical text (the result-cache key) and the text as spelled,
+// folded onto one line for logs and traces. Prepared values are shared
+// by the plan cache and never modified.
+type Prepared struct {
 	canon string
+	text  string
 	plan  *qgraph.Plan
+}
+
+// Plan returns the query's plan.
+func (p *Prepared) Plan() *qgraph.Plan { return p.plan }
+
+// Canonical returns the query's canonical text: the key the result cache
+// uses.
+func (p *Prepared) Canonical() string { return p.canon }
+
+// Text returns the query as spelled, whitespace runs folded to one space.
+func (p *Prepared) Text() string { return p.text }
+
+// spelledAs returns p's plan under another spelling (trimmed raw text).
+func (p *Prepared) spelledAs(trimmed string) *Prepared {
+	return &Prepared{canon: p.canon, text: compactQuery(trimmed), plan: p.plan}
+}
+
+// compactQuery folds a query onto one line.
+func compactQuery(q string) string {
+	return strings.Join(strings.Fields(q), " ")
 }
 
 // Service serves queries with caching, single-flight and admission
@@ -198,7 +252,7 @@ type Service struct {
 	eval  func(ctx context.Context, plan *qgraph.Plan) (*Result, error)
 	epoch func() uint64
 
-	plans   *lru[string, *planEntry] // nil when the plan cache is off
+	plans   *lru[string, *Prepared]  // nil when the plan cache is off
 	results *lru[resultKey, *Result] // nil when the result cache is off
 
 	flightMu sync.Mutex
@@ -244,7 +298,7 @@ func NewEvalService(eval func(ctx context.Context, plan *qgraph.Plan) (*Result, 
 		flights: make(map[resultKey]*flight),
 	}
 	if cfg.PlanCacheSize > 0 {
-		s.plans = newLRU[string, *planEntry](cfg.PlanCacheSize)
+		s.plans = newLRU[string, *Prepared](cfg.PlanCacheSize)
 	}
 	if cfg.ResultCacheSize > 0 {
 		s.results = newLRU[resultKey, *Result](cfg.ResultCacheSize)
@@ -254,35 +308,28 @@ func NewEvalService(eval func(ctx context.Context, plan *qgraph.Plan) (*Result, 
 
 // Plan parses and plans the query through the plan cache.
 func (s *Service) Plan(query string) (*qgraph.Plan, error) {
-	pe, err := s.planFor(query)
+	p, err := s.Prepare(context.Background(), query)
 	if err != nil {
 		return nil, err
 	}
-	return pe.plan, nil
+	return p.plan, nil
 }
 
-// Canonical returns the query's canonical text — the cache key the
-// serving layer actually uses — through the plan cache, so an exact
-// repeat costs one cache probe.
-func (s *Service) Canonical(query string) (string, error) {
-	pe, err := s.planFor(query)
-	if err != nil {
-		return "", err
-	}
-	return pe.canon, nil
-}
-
-// planFor resolves a query text to its cached plan entry. The cache is
-// double-keyed: by trimmed raw text, so an exact repeat — the hot serving
-// case — skips the parser entirely, and by canonical form, so a
+// Prepare resolves a query text through the plan cache, under a core.plan
+// span when ctx carries a trace. The cache is double-keyed: by trimmed
+// raw text, so an exact repeat — the hot serving case — is one probe and
+// skips the parser entirely, and by canonical form, so a
 // differently-spelled variant of a cached query reuses its plan after
-// only a parse.
-func (s *Service) planFor(query string) (*planEntry, error) {
+// only a parse. Each spelling gets its own entry, so Text is always the
+// caller's spelling.
+func (s *Service) Prepare(ctx context.Context, query string) (*Prepared, error) {
+	_, sp := obs.StartSpan(ctx, spanPlan)
+	defer sp.End()
 	trimmed := strings.TrimSpace(query)
 	if s.plans != nil {
-		if pe, ok := s.plans.get(trimmed); ok {
+		if p, ok := s.plans.get(trimmed); ok {
 			obsPlanCacheHits.Inc()
-			return pe, nil
+			return p, nil
 		}
 	}
 	parsed, err := xq.Parse(query)
@@ -291,10 +338,11 @@ func (s *Service) planFor(query string) (*planEntry, error) {
 	}
 	canon := parsed.Canonical()
 	if s.plans != nil {
-		if pe, ok := s.plans.get(canon); ok {
+		if p, ok := s.plans.get(canon); ok {
 			obsPlanCacheHits.Inc()
-			s.plans.put(trimmed, pe)
-			return pe, nil
+			p = p.spelledAs(trimmed)
+			s.plans.put(trimmed, p)
+			return p, nil
 		}
 		obsPlanCacheMisses.Inc()
 	}
@@ -302,14 +350,17 @@ func (s *Service) planFor(query string) (*planEntry, error) {
 	if err != nil {
 		return nil, err
 	}
-	pe := &planEntry{canon: canon, plan: plan}
+	p := &Prepared{canon: canon, text: compactQuery(canon), plan: plan}
 	if s.plans != nil {
-		s.plans.put(canon, pe)
-		if trimmed != canon {
-			s.plans.put(trimmed, pe)
+		s.plans.put(canon, p)
+	}
+	if trimmed != canon {
+		p = p.spelledAs(trimmed)
+		if s.plans != nil {
+			s.plans.put(trimmed, p)
 		}
 	}
-	return pe, nil
+	return p, nil
 }
 
 // Query answers one query: through the result cache, by joining an
@@ -318,6 +369,18 @@ func (s *Service) planFor(query string) (*planEntry, error) {
 // answers charge the context's TaskMeter one CacheHit and nothing else —
 // the request did no storage work of its own.
 func (s *Service) Query(ctx context.Context, query string) (*Result, Source, error) {
+	return s.query(ctx, query, nil)
+}
+
+// QueryPrepared is Query for a text already resolved by Prepare: it does
+// no plan-cache work at all.
+func (s *Service) QueryPrepared(ctx context.Context, p *Prepared) (*Result, Source, error) {
+	return s.query(ctx, "", p)
+}
+
+// query answers p, or query when p is nil (preparing it under the
+// core.query span).
+func (s *Service) query(ctx context.Context, query string, p *Prepared) (res *Result, src Source, err error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -326,28 +389,34 @@ func (s *Service) Query(ctx context.Context, query string) (*Result, Source, err
 	// tracing gate on, this query roots its own trace and owns offering
 	// it to the /debug/traces ring.
 	ctx, sp, owned := obs.StartRequestSpan(ctx, spanQuery)
-	res, src, err := s.queryTraced(ctx, query)
+	if p == nil {
+		p, err = s.Prepare(ctx, query)
+	}
+	if err == nil {
+		res, src, err = s.answer(ctx, p)
+	}
 	if sp != nil {
 		outcome := OutcomeClass(err)
 		sp.SetAttr(obs.Str("source", src.String()), obs.Str("outcome", outcome))
-		obs.FinishRequestSpan(sp, owned, strings.Join(strings.Fields(query), " "), outcome)
+		if p != nil {
+			query = p.text
+		} else {
+			query = compactQuery(query)
+		}
+		obs.FinishRequestSpan(sp, owned, query, outcome)
 	}
 	return res, src, err
 }
 
-func (s *Service) queryTraced(ctx context.Context, query string) (*Result, Source, error) {
-	_, psp := obs.StartSpan(ctx, spanPlan)
-	pe, err := s.planFor(query)
-	psp.End()
-	if err != nil {
-		return nil, SourceEval, err
-	}
+// answer serves a prepared query through the result cache, single-flight
+// and admission.
+func (s *Service) answer(ctx context.Context, p *Prepared) (*Result, Source, error) {
 	for {
 		// The epoch is captured before the cache probe and before the
 		// evaluation it may lead to, so a result computed while an
 		// Append commits is stored under the pre-append key and can
 		// never satisfy a post-append lookup.
-		key := resultKey{canon: pe.canon, epoch: s.epoch()}
+		key := resultKey{canon: p.canon, epoch: s.epoch()}
 		_, csp := obs.StartSpan(ctx, spanCacheProbe)
 		if s.results != nil {
 			if r, ok := s.results.get(key); ok {
@@ -368,7 +437,7 @@ func (s *Service) queryTraced(ctx context.Context, query string) (*Result, Sourc
 		}
 		s.flightMu.Unlock()
 		if !joined {
-			res, err := s.lead(ctx, pe, key, f)
+			res, err := s.lead(ctx, p, key, f)
 			return res, SourceEval, err
 		}
 		obsFlightFollowers.Inc()
@@ -398,7 +467,7 @@ func (s *Service) queryTraced(ctx context.Context, query string) (*Result, Sourc
 
 // lead runs the flight's single evaluation and publishes the outcome to
 // every follower.
-func (s *Service) lead(ctx context.Context, pe *planEntry, key resultKey, f *flight) (res *Result, err error) {
+func (s *Service) lead(ctx context.Context, p *Prepared, key resultKey, f *flight) (res *Result, err error) {
 	defer func() {
 		f.res, f.err = res, err
 		s.flightMu.Lock()
@@ -420,7 +489,7 @@ func (s *Service) lead(ctx context.Context, pe *planEntry, key resultKey, f *fli
 		obsResultCacheMisses.Inc()
 	}
 	ectx, esp := obs.StartSpan(ctx, spanEval)
-	res, err = s.eval(ectx, pe.plan)
+	res, err = s.eval(ectx, p.plan)
 	esp.End()
 	if err != nil {
 		return nil, err

@@ -22,6 +22,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -572,17 +573,15 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		rt.finishError(w, http.StatusBadRequest, err, nil)
 		return
 	}
-	rt.ev.Query = compactQuery(req.Query)
-	// Parse and plan through the service's plan cache; malformed queries
-	// fail here with a 400 before any evaluation work.
-	plan, err := s.svc.Plan(req.Query)
+	// Parse and plan through the service's plan cache, once per request;
+	// malformed queries fail here with a 400 before any evaluation work.
+	p, err := s.svc.Prepare(ctx, req.Query)
 	if err != nil {
+		rt.ev.Query = compactQuery(req.Query)
 		rt.finishError(w, http.StatusBadRequest, err, nil)
 		return
 	}
-	if canon, cerr := s.svc.Canonical(req.Query); cerr == nil {
-		rt.ev.Canonical = canon
-	}
+	rt.ev.Query, rt.ev.Canonical = p.Text(), p.Canonical()
 	if s.cfg.Federation != nil {
 		rt.ev.ShardFanout = len(s.cfg.Federation.Shards)
 	}
@@ -590,9 +589,9 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if req.Check {
 		var sc *core.StaticCheck
 		if s.cfg.Federation != nil {
-			sc = s.cfg.Federation.Check(plan)
+			sc = s.cfg.Federation.Check(p.Plan())
 		} else {
-			sc = core.NewRepoEngine(s.cfg.Repo, core.Options{}).CheckPlan(plan)
+			sc = core.NewRepoEngine(s.cfg.Repo, core.Options{}).CheckPlan(p.Plan())
 		}
 		w.Header().Set("Content-Type", "application/json")
 		json.NewEncoder(w).Encode(QueryResponse{
@@ -622,10 +621,10 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// in obs.ActiveQueries, and captures it into obs.SlowQueries when it
 	// crosses a threshold.
 	meter := &obs.TaskMeter{}
-	ctx = obs.WithMeter(obs.WithQueryText(ctx, compactQuery(req.Query)), meter)
+	ctx = obs.WithMeter(obs.WithQueryText(ctx, p.Text()), meter)
 
 	start := time.Now()
-	res, src, err := s.svc.Query(ctx, req.Query)
+	res, src, err := s.svc.QueryPrepared(ctx, p)
 	elapsed := time.Since(start)
 	obsLatency.Observe(elapsed)
 	if s.cfg.SlowQuery > 0 && elapsed > s.cfg.SlowQuery {
@@ -664,13 +663,16 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		rt.finishError(w, status, err, meter)
 		return
 	}
-	xml, err := res.XML()
+	// The answer's JSON string literal is stored on the Result, so only
+	// the fields after it are encoded per request: the body is
+	// {"result": + literal + the rest of QueryResponse, byte for byte what
+	// encoding QueryResponse whole would write.
+	lit, err := res.JSON()
 	if err != nil {
 		rt.finishError(w, http.StatusInternalServerError, err, meter)
 		return
 	}
 	resp := QueryResponse{
-		Result:          xml,
 		ElapsedUS:       elapsed.Microseconds(),
 		Stats:           toQueryStats(res.Stats),
 		StaticallyEmpty: res.StaticallyEmpty,
@@ -688,13 +690,28 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			})
 		}
 	}
+	rest, err := json.Marshal(resp)
+	if err != nil {
+		rt.finishError(w, http.StatusInternalServerError, err, meter)
+		return
+	}
 	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(resp)
+	w.Write(resultField)
+	w.Write(lit)
+	w.Write(append(rest[len(emptyResult):], '\n'))
 	rt.ev.Source = src.String()
 	rt.ev.Cached = src.Cached()
 	rt.ev.StaticallyEmpty = res.StaticallyEmpty
 	rt.finish(http.StatusOK, "ok", meter)
 }
+
+// A served body splices the stored literal in after resultField; rest is
+// QueryResponse encoded with an empty Result, whose encoding opens with
+// emptyResult (Result is the first field and is never omitted).
+var (
+	resultField = []byte(`{"result":`)
+	emptyResult = []byte(`{"result":""`)
+)
 
 // reqTrace bundles one request's observability lifecycle: the optional
 // span tree and the wide event accumulated as the handler progresses.
@@ -798,8 +815,8 @@ func decodeQueryRequest(r *http.Request) (QueryRequest, error) {
 	if len(body) > maxBody {
 		return QueryRequest{}, fmt.Errorf("request body exceeds %d bytes", maxBody)
 	}
-	trimmed := strings.TrimSpace(string(body))
-	if strings.HasPrefix(trimmed, "{") {
+	trimmed := bytes.TrimSpace(body)
+	if len(trimmed) > 0 && trimmed[0] == '{' {
 		var req QueryRequest
 		if err := json.Unmarshal(body, &req); err != nil {
 			return QueryRequest{}, fmt.Errorf("bad JSON body: %w", err)
@@ -809,10 +826,10 @@ func decodeQueryRequest(r *http.Request) (QueryRequest, error) {
 		}
 		return req, nil
 	}
-	if trimmed == "" {
+	if len(trimmed) == 0 {
 		return QueryRequest{}, errors.New("empty query")
 	}
-	return QueryRequest{Query: trimmed}, nil
+	return QueryRequest{Query: string(trimmed)}, nil
 }
 
 func (s *Server) fail(w http.ResponseWriter, status int, err error) {

@@ -269,14 +269,17 @@ func TestFederationTraceUnderShardFault(t *testing.T) {
 	if rec.Root == nil || rec.Root.Name != "serve.request" {
 		t.Fatalf("root = %+v, want serve.request", rec.Root)
 	}
-	// serve.request → core.query → {core.plan, core.cache_lookup,
+	// serve.request → {core.plan, core.query → {core.cache_lookup,
 	// core.admission_wait, core.eval → {shard.scatter → shard.shard_query
-	// ×2, shard.merge}}.
+	// ×2, shard.merge}}}: the handler plans once, before core.query.
+	if childNamed(rec.Root, "core.plan") == nil {
+		t.Errorf("no core.plan under the request root:\n%s", rec.Root.Redacted())
+	}
 	query := childNamed(rec.Root, "core.query")
 	if query == nil {
 		t.Fatalf("no core.query under the request root:\n%s", rec.Root.Redacted())
 	}
-	for _, want := range []string{"core.plan", "core.cache_lookup", "core.admission_wait", "core.eval"} {
+	for _, want := range []string{"core.cache_lookup", "core.admission_wait", "core.eval"} {
 		if childNamed(query, want) == nil {
 			t.Errorf("core.query span missing child %s:\n%s", want, rec.Root.Redacted())
 		}
