@@ -75,9 +75,18 @@ loc:
 	  printf '%7d  %s\n' "$$n" "$$pkg"; \
 	done | awk '{ print; total += $$1 } END { printf "%7d  total\n", total }'
 
+# Every fuzz target in the repository, one after another, each for
+# $(FUZZTIME). CI runs make fuzz FUZZTIME=10s; the unit tests run
+# elsewhere, so -run '^$$' skips them here.
+FUZZTIME ?= 30s
 fuzz:
-	go test -fuzz FuzzParse -fuzztime 30s ./internal/xq/
-	go test -fuzz FuzzParseSerialize -fuzztime 30s ./internal/xmlmodel/
+	go test ./internal/xq/ -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME)
+	go test ./internal/xq/ -run '^$$' -fuzz '^FuzzCompareValues$$' -fuzztime $(FUZZTIME)
+	go test ./internal/xmlmodel/ -run '^$$' -fuzz '^FuzzParseSerialize$$' -fuzztime $(FUZZTIME)
+	go test ./internal/vector/ -run '^$$' -fuzz '^FuzzPageDecode$$' -fuzztime $(FUZZTIME)
+	go test ./internal/vector/ -run '^$$' -fuzz '^FuzzDirectoryDecode$$' -fuzztime $(FUZZTIME)
+	go test ./internal/skeleton/ -run '^$$' -fuzz '^FuzzSkeletonDecode$$' -fuzztime $(FUZZTIME)
+	go test ./internal/core/ -run '^$$' -fuzz '^FuzzResultLiteral$$' -fuzztime $(FUZZTIME)
 
 examples:
 	go run ./examples/quickstart

@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	vxbench [-work DIR] [-quick] table1|table2|table3|fig8|ablations|verify|all
+//	vxbench [-work DIR] [-quick] table1|table2|table3|fig8|ablations|all
 //
 // Serving throughput, latency and per-layer cost are measured by the
 // benchmark harness under benchmark/ (bash benchmark/run.sh), not here.
@@ -33,7 +33,7 @@ func main() {
 	timeout := flag.Duration("timeout", 0, "per-query timeout override")
 	flag.Parse()
 	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: vxbench [flags] table1|table2|table3|fig8|ablations|verify|all")
+		fmt.Fprintln(os.Stderr, "usage: vxbench [flags] table1|table2|table3|fig8|ablations|all")
 		os.Exit(2)
 	}
 
@@ -105,9 +105,6 @@ func main() {
 			}
 			fmt.Println("== Ablations ==")
 			bench.PrintAblations(os.Stdout, rs)
-		case "verify":
-			fmt.Println("== VX vs reference interpreter ==")
-			err = h.VerifyVX(os.Stdout)
 		case "all":
 			for _, sub := range []string{"table1", "table2", "table3", "fig8", "ablations"} {
 				if err := run(sub); err != nil {

@@ -11,7 +11,7 @@
 //	vxstore fsck -repo DIR                   deep-verify checksums and invariants
 //	vxstore query -repo DIR [-explain[=analyze]] 'for $x in ... return ...'
 //	vxstore query -repo DIR -f query.xq
-//	vxstore query -repo DIR -parallel 8 -workers 4 -f query.xq
+//	vxstore query -repo DIR -parallel 8 -f query.xq
 //	vxstore serve -repo DIR -addr :8080      HTTP query server with /metrics
 //	vxstore serve -shards DIR -addr :8080    serve a sharded federation
 //	vxstore shard split -out DIR -n N docs…  split documents into a federation
@@ -93,8 +93,8 @@ func usage() {
   vxstore reconstruct -repo DIR
   vxstore stats -repo DIR
   vxstore fsck -repo DIR [-q]
-  vxstore query -repo DIR [-explain[=analyze]] [-parallel N] [-workers N] [-f query.xq | 'query text']
-  vxstore serve -repo DIR | -shards DIR [-addr :8080] [-timeout 30s] [-slow 1s] [-workers N]
+  vxstore query -repo DIR [-explain[=analyze]] [-parallel N] [-f query.xq | 'query text']
+  vxstore serve -repo DIR | -shards DIR [-addr :8080] [-timeout 30s] [-slow 1s]
                 [-plan-cache 256] [-result-cache 1024]
                 [-max-inflight N] [-max-inflight-pages N] [-admit-wait 5ms]
                 [-read-retries N] [-retry-backoff 2ms]
@@ -228,7 +228,6 @@ func cmdQuery(args []string) error {
 	check := fs.Bool("check", false, "statically check the query against the repository's path catalog without evaluating; exit 1 if it is unsatisfiable")
 	stats := fs.Bool("stats", false, "print evaluation statistics to stderr")
 	parallel := fs.Int("parallel", 1, "serve the query N times from concurrent goroutines (per-query engines)")
-	workers := fs.Int("workers", 0, "intra-query scan worker pool size (0 = GOMAXPROCS)")
 	timeout := fs.Duration("timeout", 0, "cancel the query after this long (0 = no limit)")
 	fs.Parse(args)
 
@@ -290,9 +289,8 @@ func cmdQuery(args []string) error {
 	// Carry the query text so the active-query registry and slow-query
 	// captures show it as typed, not the compiled plan.
 	ctx = obs.WithQueryText(ctx, src)
-	opts := core.Options{Workers: *workers}
 	if explain.analyze {
-		eng := core.NewRepoEngine(repo, opts)
+		eng := core.NewRepoEngine(repo, core.Options{})
 		out, err := eng.ExplainAnalyze(ctx, plan)
 		if err != nil {
 			return err
@@ -301,9 +299,9 @@ func cmdQuery(args []string) error {
 		return nil
 	}
 	if *parallel > 1 {
-		return queryParallel(ctx, repo, plan, opts, *parallel, *stats)
+		return queryParallel(ctx, repo, plan, *parallel, *stats)
 	}
-	eng := core.NewRepoEngine(repo, opts)
+	eng := core.NewRepoEngine(repo, core.Options{})
 	res, err := eng.Eval(ctx, plan)
 	if err != nil {
 		return err
@@ -446,7 +444,6 @@ func cmdServe(args []string) error {
 	shardsDir := fs.String("shards", "", "federation directory (serve a sharded federation instead of -repo)")
 	pool := fs.Int("pool", 8192, "buffer pool pages")
 	addr := fs.String("addr", ":8080", "listen address")
-	workers := fs.Int("workers", 0, "intra-query scan worker pool size (0 = GOMAXPROCS)")
 	timeout := fs.Duration("timeout", 30*time.Second, "per-request evaluation timeout cap (0 = no cap)")
 	slow := fs.Duration("slow", time.Second, "log and capture queries slower than this (0 = off)")
 	slowPages := fs.Int64("slow-pages", 0, "capture queries faulting at least this many pool pages (0 = off)")
@@ -518,7 +515,6 @@ func cmdServe(args []string) error {
 	srv := serve.New(serve.Config{
 		Repo:             repo,
 		Federation:       fed,
-		Workers:          *workers,
 		Timeout:          *timeout,
 		SlowQuery:        *slow,
 		SlowPages:        *slowPages,
@@ -618,7 +614,7 @@ func cmdQuarantine(args []string) error {
 // through its own engine against the shared repository — the concurrent
 // serving pattern. All serialized results must agree byte for byte; one
 // copy is printed.
-func queryParallel(ctx context.Context, repo *vectorize.Repository, plan *qgraph.Plan, opts core.Options, n int, stats bool) error {
+func queryParallel(ctx context.Context, repo *vectorize.Repository, plan *qgraph.Plan, n int, stats bool) error {
 	outs := make([][]byte, n)
 	errs := make([]error, n)
 	var wg sync.WaitGroup
@@ -627,7 +623,7 @@ func queryParallel(ctx context.Context, repo *vectorize.Repository, plan *qgraph
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			eng := core.NewRepoEngine(repo, opts)
+			eng := core.NewRepoEngine(repo, core.Options{})
 			res, err := eng.Eval(ctx, plan)
 			if err != nil {
 				errs[i] = err

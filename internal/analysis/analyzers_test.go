@@ -11,7 +11,6 @@ func TestCtxPollFixture(t *testing.T)      { RunFixture(t, CtxPoll(), "ctxpoll")
 func TestFsyncOrderFixture(t *testing.T)   { RunFixture(t, FsyncOrder(), "fsyncorder") }
 func TestObsNamesFixture(t *testing.T)     { RunFixture(t, ObsNames(), "obsnames") }
 func TestSpanNamesFixture(t *testing.T)    { RunFixture(t, ObsNames(), "spannames") }
-func TestAtomicAlignFixture(t *testing.T)  { RunFixture(t, AtomicAlign(), "atomicalign") }
 func TestRecoverScopeFixture(t *testing.T) { RunFixture(t, RecoverScope(), "recoverscope") }
 
 // The whole-program analyzers run over a mini-program: the fixture

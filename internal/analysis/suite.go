@@ -5,7 +5,6 @@ package analysis
 // whole-program passes that run once over the call graph.
 func Suite() []*Analyzer {
 	return []*Analyzer{
-		AtomicAlign(),
 		CorruptErr(),
 		CtxPoll(),
 		FsyncOrder(),

@@ -86,19 +86,6 @@ func TestWorkloadAllQueriesRunOnVX(t *testing.T) {
 	}
 }
 
-// TestVXMatchesReference: VX result cardinalities equal the reference
-// interpreter's on every query.
-func TestVXMatchesReference(t *testing.T) {
-	h := quickHarness(t)
-	var out strings.Builder
-	if err := h.VerifyVX(&out); err != nil {
-		t.Fatalf("%v\n%s", err, out.String())
-	}
-	if strings.Contains(out.String(), "MISMATCH") {
-		t.Errorf("verification:\n%s", out.String())
-	}
-}
-
 // TestTable2FailurePattern: with the paper's failure models scaled to the
 // quick sizes, DS fails the XQuery-only queries.
 func TestTable2FailurePattern(t *testing.T) {

@@ -292,35 +292,6 @@ func PrintAblations(w io.Writer, rs []AblationResult) {
 	tw.Flush()
 }
 
-// VerifyVX cross-checks every VX result count against the reference
-// interpreter (where it can run) — a harness-level correctness audit.
-func (h *Harness) VerifyVX(w io.Writer) error {
-	for _, q := range AllQueries {
-		d, err := h.Dataset(DatasetOf(q))
-		if err != nil {
-			return err
-		}
-		vx := d.runVX(q, core.Options{})
-		if !vx.OK() {
-			return fmt.Errorf("bench: VX failed %s: %s (%w)", q, vx.Fail, vx.Err)
-		}
-		gx := d.runGX(q)
-		if !gx.OK() {
-			fmt.Fprintf(w, "%s: VX=%d results; reference skipped (%s)\n", q, vx.Results, gx.Fail)
-			continue
-		}
-		status := "OK"
-		if vx.Results != gx.Results {
-			status = "MISMATCH"
-		}
-		fmt.Fprintf(w, "%s: VX=%d reference=%d %s\n", q, vx.Results, gx.Results, status)
-		if status == "MISMATCH" {
-			return fmt.Errorf("bench: %s: VX %d results, reference %d", q, vx.Results, gx.Results)
-		}
-	}
-	return nil
-}
-
 func sizeStr(b int64) string {
 	switch {
 	case b >= 1<<30:

@@ -56,33 +56,6 @@ func TestEvalCancelled(t *testing.T) {
 	}
 }
 
-// TestEvalCancelledParallel: cancellation must also propagate out of the
-// parallel scan fan-out without deadlocking or leaking goroutines.
-func TestEvalCancelledParallel(t *testing.T) {
-	syms := xmlmodel.NewSymbols()
-	repo, err := vectorize.FromString(bibXML, syms)
-	if err != nil {
-		t.Fatalf("vectorize: %v", err)
-	}
-	q, err := xq.Parse(q0)
-	if err != nil {
-		t.Fatalf("parse: %v", err)
-	}
-	plan, err := qgraph.Build(q)
-	if err != nil {
-		t.Fatalf("plan: %v", err)
-	}
-	eng := NewEngine(repo.Skel, repo.Classes, repo.Vectors, syms, Options{Workers: 4})
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := eng.Eval(ctx, plan); !errors.Is(err, context.Canceled) {
-		t.Fatalf("parallel Eval with cancelled ctx: err = %v, want context.Canceled", err)
-	}
-	if _, err := eng.Eval(context.Background(), plan); err != nil {
-		t.Fatalf("parallel Eval after cancellation: %v", err)
-	}
-}
-
 // TestEvalToDirCancelled: a cancelled EvalToDir must not commit a result
 // directory, and a later run with a live context succeeds from the same
 // engine (the abandoned build directory is cleared automatically).

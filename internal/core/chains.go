@@ -118,103 +118,47 @@ func (p *pathRes) from(src skeleton.ClassID) []chain {
 	return chains
 }
 
-// scanRow is one row of a scan fan-out (pathRes.scan): chunk ci's row ri,
-// its class and occurrence in the scanned column, the op's chains from
-// that class, and the chunk's readers.
+// scanRow is one row of a scan (pathRes.scan): row ri, its class and
+// occurrence in the scanned column, the op's chains from that class, and
+// the evaluation's reader of each slot (nil for a slot an index serves).
 type scanRow struct {
-	ci, ri int
+	ri     int
 	class  skeleton.ClassID
 	occ    int64
 	chains []chain
-	rs     chunkReaders
+	rds    []*reader
 }
 
-// scan fans a value scan of column col out over seg's rows in nch chunks,
-// calling fn for each row. Rows go by their column entry, so a class-set
-// column's classes are contiguous and every vector is read forward, and
-// no chunk boundary splits a class. A chunk reads a vector through the
-// evaluation's reader (readerFor) when it is the first chunk to need the
-// vector, and through a reader of its own otherwise — so with one worker,
-// or chunks that share no vector, each extent is decoded once per
-// evaluation. Slots that a non-nil indexed reports are served without a
-// scan and never opened; it is called once per slot, before the fan-out.
-func (p *pathRes) scan(seg *Segment, col, nch int, indexed func(slot int, text skeleton.ClassID) bool, fn func(r scanRow) error) error {
-	classes := seg.classesOf(col)
-	for _, c := range classes {
+// scan calls fn for each of seg's rows, for a value scan of column col.
+// Rows go by their column entry, so a class-set column's classes are
+// contiguous and every vector is read forward through the evaluation's
+// reader (readerFor): each extent is decoded once per evaluation. Slots
+// that a non-nil indexed reports are served without a scan and never
+// opened; it is called once per slot, before the first row.
+func (p *pathRes) scan(seg *Segment, col int, indexed func(slot int, text skeleton.ClassID) bool, fn func(r scanRow) error) error {
+	for _, c := range seg.classesOf(col) {
 		p.from(c)
 	}
-	shared := make([]*reader, len(p.texts))
+	r := scanRow{class: skeleton.NoClass, rds: make([]*reader, len(p.texts))}
 	for slot, text := range p.texts {
 		if indexed == nil || !indexed(slot, text) {
 			var err error
-			if shared[slot], err = p.x.readerFor(text); err != nil {
+			if r.rds[slot], err = p.x.readerFor(text); err != nil {
 				return err
 			}
 		}
 	}
-	keys := seg.byEntry(col)
-	bounds := make([]int, nch+1)
-	for ci := 0; ci < nch; ci++ {
-		hi := max(bounds[ci], len(keys)*(ci+1)/nch)
-		for len(classes) > 1 && hi > 0 && hi < len(keys) && keys[hi].entry>>occBits == keys[hi-1].entry>>occBits {
-			hi++
+	for _, k := range seg.byEntry(col) {
+		c, occ := seg.at(col, k.entry)
+		if c != r.class {
+			r.class, r.chains = c, p.by[c]
 		}
-		bounds[ci+1] = hi
-	}
-	owner := make([]int, len(p.texts))
-	for ci := nch - 1; ci >= 0; ci-- { // the first chunk to need a slot owns it
-		prev := skeleton.NoClass
-		for _, k := range keys[bounds[ci]:bounds[ci+1]] {
-			if c, _ := seg.at(col, k.entry); c != prev {
-				prev = c
-				for _, ch := range p.by[c] {
-					owner[ch.slot] = ci
-				}
-			}
+		r.ri, r.occ = k.row, occ
+		if err := fn(r); err != nil {
+			return err
 		}
 	}
-	return parallelFor(p.x.ctx, p.x.e.workers(), nch, func(ci int) error {
-		r := scanRow{ci: ci, class: skeleton.NoClass, rs: chunkReaders{ci: ci, shared: shared, owner: owner, own: make([]*reader, len(shared))}}
-		defer r.rs.close()
-		for _, k := range keys[bounds[ci]:bounds[ci+1]] {
-			c, occ := seg.at(col, k.entry)
-			if c != r.class {
-				r.class, r.chains = c, p.by[c]
-			}
-			r.ri, r.occ = k.row, occ
-			if err := fn(r); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-}
-
-// chunkReaders are one scan chunk's readers (see pathRes.scan).
-type chunkReaders struct {
-	ci     int
-	shared []*reader // the evaluation's reader of each slot
-	owner  []int     // the chunk that reads each slot through shared
-	own    []*reader // this chunk's readers of the other slots, made on first use
-}
-
-func (rs chunkReaders) get(ch *chain) *reader {
-	if rs.owner[ch.slot] == rs.ci {
-		return rs.shared[ch.slot]
-	}
-	if rs.own[ch.slot] == nil {
-		sh := rs.shared[ch.slot]
-		rs.own[ch.slot] = sh.x.newReader(sh.class, sh.vec)
-	}
-	return rs.own[ch.slot]
-}
-
-func (rs chunkReaders) close() {
-	for _, rd := range rs.own {
-		if rd != nil {
-			rd.Close()
-		}
-	}
+	return nil
 }
 
 // descendantElements returns all element classes strictly below c.

@@ -114,7 +114,7 @@ func TestConcurrentEvalMatchesSerial(t *testing.T) {
 	want := make([]string, len(concurrentQueries))
 	for i, src := range concurrentQueries {
 		plans[i] = planFor(t, src)
-		eng := NewRepoEngine(repo, Options{Workers: 1})
+		eng := NewRepoEngine(repo, Options{})
 		res, err := eng.Eval(context.Background(), plans[i])
 		if err != nil {
 			t.Fatalf("serial eval %d: %v", i, err)
@@ -156,40 +156,6 @@ func TestConcurrentEvalMatchesSerial(t *testing.T) {
 	wg.Wait()
 }
 
-// TestParallelEvalByteIdentical checks the intra-query worker pool
-// changes nothing observable: results and statistics of Workers=1 and
-// Workers=8 evaluations are byte-identical.
-func TestParallelEvalByteIdentical(t *testing.T) {
-	repo := openDiskRepo(t, genBib(400), 64)
-	for i, src := range concurrentQueries {
-		plan := planFor(t, src)
-		serial := NewRepoEngine(repo, Options{Workers: 1})
-		res1, err := serial.Eval(context.Background(), plan)
-		if err != nil {
-			t.Fatalf("query %d serial: %v", i, err)
-		}
-		fp1, err := fingerprint(res1.Skel, res1.Syms, res1.Vectors)
-		if err != nil {
-			t.Fatal(err)
-		}
-		parallel := NewRepoEngine(repo, Options{Workers: 8})
-		res8, err := parallel.Eval(context.Background(), plan)
-		if err != nil {
-			t.Fatalf("query %d parallel: %v", i, err)
-		}
-		fp8, err := fingerprint(res8.Skel, res8.Syms, res8.Vectors)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if fp1 != fp8 {
-			t.Errorf("query %d: Workers=8 result differs from Workers=1", i)
-		}
-		if s1, s8 := serial.Stats(), parallel.Stats(); s1 != s8 {
-			t.Errorf("query %d: stats differ: serial %+v, parallel %+v", i, s1, s8)
-		}
-	}
-}
-
 // TestEvalTinyPoolCopiesValues evaluates with a buffer pool so small that
 // frames are recycled mid-scan: if any sink retained a frame-aliased val
 // instead of copying, the result would contain bytes from later pages.
@@ -197,7 +163,7 @@ func TestParallelEvalByteIdentical(t *testing.T) {
 func TestEvalTinyPoolCopiesValues(t *testing.T) {
 	doc := genBib(400)
 	big := openDiskRepo(t, doc, 256)
-	eng := NewRepoEngine(big, Options{Workers: 1})
+	eng := NewRepoEngine(big, Options{})
 	plan := planFor(t, concurrentQueries[0])
 	res, err := eng.Eval(context.Background(), plan)
 	if err != nil {
@@ -209,7 +175,7 @@ func TestEvalTinyPoolCopiesValues(t *testing.T) {
 	}
 
 	tiny := openDiskRepo(t, doc, 2) // 2 pages: every Get evicts
-	tinyEng := NewRepoEngine(tiny, Options{Workers: 1})
+	tinyEng := NewRepoEngine(tiny, Options{})
 	resTiny, err := tinyEng.Eval(context.Background(), plan)
 	if err != nil {
 		t.Fatal(err)

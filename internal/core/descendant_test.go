@@ -50,7 +50,7 @@ func TestDescendantProjectionCostFollowsMatches(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		eng := NewEngine(repo.Skel, repo.Classes, repo.Vectors, syms, Options{Workers: 1})
+		eng := NewEngine(repo.Skel, repo.Classes, repo.Vectors, syms, Options{})
 		plan := planOf(t, src)
 		res, tr, err := eng.EvalTraced(context.Background(), plan)
 		if err != nil {
@@ -93,7 +93,7 @@ func TestDescendantBindingIsOneSegment(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		eng := NewRepoEngine(repo, Options{Workers: 1})
+		eng := NewRepoEngine(repo, Options{})
 
 		x := newEvalContext(eng, context.Background())
 		if err := x.run(planOf(t, `for $s in /r/s, $x in $s//t return $s, $x`)); err != nil {
@@ -144,7 +144,7 @@ const classSetXML = `<doc><a><b>x</b><c>y</c><a><b>y</b><c><b>x</b></c></a></a>`
 // class-set, with the source live, dying or aliased and the target live
 // or dead; scanned and indexed selections; existence tests; joins within
 // and across tables — and compares each result with the DOM interpreter
-// as a multiset, at Workers 1 and 4.
+// as a multiset, with and without vector indexes.
 func TestClassSetColumnsMatchDOM(t *testing.T) {
 	queries := []string{
 		`for $x in //* where $x/c = 'x' return $x`,
@@ -171,23 +171,21 @@ func TestClassSetColumnsMatchDOM(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: dom: %v", src, err)
 		}
-		for _, workers := range []int{1, 4} {
-			for _, indexed := range []bool{false, true} {
-				eng := NewEngine(repo.Skel, repo.Classes, repo.Vectors, syms, Options{Workers: workers})
-				if indexed {
-					for _, tc := range repo.Classes.TextClasses() {
-						if _, err := eng.BuildVectorIndex(repo.Classes.VectorName(tc)); err != nil {
-							t.Fatal(err)
-						}
+		for _, indexed := range []bool{false, true} {
+			eng := NewEngine(repo.Skel, repo.Classes, repo.Vectors, syms, Options{})
+			if indexed {
+				for _, tc := range repo.Classes.TextClasses() {
+					if _, err := eng.BuildVectorIndex(repo.Classes.VectorName(tc)); err != nil {
+						t.Fatal(err)
 					}
 				}
-				res, err := eng.Eval(context.Background(), planOf(t, src))
-				if err != nil {
-					t.Fatalf("%s: eval: %v", src, err)
-				}
-				if got := resultXML(t, res); canonicalize(t, got, syms) != canonicalize(t, want, syms) {
-					t.Errorf("%s (workers %d, indexed %v):\nengine %s\ndom    %s", src, workers, indexed, got, want)
-				}
+			}
+			res, err := eng.Eval(context.Background(), planOf(t, src))
+			if err != nil {
+				t.Fatalf("%s: eval: %v", src, err)
+			}
+			if got := resultXML(t, res); canonicalize(t, got, syms) != canonicalize(t, want, syms) {
+				t.Errorf("%s (indexed %v):\nengine %s\ndom    %s", src, indexed, got, want)
 			}
 		}
 	}

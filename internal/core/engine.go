@@ -32,17 +32,10 @@ type Options struct {
 	// over-produces pairs when value matches do not align; the default
 	// merges the tables with true pairing.
 	FilterOnlyJoins bool
-	// Workers bounds the intra-query parallelism of selection scans: row
-	// scans fan out across this many goroutines and merge
-	// deterministically, so results are byte-identical to serial
-	// evaluation (joins read in one pass). <= 0 means GOMAXPROCS; 1
-	// disables the fan-out.
-	Workers int
 }
 
 // EvalStats reports what a query evaluation touched. Counters are owned
-// by one evalContext; parallel scan fan-outs accumulate into per-chunk
-// slots that merge in chunk order, so the totals equal a serial run.
+// by one evalContext, which runs on its caller's goroutine.
 type EvalStats struct {
 	VectorsOpened int   // distinct data vectors loaded (lazy loading)
 	ValuesScanned int64 // vector values read across all operations
@@ -138,9 +131,7 @@ func (e *Engine) setStats(s EvalStats) {
 }
 
 // evalContext is the mutable state of one evaluation. Each Eval call owns
-// exactly one; it is single-goroutine except where the parallel scan
-// helpers fan row ranges out (those touch only disjoint per-task state and
-// merge results deterministically afterwards).
+// exactly one, and it runs on the caller's goroutine.
 type evalContext struct {
 	e     *Engine
 	ctx   context.Context
@@ -169,12 +160,11 @@ func newEvalContext(e *Engine, ctx context.Context) *evalContext {
 // readerFor returns the evaluation's reader of a text class's vector,
 // opening the vector on first use as the view that charges page faults to
 // the query's meter and honors its context during transient-read retry.
-// The ops, the chunk of a scan fan-out that owns the vector and result
-// emission all read through this one reader, so its cursor resumes across
-// them and a pass in document order decodes each extent once per
-// evaluation. It is called from the serial part of an operation (never
-// inside a scan fan-out), so the cache needs no lock; closeReaders
-// releases the readers when the evaluation ends.
+// The ops' scans and result emission all read through this one reader, so
+// its cursor resumes across them and a pass in document order decodes
+// each extent once per evaluation. An evaluation runs on one goroutine, so
+// the cache needs no lock; closeReaders releases the readers when the
+// evaluation ends.
 //
 //vx:rawvector the one open every reader (and so every cancel poll) is built on
 func (x *evalContext) readerFor(c skeleton.ClassID) (*reader, error) {
@@ -207,7 +197,7 @@ func (x *evalContext) readerFor(c skeleton.ClassID) (*reader, error) {
 			v = cv.WithContext(x.ctx)
 		}
 	}
-	rd := x.newReader(c, v)
+	rd := &reader{cur: vector.NewCursor(v), x: x, class: c}
 	x.rds[c] = rd
 	x.stats.VectorsOpened++
 	x.meter.VectorOpen()
@@ -239,17 +229,8 @@ const cancelCheckStride = 4096
 //     (see quarantine).
 type reader struct {
 	cur   vector.Cursor
-	vec   vector.Vector
 	x     *evalContext
 	class skeleton.ClassID
-}
-
-// newReader returns a reader over v, text class c's vector as readerFor
-// opened it. Readers are single-goroutine: a chunk of a scan fan-out that
-// does not own a vector reads it through a reader of its own. Close it
-// when done.
-func (x *evalContext) newReader(c skeleton.ClassID, v vector.Vector) *reader {
-	return &reader{cur: vector.NewCursor(v), vec: v, x: x, class: c}
 }
 
 // Close releases the reader's cursor.

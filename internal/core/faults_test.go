@@ -107,7 +107,7 @@ func TestPersistentCorruptionQuarantinesPoisonedVector(t *testing.T) {
 	plan := planFor(t, concurrentQueries[0]) // touches book publisher + title
 	ctx := context.Background()
 
-	res, err := NewRepoEngine(repo, Options{Workers: 1}).Eval(ctx, plan)
+	res, err := NewRepoEngine(repo, Options{}).Eval(ctx, plan)
 	if err != nil {
 		t.Fatalf("baseline eval: %v", err)
 	}
@@ -130,7 +130,7 @@ func TestPersistentCorruptionQuarantinesPoisonedVector(t *testing.T) {
 	quarantinedQueries := obs.GetCounter("core.queries_quarantined")
 	added0, rereads0, qq0 := added.Load(), rereads.Load(), quarantinedQueries.Load()
 
-	_, err = NewRepoEngine(repo, Options{Workers: 1}).Eval(ctx, plan)
+	_, err = NewRepoEngine(repo, Options{}).Eval(ctx, plan)
 	if !errors.Is(err, storage.ErrCorrupt) {
 		t.Fatalf("eval over corrupt page = %v, want ErrCorrupt", err)
 	}
@@ -147,13 +147,13 @@ func TestPersistentCorruptionQuarantinesPoisonedVector(t *testing.T) {
 
 	// Fail fast: the second and third queries get the typed error before
 	// any disk I/O — the poisoned page is never re-read.
-	_, err = NewRepoEngine(repo, Options{Workers: 1}).Eval(ctx, plan)
+	_, err = NewRepoEngine(repo, Options{}).Eval(ctx, plan)
 	var qe *QuarantinedError
 	if !errors.Is(err, ErrQuarantined) || !errors.As(err, &qe) || qe.Vector != name {
 		t.Fatalf("second eval = %v, want QuarantinedError for %s", err, name)
 	}
 	reads2 := repo.Store.Pool().StatsSnapshot().PagesRead
-	_, err = NewRepoEngine(repo, Options{Workers: 1}).Eval(ctx, plan)
+	_, err = NewRepoEngine(repo, Options{}).Eval(ctx, plan)
 	if !errors.Is(err, ErrQuarantined) {
 		t.Fatalf("third eval = %v, want ErrQuarantined", err)
 	}
@@ -184,7 +184,7 @@ func TestPersistentCorruptionQuarantinesPoisonedVector(t *testing.T) {
 	if n := repo.Health.Len(); n != 0 {
 		t.Fatalf("health still lists %d vectors after repair", n)
 	}
-	res, err = NewRepoEngine(repo, Options{Workers: 1}).Eval(ctx, plan)
+	res, err = NewRepoEngine(repo, Options{}).Eval(ctx, plan)
 	if err != nil {
 		t.Fatalf("eval after repair: %v", err)
 	}
@@ -224,7 +224,7 @@ func TestSharedPageCorruption(t *testing.T) {
 	queryA := planFor(t, `<result> for $b in doc("bib.xml")/bib/book return $b/publisher </result>`)
 	queryB := planFor(t, `<result> for $b in doc("bib.xml")/bib/book return $b/title </result>`)
 	baseline := func(plan *qgraph.Plan) string {
-		res, err := NewRepoEngine(repo, Options{Workers: 1}).Eval(ctx, plan)
+		res, err := NewRepoEngine(repo, Options{}).Eval(ctx, plan)
 		if err != nil {
 			t.Fatalf("eval: %v", err)
 		}
@@ -243,14 +243,14 @@ func TestSharedPageCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if _, err := NewRepoEngine(repo, Options{Workers: 1}).Eval(ctx, queryA); !errors.Is(err, storage.ErrCorrupt) {
+	if _, err := NewRepoEngine(repo, Options{}).Eval(ctx, queryA); !errors.Is(err, storage.ErrCorrupt) {
 		t.Fatalf("query on A = %v, want ErrCorrupt", err)
 	}
 	if list := repo.Health.List(); len(list) != 1 || list[0].Vector != a {
 		t.Fatalf("quarantined = %v, want exactly [%s]", list, a)
 	}
 	reads := repo.Store.Pool().StatsSnapshot().PagesRead
-	if _, err := NewRepoEngine(repo, Options{Workers: 1}).Eval(ctx, queryA); !errors.Is(err, ErrQuarantined) {
+	if _, err := NewRepoEngine(repo, Options{}).Eval(ctx, queryA); !errors.Is(err, ErrQuarantined) {
 		t.Fatalf("second query on A = %v, want ErrQuarantined", err)
 	}
 	if d := repo.Store.Pool().StatsSnapshot().PagesRead - reads; d != 0 {
@@ -267,7 +267,7 @@ func TestSharedPageCorruption(t *testing.T) {
 	if _, ok := repo.Health.Quarantined(b); ok {
 		t.Error("B quarantined before any scan of it reached the shared page")
 	}
-	if _, err := NewRepoEngine(repo, Options{Workers: 1}).Eval(ctx, queryB); !errors.Is(err, storage.ErrCorrupt) {
+	if _, err := NewRepoEngine(repo, Options{}).Eval(ctx, queryB); !errors.Is(err, storage.ErrCorrupt) {
 		t.Fatalf("query on B = %v, want ErrCorrupt", err)
 	}
 	if n := repo.Health.Len(); n != 2 {
@@ -302,7 +302,7 @@ func TestTransientChaosRetriesToZeroFailures(t *testing.T) {
 	plan := planFor(t, concurrentQueries[0])
 	ctx := context.Background()
 
-	res, err := NewRepoEngine(repo, Options{Workers: 1}).Eval(ctx, plan)
+	res, err := NewRepoEngine(repo, Options{}).Eval(ctx, plan)
 	if err != nil {
 		t.Fatalf("baseline eval: %v", err)
 	}
@@ -317,7 +317,7 @@ func TestTransientChaosRetriesToZeroFailures(t *testing.T) {
 	ffs.SetChaos(storage.Chaos{Seed: 123, ReadFaultProb: 0.3})
 	failures := 0
 	for i := 0; i < 12; i++ {
-		res, err := NewRepoEngine(repo, Options{Workers: 1}).Eval(ctx, plan)
+		res, err := NewRepoEngine(repo, Options{}).Eval(ctx, plan)
 		if err != nil {
 			failures++
 			t.Errorf("eval %d under chaos: %v", i, err)
@@ -370,10 +370,10 @@ func (p *panicVector) Scan(start, n int64, fn func(pos int64, val []byte) error)
 }
 
 // poisonedEngine returns an engine whose book-title vector panics on Scan.
-func poisonedEngine(t testing.TB, repo *vectorize.Repository, opts Options) *Engine {
+func poisonedEngine(t testing.TB, repo *vectorize.Repository) *Engine {
 	t.Helper()
 	name, _, _, _ := bookTitleVector(t, repo)
-	e := NewEngine(repo.Skel, repo.Classes, &panicSet{Set: repo.Vectors, trigger: name}, repo.Syms, opts)
+	e := NewEngine(repo.Skel, repo.Classes, &panicSet{Set: repo.Vectors, trigger: name}, repo.Syms, Options{})
 	e.Health = repo.Health
 	return e
 }
@@ -387,87 +387,51 @@ func TestPanicIsolation(t *testing.T) {
 	plan := planFor(t, concurrentQueries[0])
 	ctx := context.Background()
 
-	for _, tc := range []struct {
-		name string
-		opts Options
-	}{
-		{"serial", Options{Workers: 1}},
-		// Workers>1 exercises the fan-out: a panic on a worker goroutine
-		// cannot unwind to the eval boundary's recover, so parallelFor
-		// forwards it as a *PanicError through the error channel.
-		{"workers", Options{Workers: 4}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			panics := obs.GetCounter("core.query_panics")
-			panics0 := panics.Load()
-			ring0 := len(obs.Panics.List())
+	t.Run("serial", func(t *testing.T) {
+		panics := obs.GetCounter("core.query_panics")
+		panics0 := panics.Load()
+		ring0 := len(obs.Panics.List())
 
-			var wg sync.WaitGroup
-			for g := 0; g < 8; g++ {
-				wg.Add(1)
-				go func(g int) {
-					defer wg.Done()
-					res, err := NewRepoEngine(repo, tc.opts).Eval(ctx, plan)
-					if err != nil {
-						t.Errorf("concurrent clean query %d: %v", g, err)
-						return
-					}
-					if res.Skel == nil {
-						t.Errorf("concurrent clean query %d: nil skeleton", g)
-					}
-				}(g)
-			}
-
-			_, err := poisonedEngine(t, repo, tc.opts).Eval(ctx, plan)
-			wg.Wait()
-			if !errors.Is(err, ErrInternal) {
-				t.Fatalf("poisoned eval = %v, want ErrInternal", err)
-			}
-			var pe *PanicError
-			if !errors.As(err, &pe) {
-				t.Fatalf("poisoned eval error %T does not unwrap to *PanicError", err)
-			}
-			if !strings.Contains(pe.Error(), "injected: poisoned vector scan") {
-				t.Errorf("PanicError = %q, want the injected panic value", pe.Error())
-			}
-			if len(pe.Stack) == 0 || !strings.Contains(string(pe.Stack), "panicVector") {
-				t.Errorf("captured stack does not show the panicking frame:\n%s", pe.Stack)
-			}
-			if d := panics.Load() - panics0; d != 1 {
-				t.Errorf("core.query_panics delta = %d, want 1", d)
-			}
-			ring := obs.Panics.List()
-			if len(ring) != ring0+1 {
-				t.Fatalf("panic ring grew by %d, want 1", len(ring)-ring0)
-			}
-			if rec := ring[0]; !strings.Contains(rec.Value, "injected: poisoned vector scan") || rec.Stack == "" {
-				t.Errorf("newest panic record = %+v, want injected value with stack", rec)
-			}
-		})
-	}
-}
-
-// TestParallelForWorkerPanicBecomesError pins the worker-side conversion
-// directly: a panic inside a fanned-out task surfaces as a *PanicError
-// from parallelFor, not a process crash.
-func TestParallelForWorkerPanicBecomesError(t *testing.T) {
-	err := parallelFor(context.Background(), 4, 16, func(i int) error {
-		if i == 7 {
-			panic("worker boom")
+		var wg sync.WaitGroup
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				res, err := NewRepoEngine(repo, Options{}).Eval(ctx, plan)
+				if err != nil {
+					t.Errorf("concurrent clean query %d: %v", g, err)
+					return
+				}
+				if res.Skel == nil {
+					t.Errorf("concurrent clean query %d: nil skeleton", g)
+				}
+			}(g)
 		}
-		return nil
+
+		_, err := poisonedEngine(t, repo).Eval(ctx, plan)
+		wg.Wait()
+		if !errors.Is(err, ErrInternal) {
+			t.Fatalf("poisoned eval = %v, want ErrInternal", err)
+		}
+		var pe *PanicError
+		if !errors.As(err, &pe) {
+			t.Fatalf("poisoned eval error %T does not unwrap to *PanicError", err)
+		}
+		if !strings.Contains(pe.Error(), "injected: poisoned vector scan") {
+			t.Errorf("PanicError = %q, want the injected panic value", pe.Error())
+		}
+		if len(pe.Stack) == 0 || !strings.Contains(string(pe.Stack), "panicVector") {
+			t.Errorf("captured stack does not show the panicking frame:\n%s", pe.Stack)
+		}
+		if d := panics.Load() - panics0; d != 1 {
+			t.Errorf("core.query_panics delta = %d, want 1", d)
+		}
+		ring := obs.Panics.List()
+		if len(ring) != ring0+1 {
+			t.Fatalf("panic ring grew by %d, want 1", len(ring)-ring0)
+		}
+		if rec := ring[0]; !strings.Contains(rec.Value, "injected: poisoned vector scan") || rec.Stack == "" {
+			t.Errorf("newest panic record = %+v, want injected value with stack", rec)
+		}
 	})
-	if !errors.Is(err, ErrInternal) {
-		t.Fatalf("parallelFor = %v, want ErrInternal", err)
-	}
-	var pe *PanicError
-	if !errors.As(err, &pe) {
-		t.Fatalf("parallelFor error %T is not a *PanicError", err)
-	}
-	if pe.Value != "worker boom" {
-		t.Errorf("PanicError.Value = %v, want worker boom", pe.Value)
-	}
-	if len(pe.Stack) == 0 {
-		t.Error("worker PanicError has no stack")
-	}
 }

@@ -131,10 +131,8 @@ func existsRuns(curs []*skeleton.Cursor, n int64) []span {
 // "value op bound". Each row, per chain from its class, scans the chain's
 // vector over its span — or, when the chain's text class has a vector
 // index, looks the matching positions up there — and maps hits back up to
-// its occurrences. The rows fan out across the worker pool (pathRes.scan);
-// per-chunk hit lists and scan counters merge in chunk order and the hits
-// are sorted before span building, so the result — spans and stats — is
-// identical to a serial scan.
+// its occurrences. The rows go in column-entry order (pathRes.scan), and
+// the hits are sorted before span building.
 func (x *evalContext) matchedSpans(seg *Segment, col int, p *pathRes, op xq.CmpOp, bound string) ([]span, error) {
 	var indexed [][]int64 // per slot; non-nil: the matching positions
 	index := func(slot int, text skeleton.ClassID) bool {
@@ -147,10 +145,8 @@ func (x *evalContext) matchedSpans(seg *Segment, col int, p *pathRes, op xq.CmpO
 	}
 	bd := xq.NewBound(bound)
 	last := col == len(seg.Classes)-1
-	nch := rowChunks(x.e.workers(), len(seg.Rows))
-	hitsByChunk := make([][]int64, nch)
-	scannedByChunk := make([]int64, nch)
-	err := p.scan(seg, col, nch, index, func(sr scanRow) error {
+	var hits []int64
+	err := p.scan(seg, col, index, func(sr scanRow) error {
 		n := int64(1)
 		if last {
 			n = seg.Rows[sr.ri].Run
@@ -164,14 +160,14 @@ func (x *evalContext) matchedSpans(seg *Segment, col int, p *pathRes, op xq.CmpO
 			if ps := indexed[ch.slot]; ps != nil {
 				i, _ := slices.BinarySearch(ps, start)
 				for ; i < len(ps) && ps[i] < start+count; i++ {
-					hitsByChunk[sr.ci] = append(hitsByChunk[sr.ci], seg.entry(col, sr.class, ascendPos(ch.down, ps[i])))
+					hits = append(hits, seg.entry(col, sr.class, ascendPos(ch.down, ps[i])))
 				}
 				continue
 			}
-			scannedByChunk[sr.ci] += count
-			err := sr.rs.get(ch).Scan(start, count, func(pos int64, val []byte) error {
+			x.stats.ValuesScanned += count
+			err := sr.rds[ch.slot].Scan(start, count, func(pos int64, val []byte) error {
 				if bd.Holds(string(val), op) {
-					hitsByChunk[sr.ci] = append(hitsByChunk[sr.ci], seg.entry(col, sr.class, ascendPos(ch.down, pos)))
+					hits = append(hits, seg.entry(col, sr.class, ascendPos(ch.down, pos)))
 				}
 				return nil
 			})
@@ -183,11 +179,6 @@ func (x *evalContext) matchedSpans(seg *Segment, col int, p *pathRes, op xq.CmpO
 	})
 	if err != nil {
 		return nil, err
-	}
-	var hits []int64
-	for ci := 0; ci < nch; ci++ {
-		hits = append(hits, hitsByChunk[ci]...)
-		x.stats.ValuesScanned += scannedByChunk[ci]
 	}
 	slices.Sort(hits)
 	return spansFromSorted(hits), nil

@@ -33,7 +33,7 @@ func TestSelectionAllocsFlat(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			return NewEngine(repo.Skel, repo.Classes, repo.Vectors, syms, Options{Workers: 1})
+			return NewEngine(repo.Skel, repo.Classes, repo.Vectors, syms, Options{})
 		},
 		"paged": func(doc string) *Engine {
 			repo, err := vectorize.Create(strings.NewReader(doc), "repo", vectorize.Options{PoolPages: 64, FS: storage.NewMemFS()})
@@ -41,7 +41,7 @@ func TestSelectionAllocsFlat(t *testing.T) {
 				t.Fatal(err)
 			}
 			t.Cleanup(func() { repo.Close() })
-			return NewRepoEngine(repo, Options{Workers: 1})
+			return NewRepoEngine(repo, Options{})
 		},
 	}
 	for name, open := range engines {

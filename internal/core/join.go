@@ -157,8 +157,8 @@ func (s *joinSide) unit(u int) (int, int64) {
 
 // scanUnits reads s's join values, one scan per row and chain over the
 // row's whole run (pathRes.scan), and calls fn with the value's unit
-// (through the chain's cursors) and the value. It reads in one pass:
-// readers of their own per chunk would re-read pages.
+// (through the chain's cursors) and the value, in one pass over the
+// evaluation's readers.
 func (x *evalContext) scanUnits(s *joinSide, fn func(u int, val []byte)) error {
 	var down []*skeleton.Cursor
 	var occ, n int64
@@ -171,7 +171,7 @@ func (x *evalContext) scanUnits(s *joinSide, fn func(u int, val []byte)) error {
 		fn(u, val)
 		return nil
 	}
-	return x.paths(s.path, true).scan(&s.t.Segment, s.col, 1, nil, func(sr scanRow) error {
+	return x.paths(s.path, true).scan(&s.t.Segment, s.col, nil, func(sr scanRow) error {
 		occ, n, u0 = sr.occ, s.width(sr.ri), s.base[sr.ri]
 		for i := range sr.chains {
 			ch := &sr.chains[i]
@@ -181,7 +181,7 @@ func (x *evalContext) scanUnits(s *joinSide, fn func(u int, val []byte)) error {
 			}
 			x.stats.ValuesScanned += count
 			down = ch.down
-			if err := sr.rs.get(ch).Scan(start, count, visit); err != nil {
+			if err := sr.rds[ch.slot].Scan(start, count, visit); err != nil {
 				return err
 			}
 		}

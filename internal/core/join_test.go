@@ -116,7 +116,7 @@ func TestCrossJoinCountsWithoutExpanding(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		eng := NewRepoEngine(repo, Options{Workers: 1})
+		eng := NewRepoEngine(repo, Options{})
 		res, tr, err := eng.EvalTraced(context.Background(), plan)
 		if err != nil {
 			t.Fatal(err)

@@ -15,8 +15,8 @@ import (
 
 // meteredEval opens the repository at dir with a fresh buffer pool (so
 // page-fault counts do not depend on what earlier runs left cached),
-// evaluates the plan once under a fresh TaskMeter with Workers=1 (a
-// deterministic scan order keeps LRU hits/misses exactly reproducible),
+// evaluates the plan once under a fresh TaskMeter (an evaluation scans in
+// a fixed order, so LRU hits/misses are exactly reproducible),
 // and returns the meter's final counters.
 func meteredEval(t *testing.T, dir string, src string) obs.TaskCounters {
 	t.Helper()
@@ -27,7 +27,7 @@ func meteredEval(t *testing.T, dir string, src string) obs.TaskCounters {
 	defer repo.Close()
 	meter := &obs.TaskMeter{}
 	ctx := obs.WithMeter(context.Background(), meter)
-	eng := NewRepoEngine(repo, Options{Workers: 1})
+	eng := NewRepoEngine(repo, Options{})
 	if _, err := eng.Eval(ctx, planFor(t, src)); err != nil {
 		t.Fatalf("eval: %v", err)
 	}
@@ -135,7 +135,7 @@ func TestActiveQueryRegistryCancel(t *testing.T) {
 	if err != nil {
 		t.Fatalf("vectorize: %v", err)
 	}
-	eng := NewEngine(repo.Skel, repo.Classes, repo.Vectors, syms, Options{Workers: 1})
+	eng := NewEngine(repo.Skel, repo.Classes, repo.Vectors, syms, Options{})
 	// A cross join with no predicate: ~4.5M result tuples, each copying
 	// two subtrees — many seconds of emit work if never cancelled.
 	src := `<result>

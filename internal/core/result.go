@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"runtime/debug"
 	"strings"
@@ -27,10 +26,9 @@ import (
 // a per-call context, and the shared engine caches are locked.
 //
 // Cancelling ctx makes Eval return ctx.Err() promptly (cancellation is
-// observed between operations, between parallel scan tasks, every few
-// thousand scanned values, and between result tuples). A cancelled Eval
-// leaves the engine fully reusable: all abandoned state was owned by this
-// call alone.
+// observed between operations, every few thousand scanned values, and
+// between result tuples). A cancelled Eval leaves the engine fully
+// reusable: all abandoned state was owned by this call alone.
 func (e *Engine) Eval(ctx context.Context, plan *qgraph.Plan) (*vectorize.MemRepository, error) {
 	out := vector.NewMemSet()
 	skel, err := e.evalWithSink(ctx, plan, vectorize.MemSink{Set: out})
@@ -171,20 +169,16 @@ func (e *Engine) evalWithSinkTraced(ctx context.Context, plan *qgraph.Plan, sink
 	// typed *PanicError on this query alone — the process and every other
 	// in-flight query survive. Declared after the telemetry defer so LIFO
 	// runs it first: by the time the telemetry defer publishes, err already
-	// holds the converted panic. Worker-goroutine panics arrive as an
-	// already-converted *PanicError in err (see parallelFor) and are
-	// recorded on the same terms.
+	// holds the converted panic.
 	defer func() {
-		var pe *PanicError
 		//vx:recover-boundary the engine's sanctioned eval recover choke point
-		if r := recover(); r != nil {
-			stack := debug.Stack()
-			pe = &PanicError{Value: r, Stack: stack}
-			skel = nil
-			err = pe
-		} else if !errors.As(err, &pe) {
+		r := recover()
+		if r == nil {
 			return
 		}
+		pe := &PanicError{Value: r, Stack: debug.Stack()}
+		skel = nil
+		err = pe
 		obsQueryPanics.Inc()
 		var q string
 		if label != nil {

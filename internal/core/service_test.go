@@ -71,7 +71,7 @@ func TestServiceSingleFlight(t *testing.T) {
 	defer repo.Close()
 	// Result cache off: every request must either lead or follow the
 	// flight, never hit a cache.
-	svc := NewService(repo, ServiceConfig{Opts: Options{Workers: 1}, PlanCacheSize: 8})
+	svc := NewService(repo, ServiceConfig{PlanCacheSize: 8})
 	gate := make(chan struct{})
 	svc.testLeaderGate = func(string, uint64) { <-gate }
 
@@ -164,7 +164,7 @@ func TestServiceResultCache(t *testing.T) {
 		t.Fatalf("open repo: %v", err)
 	}
 	defer repo.Close()
-	svc := NewService(repo, ServiceConfig{Opts: Options{Workers: 1}, PlanCacheSize: 8, ResultCacheSize: 8})
+	svc := NewService(repo, ServiceConfig{PlanCacheSize: 8, ResultCacheSize: 8})
 
 	r1, src1, err := svc.Query(context.Background(), svcQuery)
 	if err != nil {
@@ -227,7 +227,7 @@ func TestServiceEpochInvalidation(t *testing.T) {
 		t.Fatalf("open repo: %v", err)
 	}
 	defer repo.Close()
-	svc := NewService(repo, ServiceConfig{Opts: Options{Workers: 1}, PlanCacheSize: 8, ResultCacheSize: 8})
+	svc := NewService(repo, ServiceConfig{PlanCacheSize: 8, ResultCacheSize: 8})
 
 	r1, src1, err := svc.Query(context.Background(), svcQuery)
 	if err != nil {
@@ -282,7 +282,7 @@ func TestServiceEpochMidAppend(t *testing.T) {
 		t.Fatalf("open repo: %v", err)
 	}
 	defer repo.Close()
-	svc := NewService(repo, ServiceConfig{Opts: Options{Workers: 1}, PlanCacheSize: 8, ResultCacheSize: 8})
+	svc := NewService(repo, ServiceConfig{PlanCacheSize: 8, ResultCacheSize: 8})
 	epochBefore := repo.Epoch()
 
 	parked := make(chan struct{})
@@ -456,7 +456,7 @@ func TestServiceFollowerRetry(t *testing.T) {
 		t.Fatalf("open repo: %v", err)
 	}
 	defer repo.Close()
-	svc := NewService(repo, ServiceConfig{Opts: Options{Workers: 1}, PlanCacheSize: 8, ResultCacheSize: 8})
+	svc := NewService(repo, ServiceConfig{PlanCacheSize: 8, ResultCacheSize: 8})
 
 	parked := make(chan struct{})
 	release := make(chan struct{})

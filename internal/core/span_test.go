@@ -21,7 +21,7 @@ func TestServiceSpanTreeGolden(t *testing.T) {
 		t.Fatalf("open repo: %v", err)
 	}
 	defer repo.Close()
-	svc := NewService(repo, ServiceConfig{Opts: Options{Workers: 1}, PlanCacheSize: 8, ResultCacheSize: 8})
+	svc := NewService(repo, ServiceConfig{PlanCacheSize: 8, ResultCacheSize: 8})
 
 	obs.Traces.Configure(8, 1, 0)
 	defer obs.Traces.Configure(128, 1, 0)

@@ -124,57 +124,3 @@ func TestTraceDeltasSumToTotal(t *testing.T) {
 		t.Errorf("trace total %+v != engine stats %+v", tr.Total, eng.Stats())
 	}
 }
-
-// statsQueries exercises every parallelizable path: plain selection,
-// comparison selection, cross-table value join, descendant/wildcard
-// projection, and the full q0.
-var statsQueries = []string{
-	`for $b in /bib/book where $b/publisher = 'SBP' return $b/title`,
-	`for $b in /bib/book where $b/title > 'B' return $b/publisher`,
-	`for $x in /bib/*[author]//title return $x`,
-	q0,
-}
-
-// TestEvalStatsParallelMatchesSerial audits the stats merge under worker
-// parallelism: a parallel evaluation must produce byte-identical results
-// AND identical counters to serial evaluation, every field of them.
-// Run under -race this also audits the merge for data races.
-func TestEvalStatsParallelMatchesSerial(t *testing.T) {
-	for _, src := range statsQueries {
-		serialEng, plan := traceEngine(t, bibXML, src, Options{})
-		serialRes, err := serialEng.Eval(context.Background(), plan)
-		if err != nil {
-			t.Fatalf("%s: serial eval: %v", src, err)
-		}
-		parEng, parPlan := traceEngine(t, bibXML, src, Options{Workers: 8})
-		parRes, err := parEng.Eval(context.Background(), parPlan)
-		if err != nil {
-			t.Fatalf("%s: parallel eval: %v", src, err)
-		}
-		if got, want := resultXML(t, parRes), resultXML(t, serialRes); got != want {
-			t.Errorf("%s: parallel result %s != serial %s", src, got, want)
-		}
-		if s, p := serialEng.Stats(), parEng.Stats(); s != p {
-			t.Errorf("%s: stats diverge under Workers=8\nserial   %+v\nparallel %+v", src, s, p)
-		}
-	}
-}
-
-// Same audit for the traced path: per-op deltas must still sum to the
-// totals when scans fan out across workers.
-func TestTracedStatsParallel(t *testing.T) {
-	for _, src := range statsQueries {
-		eng, plan := traceEngine(t, bibXML, src, Options{Workers: 8})
-		_, tr, err := eng.EvalTraced(context.Background(), plan)
-		if err != nil {
-			t.Fatalf("%s: eval: %v", src, err)
-		}
-		var sum EvalStats
-		for _, op := range tr.Ops {
-			sum.add(op.Stats)
-		}
-		if sum != tr.Total {
-			t.Errorf("%s: op deltas sum %+v != total %+v", src, sum, tr.Total)
-		}
-	}
-}

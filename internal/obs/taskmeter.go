@@ -11,7 +11,7 @@ import (
 // method is safe on a nil receiver (one predictable branch), so hot paths
 // charge unconditionally and unmetered callers pay nothing but the check.
 // All fields are atomics: a meter is read live (the active-query listing)
-// while parallel scan workers of the same evaluation bump it.
+// while its evaluation bumps it.
 type TaskMeter struct {
 	pagesFaulted     atomic.Int64
 	bytesRead        atomic.Int64

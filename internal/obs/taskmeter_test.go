@@ -46,8 +46,8 @@ func TestTaskMeterCounts(t *testing.T) {
 	}
 }
 
-// TestTaskMeterConcurrent: parallel workers of one evaluation charge the
-// same meter; totals must be exact (meaningful under -race).
+// TestTaskMeterConcurrent: goroutines charging the same meter at once
+// leave exact totals (meaningful under -race).
 func TestTaskMeterConcurrent(t *testing.T) {
 	m := &TaskMeter{}
 	var wg sync.WaitGroup

@@ -219,7 +219,7 @@ func (p *panicOnScanVector) Scan(start, n int64, fn func(pos int64, val []byte) 
 func TestPanicIsolationHTTP(t *testing.T) {
 	repo := createServeRepo(t, genServeBib(50))
 	repo.Vectors = &panicOnScanSet{Set: repo.Vectors, trigger: titleVector}
-	base, cancel, done := startServer(t, Config{Repo: repo, Workers: 2})
+	base, cancel, done := startServer(t, Config{Repo: repo})
 	defer func() { cancel(); <-done }()
 
 	var wg sync.WaitGroup

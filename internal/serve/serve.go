@@ -57,8 +57,6 @@ type Config struct {
 	// GET /debug/shards reports per-shard status. Repo is ignored when
 	// Federation is set.
 	Federation *shard.Federation
-	// Workers is the per-query scan worker pool size (core.Options.Workers).
-	Workers int
 	// Timeout caps each request's evaluation time; requests may ask for
 	// less via timeout_ms but never more. 0 = no cap.
 	Timeout time.Duration
@@ -249,7 +247,6 @@ func New(cfg Config) *Server {
 		s.exporter = obs.NewTraceExporter(cfg.TraceExport, "")
 	}
 	scfg := core.ServiceConfig{
-		Opts:             core.Options{Workers: cfg.Workers},
 		PlanCacheSize:    cfg.PlanCacheSize,
 		ResultCacheSize:  cfg.ResultCacheSize,
 		MaxInflight:      cfg.MaxInflight,

@@ -84,9 +84,9 @@ func TestServeOverloadSheds(t *testing.T) {
 	}
 	t.Cleanup(func() { repo.Close() })
 
-	// Workers=1 keeps the cross join serial, so it reliably outlives the
+	// The cross join runs on one goroutine, so it reliably outlives the
 	// shed request even on a many-core runner.
-	base, cancel, done := startServer(t, Config{Repo: repo, MaxInflight: 1, Workers: 1})
+	base, cancel, done := startServer(t, Config{Repo: repo, MaxInflight: 1})
 	defer func() { cancel(); <-done }()
 
 	// Request A: a multi-second cross join, capped by its own timeout so

@@ -137,7 +137,7 @@ func TestServeQueryEndToEnd(t *testing.T) {
 // request counter must have advanced by at least the queries sent, and no
 // counter may ever decrease between scrapes.
 func TestServeConcurrentQueries(t *testing.T) {
-	base, cancel, done := startServer(t, Config{Workers: 2})
+	base, cancel, done := startServer(t, Config{})
 	defer func() { cancel(); <-done }()
 
 	before := scrapeMetrics(t, base)

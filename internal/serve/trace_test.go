@@ -247,7 +247,6 @@ func TestFederationTraceUnderShardFault(t *testing.T) {
 		ResultCacheSize: 16,
 		ReadRetries:     4,
 		RetryBackoff:    50 * time.Microsecond,
-		Workers:         1,
 	}
 	base, cancel, done := startServer(t, cfg)
 	defer func() { cancel(); <-done }()

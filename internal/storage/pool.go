@@ -40,8 +40,13 @@ type BufferPool struct {
 	capacity int
 	frames   map[pageKey]*Frame
 	lru      Frame // sentinel of the ring of unpinned frames: lru.next is the least recently used
-	stats    Stats
+	stats    poolCounters
 	retry    RetryPolicy // guarded by mu
+}
+
+// poolCounters are a BufferPool's I/O counters, read as a Stats snapshot.
+type poolCounters struct {
+	hits, misses, pagesRead, pagesWrite, evictions atomic.Int64
 }
 
 // NewBufferPool returns a pool holding at most capacity pages.
@@ -166,12 +171,12 @@ func (p *BufferPool) getOnce(f *File, pageNo int64, m *obs.TaskMeter) (*Frame, e
 	if fr, ok := p.frames[key]; ok {
 		fr.pins++
 		p.unlink(fr)
-		atomic.AddInt64(&p.stats.Hits, 1)
+		p.stats.hits.Add(1)
 		obsPoolHits.Inc()
 		p.mu.Unlock()
 		return fr, nil
 	}
-	atomic.AddInt64(&p.stats.Misses, 1)
+	p.stats.misses.Add(1)
 	obsPoolMisses.Inc()
 	fr, err := p.newFrameLocked(key, f)
 	if err != nil {
@@ -181,7 +186,7 @@ func (p *BufferPool) getOnce(f *File, pageNo int64, m *obs.TaskMeter) (*Frame, e
 	// Fill under the lock so a racing Get for the same page never observes
 	// an empty frame. I/O under a mutex is coarse, but eviction writes
 	// already happen here and the engine is sequential per query.
-	atomic.AddInt64(&p.stats.PagesRead, 1)
+	p.stats.pagesRead.Add(1)
 	obsPoolReads.Inc()
 	err = f.readPage(pageNo, fr.full)
 	if err != nil && errors.Is(err, ErrCorrupt) {
@@ -189,7 +194,7 @@ func (p *BufferPool) getOnce(f *File, pageNo int64, m *obs.TaskMeter) (*Frame, e
 		// reads clean the second time; persistent corruption does not and
 		// gets no further disk traffic from this pool.
 		obsCorruptRereads.Inc()
-		atomic.AddInt64(&p.stats.PagesRead, 1)
+		p.stats.pagesRead.Add(1)
 		obsPoolReads.Inc()
 		err = f.readPage(pageNo, fr.full)
 	}
@@ -252,10 +257,10 @@ func (p *BufferPool) newFrameLocked(key pageKey, f *File) (*Frame, error) {
 		}
 		p.unlink(vf)
 		delete(p.frames, vf.key)
-		atomic.AddInt64(&p.stats.Evictions, 1)
+		p.stats.evictions.Add(1)
 		obsPoolEvictions.Inc()
 		if vf.dirty {
-			atomic.AddInt64(&p.stats.PagesWrite, 1)
+			p.stats.pagesWrite.Add(1)
 			obsPoolWrites.Inc()
 			if err := vf.file.writePage(vf.key.page, vf.full); err != nil {
 				return nil, err
@@ -304,7 +309,7 @@ func (p *BufferPool) Flush() error {
 	defer p.mu.Unlock()
 	for _, fr := range p.frames {
 		if fr.dirty {
-			atomic.AddInt64(&p.stats.PagesWrite, 1)
+			p.stats.pagesWrite.Add(1)
 			obsPoolWrites.Inc()
 			if err := fr.file.writePage(fr.key.page, fr.full); err != nil {
 				return err
@@ -338,7 +343,7 @@ func (p *BufferPool) drop(f *File, match func(page int64) bool) error {
 			return fmt.Errorf("storage: drop %s: page %d still pinned", f.path, key.page)
 		}
 		if fr.dirty {
-			atomic.AddInt64(&p.stats.PagesWrite, 1)
+			p.stats.pagesWrite.Add(1)
 			obsPoolWrites.Inc()
 			if err := fr.file.writePage(fr.key.page, fr.full); err != nil {
 				return err
@@ -374,19 +379,19 @@ func (p *BufferPool) Truncate(f *File, pages int64) error {
 // StatsSnapshot returns a copy of the pool's I/O counters.
 func (p *BufferPool) StatsSnapshot() Stats {
 	return Stats{
-		Hits:       atomic.LoadInt64(&p.stats.Hits),
-		Misses:     atomic.LoadInt64(&p.stats.Misses),
-		PagesRead:  atomic.LoadInt64(&p.stats.PagesRead),
-		PagesWrite: atomic.LoadInt64(&p.stats.PagesWrite),
-		Evictions:  atomic.LoadInt64(&p.stats.Evictions),
+		Hits:       p.stats.hits.Load(),
+		Misses:     p.stats.misses.Load(),
+		PagesRead:  p.stats.pagesRead.Load(),
+		PagesWrite: p.stats.pagesWrite.Load(),
+		Evictions:  p.stats.evictions.Load(),
 	}
 }
 
 // ResetStats zeroes the I/O counters (between benchmark runs).
 func (p *BufferPool) ResetStats() {
-	atomic.StoreInt64(&p.stats.Hits, 0)
-	atomic.StoreInt64(&p.stats.Misses, 0)
-	atomic.StoreInt64(&p.stats.PagesRead, 0)
-	atomic.StoreInt64(&p.stats.PagesWrite, 0)
-	atomic.StoreInt64(&p.stats.Evictions, 0)
+	p.stats.hits.Store(0)
+	p.stats.misses.Store(0)
+	p.stats.pagesRead.Store(0)
+	p.stats.pagesWrite.Store(0)
+	p.stats.evictions.Store(0)
 }

@@ -65,7 +65,6 @@ func TestChaosSoak(t *testing.T) {
 		Budget:     1 << 20,
 	})
 	svc := core.NewService(repo, core.ServiceConfig{
-		Opts:            core.Options{Workers: 2},
 		PlanCacheSize:   64,
 		ResultCacheSize: 4, // smaller than the query mix: both cached and evaluated paths run
 		MaxInflight:     4, // smaller than the worker count: admission sheds under the burst

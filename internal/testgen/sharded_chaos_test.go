@@ -81,7 +81,6 @@ func TestShardedChaosSoak(t *testing.T) {
 	}
 	fed := &shard.Federation{Dir: dir, Catalog: cat, Shards: repos}
 	svc := shard.NewService(fed, core.ServiceConfig{
-		Opts:            core.Options{Workers: 2},
 		PlanCacheSize:   64,
 		ResultCacheSize: 4, // smaller than the query mix: both cached and scattered paths run
 		MaxInflight:     4,

@@ -53,14 +53,22 @@ func (p *Parser) Run(h Handler) error {
 			}
 			seenRoot = true
 			depth++
-			if err := h.Event(Event{Kind: StartElement, Tag: p.syms.Intern(t.Name.Local)}); err != nil {
+			tag, err := localName(t.Name)
+			if err != nil {
+				return err
+			}
+			if err := h.Event(Event{Kind: StartElement, Tag: p.syms.Intern(tag)}); err != nil {
 				return err
 			}
 			for _, a := range t.Attr {
 				if a.Name.Space == "xmlns" || a.Name.Local == "xmlns" {
 					continue
 				}
-				at := p.syms.Intern("@" + a.Name.Local)
+				name, err := localName(a.Name)
+				if err != nil {
+					return err
+				}
+				at := p.syms.Intern("@" + name)
 				if err := h.Event(Event{Kind: StartElement, Tag: at}); err != nil {
 					return err
 				}
@@ -91,6 +99,19 @@ func (p *Parser) Run(h Handler) error {
 			// Not part of the data model.
 		}
 	}
+}
+
+// localName returns the name the data model keeps for n: its local part.
+// The decoder checks a prefixed name only as a whole, so a local part that
+// cannot start a name on its own ("0" in "a:0") is rejected here; it would
+// not parse back.
+func localName(n xml.Name) (string, error) {
+	if n.Space != "" {
+		if _, err := xml.NewDecoder(strings.NewReader("<" + n.Local + "/>")).Token(); err != nil {
+			return "", fmt.Errorf("xmlmodel: parse: invalid local name %q", n.Local)
+		}
+	}
+	return n.Local, nil
 }
 
 // Parse reads a complete document from r into a tree.
