@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	vxlint [-only name,name] [-list] [-json] [packages]
+//	vxlint [-only name,name] [-list] [packages]
 //
 // Patterns default to ./... in the current directory. Exit status is 0 when
 // clean, 1 when any analyzer reports a finding, 2 on a load or usage error.
@@ -12,7 +12,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -24,9 +23,8 @@ import (
 
 func main() {
 	var (
-		only   = flag.String("only", "", "comma-separated analyzer names to run (default: all)")
-		list   = flag.Bool("list", false, "list analyzers and exit")
-		asJSON = flag.Bool("json", false, "emit findings as a JSON array on stdout")
+		only = flag.String("only", "", "comma-separated analyzer names to run (default: all)")
+		list = flag.Bool("list", false, "list analyzers and exit")
 	)
 	flag.Parse()
 
@@ -65,49 +63,15 @@ func main() {
 		fmt.Fprintf(os.Stderr, "vxlint: %v\n", err)
 		os.Exit(2)
 	}
-	if *asJSON {
-		if err := writeJSON(os.Stdout, diags); err != nil {
-			fmt.Fprintf(os.Stderr, "vxlint: %v\n", err)
-			os.Exit(2)
-		}
-	} else {
-		writeText(os.Stdout, diags)
-	}
+	writeText(os.Stdout, diags)
 	if len(diags) > 0 {
 		fmt.Fprintf(os.Stderr, "vxlint: %d finding(s)\n", len(diags))
 		os.Exit(1)
 	}
 }
 
-// jsonDiag is the machine-readable finding shape: flat fields, stable
-// names — what the CI problem matcher and the nightly artifact consume.
-type jsonDiag struct {
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Col      int    `json:"col"`
-	Analyzer string `json:"analyzer"`
-	Message  string `json:"message"`
-}
-
-// writeJSON emits findings as an indented JSON array (an empty run is
-// the empty array, never null).
-func writeJSON(w io.Writer, diags []analysis.Diagnostic) error {
-	out := make([]jsonDiag, 0, len(diags))
-	for _, d := range diags {
-		out = append(out, jsonDiag{
-			File:     d.Pos.Filename,
-			Line:     d.Pos.Line,
-			Col:      d.Pos.Column,
-			Analyzer: d.Analyzer,
-			Message:  d.Message,
-		})
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(out)
-}
-
-// writeText emits findings one per line in file:line:col form.
+// writeText emits findings one per line in file:line:col form, the form
+// CI's problem matcher (.github/vxlint-problem-matcher.json) parses.
 func writeText(w io.Writer, diags []analysis.Diagnostic) {
 	for _, d := range diags {
 		fmt.Fprintln(w, d)

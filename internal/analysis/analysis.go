@@ -1,29 +1,25 @@
 // Package analysis is a self-contained static-analysis framework with the
 // go/analysis vocabulary (Analyzer, Pass, Diagnostic) built entirely on the
-// standard library's go/ast and go/types. It exists because this repository
-// carries invariants that code review cannot reliably enforce — decode
-// errors wrapping storage.ErrCorrupt, mutex-guarded cache fields, the
-// cancellation-polling cadence, fsync-before-rename commit order, obs
-// metric naming, and 64-bit atomic alignment — and each of them is
-// mechanically checkable. cmd/vxlint is the multichecker driver; the
-// analyzers live in this package alongside the loader.
+// standard library's go/ast and go/types. It holds the invariants whose
+// violation no test in the repository catches (EXPERIMENTS.md keeps the
+// mutation audit that decides this): decode errors wrapping
+// storage.ErrCorrupt (corrupterr), the cancellation-polling cadence
+// (ctxpoll), mutex-guarded fields (lockguard), obs metric and span naming
+// (obsnames), recover() only at sanctioned boundaries (recoverscope) and
+// a cycle-free global lock order (lockorder, the one whole-program pass).
+// cmd/vxlint runs the suite; the analyzers live in this package
+// alongside the loader.
 //
 // # Escape hatches
 //
-// Every analyzer has an annotation escape so that a human decision is
-// recorded next to the code it covers:
+// Analyzers take //vx: annotations so that a human decision is recorded
+// next to the code it covers:
 //
 //	//vx:unreachable <why>        a panic that no input bytes can reach (corrupterr)
 //	//vx:locked <mu> <why>        every caller holds <mu> (lockguard)
 //	//vx:rawvector <why>          a sanctioned raw Vectors.Vector open (ctxpoll)
-//	//vx:presynced <why>          rename whose contents were fsynced earlier (fsyncorder)
-//	//vx:goroutine-bounded <why>  a goroutine whose termination is proven elsewhere (goleak)
+//	//vx:recover-boundary <why>   a sanctioned recover() choke point (recoverscope)
 //	//vx:lockorder <why>          a lock nesting excluded from the global order graph (lockorder)
-//	//vx:fault-classified <why>   a boundary whose storage errors are classified elsewhere (faultflow)
-//	//vx:alloc <why>              a sanctioned allocation inside a hot loop (hotalloc)
-//
-// plus one positive marker: //vx:hot on a function declaration names a
-// hot-path entry point whose reachable loops hotalloc checks.
 //
 // and lockguard's positive annotation, a trailing field comment:
 //
@@ -49,10 +45,9 @@ type Analyzer struct {
 	Name string
 	// Doc is a one-line description.
 	Doc string
-	// Scope restricts the analyzer to packages whose import path contains
-	// one of these path suffixes (e.g. "internal/core"). Empty means every
-	// package the driver loads. Whole-program analyzers see the entire
-	// program regardless; Scope restricts where they may *report*.
+	// Scope restricts a per-package analyzer to packages whose import
+	// path contains one of these path suffixes (e.g. "internal/core").
+	// Empty means every package loaded.
 	Scope []string
 	// Run applies the analyzer to one package.
 	Run func(*Pass) error

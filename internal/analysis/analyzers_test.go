@@ -8,20 +8,14 @@ import "testing"
 func TestCorruptErrFixture(t *testing.T)   { RunFixture(t, CorruptErr(), "corrupterr") }
 func TestLockGuardFixture(t *testing.T)    { RunFixture(t, LockGuard(), "lockguard") }
 func TestCtxPollFixture(t *testing.T)      { RunFixture(t, CtxPoll(), "ctxpoll") }
-func TestFsyncOrderFixture(t *testing.T)   { RunFixture(t, FsyncOrder(), "fsyncorder") }
 func TestObsNamesFixture(t *testing.T)     { RunFixture(t, ObsNames(), "obsnames") }
 func TestSpanNamesFixture(t *testing.T)    { RunFixture(t, ObsNames(), "spannames") }
 func TestRecoverScopeFixture(t *testing.T) { RunFixture(t, RecoverScope(), "recoverscope") }
 
-// The whole-program analyzers run over a mini-program: the fixture
-// package plus the fixture-local packages it imports. The faultflow
-// fixture sits at import path internal/shard so it counts as a boundary
-// package, and taints from the shared testdata/src/storage stub.
+// lockorder, the whole-program analyzer, runs over its fixture package as
+// a one-package program.
 
-func TestGoLeakFixture(t *testing.T)    { RunProgramFixture(t, GoLeak(), "goleak") }
 func TestLockOrderFixture(t *testing.T) { RunProgramFixture(t, LockOrder(), "lockorder") }
-func TestHotAllocFixture(t *testing.T)  { RunProgramFixture(t, HotAlloc(), "hotalloc") }
-func TestFaultFlowFixture(t *testing.T) { RunProgramFixture(t, FaultFlow(), "internal/shard") }
 
 // TestSuiteCleanOnRepo is `make lint` as a test: the full suite over the
 // full repository must report nothing. Any finding here is either a real

@@ -1,13 +1,11 @@
 package analysis
 
 // A small forward dataflow engine over the call graph. Facts flow from
-// callees toward callers ("what can this call do / return to me?"),
-// which is the direction every whole-program invariant here needs:
-// may-return-an-unclassified-storage-error, may-acquire-these-locks,
-// has-a-context-poll-reachable. An analyzer instantiates FlowProblem
-// with its own lattice element F and Solve iterates to a fixed point
-// with a worklist; monotone Seed/Transfer guarantee termination because
-// every F used here is a finite powerset (or boolean) lattice.
+// callees toward callers ("what can this call do to me?"), which is the
+// direction lockorder's may-acquire-these-locks fact needs. An analyzer
+// instantiates FlowProblem with its own lattice element F and Solve
+// iterates to a fixed point with a worklist; monotone Seed/Transfer
+// guarantee termination because F is a finite powerset lattice.
 
 // A FlowProblem defines one monotone dataflow problem over a Program's
 // call graph.
@@ -16,8 +14,8 @@ type FlowProblem[F any] struct {
 	Seed func(n *FuncNode) F
 	// Transfer folds one outgoing call's callee fact into the node's
 	// accumulating fact, returning the new fact. It is called once per
-	// call edge with a resolved callee, on every worklist visit, after
-	// Seed. Transfer must be monotone in both arguments.
+	// call edge, on every worklist visit, after Seed. Transfer must be
+	// monotone in both arguments.
 	Transfer func(n *FuncNode, acc F, call *Call, callee F) F
 	// Equal reports lattice-element equality; the fixpoint has converged
 	// when no node's fact changes.
@@ -30,9 +28,6 @@ func Solve[F any](p *Program, prob FlowProblem[F]) map[*FuncNode]F {
 	eval := func(n *FuncNode) F {
 		acc := prob.Seed(n)
 		for _, c := range n.Calls {
-			if c.Callee == nil {
-				continue
-			}
 			acc = prob.Transfer(n, acc, c, facts[c.Callee])
 		}
 		return acc
@@ -65,20 +60,4 @@ func Solve[F any](p *Program, prob FlowProblem[F]) map[*FuncNode]F {
 		}
 	}
 	return facts
-}
-
-// SolveBool is Solve for the common boolean ("may ...") lattice: a node's
-// fact is true when its seed is true or any counted call edge's callee
-// fact is true. The edge filter may be nil to count every resolved edge.
-func SolveBool(p *Program, seed func(n *FuncNode) bool, edge func(c *Call) bool) map[*FuncNode]bool {
-	return Solve(p, FlowProblem[bool]{
-		Seed: seed,
-		Transfer: func(n *FuncNode, acc bool, c *Call, callee bool) bool {
-			if edge != nil && !edge(c) {
-				return acc
-			}
-			return acc || callee
-		},
-		Equal: func(a, b bool) bool { return a == b },
-	})
 }

@@ -39,26 +39,12 @@ func stdImports() (*Loader, error) {
 }
 
 // fixtureImporter resolves imports for fixture packages: testdata/src
-// first, standard library second. Fixture-local dependencies keep their
-// parsed files and type info so RunProgramFixture can include them in
-// the whole-program call graph (a taint source living in the fixture's
-// own stub storage package, say).
+// first (companion stubs such as testdata/src/storage), standard library
+// second.
 type fixtureImporter struct {
-	fset  *token.FileSet
-	root  string
-	pkgs  map[string]*types.Package
-	files map[string][]*ast.File
-	infos map[string]*types.Info
-}
-
-func newFixtureImporter(fset *token.FileSet, root string) *fixtureImporter {
-	return &fixtureImporter{
-		fset:  fset,
-		root:  root,
-		pkgs:  make(map[string]*types.Package),
-		files: make(map[string][]*ast.File),
-		infos: make(map[string]*types.Info),
-	}
+	fset *token.FileSet
+	root string
+	pkgs map[string]*types.Package
 }
 
 func newTypesInfo() *types.Info {
@@ -81,15 +67,12 @@ func (im *fixtureImporter) Import(path string) (*types.Package, error) {
 		if err != nil {
 			return nil, err
 		}
-		info := newTypesInfo()
 		conf := types.Config{Importer: im}
-		tp, err := conf.Check(path, im.fset, files, info)
+		tp, err := conf.Check(path, im.fset, files, newTypesInfo())
 		if err != nil {
 			return nil, fmt.Errorf("fixture dep %s: %w", path, err)
 		}
 		im.pkgs[path] = tp
-		im.files[path] = files
-		im.infos[path] = info
 		return tp, nil
 	}
 	std, err := stdImports()
@@ -161,71 +144,49 @@ func collectWants(t *testing.T, fset *token.FileSet, files []*ast.File) []*wantE
 	return wants
 }
 
+// loadFixture parses and type-checks the package at testdata/src/<pkg>.
+func loadFixture(t *testing.T, pkg string) (*token.FileSet, *Package) {
+	t.Helper()
+	root := filepath.Join("testdata", "src")
+	fset := token.NewFileSet()
+	files, err := parseFixtureDir(fset, filepath.Join(root, pkg))
+	if err != nil {
+		t.Fatalf("parse fixture %s: %v", pkg, err)
+	}
+	if len(files) == 0 {
+		t.Fatalf("fixture %s has no Go files", pkg)
+	}
+	info := newTypesInfo()
+	conf := types.Config{Importer: &fixtureImporter{fset: fset, root: root, pkgs: make(map[string]*types.Package)}}
+	tpkg, err := conf.Check(pkg, fset, files, info)
+	if err != nil {
+		t.Fatalf("typecheck fixture %s: %v", pkg, err)
+	}
+	return fset, &Package{ImportPath: pkg, Files: files, Types: tpkg, TypesInfo: info}
+}
+
 // RunFixture applies the analyzer to testdata/src/<pkg> and checks its
 // diagnostics against the fixture's want comments.
 func RunFixture(t *testing.T, a *Analyzer, pkg string) {
 	t.Helper()
-	fset := token.NewFileSet()
-	root := filepath.Join("testdata", "src")
-	files, err := parseFixtureDir(fset, filepath.Join(root, pkg))
-	if err != nil {
-		t.Fatalf("parse fixture %s: %v", pkg, err)
-	}
-	if len(files) == 0 {
-		t.Fatalf("fixture %s has no Go files", pkg)
-	}
-	info := newTypesInfo()
-	im := newFixtureImporter(fset, root)
-	conf := types.Config{Importer: im}
-	tpkg, err := conf.Check(pkg, fset, files, info)
-	if err != nil {
-		t.Fatalf("typecheck fixture %s: %v", pkg, err)
-	}
-	pass := &Pass{Analyzer: a, Fset: fset, Files: files, Pkg: tpkg, TypesInfo: info}
+	fset, p := loadFixture(t, pkg)
+	pass := &Pass{Analyzer: a, Fset: fset, Files: p.Files, Pkg: p.Types, TypesInfo: p.TypesInfo}
 	if err := a.Run(pass); err != nil {
 		t.Fatalf("run %s on fixture %s: %v", a.Name, pkg, err)
 	}
-	checkWants(t, fset, files, pass.diags)
+	checkWants(t, fset, p.Files, pass.diags)
 }
 
-// RunProgramFixture applies a whole-program analyzer to the mini-program
-// rooted at testdata/src/<pkg>: the fixture package plus every
-// fixture-local package it imports (transitively) form the Program, and
-// diagnostics are checked against want comments in the root package's
-// files.
+// RunProgramFixture applies a whole-program analyzer to the fixture
+// package alone as the Program.
 func RunProgramFixture(t *testing.T, a *Analyzer, pkg string) {
 	t.Helper()
-	fset := token.NewFileSet()
-	root := filepath.Join("testdata", "src")
-	files, err := parseFixtureDir(fset, filepath.Join(root, pkg))
-	if err != nil {
-		t.Fatalf("parse fixture %s: %v", pkg, err)
-	}
-	if len(files) == 0 {
-		t.Fatalf("fixture %s has no Go files", pkg)
-	}
-	info := newTypesInfo()
-	im := newFixtureImporter(fset, root)
-	conf := types.Config{Importer: im}
-	tpkg, err := conf.Check(pkg, fset, files, info)
-	if err != nil {
-		t.Fatalf("typecheck fixture %s: %v", pkg, err)
-	}
-	pkgs := []*Package{{ImportPath: pkg, Dir: filepath.Join(root, pkg), Files: files, Types: tpkg, TypesInfo: info}}
-	for path, tp := range im.pkgs {
-		pkgs = append(pkgs, &Package{
-			ImportPath: path,
-			Dir:        filepath.Join(root, path),
-			Files:      im.files[path],
-			Types:      tp,
-			TypesInfo:  im.infos[path],
-		})
-	}
-	pass := &ProgramPass{Analyzer: a, Prog: BuildProgram(fset, pkgs)}
+	fset, p := loadFixture(t, pkg)
+	pass := &ProgramPass{Analyzer: a, Prog: BuildProgram(fset, []*Package{p})}
 	if err := a.RunProgram(pass); err != nil {
 		t.Fatalf("run %s on fixture %s: %v", a.Name, pkg, err)
 	}
-	checkWants(t, fset, files, pass.diags)
+	checkWants(t, fset, p.Files, pass.diags)
 }
 
 // checkWants matches produced diagnostics against the fixture's want

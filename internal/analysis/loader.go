@@ -27,11 +27,9 @@ type listPkg struct {
 // A Package is one loaded, type-checked package.
 type Package struct {
 	ImportPath string
-	Dir        string
 	Files      []*ast.File
 	Types      *types.Package
 	TypesInfo  *types.Info
-	Standard   bool
 }
 
 // A Loader parses and type-checks packages using `go list` metadata. It
@@ -139,11 +137,9 @@ func (l *Loader) Load(importPath string) (*Package, error) {
 	}
 	pkg := &Package{
 		ImportPath: importPath,
-		Dir:        meta.Dir,
 		Files:      files,
 		Types:      tpkg,
 		TypesInfo:  info,
-		Standard:   meta.Standard,
 	}
 	l.pkgs[importPath] = pkg
 	l.tpkg[importPath] = tpkg
@@ -229,21 +225,10 @@ func Run(dir string, patterns []string, analyzers []*Analyzer) ([]Diagnostic, er
 			if err := a.RunProgram(pass); err != nil {
 				return nil, fmt.Errorf("analysis: %s: %w", a.Name, err)
 			}
-			for _, d := range pass.diags {
-				if len(a.Scope) == 0 || scopeCoversFile(a, d.Pos.Filename) {
-					diags = append(diags, d)
-				}
-			}
+			diags = append(diags, pass.diags...)
 		}
 	}
 	return SortDiagnostics(diags), nil
-}
-
-// scopeCoversFile applies an Analyzer's Scope to a diagnostic's file
-// path (whole-program analyzers report across packages, so scoping
-// happens on the finding's location rather than the loaded package).
-func scopeCoversFile(a *Analyzer, filename string) bool {
-	return a.covers(filepath.ToSlash(filepath.Dir(filename)))
 }
 
 // loadModule loads every non-stdlib package in the `go list -deps`

@@ -301,9 +301,6 @@ func collectEdges(prog *Program, n *FuncNode, acquires map[*FuncNode]lockSet, g 
 			held[ev.obj]--
 		default:
 			c := ev.call
-			if c.Callee == nil {
-				continue
-			}
 			callee := acquires[c.Callee]
 			if len(callee) == 0 {
 				continue

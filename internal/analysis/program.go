@@ -3,10 +3,10 @@ package analysis
 // Whole-program analysis: a Program is every module package of one load
 // (the `go list -deps` closure minus the standard library) with a call
 // graph over it. Per-package passes see one package's syntax; a Program
-// pass sees every function in the module at once, which is what the
-// cross-package invariants (goroutine bounds, lock ordering, fault-
-// taxonomy flow, hot-path allocation) need — this repository's bugs
-// live at package boundaries.
+// pass sees every function in the module at once, which is what lock
+// ordering needs: two locks nest across package boundaries (the buffer
+// pool's lock held while a File's is taken) where no single-package pass
+// sees both.
 //
 // The call graph is intentionally modest and deterministic:
 //
@@ -17,11 +17,9 @@ package analysis
 //     module's interface surfaces (vector.Vector, storage.FS, ...) are
 //     small, so this stays precise;
 //   - calls through plain function *values* (fields, parameters) do not
-//     produce edges. Analyzers that need them (goleak's ctx-poll
-//     reachability) treat the enclosing function's edges as the
-//     over-approximation: a function literal is linked from the function
-//     that lexically creates it, so facts seeded anywhere inside a
-//     function body are visible to its callers.
+//     produce edges. A function literal is linked from the function that
+//     lexically creates it, so facts seeded anywhere inside a function
+//     body are visible to its callers.
 
 import (
 	"fmt"
@@ -57,14 +55,6 @@ func (n *FuncNode) Body() *ast.BlockStmt {
 	return n.Decl.Body
 }
 
-// Pos returns the node's declaration position.
-func (n *FuncNode) Pos() token.Pos {
-	if n.Lit != nil {
-		return n.Lit.Pos()
-	}
-	return n.Decl.Pos()
-}
-
 // Name returns a diagnostic-friendly name: pkg.Func, pkg.(Type).Method,
 // or pkg.Outer.funcN for literals.
 func (n *FuncNode) Name() string {
@@ -80,37 +70,19 @@ func (n *FuncNode) Name() string {
 	return n.Pkg.Types.Name() + "." + n.Obj.Name()
 }
 
-// A Call is one call site inside a FuncNode's body.
+// A Call is one resolved call edge out of a FuncNode's body. Calls that
+// resolve to no function in the program (the standard library, function
+// values) make no edge.
 type Call struct {
 	// Site is the call expression; for the synthetic "encloses" edge to a
 	// function literal, Site is nil.
 	Site *ast.CallExpr
-	// Callee is the target's node when the target's body is in the
-	// program; nil for calls out of the module (stdlib) and calls through
-	// function values.
+	// Callee is the target's node.
 	Callee *FuncNode
-	// CalleeObj is the resolved static callee object, when there is one
-	// (also set for stdlib calls, and for each expansion of an interface
-	// call). Nil for calls through function values and the encloses edge.
-	CalleeObj *types.Func
-	// Iface marks an edge added by interface-dispatch expansion.
-	Iface bool
 	// Go marks a `go` statement's call.
 	Go bool
 	// Defer marks a `defer` statement's call.
 	Defer bool
-}
-
-// Pos returns the call's position (the literal's position for the
-// synthetic encloses edge).
-func (c *Call) Pos() token.Pos {
-	if c.Site != nil {
-		return c.Site.Pos()
-	}
-	if c.Callee != nil {
-		return c.Callee.Pos()
-	}
-	return token.NoPos
 }
 
 // A Program is one whole-module load with its call graph.
@@ -174,9 +146,7 @@ func BuildProgram(fset *token.FileSet, pkgs []*Package) *Program {
 	}
 	for _, n := range p.Nodes {
 		for _, c := range n.Calls {
-			if c.Callee != nil {
-				p.callers[c.Callee] = append(p.callers[c.Callee], n)
-			}
+			p.callers[c.Callee] = append(p.callers[c.Callee], n)
 		}
 	}
 	return p
@@ -307,24 +277,20 @@ func (p *Program) addCall(n *FuncNode, info *types.Info, site *ast.CallExpr, isG
 	}
 	obj := calleeObject(info, fun)
 	if obj == nil {
-		// A call through a function value: no static edge.
-		n.Calls = append(n.Calls, &Call{Site: site, Go: isGo, Defer: isDefer})
-		return
+		return // a call through a function value: no static edge
 	}
 	if recv := obj.Type().(*types.Signature).Recv(); recv != nil {
 		if _, ok := recv.Type().Underlying().(*types.Interface); ok {
 			// Interface dispatch: one edge per implementing module method.
-			impls := p.implsOf(obj)
-			for _, impl := range impls {
-				n.Calls = append(n.Calls, &Call{Site: site, Callee: impl, CalleeObj: impl.Obj, Iface: true, Go: isGo, Defer: isDefer})
-			}
-			if len(impls) == 0 {
-				n.Calls = append(n.Calls, &Call{Site: site, CalleeObj: obj, Iface: true, Go: isGo, Defer: isDefer})
+			for _, impl := range p.implsOf(obj) {
+				n.Calls = append(n.Calls, &Call{Site: site, Callee: impl, Go: isGo, Defer: isDefer})
 			}
 			return
 		}
 	}
-	n.Calls = append(n.Calls, &Call{Site: site, Callee: p.Funcs[obj], CalleeObj: obj, Go: isGo, Defer: isDefer})
+	if callee := p.Funcs[obj]; callee != nil {
+		n.Calls = append(n.Calls, &Call{Site: site, Callee: callee, Go: isGo, Defer: isDefer})
+	}
 }
 
 // calleeObject resolves a call's static target function object, seeing
@@ -366,43 +332,10 @@ func typeShortName(t types.Type) string {
 	}
 }
 
-// Reachable computes the nodes reachable from the given roots along call
-// edges (including the synthetic encloses edges to function literals).
-func (p *Program) Reachable(roots []*FuncNode) map[*FuncNode]bool {
-	seen := make(map[*FuncNode]bool)
-	var stack []*FuncNode
-	for _, r := range roots {
-		if r != nil && !seen[r] {
-			seen[r] = true
-			stack = append(stack, r)
-		}
-	}
-	for len(stack) > 0 {
-		n := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, c := range n.Calls {
-			if c.Callee != nil && !seen[c.Callee] {
-				seen[c.Callee] = true
-				stack = append(stack, c.Callee)
-			}
-		}
-	}
-	return seen
-}
-
 // A ProgramPass is one whole-program analyzer application.
 type ProgramPass struct {
 	Analyzer *Analyzer
 	Prog     *Program
 
 	diags []Diagnostic
-}
-
-// Reportf records a diagnostic at pos.
-func (p *ProgramPass) Reportf(pos token.Pos, format string, args ...any) {
-	p.diags = append(p.diags, Diagnostic{
-		Pos:      p.Prog.Fset.Position(pos),
-		Message:  fmt.Sprintf(format, args...),
-		Analyzer: p.Analyzer.Name,
-	})
 }

@@ -1,30 +1,8 @@
 // Package storage is a fixture stub standing in for vxml/internal/storage:
-// the taxonomy sentinels, the transient-read classifier, and one
-// error-birthing read so the corrupterr and faultflow fixtures have a
-// source to wrap and taint from.
+// the corruption sentinel the corrupterr fixture wraps.
 package storage
 
-import (
-	"errors"
-	"fmt"
-)
+import "errors"
 
 // ErrCorrupt is the sentinel every decode error must wrap.
 var ErrCorrupt = errors.New("storage: corrupt data")
-
-// ErrInjected marks an injected transient I/O fault.
-var ErrInjected = errors.New("storage: injected I/O fault")
-
-// IsTransientRead reports whether err is worth a bounded retry.
-func IsTransientRead(err error) bool {
-	return errors.Is(err, ErrInjected)
-}
-
-// ReadPage is a taxonomy-error birthplace: it returns errors wrapping
-// ErrCorrupt, so faultflow seeds taint here.
-func ReadPage(n int) ([]byte, error) {
-	if n < 0 {
-		return nil, fmt.Errorf("page %d: %w", n, ErrCorrupt)
-	}
-	return make([]byte, 8), nil
-}

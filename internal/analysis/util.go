@@ -61,20 +61,6 @@ func constString(info *types.Info, e ast.Expr) (string, bool) {
 	return constant.StringVal(tv.Value), true
 }
 
-// callName renders the syntactic callee ("fmt.Errorf", "mu.Lock", "panic").
-func callName(call *ast.CallExpr) string {
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		return fun.Name
-	case *ast.SelectorExpr:
-		if base := lastIdent(fun.X); base != nil {
-			return base.Name + "." + fun.Sel.Name
-		}
-		return fun.Sel.Name
-	}
-	return ""
-}
-
 // lastIdent returns the final identifier of a selector chain (for x.y.mu it
 // returns mu; for plain mu it returns mu), or nil.
 func lastIdent(e ast.Expr) *ast.Ident {

@@ -85,3 +85,40 @@ func TestEvalToDirCancelled(t *testing.T) {
 		t.Errorf("on-disk result incomplete:\n%s", b.String())
 	}
 }
+
+// TestReaderScanPollsContext: a scan observes cancellation within one
+// cancelCheckStride of values. The callback cancels the evaluation's
+// context on the first value of a scan three strides long; the scan must
+// stop with context.Canceled before the callback has seen more than one
+// stride of values.
+func TestReaderScanPollsContext(t *testing.T) {
+	const n = 3 * cancelCheckStride
+	doc := "<r>" + strings.Repeat("<v>x</v>", n) + "</r>"
+	syms := xmlmodel.NewSymbols()
+	repo, err := vectorize.FromString(doc, syms)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := NewEngine(repo.Skel, repo.Classes, repo.Vectors, syms, Options{})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	x := newEvalContext(eng, ctx)
+	defer x.closeReaders()
+	rd, err := x.readerFor(eng.Classes.Resolve("/r/v/#"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := 0
+	err = rd.Scan(0, n, func(int64, []byte) error {
+		if seen++; seen == 1 {
+			cancel()
+		}
+		return nil
+	})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("scan of %d values cancelled on the first: err = %v, want context.Canceled", n, err)
+	}
+	if seen > cancelCheckStride {
+		t.Errorf("scan went on for %d values after cancellation, want at most %d", seen, cancelCheckStride)
+	}
+}

@@ -172,7 +172,8 @@ func (e *Engine) descendantElements(c skeleton.ClassID) []skeleton.ClassID {
 			if e.Classes.IsText(k) {
 				continue
 			}
-			//vx:alloc once per '//*' resolution: an op resolves each source class once (pathRes)
+			// Once per '//*' resolution: an op resolves each source class once
+			// (pathRes).
 			out = append(out, k)
 			queue = append(queue, k)
 		}

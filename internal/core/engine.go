@@ -237,9 +237,9 @@ type reader struct {
 func (r *reader) Close() { r.cur.Close() }
 
 // Scan reads positions [start, start+n) like Vector.Scan, polling the
-// evaluation's context between sub-scans.
-//
-//vx:hot every value a query touches flows through this scan loop
+// evaluation's context between sub-scans. Every value a query touches
+// flows through this loop; TestSelectionAllocsFlat pins it to no
+// allocation per chunk.
 func (r *reader) Scan(start, n int64, fn func(pos int64, val []byte) error) error {
 	if start < 0 || n < 0 || start+n > r.cur.Len() {
 		// Out-of-range scans surface the vector's own error before fn

@@ -24,7 +24,6 @@ type VectorIndex struct {
 // build of a path wins); queries started before a build may not see it.
 //
 //vx:rawvector index builds run outside any evaluation, with no ctx in scope
-//vx:fault-classified load-time API: an index build that hits a corrupt vector fails the build and surfaces raw
 func (e *Engine) BuildVectorIndex(path string) (*VectorIndex, error) {
 	cls := e.Classes.Resolve(path)
 	if cls == skeleton.NoClass {

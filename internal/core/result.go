@@ -51,9 +51,8 @@ func (e *Engine) Eval(ctx context.Context, plan *qgraph.Plan) (*vectorize.MemRep
 // written into dir+".building", fully committed (fsynced vector segment,
 // checksummed directory and skeleton, manifest) and renamed into place as
 // the last step. A crash or a cancelled ctx leaves either no result directory or a
-// complete one.
-//
-//vx:fault-classified materialization API: a failed result build removes the .building dir and surfaces raw to the pipeline driver
+// complete one. A failed build removes the .building directory and returns
+// its error unclassified to the caller.
 func (e *Engine) EvalToDir(ctx context.Context, plan *qgraph.Plan, dir string, poolPages int) (*vectorize.Repository, error) {
 	fsys := storage.DefaultFS
 	building := dir + ".building"
@@ -285,8 +284,8 @@ type binding struct {
 // emitAll enumerates the final tuples (cartesian across surviving tables,
 // expanding runs and multiplicities) and expands the result template per
 // tuple.
-//
-//vx:hot result construction: every returned subtree is copied from here
+// Every returned subtree is copied from here, and
+// TestEmitAllocsPerTuple pins its allocations per tuple.
 func (rb *resultBuilder) emitAll(plan *qgraph.Plan) error {
 	x := rb.x
 	// Surviving tables in creation order; nil slots were merged away.

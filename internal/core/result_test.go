@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"vxml/internal/qgraph"
+	"vxml/internal/storage"
 	"vxml/internal/vector"
 	"vxml/internal/vectorize"
 	"vxml/internal/xmlmodel"
@@ -67,6 +68,60 @@ func TestSubtreeCopyAllocsIgnoreUntouchedClasses(t *testing.T) {
 	small, large := allocs(100), allocs(2000)
 	if large != small {
 		t.Errorf("allocs per Eval: %.0f with 100 untouched sibling text classes, %.0f with 2000", small, large)
+	}
+}
+
+// discardSink counts the values result construction appends and keeps
+// none of them, so an evaluation's allocations are the engine's own.
+type discardSink struct{ n *int }
+
+func (s discardSink) Append(string, []byte) error {
+	*s.n++
+	return nil
+}
+
+// TestEmitAllocsPerTuple pins emitAll's tuple loop: copying N returned
+// subtrees of one shape from a paged repository allocates nothing per
+// tuple once the output values go to a sink that keeps none. A closure or
+// method value made per tuple (say, a fresh scan callback in scanText)
+// costs one object each. (The in-memory engine is not used here:
+// vector.Mem.Scan allocates a buffer per call, so per text class per
+// tuple.)
+func TestEmitAllocsPerTuple(t *testing.T) {
+	const src = `for $s in /r/s return $s`
+	allocs := func(n int) float64 {
+		var b strings.Builder
+		b.WriteString("<r>")
+		for i := 0; i < n; i++ {
+			fmt.Fprintf(&b, "<s><k>v%d</k><a>%d</a></s>", i, i)
+		}
+		b.WriteString("</r>")
+		repo, err := vectorize.Create(strings.NewReader(b.String()), "repo", vectorize.Options{PoolPages: 64, FS: storage.NewMemFS()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer repo.Close()
+		plan, err := qgraph.Build(xq.MustParse(src))
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng := NewRepoEngine(repo, Options{})
+		var vals int
+		if _, err := eng.evalWithSink(context.Background(), plan, discardSink{&vals}); err != nil {
+			t.Fatal(err)
+		}
+		if vals != 2*n {
+			t.Fatalf("%d tuples appended %d values, want %d", n, vals, 2*n)
+		}
+		return testing.AllocsPerRun(10, func() {
+			if _, err := eng.evalWithSink(context.Background(), plan, discardSink{&vals}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	const small, large = 200, 5000
+	if a0, a1 := allocs(small), allocs(large); a1 > a0+4 {
+		t.Errorf("allocs per evaluation: %.0f for %d tuples, %.0f for %d", a0, small, a1, large)
 	}
 }
 

@@ -294,7 +294,8 @@ func (s *Server) Run(ctx context.Context, ln net.Listener) error {
 		},
 	}
 	errc := make(chan error, 1)
-	//vx:goroutine-bounded Serve returns once Shutdown below runs; errc is buffered so the send never blocks
+	// Serve returns once Shutdown below runs; errc is buffered so the send
+	// never blocks.
 	go func() { errc <- srv.Serve(ln) }()
 	select {
 	case err := <-errc:

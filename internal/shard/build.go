@@ -34,7 +34,8 @@ type BuildConfig struct {
 // bare <roottag/> document, so every shard answers every query (with an
 // empty contribution) rather than erroring on open.
 //
-//vx:fault-classified offline build API: failures abort the build and surface raw; retry/quarantine apply only at query time
+// Failures abort the build and surface raw; retry and quarantine apply
+// only at query time.
 func Build(docs []string, dir string, cfg BuildConfig) (*Catalog, error) {
 	if cfg.Shards < 1 {
 		return nil, fmt.Errorf("shard: build: %d shards (want >= 1)", cfg.Shards)
@@ -123,7 +124,8 @@ func Build(docs []string, dir string, cfg BuildConfig) (*Catalog, error) {
 // into documents along the catalog's RootChildren boundaries. It is the
 // inverse of Build and the first half of a rebalance.
 //
-//vx:fault-classified offline admin API: extraction failures abort the rebalance and surface raw to the operator
+// Extraction failures abort the rebalance and surface raw to the
+// operator.
 func ExtractDocs(f *Federation) ([]string, error) {
 	docs := make([]string, f.Catalog.NumDocs())
 	for k, repo := range f.Shards {
@@ -162,7 +164,8 @@ func ExtractDocs(f *Federation) ([]string, error) {
 // extracted in global order and re-loaded through Build. The source
 // federation is untouched.
 //
-//vx:fault-classified offline admin API: rebalance failures abort and surface raw; the source federation keeps serving
+// Failures abort the rebalance and surface raw; the source federation
+// keeps serving.
 func Rebalance(f *Federation, dir string, cfg BuildConfig) (*Catalog, error) {
 	docs, err := ExtractDocs(f)
 	if err != nil {

@@ -83,7 +83,8 @@ func (c *Catalog) NumDocs() int {
 
 // WriteCatalog atomically writes the catalog into dir.
 //
-//vx:fault-classified build-time write path: a failed catalog write fails the build; no query-time taxonomy applies
+// A failed write fails the build; the query-time fault taxonomy (retry,
+// quarantine) does not apply.
 func WriteCatalog(fsys storage.FS, dir string, c *Catalog) error {
 	data, err := json.MarshalIndent(c, "", " ")
 	if err != nil {
@@ -97,7 +98,8 @@ func WriteCatalog(fsys storage.FS, dir string, c *Catalog) error {
 
 // ReadCatalog reads and validates dir's catalog.
 //
-//vx:fault-classified open-time API: a corrupt catalog is already branded ErrCorrupt here and fails the open; nothing to retry
+// A corrupt catalog fails the open with an error wrapping
+// storage.ErrCorrupt; there is nothing to retry.
 func ReadCatalog(fsys storage.FS, dir string) (*Catalog, error) {
 	body, err := storage.ReadFileChecksummed(fsys, filepath.Join(dir, CatalogName))
 	if os.IsNotExist(err) {
@@ -165,7 +167,8 @@ type Federation struct {
 // OpenFederation opens every shard of the federation at dir. opts (pool
 // size, FS) applies to each shard repository.
 //
-//vx:fault-classified open-time API: a shard that fails to open fails the whole open, before any query could be degraded
+// A shard that fails to open fails the whole open, before any query
+// could be degraded.
 func OpenFederation(dir string, opts vectorize.Options) (*Federation, error) {
 	fsys := storage.DefaultFS
 	if opts.FS != nil {
@@ -189,7 +192,7 @@ func OpenFederation(dir string, opts vectorize.Options) (*Federation, error) {
 
 // Close closes every shard repository, returning the first error.
 //
-//vx:fault-classified shutdown path: close errors are reported, not retried; the taxonomy governs query-time reads
+// Close errors are reported, not retried.
 func (f *Federation) Close() error {
 	var first error
 	for _, repo := range f.Shards {

@@ -28,8 +28,8 @@ import (
 // do not concatenate meaningfully. A shard whose result vectors cannot
 // be read surfaces as a DegradedError naming that shard, the same typed
 // failure scatter uses for every other per-shard fault.
-//
-//vx:hot the scatter-gather merge runs once per federated query
+// It runs once per federated query, and TestMergeResultsAllocsPerValue
+// pins its allocations per merged value.
 func MergeResults(results []*core.Result) (*core.Result, error) {
 	if len(results) == 0 {
 		return nil, fmt.Errorf("shard: merge: no shard results")

@@ -33,9 +33,7 @@ func minimalResult(t *testing.T, vectors vector.Set) *core.Result {
 // A shard whose result vectors fail to read must surface from
 // MergeResults as a DegradedError naming that shard — scatter's
 // typed per-shard failure — with the storage taxonomy (errors.Is on
-// ErrCorrupt) still visible through the wrap. Regression test for the
-// faultflow finding that MergeResults leaked unclassified storage
-// errors.
+// ErrCorrupt) still visible through the wrap.
 func TestMergeResultsDegradedOnVectorFailure(t *testing.T) {
 	readErr := fmt.Errorf("read page 3: %w", storage.ErrCorrupt)
 	results := []*core.Result{

@@ -141,7 +141,7 @@ func (c *concatVector) Scan(start, n int64, fn func(pos int64, val []byte) error
 			hi = phi
 		}
 		off := c.offs[i]
-		//vx:alloc one closure per shard part spanned, not per value scanned
+		// One closure per shard part spanned, not per value scanned.
 		if err := p.Scan(lo-off, hi-lo, func(pos int64, val []byte) error {
 			return fn(off+pos, val)
 		}); err != nil {

@@ -226,7 +226,7 @@ func (c *Classes) Descendants(id ClassID, step xmlmodel.Sym) []ClassID {
 		queue = queue[1:]
 		for _, kid := range c.Kids(cur) {
 			if c.infos[kid].tag == step {
-				//vx:alloc memo miss only: the answer is kept in descMemo per (class, step)
+				// Memo miss only: the answer is kept in descMemo per (class, step).
 				out = append(out, kid)
 			}
 			if c.infos[kid].tag != TextStep {

@@ -445,9 +445,9 @@ func TestPropertyRunMapTotals(t *testing.T) {
 }
 
 // TestClassesConcurrentMemos: goroutines sharing one registry derive
-// paths, vector names, run maps, cursors and node runs concurrently, and
-// see what a serial registry sees. Run it under the race detector: the
-// lazy memos are what it guards.
+// paths, vector names, run maps, cursors, node runs and descendant sets
+// concurrently, and see what a serial registry sees. Run it under the
+// race detector: the lazy memos are what it guards.
 func TestClassesConcurrentMemos(t *testing.T) {
 	syms := xmlmodel.NewSymbols()
 	tree := genTree(rand.New(rand.NewSource(7)), syms, 0)
@@ -455,8 +455,20 @@ func TestClassesConcurrentMemos(t *testing.T) {
 		tree.Append(genTree(rand.New(rand.NewSource(i)), syms, 1))
 	}
 	skel := FromTree(tree, NewBuilder())
+	serial := NewClasses(skel, syms)
+	var steps []xmlmodel.Sym // every tag a class carries, TextStep included
+	seen := map[xmlmodel.Sym]bool{}
+	for id := 0; id < serial.NumClasses(); id++ {
+		if tag := serial.Tag(ClassID(id)); !seen[tag] {
+			seen[tag] = true
+			steps = append(steps, tag)
+		}
+	}
 	describe := func(cls *Classes, id ClassID) string {
 		s := cls.Path(id)
+		for _, step := range steps {
+			s += fmt.Sprint(cls.Descendants(id, step))
+		}
 		if cls.IsText(id) {
 			s += " " + cls.VectorName(id)
 		}
@@ -465,7 +477,6 @@ func TestClassesConcurrentMemos(t *testing.T) {
 		}
 		return s + fmt.Sprint(len(cls.NodeRuns(id)))
 	}
-	serial := NewClasses(skel, syms)
 	want := make([]string, serial.NumClasses())
 	for id := range want {
 		want[id] = describe(serial, ClassID(id))

@@ -235,13 +235,21 @@ func TestWriterRequiresEmptyFile(t *testing.T) {
 	}
 }
 
-// TestOpenPagedBadMagic: a directory that is not one is corruption.
+// TestOpenPagedBadMagic: a directory that is not one is corruption, and
+// so is a directory committing more pages than its segment holds (the
+// segment lost its tail).
 func TestOpenPagedBadMagic(t *testing.T) {
 	store, _ := newPool(t, 8)
 	for _, body := range [][]byte{nil, []byte("XXXX"), []byte("XXXX\x00\x00\x00")} {
 		if _, err := OpenDiskSet(store, "junk", body); !errors.Is(err, storage.ErrCorrupt) {
 			t.Errorf("OpenDiskSet(%q) = %v, want ErrCorrupt", body, err)
 		}
+	}
+	writeVector(t, store, "v", false, []string{"a", "b"})
+	set := reopen(t, store, "v")
+	set.dir.pages = set.seg.NumPages() + 1
+	if _, err := OpenDiskSet(store, "v", set.dir.encode(nil)); !errors.Is(err, storage.ErrCorrupt) {
+		t.Errorf("directory committing %d pages over a shorter segment: err = %v, want ErrCorrupt", set.dir.pages, err)
 	}
 }
 

@@ -143,9 +143,8 @@ func CommitStore(store *storage.Store, skel *skeleton.Skeleton, syms *xmlmodel.S
 // PromoteBuild moves a finished, fully-committed build directory into
 // place at dir and fsyncs the parent — the single atomic commit point of a
 // bulk build. dir may pre-exist as an empty directory (a caller's mkdir);
-// anything non-empty is refused rather than clobbered.
-//
-//vx:presynced CommitStore fsynced every file in the build dir before promotion
+// anything non-empty is refused rather than clobbered. CommitStore has
+// already fsynced every file in the build directory.
 func PromoteBuild(fsys storage.FS, building, dir string) error {
 	if entries, err := fsys.ReadDir(dir); err == nil {
 		if len(entries) > 0 {
