@@ -87,6 +87,8 @@ fuzz:
 	go test ./internal/vector/ -run '^$$' -fuzz '^FuzzDirectoryDecode$$' -fuzztime $(FUZZTIME)
 	go test ./internal/skeleton/ -run '^$$' -fuzz '^FuzzSkeletonDecode$$' -fuzztime $(FUZZTIME)
 	go test ./internal/core/ -run '^$$' -fuzz '^FuzzResultLiteral$$' -fuzztime $(FUZZTIME)
+	go test ./internal/serve/ -run '^$$' -fuzz '^FuzzDecodeQueryRequest$$' -fuzztime $(FUZZTIME)
+	go test ./internal/serve/ -run '^$$' -fuzz '^FuzzAppendJSONString$$' -fuzztime $(FUZZTIME)
 
 examples:
 	go run ./examples/quickstart

@@ -286,9 +286,10 @@ func cmdQuery(args []string) error {
 		ctx, cancel = context.WithTimeout(ctx, *timeout)
 		defer cancel()
 	}
-	// Carry the query text so the active-query registry and slow-query
-	// captures show it as typed, not the compiled plan.
-	ctx = obs.WithQueryText(ctx, src)
+	// Carry the query text on the evaluation's meter so the active-query
+	// registry and slow-query captures show it as typed, not the compiled
+	// plan; queryParallel gives each of its evaluations a meter of its own.
+	ctx = obs.WithMeter(ctx, &obs.TaskMeter{Query: src})
 	if explain.analyze {
 		eng := core.NewRepoEngine(repo, core.Options{})
 		out, err := eng.ExplainAnalyze(ctx, plan)
@@ -624,7 +625,7 @@ func queryParallel(ctx context.Context, repo *vectorize.Repository, plan *qgraph
 		go func(i int) {
 			defer wg.Done()
 			eng := core.NewRepoEngine(repo, core.Options{})
-			res, err := eng.Eval(ctx, plan)
+			res, err := eng.Eval(obs.WithMeter(ctx, &obs.TaskMeter{Query: obs.MeterFrom(ctx).Query}), plan)
 			if err != nil {
 				errs[i] = err
 				return

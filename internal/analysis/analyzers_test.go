@@ -24,7 +24,11 @@ func TestSuiteCleanOnRepo(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the entire repository")
 	}
-	diags, err := Run("../..", []string{"./..."}, Suite())
+	l, roots, err := repoLoad()
+	if err != nil {
+		t.Fatal(err)
+	}
+	diags, err := l.run(roots, Suite())
 	if err != nil {
 		t.Fatal(err)
 	}

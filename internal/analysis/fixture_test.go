@@ -5,7 +5,7 @@ package analysis
 // trailing comments declare the diagnostics the analyzer must produce on
 // that line — nothing more, nothing less. Fixture imports resolve against
 // testdata/src first (companion stubs such as testdata/src/storage), then
-// against the real standard library via the shared loader.
+// against the real standard library via the shared repository loader.
 
 import (
 	"fmt"
@@ -23,24 +23,26 @@ import (
 )
 
 var (
-	stdOnce   sync.Once
-	stdLoader *Loader
-	stdErr    error
+	repoOnce   sync.Once
+	repoLoader *Loader
+	repoRoots  []string
+	repoErr    error
 )
 
-// stdImports lazily builds one loader over the standard library, shared by
-// every fixture in the test binary (the `go list -deps -json std` walk is
-// the expensive part; type-checking is demand-driven and memoized).
-func stdImports() (*Loader, error) {
-	stdOnce.Do(func() {
-		stdLoader, _, stdErr = NewLoader(".", []string{"std"})
+// repoLoad lists the repository once per test binary, for every test
+// that type-checks: the suite run over the repository, the loader tests
+// and the fixtures' standard-library imports all share its memoized
+// type-checks (type-checking from source is where the time goes).
+func repoLoad() (*Loader, []string, error) {
+	repoOnce.Do(func() {
+		repoLoader, repoRoots, repoErr = NewLoader("../..", []string{"./..."})
 	})
-	return stdLoader, stdErr
+	return repoLoader, repoRoots, repoErr
 }
 
 // fixtureImporter resolves imports for fixture packages: testdata/src
-// first (companion stubs such as testdata/src/storage), standard library
-// second.
+// first (companion stubs such as testdata/src/storage), then the standard
+// library packages the repository imports, through repoLoad.
 type fixtureImporter struct {
 	fset *token.FileSet
 	root string
@@ -75,11 +77,11 @@ func (im *fixtureImporter) Import(path string) (*types.Package, error) {
 		im.pkgs[path] = tp
 		return tp, nil
 	}
-	std, err := stdImports()
+	l, _, err := repoLoad()
 	if err != nil {
 		return nil, err
 	}
-	p, err := std.Load(path)
+	p, err := l.Load(path)
 	if err != nil {
 		return nil, err
 	}

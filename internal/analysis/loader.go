@@ -185,6 +185,11 @@ func Run(dir string, patterns []string, analyzers []*Analyzer) ([]Diagnostic, er
 	if err != nil {
 		return nil, err
 	}
+	return l.run(roots, analyzers)
+}
+
+// run is Run over packages l has already listed.
+func (l *Loader) run(roots []string, analyzers []*Analyzer) ([]Diagnostic, error) {
 	var diags []Diagnostic
 	for _, root := range roots {
 		pkg, err := l.Load(root)

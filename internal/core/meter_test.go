@@ -143,7 +143,7 @@ func TestActiveQueryRegistryCancel(t *testing.T) {
 	 return $b/title, $a/title
 	 </result>`
 	plan := planFor(t, src)
-	ctx := obs.WithQueryText(context.Background(), "meter_test cross join")
+	ctx := obs.WithMeter(context.Background(), &obs.TaskMeter{Query: "meter_test cross join"})
 
 	done := make(chan error, 1)
 	go func() {

@@ -126,7 +126,7 @@ func (e *Engine) evalWithSinkTraced(ctx context.Context, plan *qgraph.Plan, sink
 	// so the fallback label is lazy: it stringifies only when the query
 	// is actually listed or slow-captured.
 	var label func() string
-	if text := obs.QueryTextFrom(ctx); text != "" {
+	if text := meter.Query; text != "" {
 		label = func() string { return text }
 	} else {
 		label = sync.OnceValue(func() string {
@@ -179,14 +179,8 @@ func (e *Engine) evalWithSinkTraced(ctx context.Context, plan *qgraph.Plan, sink
 		skel = nil
 		err = pe
 		obsQueryPanics.Inc()
-		var q string
-		if label != nil {
-			q = label()
-		} else if text := obs.QueryTextFrom(ctx); text != "" {
-			q = text
-		}
 		obs.Panics.Record(obs.PanicRecord{
-			Query: q,
+			Query: label(),
 			Time:  start,
 			Value: fmt.Sprint(pe.Value),
 			Stack: string(pe.Stack),

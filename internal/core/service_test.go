@@ -446,6 +446,58 @@ func TestServiceAdmissionQueueReleases(t *testing.T) {
 	}
 }
 
+// TestServiceAdmissionQueueCancelled: a query cancelled while it queues
+// for admission returns its context's error at the next poll, not the
+// overload error once AdmitWait runs out.
+func TestServiceAdmissionQueueCancelled(t *testing.T) {
+	syms := xmlmodel.NewSymbols()
+	mem, err := vectorize.FromString(genBib(60), syms)
+	if err != nil {
+		t.Fatalf("vectorize: %v", err)
+	}
+	const admitWait = 10 * time.Second
+	svc := NewMemService(mem, ServiceConfig{MaxInflight: 1, AdmitWait: admitWait, PlanCacheSize: 8})
+	parked := make(chan struct{})
+	release := make(chan struct{})
+	var once sync.Once
+	svc.testLeaderGate = func(canon string, _ uint64) {
+		if strings.Contains(canon, "P3") {
+			once.Do(func() { close(parked) })
+			<-release
+		}
+	}
+	var wg sync.WaitGroup
+	defer wg.Wait()
+	defer close(release)
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		svc.Query(context.Background(),
+			`for $b in doc("bib.xml")/bib/book where $b/publisher = 'P3' return $b/title`)
+	}()
+	<-parked
+
+	waitsBase := obs.GetCounter("core.admission_waits").Load()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	errB := make(chan error, 1)
+	go func() {
+		_, _, err := svc.Query(ctx,
+			`for $b in doc("bib.xml")/bib/book where $b/publisher = 'P5' return $b/title`)
+		errB <- err
+	}()
+	waitCounter(t, obs.GetCounter("core.admission_waits"), waitsBase, 1)
+	cancel()
+	select {
+	case err := <-errB:
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("queued query cancelled: error %v, want context.Canceled", err)
+		}
+	case <-time.After(admitWait / 2):
+		t.Fatal("queued query still waiting long after its cancellation")
+	}
+}
+
 // TestServiceFollowerRetry: when the leader dies of its own cancelled
 // context, a follower whose context is still live retries the flight and
 // completes the query itself.
@@ -556,5 +608,32 @@ func TestLRUEviction(t *testing.T) {
 	}
 	if c.len() > 2 {
 		t.Errorf("len = %d after repeated puts, want <= 2", c.len())
+	}
+}
+
+// TestLRUConcurrentPutGet: goroutines putting and getting over more keys
+// than the cache holds keep it bounded and every hit right; under -race
+// an insert or eviction outside the mutex is reported.
+func TestLRUConcurrentPutGet(t *testing.T) {
+	const capacity, keys, workers, rounds = 4, 32, 4, 2000
+	c := newLRU[int, int](capacity)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				k := (i*7 + w) % keys
+				if v, ok := c.get(k); ok && v != 10*k {
+					t.Errorf("get(%d) = %d, want %d", k, v, 10*k)
+					return
+				}
+				c.put(k, 10*k)
+			}
+		}(w)
+	}
+	wg.Wait()
+	if n := c.len(); n > capacity {
+		t.Errorf("len = %d after concurrent puts, want <= %d", n, capacity)
 	}
 }

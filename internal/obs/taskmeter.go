@@ -10,9 +10,15 @@ import (
 // charge the work they do to it alongside the global counters. Every
 // method is safe on a nil receiver (one predictable branch), so hot paths
 // charge unconditionally and unmetered callers pay nothing but the check.
-// All fields are atomics: a meter is read live (the active-query listing)
-// while its evaluation bumps it.
+// The counters are atomics: a meter is read live (the active-query
+// listing) while its evaluation bumps it.
 type TaskMeter struct {
+	// Query is the query as the client wrote it, for the active-query
+	// registry and slow-query captures to show in place of the compiled
+	// plan; "" lets them render the plan. It is set before the meter
+	// rides a context and never written after.
+	Query string
+
 	pagesFaulted     atomic.Int64
 	bytesRead        atomic.Int64
 	checksumVerifies atomic.Int64
@@ -159,22 +165,4 @@ func MeterFrom(ctx context.Context) *TaskMeter {
 	}
 	m, _ := ctx.Value(meterKey{}).(*TaskMeter)
 	return m
-}
-
-type queryTextKey struct{}
-
-// WithQueryText attaches the human-readable query text to the context, so
-// the active-query registry and slow-query captures can show the query as
-// the client wrote it rather than the compiled plan.
-func WithQueryText(ctx context.Context, q string) context.Context {
-	return context.WithValue(ctx, queryTextKey{}, q)
-}
-
-// QueryTextFrom returns the attached query text, or "".
-func QueryTextFrom(ctx context.Context) string {
-	if ctx == nil {
-		return ""
-	}
-	q, _ := ctx.Value(queryTextKey{}).(string)
-	return q
 }

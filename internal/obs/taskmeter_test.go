@@ -80,13 +80,6 @@ func TestMeterContext(t *testing.T) {
 	if MeterFrom(ctx) != m {
 		t.Fatal("meter did not round-trip through the context")
 	}
-	ctx = WithQueryText(ctx, "for $b in /bib/book return $b")
-	if got := QueryTextFrom(ctx); got != "for $b in /bib/book return $b" {
-		t.Fatalf("query text = %q", got)
-	}
-	if QueryTextFrom(context.Background()) != "" || QueryTextFrom(nil) != "" {
-		t.Fatal("empty contexts must report empty query text")
-	}
 }
 
 func TestQueryRegistry(t *testing.T) {

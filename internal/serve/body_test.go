@@ -154,9 +154,9 @@ func quietConfig(cfg Config) Config {
 
 // TestServedBodyMatchesEncoder: over hostile values, every kind of
 // answer the handler serves — a fresh evaluation, a result-cache hit, a
-// single-flight follower, a traced one, a statically empty one and a
-// 2-shard federation's — is byte-identical to encoding QueryResponse
-// whole.
+// single-flight follower, a traced one (op names holding <, > and &
+// included), a statically empty one, a static check's and a 2-shard
+// federation's — is byte-identical to encoding QueryResponse whole.
 func TestServedBodyMatchesEncoder(t *testing.T) {
 	doc := "<bib>" + strings.Join(hostileBooks, "") + "</bib>"
 	repo := createRawRepo(t, storage.NewMemFS(), "repo", doc)
@@ -183,10 +183,42 @@ func TestServedBodyMatchesEncoder(t *testing.T) {
 		t.Errorf("trace requested but %d / %d ops served", len(traced.Trace), len(tracedHit.Trace))
 	}
 
+	// Op names render the query's constants, so these carry <, > and &
+	// into the trace's strings.
+	const marked = `for $b in /bib/book where $b/title != "<&>" return $b/title`
+	mxml := serviceXML(t, ref, marked)
+	markedTrace := checkBody(t, "traced markup ops", serveQuery(t, h, QueryRequest{Query: marked, Trace: true}), mxml).Trace
+	var ops strings.Builder
+	for _, op := range markedTrace {
+		ops.WriteString(op.Op)
+	}
+	if !strings.Contains(ops.String(), "<&>") {
+		t.Errorf("no traced op name holds <&>: %+v", markedTrace)
+	}
+
+	plan, err := ref.Plan(hostileQuery)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := core.NewRepoEngine(repo, core.Options{}).CheckPlan(plan)
+	checked := checkBody(t, "check", serveQuery(t, h, QueryRequest{Query: hostileQuery, Check: true}), sc.String())
+	if checked.StaticallyEmpty {
+		t.Error("check of a satisfiable query served statically empty")
+	}
+
 	const nothing = `for $b in /bib/nosuch return $b`
 	empty := checkBody(t, "statically empty", serveQuery(t, h, QueryRequest{Query: nothing}), serviceXML(t, ref, nothing))
 	if !empty.StaticallyEmpty {
 		t.Error("query over a missing path not served statically empty")
+	}
+	plan, err = ref.Plan(nothing)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkedEmpty := checkBody(t, "check statically empty", serveQuery(t, h, QueryRequest{Query: nothing, Check: true}),
+		core.NewRepoEngine(repo, core.Options{}).CheckPlan(plan).String())
+	if !checkedEmpty.StaticallyEmpty {
+		t.Error("check of a query over a missing path not statically empty")
 	}
 
 	t.Run("single-flight", func(t *testing.T) { checkFollowerBody(t, doc, xml) })
@@ -370,7 +402,9 @@ func hitCost(t *testing.T, h http.Handler, q string, n int) (allocs, bytes float
 // allocations: a KQ1-style answer of a few prices and a KQ4-style
 // answer of whole item descriptions, many times larger, cost the same
 // number of allocations, and neither allocates more than a small
-// constant — the stored literal is copied out, never re-encoded.
+// constant — the stored literal is copied out, never re-encoded, and
+// neither the request nor the rest of the response goes through
+// reflection.
 func TestHitCostIndependentOfAnswerSize(t *testing.T) {
 	var doc strings.Builder
 	if err := (datagen.XMark{Scale: 1, Seed: 1}).Generate(&doc); err != nil {
@@ -389,6 +423,10 @@ func TestHitCostIndependentOfAnswerSize(t *testing.T) {
 		kq4 = `for $i in /site/regions/australia/item return <item_info>{$i/description}</item_info>`
 		// perHit bounds one hit's allocated bytes whatever the answer.
 		perHit = 4 << 10
+		// maxAllocs bounds one hit's allocations: the body buffer, the
+		// query string, the TaskMeter and its context, with room for the
+		// runtime's own.
+		maxAllocs = 8
 	)
 	smallAllocs, smallBytes, smallSize := hitCost(t, h, kq1, 20)
 	bigAllocs, bigBytes, bigSize := hitCost(t, h, kq4, 20)
@@ -408,5 +446,8 @@ func TestHitCostIndependentOfAnswerSize(t *testing.T) {
 		if c.bytes > perHit {
 			t.Errorf("a hit on a %d-byte answer allocates %.0f bytes, want <= %d", c.size, c.bytes, perHit)
 		}
+	}
+	if smallAllocs > maxAllocs {
+		t.Errorf("a hit allocates %.1f times, want <= %d", smallAllocs, maxAllocs)
 	}
 }

@@ -246,7 +246,7 @@ func TestPanicIsolationHTTP(t *testing.T) {
 	if err != nil {
 		t.Fatalf("poisoned query: %v", err)
 	}
-	var eresp errorResponse
+	var eresp struct{ Error string }
 	if err := json.NewDecoder(resp.Body).Decode(&eresp); err != nil {
 		t.Fatalf("decode poisoned response: %v", err)
 	}

@@ -39,6 +39,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unicode/utf8"
 
 	"vxml/internal/core"
 	"vxml/internal/obs"
@@ -133,7 +134,7 @@ type QueryRequest struct {
 	Check bool `json:"check,omitempty"`
 }
 
-// QueryStats mirrors core.EvalStats in the response.
+// QueryStats mirrors core.EvalStats field for field, so one converts to the other.
 type QueryStats struct {
 	VectorsOpened int   `json:"vectors_opened"`
 	ValuesScanned int64 `json:"values_scanned"`
@@ -168,10 +169,6 @@ type OpTrace struct {
 	WallUS   int64      `json:"wall_us"`
 	LiveRows int64      `json:"live_rows"`
 	Stats    QueryStats `json:"stats"`
-}
-
-type errorResponse struct {
-	Error string `json:"error"`
 }
 
 // spanRequest is the HTTP request root span (vxlint obsnames: span
@@ -371,11 +368,16 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 		resp.Status = "draining"
 		status = http.StatusServiceUnavailable
 	}
-	w.Header().Set("Content-Type", "application/json")
+	writeIndented(w, status, resp)
+}
+
+// writeIndented serves v as indented JSON.
+func writeIndented(w http.ResponseWriter, status int, v any) {
+	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(status)
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	enc.Encode(resp)
+	enc.Encode(v)
 }
 
 // handleShards serves the federation's per-shard status (directory,
@@ -385,18 +387,12 @@ func (s *Server) handleShards(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusUnprocessableEntity, errors.New("not serving a federation"))
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(s.cfg.Federation.Status())
+	writeIndented(w, http.StatusOK, s.cfg.Federation.Status())
 }
 
 // handlePanics serves the captured query panics, most recent first.
 func (s *Server) handlePanics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(obs.Panics.List())
+	writeIndented(w, http.StatusOK, obs.Panics.List())
 }
 
 // handleQuarantineClear handles POST /debug/quarantine/clear: every
@@ -448,10 +444,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		writePrometheus(w, obs.Snapshot())
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(obs.Snapshot())
+	writeIndented(w, http.StatusOK, obs.Snapshot())
 }
 
 // promGaugeSuffixes mark the snapshot keys that are point-in-time values
@@ -494,10 +487,7 @@ func writePrometheus(w io.Writer, snap map[string]int64) {
 // handleQueries lists the in-flight queries with their live per-query
 // counters and elapsed time.
 func (s *Server) handleQueries(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(obs.ActiveQueries.List())
+	writeIndented(w, http.StatusOK, obs.ActiveQueries.List())
 }
 
 // handleQueryCancel handles POST /debug/queries/{id}/cancel: the named
@@ -529,19 +519,13 @@ func (s *Server) handleQueryCancel(w http.ResponseWriter, r *http.Request) {
 
 // handleSlow serves the captured slow queries, most recent first.
 func (s *Server) handleSlow(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(obs.SlowQueries.List())
+	writeIndented(w, http.StatusOK, obs.SlowQueries.List())
 }
 
 // handleTraces serves the sampled trace ring, most recent first: one
 // record per retained request with its full span tree.
 func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(obs.Traces.List())
+	writeIndented(w, http.StatusOK, obs.Traces.List())
 }
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
@@ -566,7 +550,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		ctx, rt.root = rt.tr.Start(ctx, spanRequest)
 		w.Header().Set("Traceparent", obs.FormatTraceparent(rt.tr.ID(), rt.root.ID()))
 	}
-	req, err := decodeQueryRequest(r)
+	req, buf, err := decodeQueryRequest(r)
 	if err != nil {
 		rt.finishError(w, http.StatusBadRequest, err, nil)
 		return
@@ -591,11 +575,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		} else {
 			sc = core.NewRepoEngine(s.cfg.Repo, core.Options{}).CheckPlan(p.Plan())
 		}
-		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(QueryResponse{
-			Result:          sc.String(),
-			StaticallyEmpty: sc.Empty,
-		})
+		writeResponse(w, buf, appendJSONString(nil, sc.String()), &QueryResponse{StaticallyEmpty: sc.Empty})
 		rt.ev.Source = "static-check"
 		rt.ev.StaticallyEmpty = sc.Empty
 		rt.finish(http.StatusOK, "ok", nil)
@@ -615,15 +595,14 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 
 	// Attribute the evaluation's work to this request: the engine picks
-	// the meter and query text up from the context, registers the query
-	// in obs.ActiveQueries, and captures it into obs.SlowQueries when it
-	// crosses a threshold.
-	meter := &obs.TaskMeter{}
-	ctx = obs.WithMeter(obs.WithQueryText(ctx, p.Text()), meter)
+	// the meter, which carries the query text, up from the context,
+	// registers the query in obs.ActiveQueries, and captures it into
+	// obs.SlowQueries when it crosses a threshold.
+	meter := &obs.TaskMeter{Query: p.Text()}
+	ctx = obs.WithMeter(ctx, meter)
 
-	start := time.Now()
 	res, src, err := s.svc.QueryPrepared(ctx, p)
-	elapsed := time.Since(start)
+	elapsed := time.Since(rt.start)
 	obsLatency.Observe(elapsed)
 	if s.cfg.SlowQuery > 0 && elapsed > s.cfg.SlowQuery {
 		obsSlow.Inc()
@@ -661,10 +640,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		rt.finishError(w, status, err, meter)
 		return
 	}
-	// The answer's JSON string literal is stored on the Result, so only
-	// the fields after it are encoded per request: the body is
-	// {"result": + literal + the rest of QueryResponse, byte for byte what
-	// encoding QueryResponse whole would write.
 	lit, err := res.JSON()
 	if err != nil {
 		rt.finishError(w, http.StatusInternalServerError, err, meter)
@@ -672,44 +647,102 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	resp := QueryResponse{
 		ElapsedUS:       elapsed.Microseconds(),
-		Stats:           toQueryStats(res.Stats),
+		Stats:           QueryStats(res.Stats),
 		StaticallyEmpty: res.StaticallyEmpty,
 		Cached:          src.Cached(),
 		Source:          src.String(),
 	}
 	if req.Trace && res.Trace != nil {
 		for _, op := range res.Trace.Ops {
-			resp.Trace = append(resp.Trace, OpTrace{
-				Op:       op.Op,
-				Kind:     op.Kind,
-				WallUS:   op.Wall.Microseconds(),
-				LiveRows: op.LiveRows,
-				Stats:    toQueryStats(op.Stats),
-			})
+			resp.Trace = append(resp.Trace, OpTrace{op.Op, op.Kind, op.Wall.Microseconds(), op.LiveRows, QueryStats(op.Stats)})
 		}
 	}
-	rest, err := json.Marshal(resp)
-	if err != nil {
-		rt.finishError(w, http.StatusInternalServerError, err, meter)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Write(resultField)
-	w.Write(lit)
-	w.Write(append(rest[len(emptyResult):], '\n'))
+	writeResponse(w, buf, lit, &resp)
 	rt.ev.Source = src.String()
 	rt.ev.Cached = src.Cached()
 	rt.ev.StaticallyEmpty = res.StaticallyEmpty
 	rt.finish(http.StatusOK, "ok", meter)
 }
 
-// A served body splices the stored literal in after resultField; rest is
-// QueryResponse encoded with an empty Result, whose encoding opens with
-// emptyResult (Result is the first field and is never omitted).
 var (
-	resultField = []byte(`{"result":`)
-	emptyResult = []byte(`{"result":""`)
+	// jsonContentType is shared by every response: setting it allocates nothing.
+	jsonContentType = []string{"application/json"}
+	resultField     = []byte(`{"result":`)
+	// A byte's two-byte JSON escape letter, and each letter's byte.
+	jsonEscapes = [256]byte{'"': '"', '\\': '\\', '\b': 'b', '\f': 'f', '\n': 'n', '\r': 'r', '\t': 't'}
+	unescapes   = [256]byte{'"': '"', '\\': '\\', '/': '/', 'b': '\b', 'f': '\f', 'n': '\n', 'r': '\r', 't': '\t'}
 )
+
+// writeResponse writes what json.Encoder writes for resp, whose Result is
+// the JSON literal lit, written as it is; the other fields go into buf.
+func writeResponse(w http.ResponseWriter, buf, lit []byte, resp *QueryResponse) {
+	w.Header()["Content-Type"] = jsonContentType
+	w.Write(resultField)
+	w.Write(lit)
+	b := strconv.AppendInt(append(buf[:0], `,"elapsed_us":`...), resp.ElapsedUS, 10)
+	b = appendStats(append(b, `,"stats":`...), &resp.Stats)
+	sep := `,"trace":[{"op":`
+	for _, op := range resp.Trace {
+		b = appendJSONString(append(b, sep...), op.Op)
+		sep = `,{"op":`
+		b = appendJSONString(append(b, `,"kind":`...), op.Kind)
+		b = strconv.AppendInt(append(b, `,"wall_us":`...), op.WallUS, 10)
+		b = strconv.AppendInt(append(b, `,"live_rows":`...), op.LiveRows, 10)
+		b = append(appendStats(append(b, `,"stats":`...), &op.Stats), '}')
+	}
+	if len(resp.Trace) > 0 {
+		b = append(b, ']')
+	}
+	if resp.StaticallyEmpty {
+		b = append(b, `,"statically_empty":true`...)
+	}
+	if resp.Cached {
+		b = append(b, `,"cached":true`...)
+	}
+	if resp.Source != "" {
+		b = appendJSONString(append(b, `,"source":`...), resp.Source)
+	}
+	w.Write(append(b, "}\n"...))
+}
+
+func appendStats(b []byte, s *QueryStats) []byte {
+	b = strconv.AppendInt(append(b, `{"vectors_opened":`...), int64(s.VectorsOpened), 10)
+	b = strconv.AppendInt(append(b, `,"values_scanned":`...), s.ValuesScanned, 10)
+	b = strconv.AppendInt(append(b, `,"rows_produced":`...), s.RowsProduced, 10)
+	b = strconv.AppendInt(append(b, `,"tuples":`...), s.Tuples, 10)
+	b = strconv.AppendInt(append(b, `,"runs_expanded":`...), s.RunsExpanded, 10)
+	return append(strconv.AppendInt(append(b, `,"index_hits":`...), s.IndexHits, 10), '}')
+}
+
+// appendJSONString appends s as encoding/json writes it: <, >, &, U+2028
+// and U+2029 as \u escapes, and each invalid UTF-8 byte as \ufffd.
+func appendJSONString(b []byte, s string) []byte {
+	const hex = "0123456789abcdef"
+	b = append(b, '"')
+	start := 0
+	for i := 0; i < len(s); {
+		c, r, size := s[i], rune(s[i]), 1
+		if c >= utf8.RuneSelf {
+			r, size = utf8.DecodeRuneInString(s[i:])
+		}
+		if c >= 0x20 && c != '"' && c != '\\' && c != '<' && c != '>' && c != '&' && (r != utf8.RuneError || size > 1) && r|1 != '\u2029' {
+			i += size
+			continue
+		}
+		b = append(b, s[start:i]...)
+		switch {
+		case jsonEscapes[c] != 0:
+			b = append(b, '\\', jsonEscapes[c])
+		case r == utf8.RuneError: // an invalid byte; a valid U+FFFD is safe
+			b = append(b, `\ufffd`...)
+		default:
+			b = append(b, '\\', 'u', hex[r>>12&0xf], hex[r>>8&0xf], hex[r>>4&0xf], hex[r&0xf])
+		}
+		i += size
+		start = i
+	}
+	return append(append(b, s[start:]...), '"')
+}
 
 // reqTrace bundles one request's observability lifecycle: the optional
 // span tree and the wide event accumulated as the handler progresses.
@@ -760,7 +793,6 @@ func (rt *reqTrace) finishError(w http.ResponseWriter, status int, err error, me
 // exporter, and emits the wide-event line. Safe with tracing off (only
 // the wide event fires) and with wide events off (only the trace).
 func (rt *reqTrace) finish(status int, outcome string, meter *obs.TaskMeter) {
-	elapsed := time.Since(rt.start)
 	if rt.root != nil {
 		attrs := []obs.Attr{
 			obs.Str("outcome", outcome),
@@ -787,7 +819,7 @@ func (rt *reqTrace) finish(status int, outcome string, meter *obs.TaskMeter) {
 	}
 	rt.ev.Outcome = outcome
 	rt.ev.Status = status
-	rt.ev.ElapsedUS = elapsed.Microseconds()
+	rt.ev.ElapsedUS = time.Since(rt.start).Microseconds()
 	rt.ev.Counters = meter.Counters()
 	line, err := json.Marshal(rt.ev)
 	if err != nil {
@@ -803,49 +835,175 @@ func (rt *reqTrace) finish(status int, outcome string, meter *obs.TaskMeter) {
 }
 
 // decodeQueryRequest accepts either a JSON QueryRequest body or a raw XQ
-// query as plain text (curl-friendly).
-func decodeQueryRequest(r *http.Request) (QueryRequest, error) {
+// query as plain text (curl-friendly). It also returns the buffer it read
+// the body into, sized from Content-Length with room for a hit's response
+// fields, which the query, a copy, no longer needs.
+func decodeQueryRequest(r *http.Request) (QueryRequest, []byte, error) {
 	const maxBody = 1 << 20
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxBody+1))
-	if err != nil {
-		return QueryRequest{}, err
-	}
-	if len(body) > maxBody {
-		return QueryRequest{}, fmt.Errorf("request body exceeds %d bytes", maxBody)
-	}
-	trimmed := bytes.TrimSpace(body)
-	if len(trimmed) > 0 && trimmed[0] == '{' {
-		var req QueryRequest
-		if err := json.Unmarshal(body, &req); err != nil {
-			return QueryRequest{}, fmt.Errorf("bad JSON body: %w", err)
+	buf := make([]byte, 0, 512+max(0, min(r.ContentLength, maxBody)))
+	for {
+		n, err := r.Body.Read(buf[len(buf):cap(buf)])
+		if buf = buf[:len(buf)+n]; len(buf) > maxBody {
+			return QueryRequest{}, nil, fmt.Errorf("request body exceeds %d bytes", maxBody)
+		} else if err == io.EOF {
+			break
+		} else if err != nil {
+			return QueryRequest{}, nil, err
+		} else if len(buf) == cap(buf) {
+			buf = append(buf, 0)[:len(buf)]
 		}
-		if strings.TrimSpace(req.Query) == "" {
-			return QueryRequest{}, errors.New("empty query")
+	}
+	req, ok := QueryRequest{}, false
+	if trimmed := bytes.TrimSpace(buf); len(trimmed) == 0 || trimmed[0] != '{' {
+		req.Query = string(trimmed)
+	} else if req, ok = scanQueryRequest(buf); !ok {
+		// What is accepted, and every error, stays encoding/json's.
+		var full QueryRequest
+		if err := json.Unmarshal(buf, &full); err != nil {
+			return QueryRequest{}, nil, fmt.Errorf("bad JSON body: %w", err)
 		}
-		return req, nil
+		req = full
 	}
-	if len(trimmed) == 0 {
-		return QueryRequest{}, errors.New("empty query")
+	if strings.TrimSpace(req.Query) == "" {
+		return QueryRequest{}, nil, errors.New("empty query")
 	}
-	return QueryRequest{Query: string(trimmed)}, nil
+	return req, buf, nil
+}
+
+// scanQueryRequest decodes a JSON object of QueryRequest's fields, each at
+// most once, without reflection, declining anything else or unsure (null,
+// other numbers, bytes >= 0x80, surrogates) for encoding/json; it unescapes
+// the query in place only once the whole body passed, so body stays intact.
+func scanQueryRequest(body []byte) (req QueryRequest, ok bool) {
+	s := reqScanner{b: body}
+	var query []byte
+	var seen uint8
+	for sep := "{"; sep == "{" || !s.word("}"); sep = "," {
+		if !s.word(sep) {
+			return req, false
+		}
+		key, ok := s.str()
+		if !ok || !s.word(":") {
+			return req, false
+		}
+		var bit uint8
+		switch string(key) {
+		case "query":
+			bit = 1
+			query, ok = s.str()
+		case "timeout_ms":
+			bit = 2
+			req.TimeoutMS, ok = s.int()
+		case "trace":
+			bit, req.Trace = 4, s.word("true")
+			ok = req.Trace || s.word("false")
+		case "check":
+			bit, req.Check = 8, s.word("true")
+			ok = req.Check || s.word("false")
+		}
+		if !ok || bit == 0 || seen&bit != 0 {
+			return req, false
+		}
+		seen |= bit
+	}
+	if s.word(""); s.i != len(s.b) { // word("") only skips whitespace
+		return req, false
+	}
+	req.Query = string(unquote(query))
+	return req, true
+}
+
+type reqScanner struct {
+	b []byte
+	i int
+}
+
+// word skips JSON whitespace and consumes w if it comes next.
+func (s *reqScanner) word(w string) bool {
+	for s.i < len(s.b) && strings.IndexByte(" \t\n\r", s.b[s.i]) >= 0 {
+		s.i++
+	}
+	if len(s.b)-s.i < len(w) || string(s.b[s.i:s.i+len(w)]) != w {
+		return false
+	}
+	s.i += len(w)
+	return true
+}
+
+// str reads a string of printable ASCII and escapes other than
+// surrogates, and returns it between its quotes, still escaped.
+func (s *reqScanner) str() ([]byte, bool) {
+	if !s.word(`"`) {
+		return nil, false
+	}
+	for start := s.i; s.i < len(s.b); {
+		switch c := s.b[s.i]; {
+		case c == '"':
+			s.i++
+			return s.b[start : s.i-1], true
+		case c < 0x20 || c >= utf8.RuneSelf:
+			return nil, false
+		case c != '\\':
+			s.i++
+		case s.i+1 < len(s.b) && unescapes[s.b[s.i+1]] != 0:
+			s.i += 2
+		default:
+			if _, ok := escapedRune(s.b[s.i+1:]); !ok {
+				return nil, false
+			}
+			s.i += 6
+		}
+	}
+	return nil, false
+}
+
+// int reads an integer of 1 to 18 digits, too few to overflow.
+func (s *reqScanner) int() (int64, bool) {
+	s.word("")
+	start, n := s.i, int64(0)
+	for s.i < len(s.b) && s.i-start < 18 && '0' <= s.b[s.i] && s.b[s.i] <= '9' {
+		n = n*10 + int64(s.b[s.i]-'0')
+		s.i++
+	}
+	return n, s.i > start && (s.b[start] != '0' || s.i == start+1)
+}
+
+// escapedRune decodes the \u escape b, past its backslash, opens with.
+func escapedRune(b []byte) (rune, bool) {
+	if len(b) < 5 || b[0] != 'u' {
+		return 0, false
+	}
+	var r rune
+	for _, c := range b[1:5] {
+		d := strings.IndexByte("0123456789abcdef0123456789ABCDEF", c)
+		if d < 0 {
+			return 0, false
+		}
+		r = r<<4 | rune(d%16)
+	}
+	return r, r < 0xd800 || r >= 0xe000
+}
+
+// unquote decodes str's escapes in place: its output never overtakes its input.
+func unquote(b []byte) []byte {
+	out := b[:0]
+	for i := 0; i < len(b); i++ {
+		if b[i] != '\\' {
+			out = append(out, b[i])
+		} else if r, ok := escapedRune(b[i+1:]); ok {
+			out, i = utf8.AppendRune(out, r), i+5
+		} else {
+			out, i = append(out, unescapes[b[i+1]]), i+1
+		}
+	}
+	return out
 }
 
 func (s *Server) fail(w http.ResponseWriter, status int, err error) {
 	obsErrors.Inc()
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(errorResponse{Error: err.Error()})
-}
-
-func toQueryStats(s core.EvalStats) QueryStats {
-	return QueryStats{
-		VectorsOpened: s.VectorsOpened,
-		ValuesScanned: s.ValuesScanned,
-		RowsProduced:  s.RowsProduced,
-		Tuples:        s.Tuples,
-		RunsExpanded:  s.RunsExpanded,
-		IndexHits:     s.IndexHits,
-	}
+	w.Write(append(appendJSONString([]byte(`{"error":`), err.Error()), "}\n"...))
 }
 
 // compactQuery folds a query onto one log line.

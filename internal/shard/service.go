@@ -103,13 +103,18 @@ func (m *missEval) scatter(ctx context.Context, plan *qgraph.Plan) (*core.Result
 	sctx, cancel := context.WithCancel(fanCtx)
 	defer cancel()
 	n := len(m.fed.Shards)
-	qtext := obs.QueryTextFrom(ctx)
+	parent := obs.MeterFrom(ctx)
 	var (
 		wg      sync.WaitGroup
 		results = make([]*core.Result, n)
 		errs    = make([]error, n)
 		meters  = make([]obs.TaskMeter, n)
 	)
+	if parent != nil && parent.Query != "" {
+		for k := range meters {
+			meters[k].Query = fmt.Sprintf("[shard %d] %s", k, parent.Query)
+		}
+	}
 	for k, repo := range m.fed.Shards {
 		wg.Add(1)
 		go func(k int, repo *vectorize.Repository) {
@@ -118,9 +123,6 @@ func (m *missEval) scatter(ctx context.Context, plan *qgraph.Plan) (*core.Result
 			ssp.SetAttr(obs.Int("shard", int64(k)))
 			defer ssp.End()
 			qctx = obs.WithMeter(qctx, &meters[k])
-			if qtext != "" {
-				qctx = obs.WithQueryText(qctx, fmt.Sprintf("[shard %d] %s", k, qtext))
-			}
 			results[k], errs[k] = core.NewRepoEngine(repo, m.opts).EvalResult(qctx, plan)
 			if errs[k] != nil {
 				cancel()
@@ -129,7 +131,6 @@ func (m *missEval) scatter(ctx context.Context, plan *qgraph.Plan) (*core.Result
 	}
 	wg.Wait()
 	fsp.End()
-	parent := obs.MeterFrom(ctx)
 	for k := range meters {
 		parent.Add(meters[k].Counters())
 	}

@@ -548,7 +548,7 @@ func TestFederationSingleFlight(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			res, src, err := svc.Query(obs.WithQueryText(context.Background(), q), q)
+			res, src, err := svc.Query(obs.WithMeter(context.Background(), &obs.TaskMeter{Query: q}), q)
 			srcs[i], errs[i] = src, err
 			if err == nil {
 				xmls[i], errs[i] = res.XML()
