@@ -874,8 +874,9 @@ func decodeQueryRequest(r *http.Request) (QueryRequest, []byte, error) {
 // most once, without reflection, declining anything else or unsure (null,
 // other numbers, bytes >= 0x80, surrogates) for encoding/json; it unescapes
 // the query in place only once the whole body passed, so body stays intact.
-func scanQueryRequest(body []byte) (req QueryRequest, ok bool) {
+func scanQueryRequest(body []byte) (QueryRequest, bool) {
 	s := reqScanner{b: body}
+	var req QueryRequest
 	var query []byte
 	var seen uint8
 	for sep := "{"; sep == "{" || !s.word("}"); sep = "," {
