@@ -446,9 +446,9 @@ func cmdServe(args []string) error {
 	pool := fs.Int("pool", 8192, "buffer pool pages")
 	addr := fs.String("addr", ":8080", "listen address")
 	timeout := fs.Duration("timeout", 30*time.Second, "per-request evaluation timeout cap (0 = no cap)")
-	slow := fs.Duration("slow", time.Second, "log and capture queries slower than this (0 = off)")
-	slowPages := fs.Int64("slow-pages", 0, "capture queries faulting at least this many pool pages (0 = off)")
-	slowRing := fs.Int("slow-ring", 64, "how many captured slow queries /debug/slow retains")
+	slow := fs.Duration("slow", time.Second, "keep requests that take at least this long as slow, for GET /debug/slow (0 = off)")
+	slowPages := fs.Int64("slow-pages", 0, "keep requests faulting at least this many pool pages as slow (0 = off)")
+	ringSize := fs.Int("ring", 128, "how many finished requests (failed, slow, head-sampled) /debug/slow, /debug/panics and /debug/traces share")
 	planCache := fs.Int("plan-cache", 256, "plan cache entries (0 = off)")
 	resultCache := fs.Int("result-cache", 1024, "result cache entries, invalidated by append epoch (0 = off)")
 	maxInflight := fs.Int("max-inflight", 0, "max concurrently evaluating queries before 429 (0 = no cap)")
@@ -456,11 +456,10 @@ func cmdServe(args []string) error {
 	admitWait := fs.Duration("admit-wait", 5*time.Millisecond, "how long an over-budget query queues before the 429")
 	readRetries := fs.Int("read-retries", 0, "transient page-read retries before failing the query (0 = storage default, -1 = no retries)")
 	retryBackoff := fs.Duration("retry-backoff", 0, "initial retry backoff, doubling per attempt with jitter (0 = storage default)")
-	tracing := fs.Bool("trace", true, "per-request span trees: W3C traceparent in/out plus the GET /debug/traces ring")
-	traceRing := fs.Int("trace-ring", 128, "how many sampled traces /debug/traces retains")
-	traceSample := fs.Int64("trace-sample", 16, "keep 1-in-N healthy traces (slow/degraded traces are always kept); 1 keeps all")
+	tracing := fs.Bool("trace", true, "per-request span trees: W3C traceparent in/out, a tree on every kept request, head sampling")
+	traceSample := fs.Int64("trace-sample", 16, "keep 1-in-N healthy requests (failed and slow ones are always kept); 1 keeps all")
 	traceExport := fs.String("trace-export", "", "append every completed trace to this file as OTLP-shaped JSON lines (\"-\" = stdout)")
-	wideEvents := fs.String("wide-events", "", "append one JSON wide-event record per completed query to this file (\"-\" = stdout)")
+	wideEvents := fs.String("wide-events", "", "append every finished request's record to this file as one JSON line (\"-\" = stdout)")
 	fs.Parse(args)
 	var (
 		repo *vectorize.Repository
@@ -519,7 +518,7 @@ func cmdServe(args []string) error {
 		Timeout:          *timeout,
 		SlowQuery:        *slow,
 		SlowPages:        *slowPages,
-		SlowRingSize:     *slowRing,
+		RingSize:         *ringSize,
 		PlanCacheSize:    *planCache,
 		ResultCacheSize:  *resultCache,
 		MaxInflight:      *maxInflight,
@@ -528,7 +527,6 @@ func cmdServe(args []string) error {
 		ReadRetries:      *readRetries,
 		RetryBackoff:     *retryBackoff,
 		Tracing:          *tracing,
-		TraceRingSize:    *traceRing,
 		TraceSample:      *traceSample,
 		TraceExport:      exportW,
 		WideEvents:       wideW,

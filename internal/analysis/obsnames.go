@@ -20,7 +20,7 @@ var obsNameRe = regexp.MustCompile(`^[a-z][a-z0-9_]*(\.[a-z][a-z0-9_]*)+$`)
 // process-global, not re-created per value.
 //
 // It applies the same convention to span names: the name argument of
-// obs.StartSpan, obs.StartRequestSpan, and (*obs.SpanTrace).Start must be
+// obs.StartSpan and (*obs.SpanTrace).Start must be
 // a package-level string constant matching <pkg>.<dotted_name> whose first
 // segment is the package name, and each span name belongs to exactly one
 // Start call site (one const, one site keeps trace trees unambiguous).
@@ -115,10 +115,10 @@ func ObsNames() *Analyzer {
 	return a
 }
 
-// isSpanStart reports whether the call mints a span: obs.StartSpan,
-// obs.StartRequestSpan, or the Start method on *obs.SpanTrace.
+// isSpanStart reports whether the call mints a span: obs.StartSpan or
+// the Start method on *obs.SpanTrace.
 func isSpanStart(info *types.Info, call *ast.CallExpr) bool {
-	if isPkgFunc(info, call, "obs", "StartSpan") || isPkgFunc(info, call, "obs", "StartRequestSpan") {
+	if isPkgFunc(info, call, "obs", "StartSpan") {
 		return true
 	}
 	fn := calleeFunc(info, call)

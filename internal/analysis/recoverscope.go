@@ -43,7 +43,7 @@ func (iv fnInterval) contains(p token.Pos) bool { return iv.pos <= p && p < iv.e
 // checkRecovers audits one top-level function: every recover() call must
 // be annotated, and its innermost enclosing function (deferred closures
 // are the usual shape) must also call debug.Stack so the capture reaches
-// the panic ring with a stack attached.
+// /debug/panics with a stack attached.
 func checkRecovers(pass *Pass, ann *Annotations, fn *ast.FuncDecl) {
 	bodies := []fnInterval{{fn.Body.Pos(), fn.Body.End()}}
 	var recovers, stacks []token.Pos

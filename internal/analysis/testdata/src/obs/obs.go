@@ -40,9 +40,3 @@ func (t *SpanTrace) Start(ctx context.Context, name string) (context.Context, *S
 func StartSpan(ctx context.Context, name string) (context.Context, *Span) {
 	return ctx, &Span{}
 }
-
-// StartRequestSpan opens a root span when tracing is enabled and no span
-// is inherited; owned reports whether the caller minted the root.
-func StartRequestSpan(ctx context.Context, name string) (context.Context, *Span, bool) {
-	return ctx, &Span{}, false
-}

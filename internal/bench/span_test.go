@@ -1,13 +1,17 @@
 package bench
 
 import (
-	"context"
+	"bytes"
+	"encoding/json"
+	"io"
+	"log"
+	"net/http"
+	"net/http/httptest"
 	"slices"
 	"testing"
 	"time"
 
-	"vxml/internal/core"
-	"vxml/internal/obs"
+	"vxml/internal/serve"
 	"vxml/internal/vectorize"
 )
 
@@ -73,11 +77,12 @@ func requireOverheadBounded(t *testing.T, what string, off, on func()) {
 	t.Errorf("%s exceeded %d%% on all %d attempts", what, bound, attempts)
 }
 
-// spanQueries returns one KQ1 query through a core.Service with request
-// tracing off and one with it on. The service's result cache is off, so
-// every query evaluates, and the trace ring runs at the serving defaults
-// (128 entries, 1-in-16 head sampling), so the amortized cost of tree
-// assembly for kept traces is part of the on side.
+// spanQueries returns one KQ1 request through a serve handler with
+// request tracing off and one through a handler with it on. Neither has
+// a result cache, so every request evaluates, and the traced handler
+// keeps 1 healthy request in 16 in its ring (the serving default), so the
+// amortized cost of building kept records, span trees included, is part
+// of the on side.
 func spanQueries(tb testing.TB) (off, on func()) {
 	tb.Helper()
 	h := quickHarness(tb)
@@ -90,28 +95,32 @@ func spanQueries(tb testing.TB) (off, on func()) {
 		tb.Fatal(err)
 	}
 	tb.Cleanup(func() { repo.Close() })
-	svc := core.NewService(repo, core.ServiceConfig{PlanCacheSize: 16})
-	src := QuerySources[KQ1]
-	obs.Traces.Configure(128, 16, 0)
-	prev := obs.TracingEnabled()
-	tb.Cleanup(func() {
-		obs.SetTracing(prev)
-		obs.Traces.Configure(128, 1, 0)
-	})
+	body, err := json.Marshal(serve.QueryRequest{Query: QuerySources[KQ1]})
+	if err != nil {
+		tb.Fatal(err)
+	}
 	query := func(tracing bool) func() {
+		handler := serve.New(serve.Config{
+			Repo:          repo,
+			PlanCacheSize: 16,
+			Tracing:       tracing,
+			TraceSample:   16,
+			Log:           log.New(io.Discard, "", 0),
+		}).Handler()
 		return func() {
-			obs.SetTracing(tracing)
-			if _, _, err := svc.Query(context.Background(), src); err != nil {
-				tb.Fatal(err)
+			w := httptest.NewRecorder()
+			handler.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/query", bytes.NewReader(body)))
+			if w.Code != http.StatusOK {
+				tb.Fatalf("status %d: %s", w.Code, w.Body.Bytes())
 			}
 		}
 	}
 	return query(false), query(true)
 }
 
-// BenchmarkSpanOverhead measures serving KQ1 through core.Service with
-// request tracing off (the gate is a single atomic load at the front
-// door) against tracing on (a span tree per query: root, plan, cache
+// BenchmarkSpanOverhead measures serving KQ1 through the HTTP handler
+// with request tracing off (no span is minted) against tracing on (a span
+// tree per request: the serve.request root, plan, core.query, cache
 // probe, admission, eval, plus 1-in-16 ring retention), one paired round
 // per iteration. The budget is <1% on quiet hardware.
 func BenchmarkSpanOverhead(b *testing.B) {
@@ -126,7 +135,7 @@ func BenchmarkSpanOverhead(b *testing.B) {
 // TestSpanOverheadBounded checks the tracing overhead through the same
 // paired measurement as BenchmarkSpanOverhead. It catches a rewrite that
 // makes a traced query much dearer than an untraced one, such as
-// assembling trees for traces the ring drops.
+// assembling trees for requests the ring drops.
 func TestSpanOverheadBounded(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing-sensitive; skipped in -short")

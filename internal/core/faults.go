@@ -28,8 +28,9 @@ var ErrInternal = errors.New("internal evaluation error")
 
 // PanicError is a panic captured at the evaluation boundary and converted
 // into an error: the query fails, the process and every other in-flight
-// query do not. The capture is also recorded in obs.Panics for
-// /debug/panics.
+// query do not. The HTTP surface finds it with errors.As, through a
+// federation's DegradedError too, and keeps its value and stack in the
+// failed request's record (GET /debug/panics).
 type PanicError struct {
 	Value any    // the value passed to panic
 	Stack []byte // the panicking goroutine's stack, captured at recover

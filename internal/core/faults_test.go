@@ -379,9 +379,10 @@ func poisonedEngine(t testing.TB, repo *vectorize.Repository) *Engine {
 }
 
 // TestPanicIsolation pins the recover boundary: a query that panics fails
-// with a typed ErrInternal carrying the stack, the capture lands in the
-// panic ring, and concurrent queries on the same repository complete
-// normally — the process, and the traffic, survive.
+// with a typed ErrInternal carrying the stack, and concurrent queries on
+// the same repository complete normally — the process, and the traffic,
+// survive. Keeping the stack for /debug/panics is the HTTP surface's job
+// (internal/serve TestPanicIsolationHTTP).
 func TestPanicIsolation(t *testing.T) {
 	repo := openDiskRepo(t, genBib(300), 64)
 	plan := planFor(t, concurrentQueries[0])
@@ -390,7 +391,6 @@ func TestPanicIsolation(t *testing.T) {
 	t.Run("serial", func(t *testing.T) {
 		panics := obs.GetCounter("core.query_panics")
 		panics0 := panics.Load()
-		ring0 := len(obs.Panics.List())
 
 		var wg sync.WaitGroup
 		for g := 0; g < 8; g++ {
@@ -425,13 +425,6 @@ func TestPanicIsolation(t *testing.T) {
 		}
 		if d := panics.Load() - panics0; d != 1 {
 			t.Errorf("core.query_panics delta = %d, want 1", d)
-		}
-		ring := obs.Panics.List()
-		if len(ring) != ring0+1 {
-			t.Fatalf("panic ring grew by %d, want 1", len(ring)-ring0)
-		}
-		if rec := ring[0]; !strings.Contains(rec.Value, "injected: poisoned vector scan") || rec.Stack == "" {
-			t.Errorf("newest panic record = %+v, want injected value with stack", rec)
 		}
 	})
 }

@@ -108,8 +108,8 @@ func (e *Engine) evalWithSink(ctx context.Context, plan *qgraph.Plan, sink vecto
 // attached to the context (unless the caller brought its own), the
 // evaluation registers in obs.ActiveQueries with a cancel func (so
 // /debug/queries can list and cooperatively cancel it through the
-// engine's existing ctx-poll machinery), and on completion queries over
-// the slow thresholds are captured into obs.SlowQueries.
+// engine's existing ctx-poll machinery). What a finished query is kept
+// for (slow, failed, sampled) is the serving layer's call, not this one's.
 func (e *Engine) evalWithSinkTraced(ctx context.Context, plan *qgraph.Plan, sink vectorize.Sink, trace *Trace) (skel *skeleton.Skeleton, err error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -124,7 +124,7 @@ func (e *Engine) evalWithSinkTraced(ctx context.Context, plan *qgraph.Plan, sink
 	defer cancel()
 	// Rendering plan.String() costs more than the whole telemetry layer,
 	// so the fallback label is lazy: it stringifies only when the query
-	// is actually listed or slow-captured.
+	// is actually listed.
 	var label func() string
 	if text := meter.Query; text != "" {
 		label = func() string { return text }
@@ -146,23 +146,6 @@ func (e *Engine) evalWithSinkTraced(ctx context.Context, plan *qgraph.Plan, sink
 		}
 		publishObs(x.stats, wall, err)
 		obs.ActiveQueries.Finish(regID)
-		if obs.SlowQueries.ShouldCapture(wall, meter.PagesFaulted()) {
-			rec := obs.SlowQueryRecord{
-				ID:       regID,
-				Query:    label(),
-				Start:    start,
-				WallUS:   wall.Microseconds(),
-				Counters: meter.Counters(),
-			}
-			if err != nil {
-				rec.Error = err.Error()
-			}
-			if trace != nil {
-				rec.Trace = trace.Redacted()
-			}
-			rec.TraceID = obs.SpanFrom(ctx).TraceID()
-			obs.SlowQueries.Record(rec)
-		}
 	}()
 	// Panic isolation: a panic anywhere in this evaluation dies HERE, as a
 	// typed *PanicError on this query alone — the process and every other
@@ -175,16 +158,9 @@ func (e *Engine) evalWithSinkTraced(ctx context.Context, plan *qgraph.Plan, sink
 		if r == nil {
 			return
 		}
-		pe := &PanicError{Value: r, Stack: debug.Stack()}
 		skel = nil
-		err = pe
+		err = &PanicError{Value: r, Stack: debug.Stack()}
 		obsQueryPanics.Inc()
-		obs.Panics.Record(obs.PanicRecord{
-			Query: label(),
-			Time:  start,
-			Value: fmt.Sprint(pe.Value),
-			Stack: string(pe.Stack),
-		})
 	}()
 	if sc := e.CheckPlan(plan); sc.Empty {
 		// Statically unsatisfiable: some path edge matches no catalog

@@ -80,10 +80,10 @@ const (
 )
 
 // OutcomeClass buckets a completed query's error into the serving
-// outcome taxonomy used by span attributes, trace-ring tail sampling,
-// and the wide-event log. A federation layers "degraded" on top via
-// shard.OutcomeClass; the HTTP surface adds "bad_request" for
-// parse failures it rejects before Query runs.
+// outcome taxonomy used by span attributes and the HTTP surface's
+// request records. A federation layers "degraded" on top via
+// shard.OutcomeClass; the HTTP surface adds "bad_request" for parse
+// failures it rejects before Query runs.
 func OutcomeClass(err error) string {
 	switch {
 	case err == nil:
@@ -384,11 +384,9 @@ func (s *Service) query(ctx context.Context, query string, p *Prepared) (res *Re
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	// Root-or-child: under the HTTP surface the context already carries a
-	// span and core.query nests inside it; called directly with the
-	// tracing gate on, this query roots its own trace and owns offering
-	// it to the /debug/traces ring.
-	ctx, sp, owned := obs.StartRequestSpan(ctx, spanQuery)
+	// A child of the caller's span: the HTTP surface (or a test) roots the
+	// trace, and with no span on ctx this costs one context lookup.
+	ctx, sp := obs.StartSpan(ctx, spanQuery)
 	if p == nil {
 		p, err = s.Prepare(ctx, query)
 	}
@@ -396,14 +394,8 @@ func (s *Service) query(ctx context.Context, query string, p *Prepared) (res *Re
 		res, src, err = s.answer(ctx, p)
 	}
 	if sp != nil {
-		outcome := OutcomeClass(err)
-		sp.SetAttr(obs.Str("source", src.String()), obs.Str("outcome", outcome))
-		if p != nil {
-			query = p.text
-		} else {
-			query = compactQuery(query)
-		}
-		obs.FinishRequestSpan(sp, owned, query, outcome)
+		sp.SetAttr(obs.Str("source", src.String()), obs.Str("outcome", OutcomeClass(err)))
+		sp.End()
 	}
 	return res, src, err
 }

@@ -108,14 +108,28 @@ func (e *Engine) EvalTraced(ctx context.Context, plan *qgraph.Plan) (*vectorize.
 }
 
 // EvalResult is EvalTraced packaged as a served Result: the miss path of
-// every Service.
+// every Service. A failed evaluation's error is a *TracedError carrying
+// the trace of the ops that completed.
 func (e *Engine) EvalResult(ctx context.Context, plan *qgraph.Plan) (*Result, error) {
 	repo, tr, err := e.EvalTraced(ctx, plan)
 	if err != nil {
-		return nil, err
+		return nil, &TracedError{Err: err, Trace: tr}
 	}
 	return &Result{Repo: repo, Trace: tr, Stats: tr.Total, StaticallyEmpty: tr.Static != nil && tr.Static.Empty}, nil
 }
+
+// TracedError is a failed evaluation's error with its partial Trace: the
+// ops that completed before it failed, and the counters so far. It
+// unwraps to the cause, so errors.Is, errors.As and OutcomeClass see
+// through it.
+type TracedError struct {
+	Err   error
+	Trace *Trace
+}
+
+func (e *TracedError) Error() string { return e.Err.Error() }
+
+func (e *TracedError) Unwrap() error { return e.Err }
 
 // ExplainAnalyze runs the plan to completion and renders the executed
 // plan annotated with per-op wall times and counters. The result itself

@@ -8,16 +8,12 @@ import (
 	"time"
 )
 
-// Query-scoped telemetry registration counters. Registered once at
-// package scope per the obsnames convention.
-var (
-	obsQueryCancels = GetCounter("obs.query_cancels")
-	obsSlowCaptured = GetCounter("obs.slow_captured")
-)
+// obsQueryCancels counts registry cancellations.
+var obsQueryCancels = GetCounter("obs.query_cancels")
 
 // activeQuery is one in-flight evaluation's registry entry. The query
 // text is a lazy renderer: plans only stringify when somebody actually
-// looks (List or a slow capture), never on the evaluation hot path.
+// lists the query, never on the evaluation hot path.
 type activeQuery struct {
 	id     int64
 	query  func() string
@@ -44,7 +40,7 @@ func NewQueryRegistry() *QueryRegistry {
 
 // Register adds an in-flight query and returns its id. query renders
 // the query text on demand — it is called only when the query is listed
-// or captured (memoize it if rendering is expensive) and must be safe
+// (memoize it if rendering is expensive) and must be safe
 // for concurrent calls; nil reads as empty. The meter may be nil
 // (counters read as zero); cancel may be nil (the query is then not
 // cancellable through the registry).
@@ -130,77 +126,3 @@ func (r *QueryRegistry) List() []ActiveQueryInfo {
 
 // ActiveQueries is the process-wide registry every evaluation reports to.
 var ActiveQueries = NewQueryRegistry()
-
-// SlowQueryRecord is one captured slow query: final meter counters plus
-// the redacted per-op trace when the evaluation was traced.
-type SlowQueryRecord struct {
-	ID       int64        `json:"id"`
-	Query    string       `json:"query"`
-	Start    time.Time    `json:"start"`
-	WallUS   int64        `json:"wall_us"`
-	Error    string       `json:"error,omitempty"`
-	Counters TaskCounters `json:"counters"`
-	Trace    string       `json:"trace,omitempty"`
-	// TraceID links the record to /debug/traces and the wide-event log
-	// when request tracing was active for this query.
-	TraceID string `json:"trace_id,omitempty"`
-}
-
-// SlowRing retains the most recent queries that crossed a latency or
-// pages-faulted threshold, in a fixed-size ring. Thresholds are atomics
-// so ShouldCapture is lock-free on the completion path; the ring itself
-// is locked, touched only for queries that already proved slow.
-type SlowRing struct {
-	wallUS atomic.Int64 // capture at/over this wall time; 0 disables
-	pages  atomic.Int64 // capture at/over this many pages faulted; 0 disables
-
-	mu   sync.Mutex
-	ring ring[SlowQueryRecord] // guarded by mu
-}
-
-// NewSlowRing returns a ring holding up to size records (min 1), with
-// both thresholds disabled.
-func NewSlowRing(size int) *SlowRing {
-	return &SlowRing{ring: newRing[SlowQueryRecord](size)}
-}
-
-// Configure sets the capture thresholds (zero disables each) and resizes
-// the ring, dropping previously captured records.
-func (s *SlowRing) Configure(wall time.Duration, pagesFaulted int64, size int) {
-	s.wallUS.Store(wall.Microseconds())
-	s.pages.Store(pagesFaulted)
-	s.mu.Lock()
-	s.ring = newRing[SlowQueryRecord](size)
-	s.mu.Unlock()
-}
-
-// ShouldCapture reports whether a completed query with the given wall
-// time and pages-faulted count crosses an enabled threshold.
-func (s *SlowRing) ShouldCapture(wall time.Duration, pagesFaulted int64) bool {
-	if w := s.wallUS.Load(); w > 0 && wall.Microseconds() >= w {
-		return true
-	}
-	if p := s.pages.Load(); p > 0 && pagesFaulted >= p {
-		return true
-	}
-	return false
-}
-
-// Record appends one captured query, evicting the oldest at capacity.
-func (s *SlowRing) Record(rec SlowQueryRecord) {
-	s.mu.Lock()
-	s.ring.push(rec)
-	s.mu.Unlock()
-	obsSlowCaptured.Inc()
-}
-
-// List returns the captured records, most recent first.
-func (s *SlowRing) List() []SlowQueryRecord {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.ring.newestFirst()
-}
-
-// SlowQueries is the process-wide capture ring; thresholds are off until
-// Configure (vxstore serve wires its flags here).
-var SlowQueries = NewSlowRing(64)

@@ -6,10 +6,9 @@ package obs
 // *SpanTrace is nil-receiver safe, so instrumented code never branches
 // on "is tracing on". A query either carries a span in its context (and
 // pays for child spans, attributes, and events) or it carries nil and
-// every call collapses to a pointer test. The global tracing gate only
-// controls whether a *root* is minted at a service front door; once a
-// root exists, children follow the context with no further global
-// checks.
+// every call collapses to a pointer test. A root is minted only by the
+// code that owns a request (the HTTP handler, or a test); children follow
+// the context with no global checks.
 //
 // Span identity follows the W3C trace-context model: a 16-byte trace ID
 // shared by every span of one request, and an 8-byte span ID per span.
@@ -103,19 +102,6 @@ func NewSpanID() SpanID {
 	binary.BigEndian.PutUint64(s[:], nextIDWord())
 	return s
 }
-
-// tracing is the global gate consulted only when a front door would
-// mint a fresh root span (StartRequestSpan with no span on the
-// context). Child spans never consult it: they follow the context.
-var tracing atomic.Bool
-
-// SetTracing flips the root-span gate and returns the previous value.
-// With tracing disabled (the default) instrumented paths cost one
-// context lookup plus one atomic load per request and allocate nothing.
-func SetTracing(on bool) bool { return tracing.Swap(on) }
-
-// TracingEnabled reports whether service front doors mint root spans.
-func TracingEnabled() bool { return tracing.Load() }
 
 // attrKind discriminates Attr payloads without boxing into interfaces.
 type attrKind uint8
@@ -221,22 +207,6 @@ func (s *Span) ID() SpanID {
 	return s.id
 }
 
-// TraceID returns the owning trace's ID as a hex string ("" on nil).
-func (s *Span) TraceID() string {
-	if s == nil || s.tr == nil {
-		return ""
-	}
-	return s.tr.id.String()
-}
-
-// Trace returns the owning trace (nil on nil).
-func (s *Span) Trace() *SpanTrace {
-	if s == nil {
-		return nil
-	}
-	return s.tr
-}
-
 // SetAttr appends attributes to the span. Later duplicates of a key are
 // kept verbatim; renderers show attributes in insertion order.
 func (s *Span) SetAttr(attrs ...Attr) {
@@ -330,14 +300,6 @@ func (t *SpanTrace) ID() TraceID {
 	return t.id
 }
 
-// StartedAt returns the trace's creation time (zero on nil).
-func (t *SpanTrace) StartedAt() time.Time {
-	if t == nil {
-		return time.Time{}
-	}
-	return t.start
-}
-
 // Start opens a new span in this trace. If ctx already carries a span
 // of the same trace the new span becomes its child; otherwise it roots
 // at the trace's remote parent (zero for local roots). The returned
@@ -378,38 +340,6 @@ func StartSpan(ctx context.Context, name string) (context.Context, *Span) {
 		return ctx, nil
 	}
 	return sp.tr.Start(ctx, name)
-}
-
-// StartRequestSpan is the service front-door helper: if ctx already
-// carries a span it opens a child (owned=false — some outer layer owns
-// the trace's lifecycle); otherwise, when the global tracing gate is
-// on, it mints a fresh trace and roots it (owned=true — the caller must
-// finish the trace, typically via FinishRequestSpan). With the gate off
-// and no inherited span it returns (ctx, nil, false).
-func StartRequestSpan(ctx context.Context, name string) (context.Context, *Span, bool) {
-	if sp := SpanFrom(ctx); sp != nil {
-		ctx, child := sp.tr.Start(ctx, name)
-		return ctx, child, false
-	}
-	if !tracing.Load() {
-		return ctx, nil, false
-	}
-	ctx, root := NewTrace().Start(ctx, name)
-	return ctx, root, true
-}
-
-// FinishRequestSpan ends sp and, when the caller owns the trace, offers
-// the completed trace to the global Traces ring under its sampling
-// policy. query and outcome label the ring record; outcome also drives
-// tail sampling (anything but "ok" is always kept).
-func FinishRequestSpan(sp *Span, owned bool, query, outcome string) {
-	if sp == nil {
-		return
-	}
-	sp.End()
-	if owned {
-		Traces.OfferTrace(sp.tr, query, outcome)
-	}
 }
 
 // SpanNode is the exported tree form of a span: nested, JSON-ready, and
@@ -581,16 +511,6 @@ func intOf(v any) int64 {
 		}
 	}
 	return 0
-}
-
-// CountSpans returns the number of spans recorded so far.
-func (t *SpanTrace) CountSpans() int {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.spans)
 }
 
 // SpanNames returns the sorted distinct span names in the trace —

@@ -11,12 +11,13 @@ import (
 // method is safe on a nil receiver (one predictable branch), so hot paths
 // charge unconditionally and unmetered callers pay nothing but the check.
 // The counters are atomics: a meter is read live (the active-query
-// listing) while its evaluation bumps it.
+// listing) while its evaluation bumps it, and once more when a served
+// request finishes, for the request's record.
 type TaskMeter struct {
 	// Query is the query as the client wrote it, for the active-query
-	// registry and slow-query captures to show in place of the compiled
-	// plan; "" lets them render the plan. It is set before the meter
-	// rides a context and never written after.
+	// registry to show in place of the compiled plan; "" lets it render
+	// the plan. It is set before the meter rides a context and never
+	// written after.
 	Query string
 
 	pagesFaulted     atomic.Int64
@@ -89,8 +90,8 @@ func (m *TaskMeter) ReadRetries() int64 {
 	return m.readRetries.Load()
 }
 
-// PagesFaulted returns the pages faulted so far (the slow-capture
-// threshold input).
+// PagesFaulted returns the pages faulted so far: what admission budgets
+// against, and what a server's SlowPages threshold compares.
 func (m *TaskMeter) PagesFaulted() int64 {
 	if m == nil {
 		return 0

@@ -4,7 +4,6 @@ import (
 	"context"
 	"sync"
 	"testing"
-	"time"
 )
 
 // TestTaskMeterNilSafe: every charge and read is a no-op on a nil meter —
@@ -115,40 +114,5 @@ func TestQueryRegistry(t *testing.T) {
 	}
 	if r.Cancel(id1) {
 		t.Fatal("finished query reported cancellable")
-	}
-}
-
-func TestSlowRing(t *testing.T) {
-	s := NewSlowRing(2)
-	if s.ShouldCapture(time.Hour, 1<<40) {
-		t.Fatal("unconfigured ring captured")
-	}
-	s.Configure(100*time.Millisecond, 10, 2)
-	if !s.ShouldCapture(150*time.Millisecond, 0) {
-		t.Fatal("latency threshold did not trigger")
-	}
-	if !s.ShouldCapture(0, 10) {
-		t.Fatal("pages threshold did not trigger")
-	}
-	if s.ShouldCapture(50*time.Millisecond, 9) {
-		t.Fatal("under both thresholds still captured")
-	}
-	for i := int64(1); i <= 3; i++ {
-		s.Record(SlowQueryRecord{ID: i})
-	}
-	got := s.List()
-	if len(got) != 2 || got[0].ID != 3 || got[1].ID != 2 {
-		t.Fatalf("ring = %+v, want newest-first [3 2]", got)
-	}
-	// Disabling a threshold (0) turns that trigger off.
-	s.Configure(0, 5, 2)
-	if s.ShouldCapture(time.Hour, 0) {
-		t.Fatal("disabled latency threshold triggered")
-	}
-	if !s.ShouldCapture(0, 5) {
-		t.Fatal("pages threshold lost on reconfigure")
-	}
-	if len(s.List()) != 0 {
-		t.Fatal("reconfigure did not clear the ring")
 	}
 }

@@ -13,7 +13,6 @@ import (
 	"sync"
 	"testing"
 
-	"vxml/internal/obs"
 	"vxml/internal/storage"
 	"vxml/internal/vector"
 	"vxml/internal/vectorize"
@@ -264,7 +263,7 @@ func TestPanicIsolationHTTP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var records []obs.PanicRecord
+	var records []Record
 	if err := json.NewDecoder(panicsResp.Body).Decode(&records); err != nil {
 		t.Fatalf("decode /debug/panics: %v", err)
 	}
@@ -273,8 +272,8 @@ func TestPanicIsolationHTTP(t *testing.T) {
 		t.Fatal("/debug/panics is empty after a captured panic")
 	}
 	rec := records[0]
-	if !strings.Contains(rec.Value, "injected: serve panic probe") {
-		t.Errorf("newest panic value = %q, want the injected value", rec.Value)
+	if !strings.Contains(rec.Panic, "injected: serve panic probe") || rec.Outcome != "panic" {
+		t.Errorf("newest panic value = %q, outcome %q; want the injected value, panic", rec.Panic, rec.Outcome)
 	}
 	if !strings.Contains(rec.Stack, "panicOnScanVector") {
 		t.Errorf("panic stack does not show the panicking frame:\n%s", rec.Stack)

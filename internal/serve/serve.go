@@ -15,10 +15,11 @@
 //
 // Query-scoped telemetry rides every request: each evaluation carries a
 // per-query obs.TaskMeter, GET /debug/queries lists the in-flight
-// queries with their live counters, POST /debug/queries/{id}/cancel
-// cancels one cooperatively, and GET /debug/slow serves the ring of
-// recently captured slow queries (over the latency or pages-faulted
-// threshold) with their final counters and redacted traces.
+// queries with their live counters, and POST /debug/queries/{id}/cancel
+// cancels one cooperatively. A finished request is judged once, by one
+// keep rule, into one Record: the server's ring keeps the failed, slow
+// and head-sampled ones, which GET /debug/slow, /debug/panics and
+// /debug/traces list (record.go).
 package serve
 
 import (
@@ -49,7 +50,7 @@ import (
 )
 
 // Config configures a Server. Zero values mean: no request timeout cap,
-// no slow-query log, log to the standard logger.
+// no slow-request trigger, log to the standard logger.
 type Config struct {
 	Repo *vectorize.Repository
 	// Federation switches the server into sharded mode: queries answer
@@ -61,18 +62,19 @@ type Config struct {
 	// Timeout caps each request's evaluation time; requests may ask for
 	// less via timeout_ms but never more. 0 = no cap.
 	Timeout time.Duration
-	// SlowQuery logs any query slower than this and captures it into the
-	// slow-query ring (GET /debug/slow). 0 disables the latency trigger.
+	// SlowQuery keeps, as slow, every request whose wall time reaches
+	// this (GET /debug/slow), whatever its outcome. 0 disables the
+	// latency trigger.
 	SlowQuery time.Duration
-	// SlowPages captures any query faulting at least this many buffer-pool
-	// pages into the slow-query ring, regardless of latency. 0 disables
+	// SlowPages keeps, as slow, every request whose evaluation faulted at
+	// least this many buffer-pool pages, whatever its latency. 0 disables
 	// the pages trigger.
 	SlowPages int64
-	// SlowRingSize is how many captured slow queries /debug/slow retains
-	// (oldest evicted first). 0 means the default of 64.
-	SlowRingSize int
-	// Log receives slow-query and server lifecycle lines; nil uses the
-	// process default logger.
+	// RingSize is how many finished requests the server keeps for
+	// /debug/slow, /debug/panics and /debug/traces. 0 means 128.
+	RingSize int
+	// Log receives server lifecycle lines and sink write failures; nil
+	// uses the process default logger.
 	Log *log.Logger
 	// PlanCacheSize bounds the plan cache in entries; 0 disables it.
 	PlanCacheSize int
@@ -97,25 +99,19 @@ type Config struct {
 	// Tracing enables end-to-end request tracing: every /query request
 	// gets a span tree (rooted from an incoming W3C traceparent header
 	// when present, minted fresh otherwise), the trace ID echoes in the
-	// Traceparent response header, and sampled traces land in the
-	// GET /debug/traces ring. Off by default — with it off the request
-	// path is unchanged.
+	// Traceparent response header, every record carries its tree, and
+	// the ring also keeps head-sampled healthy requests. Off by default.
 	Tracing bool
-	// TraceRingSize is how many sampled traces /debug/traces retains;
-	// 0 means the default of 128. Only meaningful with Tracing.
-	TraceRingSize int
-	// TraceSample keeps 1-in-N healthy traces in the ring (head
-	// sampling); slow, degraded, shed, quarantined and panicked traces
-	// are always kept (tail sampling). 0 means the default of 16; 1
-	// keeps everything. Only meaningful with Tracing.
+	// TraceSample keeps 1 healthy request in N in the ring (head
+	// sampling); failed and slow requests are always kept. 0 means the
+	// default of 16; 1 keeps everything. Only meaningful with Tracing.
 	TraceSample int64
 	// TraceExport, when non-nil, receives every completed trace as one
 	// OTLP-shaped JSON object per line. Only meaningful with Tracing.
 	TraceExport io.Writer
-	// WideEvents, when non-nil, receives one structured JSON record per
-	// completed /query request: trace ID, canonical query, cache source,
-	// shard fan-out, the degraded shard, every TaskMeter counter, and the
-	// outcome class.
+	// WideEvents, when non-nil, receives every finished /query request's
+	// Record as one JSON line: the same record the ring keeps, whether or
+	// not the ring keeps it.
 	WideEvents io.Writer
 }
 
@@ -181,7 +177,9 @@ type Server struct {
 	svc      *core.Service
 	exporter *obs.TraceExporter // non-nil iff cfg.TraceExport set
 	mux      *http.ServeMux
-	wideMu   sync.Mutex // serializes wide-event lines on cfg.WideEvents
+	ring     ring
+	healthy  atomic.Int64 // healthy requests seen, for head sampling
+	wideMu   sync.Mutex   // serializes wide-event lines on cfg.WideEvents
 	// draining flips when graceful shutdown begins: /healthz answers 503
 	// from then on so load balancers stop routing while in-flight
 	// requests finish.
@@ -203,22 +201,11 @@ func New(cfg Config) *Server {
 	if cfg.Log == nil {
 		cfg.Log = log.Default()
 	}
-	if cfg.SlowRingSize == 0 {
-		cfg.SlowRingSize = 64
+	if cfg.RingSize <= 0 {
+		cfg.RingSize = 128
 	}
-	// The slow ring is process-global (evaluations capture into it from
-	// the engine, below the HTTP layer); the server owns its thresholds.
-	obs.SlowQueries.Configure(cfg.SlowQuery, cfg.SlowPages, cfg.SlowRingSize)
-	if cfg.Tracing {
-		if cfg.TraceRingSize == 0 {
-			cfg.TraceRingSize = 128
-		}
-		if cfg.TraceSample == 0 {
-			cfg.TraceSample = 16
-		}
-		// Tail sampling reuses the slow-query threshold: a trace worth a
-		// slow-ring entry is worth keeping whole.
-		obs.Traces.Configure(cfg.TraceRingSize, cfg.TraceSample, cfg.SlowQuery)
+	if cfg.TraceSample <= 0 {
+		cfg.TraceSample = 16
 	}
 	if cfg.ReadRetries != 0 || cfg.RetryBackoff != 0 {
 		rp := storage.DefaultRetryPolicy
@@ -239,7 +226,7 @@ func New(cfg Config) *Server {
 			cfg.Repo.Store.Pool().SetRetryPolicy(rp)
 		}
 	}
-	s := &Server{cfg: cfg, mux: http.NewServeMux()}
+	s := &Server{cfg: cfg, mux: http.NewServeMux(), ring: ring{size: cfg.RingSize}}
 	if cfg.TraceExport != nil {
 		s.exporter = obs.NewTraceExporter(cfg.TraceExport, "")
 	}
@@ -390,11 +377,6 @@ func (s *Server) handleShards(w http.ResponseWriter, r *http.Request) {
 	writeIndented(w, http.StatusOK, s.cfg.Federation.Status())
 }
 
-// handlePanics serves the captured query panics, most recent first.
-func (s *Server) handlePanics(w http.ResponseWriter, r *http.Request) {
-	writeIndented(w, http.StatusOK, obs.Panics.List())
-}
-
 // handleQuarantineClear handles POST /debug/quarantine/clear: every
 // quarantined vector is re-verified from disk, the clean ones re-admitted
 // and the still-corrupt ones kept. The response lists both sets, so the
@@ -517,17 +499,6 @@ func (s *Server) handleQueryCancel(w http.ResponseWriter, r *http.Request) {
 	json.NewEncoder(w).Encode(map[string]any{"cancelled": id})
 }
 
-// handleSlow serves the captured slow queries, most recent first.
-func (s *Server) handleSlow(w http.ResponseWriter, r *http.Request) {
-	writeIndented(w, http.StatusOK, obs.SlowQueries.List())
-}
-
-// handleTraces serves the sampled trace ring, most recent first: one
-// record per retained request with its full span tree.
-func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
-	writeIndented(w, http.StatusOK, obs.Traces.List())
-}
-
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		s.fail(w, http.StatusMethodNotAllowed, errors.New("POST required"))
@@ -559,13 +530,13 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// malformed queries fail here with a 400 before any evaluation work.
 	p, err := s.svc.Prepare(ctx, req.Query)
 	if err != nil {
-		rt.ev.Query = compactQuery(req.Query)
+		rt.rec.Query = compactQuery(req.Query)
 		rt.finishError(w, http.StatusBadRequest, err, nil)
 		return
 	}
-	rt.ev.Query, rt.ev.Canonical = p.Text(), p.Canonical()
+	rt.rec.Query, rt.rec.Canonical = p.Text(), p.Canonical()
 	if s.cfg.Federation != nil {
-		rt.ev.ShardFanout = len(s.cfg.Federation.Shards)
+		rt.rec.ShardFanout = len(s.cfg.Federation.Shards)
 	}
 
 	if req.Check {
@@ -576,8 +547,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			sc = core.NewRepoEngine(s.cfg.Repo, core.Options{}).CheckPlan(p.Plan())
 		}
 		writeResponse(w, buf, appendJSONString(nil, sc.String()), &QueryResponse{StaticallyEmpty: sc.Empty})
-		rt.ev.Source = "static-check"
-		rt.ev.StaticallyEmpty = sc.Empty
+		rt.rec.Source = "static-check"
+		rt.rec.StaticallyEmpty = sc.Empty
 		rt.finish(http.StatusOK, "ok", nil)
 		return
 	}
@@ -595,23 +566,14 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 
 	// Attribute the evaluation's work to this request: the engine picks
-	// the meter, which carries the query text, up from the context,
-	// registers the query in obs.ActiveQueries, and captures it into
-	// obs.SlowQueries when it crosses a threshold.
+	// the meter, which carries the query text, up from the context and
+	// registers the query in obs.ActiveQueries.
 	meter := &obs.TaskMeter{Query: p.Text()}
 	ctx = obs.WithMeter(ctx, meter)
 
 	res, src, err := s.svc.QueryPrepared(ctx, p)
-	elapsed := time.Since(rt.start)
-	obsLatency.Observe(elapsed)
-	if s.cfg.SlowQuery > 0 && elapsed > s.cfg.SlowQuery {
-		obsSlow.Inc()
-		mc := meter.Counters()
-		s.cfg.Log.Printf("serve: slow_query elapsed_ms=%d threshold_ms=%d pages_faulted=%d bytes_read=%d vector_opens=%d tuples=%d query=%q",
-			elapsed.Milliseconds(), s.cfg.SlowQuery.Milliseconds(),
-			mc.PagesFaulted, mc.BytesRead, mc.VectorOpens, mc.Tuples,
-			compactQuery(req.Query))
-	}
+	rt.elapsed, rt.rec.Source = time.Since(rt.start), src.String()
+	obsLatency.Observe(rt.elapsed)
 	if err != nil {
 		status := http.StatusInternalServerError
 		switch {
@@ -646,7 +608,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	resp := QueryResponse{
-		ElapsedUS:       elapsed.Microseconds(),
+		ElapsedUS:       rt.elapsed.Microseconds(),
 		Stats:           QueryStats(res.Stats),
 		StaticallyEmpty: res.StaticallyEmpty,
 		Cached:          src.Cached(),
@@ -658,9 +620,9 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	writeResponse(w, buf, lit, &resp)
-	rt.ev.Source = src.String()
-	rt.ev.Cached = src.Cached()
-	rt.ev.StaticallyEmpty = res.StaticallyEmpty
+	rt.trace = res.Trace
+	rt.rec.Cached = src.Cached()
+	rt.rec.StaticallyEmpty = res.StaticallyEmpty
 	rt.finish(http.StatusOK, "ok", meter)
 }
 
@@ -742,96 +704,6 @@ func appendJSONString(b []byte, s string) []byte {
 		start = i
 	}
 	return append(append(b, s[start:]...), '"')
-}
-
-// reqTrace bundles one request's observability lifecycle: the optional
-// span tree and the wide event accumulated as the handler progresses.
-type reqTrace struct {
-	s     *Server
-	tr    *obs.SpanTrace // nil when tracing is off
-	root  *obs.Span
-	start time.Time
-	ev    wideEvent
-}
-
-// wideEvent is one line of the wide-event query log: everything known
-// about one completed request in a single flat JSON record.
-type wideEvent struct {
-	Time            time.Time        `json:"time"`
-	TraceID         string           `json:"trace_id,omitempty"`
-	Query           string           `json:"query,omitempty"`
-	Canonical       string           `json:"canonical,omitempty"`
-	Outcome         string           `json:"outcome"`
-	Status          int              `json:"status"`
-	Source          string           `json:"source,omitempty"`
-	Cached          bool             `json:"cached,omitempty"`
-	StaticallyEmpty bool             `json:"statically_empty,omitempty"`
-	ElapsedUS       int64            `json:"elapsed_us"`
-	ShardFanout     int              `json:"shard_fanout,omitempty"`
-	DegradedShard   *int             `json:"degraded_shard,omitempty"`
-	Error           string           `json:"error,omitempty"`
-	Counters        obs.TaskCounters `json:"counters"`
-}
-
-// finishError maps err to the wide-event outcome taxonomy, writes the
-// HTTP error response, and completes the request's observability.
-func (rt *reqTrace) finishError(w http.ResponseWriter, status int, err error, meter *obs.TaskMeter) {
-	outcome := shard.OutcomeClass(err)
-	if status == http.StatusBadRequest {
-		outcome = "bad_request"
-	}
-	var de *shard.DegradedError
-	if errors.As(err, &de) {
-		rt.ev.DegradedShard = &de.Shard
-	}
-	rt.ev.Error = err.Error()
-	rt.s.fail(w, status, err)
-	rt.finish(status, outcome, meter)
-}
-
-// finish stamps the root span, offers the trace to the ring and the
-// exporter, and emits the wide-event line. Safe with tracing off (only
-// the wide event fires) and with wide events off (only the trace).
-func (rt *reqTrace) finish(status int, outcome string, meter *obs.TaskMeter) {
-	if rt.root != nil {
-		attrs := []obs.Attr{
-			obs.Str("outcome", outcome),
-			obs.Int("status", int64(status)),
-		}
-		if rt.ev.Source != "" {
-			attrs = append(attrs, obs.Str("source", rt.ev.Source))
-		}
-		rt.root.SetAttr(attrs...)
-		rt.root.End()
-		obs.Traces.OfferTrace(rt.tr, rt.ev.Query, outcome)
-		if rt.s.exporter != nil {
-			if err := rt.s.exporter.Export(rt.tr); err != nil {
-				rt.s.cfg.Log.Printf("serve: trace export failed: %v", err)
-			}
-		}
-	}
-	if rt.s.cfg.WideEvents == nil {
-		return
-	}
-	rt.ev.Time = rt.start
-	if rt.tr != nil {
-		rt.ev.TraceID = rt.tr.ID().String()
-	}
-	rt.ev.Outcome = outcome
-	rt.ev.Status = status
-	rt.ev.ElapsedUS = time.Since(rt.start).Microseconds()
-	rt.ev.Counters = meter.Counters()
-	line, err := json.Marshal(rt.ev)
-	if err != nil {
-		return
-	}
-	line = append(line, '\n')
-	rt.s.wideMu.Lock()
-	_, werr := rt.s.cfg.WideEvents.Write(line)
-	rt.s.wideMu.Unlock()
-	if werr != nil {
-		rt.s.cfg.Log.Printf("serve: wide-event write failed: %v", werr)
-	}
 }
 
 // decodeQueryRequest accepts either a JSON QueryRequest body or a raw XQ
@@ -1007,7 +879,7 @@ func (s *Server) fail(w http.ResponseWriter, status int, err error) {
 	w.Write(append(appendJSONString([]byte(`{"error":`), err.Error()), "}\n"...))
 }
 
-// compactQuery folds a query onto one log line.
+// compactQuery folds a query onto one line.
 func compactQuery(q string) string {
 	return strings.Join(strings.Fields(q), " ")
 }

@@ -16,8 +16,7 @@ import (
 	"vxml/internal/vectorize"
 )
 
-// syncSink is a goroutine-safe wide-event buffer: the handler writes
-// lines after the response has flushed, so tests poll Lines().
+// syncSink is a goroutine-safe wide-event buffer.
 type syncSink struct {
 	mu sync.Mutex
 	b  bytes.Buffer
@@ -61,42 +60,36 @@ func postTraced(t *testing.T, base, query, traceparent string) (*http.Response, 
 	return resp, qr
 }
 
-// waitTrace polls the trace ring for a record with the given trace ID.
-func waitTrace(t *testing.T, traceID string) obs.TraceRecord {
+// ringRecord polls /debug/traces for the record with the trace ID. The
+// handler keeps it before it returns, but a client can read a large
+// response before that.
+func ringRecord(t *testing.T, base, traceID string) (rec Record) {
 	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		for _, rec := range obs.Traces.List() {
+	waitFor(t, "trace "+traceID+" in the ring", func() bool {
+		var recs []Record
+		getJSON(t, base+"/debug/traces", http.StatusOK, &recs)
+		for _, rec = range recs {
 			if rec.TraceID == traceID {
-				return rec
+				return true
 			}
 		}
-		if time.Now().After(deadline) {
-			t.Fatalf("no trace %s in ring", traceID)
-		}
-		time.Sleep(time.Millisecond)
-	}
+		return false
+	})
+	return rec
 }
 
-// waitWideEvent polls the wide-event sink for a line with the trace ID.
-func waitWideEvent(t *testing.T, sink *syncSink, traceID string) wideEvent {
+// wideEvent polls the wide-event sink for the line with the trace ID.
+func wideEvent(t *testing.T, sink *syncSink, traceID string) (rec Record) {
 	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
+	waitFor(t, "a wide event for trace "+traceID, func() bool {
 		for _, line := range sink.Lines() {
-			var ev wideEvent
-			if err := json.Unmarshal([]byte(line), &ev); err != nil {
-				continue
-			}
-			if ev.TraceID == traceID {
-				return ev
+			if rec = (Record{}); json.Unmarshal([]byte(line), &rec) == nil && rec.TraceID == traceID {
+				return true
 			}
 		}
-		if time.Now().After(deadline) {
-			t.Fatalf("no wide event for trace %s", traceID)
-		}
-		time.Sleep(time.Millisecond)
-	}
+		return false
+	})
+	return rec
 }
 
 const parentTraceID = "4bf92f3577b34da6a3ce929d0e0e4736"
@@ -158,7 +151,7 @@ func TestTraceparentRoundTrip(t *testing.T) {
 		t.Error("response span ID is the caller's, not the server root's")
 	}
 
-	rec := waitTrace(t, parentTraceID)
+	rec := ringRecord(t, base, parentTraceID)
 	if rec.Root == nil || rec.Root.Name != "serve.request" {
 		t.Fatalf("trace root = %+v, want serve.request", rec.Root)
 	}
@@ -166,7 +159,7 @@ func TestTraceparentRoundTrip(t *testing.T) {
 		t.Errorf("server root parents on %q, want caller span %q", rec.Root.ParentID, parentSpan)
 	}
 
-	ev := waitWideEvent(t, sink, parentTraceID)
+	ev := wideEvent(t, sink, parentTraceID)
 	if ev.Outcome != "ok" || ev.Status != http.StatusOK {
 		t.Errorf("wide event outcome=%q status=%d, want ok/200", ev.Outcome, ev.Status)
 	}
@@ -264,7 +257,7 @@ func TestFederationTraceUnderShardFault(t *testing.T) {
 		t.Fatalf("response traceparent %q lost the caller's trace ID", resp.Header.Get("Traceparent"))
 	}
 
-	rec := waitTrace(t, parentTraceID)
+	rec := ringRecord(t, base, parentTraceID)
 	if rec.Root == nil || rec.Root.Name != "serve.request" {
 		t.Fatalf("root = %+v, want serve.request", rec.Root)
 	}
@@ -293,14 +286,14 @@ func TestFederationTraceUnderShardFault(t *testing.T) {
 	if scatter == nil {
 		t.Fatal("no scatter span")
 	}
-	perShard := map[int64]*obs.SpanNode{}
+	perShard := map[float64]*obs.SpanNode{} // JSON numbers decode as float64
 	for _, c := range scatter.Children {
 		if c.Name != "shard.shard_query" {
 			continue
 		}
 		for _, a := range c.Attrs {
 			if a.Key == "shard" {
-				if n, ok := a.Value.(int64); ok {
+				if n, ok := a.Value.(float64); ok {
 					perShard[n] = c
 				}
 			}
@@ -317,7 +310,7 @@ func TestFederationTraceUnderShardFault(t *testing.T) {
 	}
 	checkContainment(t, rec.Root)
 
-	ev := waitWideEvent(t, sink, parentTraceID)
+	ev := wideEvent(t, sink, parentTraceID)
 	if ev.Outcome != "ok" || ev.Status != http.StatusOK {
 		t.Errorf("wide event outcome=%q status=%d", ev.Outcome, ev.Status)
 	}
@@ -349,10 +342,10 @@ func TestFederationDegradedAttribution(t *testing.T) {
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("degraded query status = %d, want 503", resp.StatusCode)
 	}
-	if rec := waitTrace(t, traceID); rec.Outcome != "degraded" {
+	if rec := ringRecord(t, base, traceID); rec.Outcome != "degraded" {
 		t.Errorf("trace ring outcome = %q, want degraded", rec.Outcome)
 	}
-	ev := waitWideEvent(t, sink, traceID)
+	ev := wideEvent(t, sink, traceID)
 	if ev.Outcome != "degraded" || ev.Status != http.StatusServiceUnavailable {
 		t.Errorf("wide event outcome=%q status=%d, want degraded 503", ev.Outcome, ev.Status)
 	}
