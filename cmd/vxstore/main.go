@@ -302,8 +302,7 @@ func cmdQuery(args []string) error {
 	if *parallel > 1 {
 		return queryParallel(ctx, repo, plan, *parallel, *stats)
 	}
-	eng := core.NewRepoEngine(repo, core.Options{})
-	res, err := eng.Eval(ctx, plan)
+	res, tr, err := core.NewRepoEngine(repo, core.Options{}).EvalTraced(ctx, plan)
 	if err != nil {
 		return err
 	}
@@ -312,9 +311,9 @@ func cmdQuery(args []string) error {
 	}
 	fmt.Println()
 	if *stats {
-		s := eng.Stats()
-		fmt.Fprintf(os.Stderr, "tuples=%d vectors-opened=%d values-scanned=%d rows=%d runs-expanded=%d index-hits=%d\n",
-			s.Tuples, s.VectorsOpened, s.ValuesScanned, s.RowsProduced, s.RunsExpanded, s.IndexHits)
+		s := tr.Total
+		fmt.Fprintf(os.Stderr, "tuples=%d vectors-opened=%d values-scanned=%d rows=%d runs-expanded=%d index-hits=%d pages=%d\n",
+			s.Tuples, s.VectorsOpened, s.ValuesScanned, s.RowsProduced, s.RunsExpanded, s.IndexHits, s.PagesFaulted)
 	}
 	return nil
 }

@@ -69,7 +69,7 @@ func main() {
 
 	// 3. Evaluate by graph reduction — no decompression of the input.
 	eng := core.NewEngine(repo.Skel, repo.Classes, repo.Vectors, syms, core.Options{})
-	res, err := eng.Eval(context.Background(), plan)
+	res, tr, err := eng.EvalTraced(context.Background(), plan)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func main() {
 		vals, _ := vector.All(v)
 		fmt.Printf("%-22s %v\n", name, vals)
 	}
-	s := eng.Stats()
+	s := tr.Total
 	fmt.Printf("\n%d tuples; scanned %d values across %d vectors\n",
 		s.Tuples, s.ValuesScanned, s.VectorsOpened)
 }

@@ -77,13 +77,13 @@ func main() {
 	}
 	eng := core.NewEngine(repo.Skel, repo.Classes, repo.Vectors, repo.Syms, core.Options{})
 	start := time.Now()
-	res, err := eng.Eval(context.Background(), plan)
+	res, tr, err := eng.EvalTraced(context.Background(), plan)
 	vxTime := time.Since(start)
 	if err != nil {
 		log.Fatal(err)
 	}
 	io := repo.Store.Pool().StatsSnapshot()
-	s := eng.Stats()
+	s := tr.Total
 	fmt.Printf("graph reduction:  %8v  %6d results  %d/%d vectors opened  %d pages read\n",
 		vxTime.Round(time.Microsecond), rootCount(res), s.VectorsOpened, cols, io.PagesRead)
 	repo.Close()

@@ -52,11 +52,11 @@ func main() {
 		}
 		eng := core.NewEngine(repo.Skel, repo.Classes, repo.Vectors, syms, core.Options{})
 		start := time.Now()
-		res, err := eng.Eval(context.Background(), plan)
+		res, tr, err := eng.EvalTraced(context.Background(), plan)
 		if err != nil {
 			log.Fatal(err)
 		}
-		s := eng.Stats()
+		s := tr.Total
 		var n int64
 		for _, e := range res.Skel.Root.Edges {
 			n += e.Count

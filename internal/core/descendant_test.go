@@ -61,7 +61,7 @@ func TestDescendantProjectionCostFollowsMatches(t *testing.T) {
 		}
 		for _, op := range tr.Ops {
 			if op.Kind == "proj" && op.Stats.RunsExpanded != 0 {
-				t.Errorf("n=%d: %s expanded %d runs, want 0", n, op.Op, op.Stats.RunsExpanded)
+				t.Errorf("n=%d: %s expanded %d runs, want 0", n, op.Op(), op.Stats.RunsExpanded)
 			}
 		}
 		allocs[n] = testing.AllocsPerRun(5, func() {

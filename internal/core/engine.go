@@ -34,44 +34,11 @@ type Options struct {
 	FilterOnlyJoins bool
 }
 
-// EvalStats reports what a query evaluation touched. Counters are owned
-// by one evalContext, which runs on its caller's goroutine.
-type EvalStats struct {
-	VectorsOpened int   // distinct data vectors loaded (lazy loading)
-	ValuesScanned int64 // vector values read across all operations
-	RowsProduced  int64 // instantiation rows created by reduce steps
-	Tuples        int64 // final value tuples passed to the result skeleton
-	RunsExpanded  int64 // rows materialized by expanding run-compressed rows
-	IndexHits     int64 // predicates served from a VectorIndex instead of a scan
-}
-
-// add accumulates another stats snapshot (used to total per-op deltas).
-func (s *EvalStats) add(d EvalStats) {
-	s.VectorsOpened += d.VectorsOpened
-	s.ValuesScanned += d.ValuesScanned
-	s.RowsProduced += d.RowsProduced
-	s.Tuples += d.Tuples
-	s.RunsExpanded += d.RunsExpanded
-	s.IndexHits += d.IndexHits
-}
-
-// delta returns s - prev, field-wise.
-func (s EvalStats) delta(prev EvalStats) EvalStats {
-	return EvalStats{
-		VectorsOpened: s.VectorsOpened - prev.VectorsOpened,
-		ValuesScanned: s.ValuesScanned - prev.ValuesScanned,
-		RowsProduced:  s.RowsProduced - prev.RowsProduced,
-		Tuples:        s.Tuples - prev.Tuples,
-		RunsExpanded:  s.RunsExpanded - prev.RunsExpanded,
-		IndexHits:     s.IndexHits - prev.IndexHits,
-	}
-}
-
 // Engine evaluates plans over one vectorized document.
 //
 // An Engine is safe for concurrent use: every Eval/EvalToDir call builds
-// its own evalContext holding all mutable per-evaluation state (stats,
-// lazily opened vectors, instantiation tables), while the engine itself
+// its own evalContext holding all mutable per-evaluation state (counters,
+// trace, lazily opened vectors, instantiation tables), while the engine itself
 // keeps only immutable inputs plus the mutex-guarded value indexes.
 // Build indexes with BuildVectorIndex before serving queries when
 // possible; concurrent builds are safe but serialize.
@@ -91,9 +58,6 @@ type Engine struct {
 
 	idxMu   sync.RWMutex                      // guards indexes
 	indexes map[skeleton.ClassID]*VectorIndex // guarded by idxMu
-
-	statsMu   sync.Mutex
-	lastStats EvalStats // guarded by statsMu
 }
 
 // NewEngine returns an engine over a vectorized document.
@@ -116,28 +80,18 @@ func NewMemEngine(r *vectorize.MemRepository, opts Options) *Engine {
 	return NewEngine(r.Skel, r.Classes, r.Vectors, r.Syms, opts)
 }
 
-// Stats returns the counters of the most recently completed Eval (any
-// evaluation, when several run concurrently).
-func (e *Engine) Stats() EvalStats {
-	e.statsMu.Lock()
-	defer e.statsMu.Unlock()
-	return e.lastStats
-}
-
-func (e *Engine) setStats(s EvalStats) {
-	e.statsMu.Lock()
-	e.lastStats = s
-	e.statsMu.Unlock()
-}
-
 // evalContext is the mutable state of one evaluation. Each Eval call owns
 // exactly one, and it runs on the caller's goroutine.
 type evalContext struct {
 	e     *Engine
 	ctx   context.Context
-	stats EvalStats
-	trace *Trace         // nil unless this evaluation is being traced
-	meter *obs.TaskMeter // per-query attribution; nil-safe, may be nil
+	stats obs.TaskCounters // the engine's counts since the last fold
+	meter *obs.TaskMeter   // per-query attribution; nil-safe, may be nil
+	trace *Trace           // the per-op record, one entry per finished op
+
+	base    obs.TaskCounters // the meter when the evaluation began
+	opStart time.Time        // when the running op began
+	opBase  obs.TaskCounters // the meter when the running op began
 
 	rds     map[skeleton.ClassID]*reader // text class -> the evaluation's reader (readerFor)
 	tables  []*Table
@@ -148,13 +102,45 @@ func newEvalContext(e *Engine, ctx context.Context) *evalContext {
 	if ctx == nil {
 		ctx = context.Background()
 	}
+	meter := obs.MeterFrom(ctx)
+	base := meter.Counters()
 	return &evalContext{
 		e:       e,
 		ctx:     ctx,
-		meter:   obs.MeterFrom(ctx),
+		meter:   meter,
+		trace:   &Trace{},
+		base:    base,
+		opBase:  base,
 		rds:     make(map[skeleton.ClassID]*reader),
 		varTabs: make(map[string]int),
 	}
+}
+
+// fold moves the engine's counts into the meter. It runs where the
+// evaluation already polls cancellation: at each op boundary and every
+// cancelCheckStride tuples of emission, so a live listing of the meter
+// lags the work by at most one stride.
+func (x *evalContext) fold() {
+	x.meter.Add(x.stats)
+	x.stats = obs.TaskCounters{}
+}
+
+// endOp closes the trace entry of op i of plan (i == len(plan.Ops) is
+// the emit): the meter's change across the op (after folding the op's
+// own counts in), its wall time and the rows left alive. The next op
+// starts where this one ended.
+func (x *evalContext) endOp(plan *qgraph.Plan, i int, kind string) {
+	x.fold()
+	now, c := time.Now(), x.meter.Counters()
+	x.trace.Ops = append(x.trace.Ops, OpTrace{
+		Kind:     kind,
+		Wall:     now.Sub(x.opStart),
+		Stats:    c.Sub(x.opBase),
+		LiveRows: x.liveRows(),
+		plan:     plan,
+		i:        i,
+	})
+	x.opStart, x.opBase = now, c
 }
 
 // readerFor returns the evaluation's reader of a text class's vector,
@@ -180,7 +166,7 @@ func (x *evalContext) readerFor(c skeleton.ClassID) (*reader, error) {
 		obs.SpanFrom(x.ctx).Event(evQuarantine, obs.Str("vector", name), obs.Str("error", "already quarantined: "+reason))
 		return nil, &QuarantinedError{Vector: name, Reason: reason}
 	}
-	v, err := vector.OpenFrom(x.ctx, x.meter, e.Vectors, name)
+	v, err := e.Vectors.Vector(name)
 	if err != nil {
 		if errors.Is(err, storage.ErrCorrupt) {
 			// The open itself hit persistent corruption (bad meta page, count
@@ -200,7 +186,6 @@ func (x *evalContext) readerFor(c skeleton.ClassID) (*reader, error) {
 	rd := &reader{cur: vector.NewCursor(v), x: x, class: c}
 	x.rds[c] = rd
 	x.stats.VectorsOpened++
-	x.meter.VectorOpen()
 	return rd, nil
 }
 
@@ -278,21 +263,18 @@ func (x *evalContext) tableOf(v string) (*Table, int, error) {
 }
 
 // run executes the plan's operations, leaving final tables in x.tables.
-// With tracing enabled, each operation records its wall time and the
-// stats counters it moved (including its DropAfter column drops).
+// Each operation records its trace entry: wall time and the counters it
+// moved, including its DropAfter column drops.
 func (x *evalContext) run(plan *qgraph.Plan) error {
 	output := map[string]bool{}
 	for _, v := range plan.OutputVars {
 		output[v] = true
 	}
-	for _, op := range plan.Ops {
+	x.trace.Ops = slices.Grow(x.trace.Ops, len(plan.Ops)+1) // the ops and emit
+	x.opStart = time.Now()
+	for i, op := range plan.Ops {
 		if err := x.ctx.Err(); err != nil {
 			return err
-		}
-		var t0 time.Time
-		var before EvalStats
-		if x.trace != nil {
-			t0, before = time.Now(), x.stats
 		}
 		var err error
 		switch op.Kind {
@@ -327,20 +309,12 @@ func (x *evalContext) run(plan *qgraph.Plan) error {
 			x.expandAll()
 		}
 		obsOpCount[op.Kind].Inc()
-		if x.trace != nil {
-			x.trace.Ops = append(x.trace.Ops, OpTrace{
-				Op:       op.String(),
-				Kind:     op.Kind.String(),
-				Wall:     time.Since(t0),
-				Stats:    x.stats.delta(before),
-				LiveRows: x.liveRows(),
-			})
-		}
+		x.endOp(plan, i, op.Kind.String())
 	}
 	return nil
 }
 
-// liveRows counts instantiation rows across surviving tables (trace only).
+// liveRows counts instantiation rows across surviving tables.
 func (x *evalContext) liveRows() int64 {
 	var n int64
 	for _, t := range x.tables {

@@ -69,14 +69,14 @@ func TestElementWithoutTextInComparison(t *testing.T) {
 
 func TestDeepPathShortcut(t *testing.T) {
 	doc := `<a><b><c><d><e>deep</e></d></c></b><b><c><d><e>deeper</e></d></c></b></a>`
-	res, eng := evalOn(t, doc, `for $x in /a/b/c/d/e return $x`, Options{})
+	res, st := evalOn(t, doc, `for $x in /a/b/c/d/e return $x`, Options{})
 	got := resultXML(t, res)
 	if got != "<result><e>deep</e><e>deeper</e></result>" {
 		t.Errorf("result = %s", got)
 	}
 	// The whole path is one bind: one run-compressed row.
-	if eng.Stats().RowsProduced > 1 {
-		t.Errorf("rows = %d, want 1", eng.Stats().RowsProduced)
+	if st.RowsProduced > 1 {
+		t.Errorf("rows = %d, want 1", st.RowsProduced)
 	}
 }
 
@@ -187,13 +187,13 @@ func TestLargeRunSelection(t *testing.T) {
 		b.WriteString("<r><f>" + v + "</f><g>G</g></r>")
 	}
 	b.WriteString("</t>")
-	res, eng := evalOn(t, b.String(), `for $r in /t/r where $r/f = 'y' return $r/g`, Options{})
+	res, st := evalOn(t, b.String(), `for $r in /t/r where $r/f = 'y' return $r/g`, Options{})
 	got := resultXML(t, res)
 	if strings.Count(got, "<g>G</g>") != 10 {
 		t.Errorf("matches = %d", strings.Count(got, "<g>G</g>"))
 	}
-	if eng.Stats().Tuples != 10 {
-		t.Errorf("tuples = %d", eng.Stats().Tuples)
+	if st.Tuples != 10 {
+		t.Errorf("tuples = %d", st.Tuples)
 	}
 }
 

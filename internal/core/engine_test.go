@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"vxml/internal/obs"
 	"vxml/internal/qgraph"
 	"vxml/internal/vector"
 	"vxml/internal/vectorize"
@@ -22,7 +23,7 @@ const bibXML = `<bib>
 </bib>`
 
 // evalOn vectorizes doc, parses and plans src, and evaluates it.
-func evalOn(t testing.TB, doc, src string, opts Options) (*vectorize.MemRepository, *Engine) {
+func evalOn(t testing.TB, doc, src string, opts Options) (*vectorize.MemRepository, obs.TaskCounters) {
 	t.Helper()
 	syms := xmlmodel.NewSymbols()
 	repo, err := vectorize.FromString(doc, syms)
@@ -38,11 +39,11 @@ func evalOn(t testing.TB, doc, src string, opts Options) (*vectorize.MemReposito
 		t.Fatalf("plan: %v", err)
 	}
 	eng := NewEngine(repo.Skel, repo.Classes, repo.Vectors, syms, opts)
-	res, err := eng.Eval(context.Background(), plan)
+	res, tr, err := eng.EvalTraced(context.Background(), plan)
 	if err != nil {
 		t.Fatalf("eval: %v\nplan:\n%s", err, plan)
 	}
-	return res, eng
+	return res, tr.Total
 }
 
 func resultXML(t testing.TB, res *vectorize.MemRepository) string {
@@ -66,7 +67,7 @@ return $b/title, $a/title
 // TestQ0Result reproduces the paper's Fig. 3(a)/(b): the query result tree
 // and its vectorized representation.
 func TestQ0Result(t *testing.T) {
-	res, eng := evalOn(t, bibXML, q0, Options{})
+	res, st := evalOn(t, bibXML, q0, Options{})
 	got := resultXML(t, res)
 	want := "<result>" +
 		"<title>Curation</title><title>XStore</title>" +
@@ -97,8 +98,8 @@ func TestQ0Result(t *testing.T) {
 	if len(root.Edges) != 1 || root.Edges[0].Count != 8 {
 		t.Errorf("root edges = %+v", root.Edges)
 	}
-	if eng.Stats().Tuples != 4 {
-		t.Errorf("tuples = %d, want 4", eng.Stats().Tuples)
+	if st.Tuples != 4 {
+		t.Errorf("tuples = %d, want 4", st.Tuples)
 	}
 }
 
@@ -107,12 +108,12 @@ func TestQ0Result(t *testing.T) {
 // title vectors during result construction. /bib/article/title is touched
 // for output; nothing else.
 func TestQ0VectorTouch(t *testing.T) {
-	_, eng := evalOn(t, bibXML, q0, Options{})
+	_, st := evalOn(t, bibXML, q0, Options{})
 	// publisher, book/author, article/author, book/title, article/title =
 	// all 5 here; the point is exercised properly in the SkyServer test
 	// below where most columns stay untouched.
-	if eng.Stats().VectorsOpened > 5 {
-		t.Errorf("vectors opened = %d", eng.Stats().VectorsOpened)
+	if st.VectorsOpened > 5 {
+		t.Errorf("vectors opened = %d", st.VectorsOpened)
 	}
 }
 
@@ -339,18 +340,18 @@ func TestRegularTableSelectProject(t *testing.T) {
 		b.WriteString("</row>")
 	}
 	b.WriteString("</table>")
-	res, eng := evalOn(t, b.String(),
+	res, st := evalOn(t, b.String(),
 		`for $r in /table/row where $r/a = 'hit' return $r/b, $r/c`, Options{})
 	got := resultXML(t, res)
 	if strings.Count(got, "<b>") != 100 || strings.Count(got, "<c>") != 100 {
 		t.Errorf("result counts wrong: %d b, %d c", strings.Count(got, "<b>"), strings.Count(got, "<c>"))
 	}
 	// Lazy loading: only vectors a (selection), b and c (output) open.
-	if eng.Stats().VectorsOpened != 3 {
-		t.Errorf("vectors opened = %d, want 3", eng.Stats().VectorsOpened)
+	if st.VectorsOpened != 3 {
+		t.Errorf("vectors opened = %d, want 3", st.VectorsOpened)
 	}
-	if eng.Stats().Tuples != 100 {
-		t.Errorf("tuples = %d, want 100", eng.Stats().Tuples)
+	if st.Tuples != 100 {
+		t.Errorf("tuples = %d, want 100", st.Tuples)
 	}
 }
 
@@ -363,14 +364,14 @@ func TestRunCompression(t *testing.T) {
 		b.WriteString("<row><a>1</a></row>")
 	}
 	b.WriteString("</table>")
-	_, eng := evalOn(t, b.String(), `for $r in /table/row return $r/a`, Options{})
+	_, st := evalOn(t, b.String(), `for $r in /table/row return $r/a`, Options{})
 	// The bind produces one run row; no reduce step expands it.
-	if eng.Stats().RowsProduced > 2 {
-		t.Errorf("rows produced = %d, want <= 2 (run-compressed)", eng.Stats().RowsProduced)
+	if st.RowsProduced > 2 {
+		t.Errorf("rows produced = %d, want <= 2 (run-compressed)", st.RowsProduced)
 	}
 	// Ablation: with runs disabled the same query materializes per-row.
-	_, eng2 := evalOn(t, b.String(), `for $r in /table/row return $r/a`, Options{NoRunCompression: true})
-	_ = eng2 // rows counted at production time; expansion happens after.
+	// Rows are counted at production time; expansion happens after.
+	evalOn(t, b.String(), `for $r in /table/row return $r/a`, Options{NoRunCompression: true})
 }
 
 func TestMidPathQualifier(t *testing.T) {

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"vxml/internal/obs"
 	"vxml/internal/qgraph"
 	"vxml/internal/vectorize"
 	"vxml/internal/xmlmodel"
@@ -13,7 +14,7 @@ import (
 )
 
 // evalIndexed evaluates with a vector index built on indexPath.
-func evalIndexed(t *testing.T, doc, src, indexPath string) (string, *Engine) {
+func evalIndexed(t *testing.T, doc, src, indexPath string) (string, obs.TaskCounters) {
 	t.Helper()
 	syms := xmlmodel.NewSymbols()
 	repo, err := vectorize.FromString(doc, syms)
@@ -28,7 +29,7 @@ func evalIndexed(t *testing.T, doc, src, indexPath string) (string, *Engine) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := eng.Eval(context.Background(), plan)
+	res, tr, err := eng.EvalTraced(context.Background(), plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +37,7 @@ func evalIndexed(t *testing.T, doc, src, indexPath string) (string, *Engine) {
 	if err := vectorize.ReconstructXML(res.Skel, res.Classes, res.Vectors, syms, &b); err != nil {
 		t.Fatal(err)
 	}
-	return b.String(), eng
+	return b.String(), tr.Total
 }
 
 func indexDoc() string {
@@ -75,11 +76,11 @@ func TestIndexedSelectionMatchesScan(t *testing.T) {
 // scan the predicate vector.
 func TestIndexedSelectionSkipsScan(t *testing.T) {
 	doc := indexDoc()
-	_, eng := evalIndexed(t, doc, `for $r in /t/r where $r/p = 40 return $r/v`, "/t/r/p")
+	_, st := evalIndexed(t, doc, `for $r in /t/r where $r/p = 40 return $r/v`, "/t/r/p")
 	// ValuesScanned counts only result-construction reads (3 v values);
 	// the p vector is served by the index.
-	if eng.Stats().ValuesScanned > 3 {
-		t.Errorf("values scanned = %d, want <= 3", eng.Stats().ValuesScanned)
+	if st.ValuesScanned > 3 {
+		t.Errorf("values scanned = %d, want <= 3", st.ValuesScanned)
 	}
 }
 
@@ -138,14 +139,14 @@ func TestIndexProbeJoinMatchesScan(t *testing.T) {
 	}
 	b.WriteString("</db>")
 	q := `for $l in /db/l, $r in /db/r where $l/k = $r/k return $l/n, $r/m`
-	indexed, eng := evalIndexed(t, b.String(), q, "/db/r/k")
+	indexed, st := evalIndexed(t, b.String(), q, "/db/r/k")
 	plain, _ := evalOn(t, b.String(), q, Options{})
 	if indexed != resultXML(t, plain) {
 		t.Errorf("index-probe join differs from scan join (len %d vs %d)", len(indexed), len(resultXML(t, plain)))
 	}
 	// The right-side k vector (300 values) is never scanned: reads are the
 	// left gather (200) plus two output values per tuple.
-	if got, want := eng.Stats().ValuesScanned, 200+2*eng.Stats().Tuples; got != want {
+	if got, want := st.ValuesScanned, 200+2*st.Tuples; got != want {
 		t.Errorf("values scanned = %d, want %d (right side must not be scanned)", got, want)
 	}
 }

@@ -31,7 +31,7 @@ import (
 // reusable: all abandoned state was owned by this call alone.
 func (e *Engine) Eval(ctx context.Context, plan *qgraph.Plan) (*vectorize.MemRepository, error) {
 	out := vector.NewMemSet()
-	skel, err := e.evalWithSink(ctx, plan, vectorize.MemSink{Set: out})
+	skel, _, err := e.evalWithSinkTraced(ctx, plan, vectorize.MemSink{Set: out})
 	if err != nil {
 		return nil, err
 	}
@@ -68,7 +68,7 @@ func (e *Engine) EvalToDir(ctx context.Context, plan *qgraph.Plan, dir string, p
 		store.Close()
 		return nil, err
 	}
-	skel, err := e.evalWithSink(ctx, plan, sink)
+	skel, _, err := e.evalWithSinkTraced(ctx, plan, sink)
 	if err != nil {
 		store.Close()
 		return nil, err
@@ -90,18 +90,12 @@ func (e *Engine) EvalToDir(ctx context.Context, plan *qgraph.Plan, dir string, p
 	return vectorize.Open(dir, vectorize.Options{PoolPages: poolPages})
 }
 
-// evalWithSink runs the plan in a fresh evaluation context, streaming
-// output values to sink and returning the result skeleton. The context's
-// final counters are published as the engine's Stats snapshot (also on
-// error, so a failed query still reports what it touched).
-func (e *Engine) evalWithSink(ctx context.Context, plan *qgraph.Plan, sink vectorize.Sink) (*skeleton.Skeleton, error) {
-	return e.evalWithSinkTraced(ctx, plan, sink, nil)
-}
-
-// evalWithSinkTraced is evalWithSink with optional per-op tracing: when
-// trace is non-nil every plan op and the final result-emission phase
-// record wall time and counter deltas into it. Process-wide obs totals
-// are published either way.
+// evalWithSinkTraced runs the plan in a fresh evaluation context,
+// streaming output values to sink and returning the result skeleton and
+// the evaluation's per-op Trace: every plan op and the final
+// result-emission phase record wall time and counter deltas into it. The
+// trace comes back on error too, holding the ops that completed and the
+// counters so far. Process-wide obs totals are published from its Total.
 //
 // It is also the query-scoped telemetry choke point — every evaluation
 // (Eval, EvalTraced, EvalToDir) funnels through here: a TaskMeter is
@@ -110,7 +104,7 @@ func (e *Engine) evalWithSink(ctx context.Context, plan *qgraph.Plan, sink vecto
 // /debug/queries can list and cooperatively cancel it through the
 // engine's existing ctx-poll machinery). What a finished query is kept
 // for (slow, failed, sampled) is the serving layer's call, not this one's.
-func (e *Engine) evalWithSinkTraced(ctx context.Context, plan *qgraph.Plan, sink vectorize.Sink, trace *Trace) (skel *skeleton.Skeleton, err error) {
+func (e *Engine) evalWithSinkTraced(ctx context.Context, plan *qgraph.Plan, sink vectorize.Sink) (skel *skeleton.Skeleton, trace *Trace, err error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -135,16 +129,13 @@ func (e *Engine) evalWithSinkTraced(ctx context.Context, plan *qgraph.Plan, sink
 	}
 	regID := obs.ActiveQueries.Register(label, meter, cancel)
 	x := newEvalContext(e, ctx)
-	x.trace = trace
+	trace = x.trace
 	defer x.closeReaders()
 	defer func() {
-		e.setStats(x.stats)
-		wall := time.Since(start)
-		if trace != nil {
-			trace.Wall = wall
-			trace.Total = x.stats
-		}
-		publishObs(x.stats, wall, err)
+		x.fold()
+		trace.Wall = time.Since(start)
+		trace.Total = meter.Counters().Sub(x.base)
+		publishObs(trace.Total, trace.Wall, err)
 		obs.ActiveQueries.Finish(regID)
 	}()
 	// Panic isolation: a panic anywhere in this evaluation dies HERE, as a
@@ -167,15 +158,13 @@ func (e *Engine) evalWithSinkTraced(ctx context.Context, plan *qgraph.Plan, sink
 		// path, so the result is a bare root — emitted here without
 		// running a single op or opening a single vector.
 		obsStaticEmpty.Inc()
-		x.meter.StaticEmpty()
-		if trace != nil {
-			trace.Static = sc
-		}
+		x.stats.StaticEmpty++
+		trace.Static = sc
 		b := skeleton.NewBuilder()
-		return b.Finish(b.Make(e.Syms.Intern(plan.ResultTag), nil)), nil
+		return b.Finish(b.Make(e.Syms.Intern(plan.ResultTag), nil)), trace, nil
 	}
 	if err = x.run(plan); err != nil {
-		return nil, err
+		return nil, trace, err
 	}
 	rb := &resultBuilder{
 		x:       x,
@@ -185,26 +174,13 @@ func (e *Engine) evalWithSinkTraced(ctx context.Context, plan *qgraph.Plan, sink
 		targets: make(map[returnPath][]skeleton.ClassID),
 	}
 	rb.appendOut = rb.appendValue
-	var emitStart time.Time
-	var before EvalStats
-	if trace != nil {
-		emitStart, before = time.Now(), x.stats
-	}
 	if err = rb.emitAll(plan); err != nil {
-		return nil, err
+		return nil, trace, err
 	}
 	root := rb.builder.Make(e.Syms.Intern(plan.ResultTag), rb.rootEdges)
 	skel = rb.builder.Finish(root)
-	if trace != nil {
-		trace.Ops = append(trace.Ops, OpTrace{
-			Op:       "emit " + plan.ResultTag,
-			Kind:     "emit",
-			Wall:     time.Since(emitStart),
-			Stats:    x.stats.delta(before),
-			LiveRows: x.liveRows(),
-		})
-	}
-	return skel, nil
+	x.endOp(plan, len(plan.Ops), "emit")
+	return skel, trace, nil
 }
 
 // resultBuilder holds result-construction state for one evaluation.
@@ -226,8 +202,6 @@ type resultBuilder struct {
 	path      []byte
 	outName   string
 	appendOut func(pos int64, val []byte) error
-
-	lastCtxCheck int64 // Tuples count at the last cancellation check
 }
 
 // returnPath identifies a return item's path from one class: the plan's
@@ -273,12 +247,11 @@ func (rb *resultBuilder) emitAll(plan *qgraph.Plan) error {
 			return nil
 		}
 		if ti == len(tables) {
-			x.stats.Tuples += mult
-			x.meter.Tuples(mult)
 			// Result construction can dominate wide queries; observe
-			// cancellation between tuples.
-			if x.stats.Tuples-rb.lastCtxCheck >= cancelCheckStride {
-				rb.lastCtxCheck = x.stats.Tuples
+			// cancellation, and show the meter the tuples so far,
+			// between tuples. The last op's fold left the count at 0.
+			if x.stats.Tuples += mult; x.stats.Tuples >= cancelCheckStride {
+				x.fold()
 				if err := x.ctx.Err(); err != nil {
 					return err
 				}

@@ -107,14 +107,14 @@ func TestEmitAllocsPerTuple(t *testing.T) {
 		}
 		eng := NewRepoEngine(repo, Options{})
 		var vals int
-		if _, err := eng.evalWithSink(context.Background(), plan, discardSink{&vals}); err != nil {
+		if _, _, err := eng.evalWithSinkTraced(context.Background(), plan, discardSink{&vals}); err != nil {
 			t.Fatal(err)
 		}
 		if vals != 2*n {
 			t.Fatalf("%d tuples appended %d values, want %d", n, vals, 2*n)
 		}
 		return testing.AllocsPerRun(10, func() {
-			if _, err := eng.evalWithSink(context.Background(), plan, discardSink{&vals}); err != nil {
+			if _, _, err := eng.evalWithSinkTraced(context.Background(), plan, discardSink{&vals}); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -157,7 +157,7 @@ func TestReturnPathCopiesRunsInOneScan(t *testing.T) {
 	eng, plan := planEngine(t, doc, `for $g in /r/g return $g/p`, func(s vector.Set) vector.Set {
 		return scanCountingSet{s, &scans}
 	})
-	res, err := eng.Eval(context.Background(), plan)
+	res, tr, err := eng.EvalTraced(context.Background(), plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +167,7 @@ func TestReturnPathCopiesRunsInOneScan(t *testing.T) {
 	if scans != 2 {
 		t.Errorf("Scan calls = %d, want 2 (one per tuple)", scans)
 	}
-	if st := eng.Stats(); st.ValuesScanned != 5 {
+	if st := tr.Total; st.ValuesScanned != 5 {
 		t.Errorf("ValuesScanned = %d, want 5", st.ValuesScanned)
 	}
 }

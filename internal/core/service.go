@@ -130,7 +130,7 @@ var (
 type Result struct {
 	Repo  *vectorize.MemRepository
 	Trace *Trace
-	Stats EvalStats
+	Stats obs.TaskCounters
 	// Epoch is the repository append epoch the result was evaluated
 	// under.
 	Epoch uint64

@@ -14,25 +14,38 @@ import (
 	"vxml/internal/vectorize"
 )
 
-// OpTrace records what one plan operation did: its rendered form, wall
-// time, the stats counters it moved (a field-wise delta of EvalStats),
-// and the live instantiation rows remaining after it ran.
+// OpTrace records what one plan operation did: its kind, wall time, the
+// counters it moved (the query meter's change across the op, page faults
+// included), and the live instantiation rows remaining after it ran. Op
+// renders the operation itself.
 type OpTrace struct {
-	Op       string        // rendered operation, e.g. "sel $b/publisher = 'SBP'"
-	Kind     string        // op kind: bind/proj/sel/exists/join/emit
-	Wall     time.Duration // wall time including the op's DropAfter drops
-	Stats    EvalStats     // counters attributable to this op
-	LiveRows int64         // rows across surviving tables after the op
+	Kind     string           // op kind: bind/proj/sel/exists/join/emit
+	Wall     time.Duration    // wall time including the op's DropAfter drops
+	Stats    obs.TaskCounters // counters attributable to this op
+	LiveRows int64            // rows across surviving tables after the op
+
+	plan *qgraph.Plan // the evaluated plan
+	i    int          // index into plan.Ops; len(plan.Ops) is the emit
 }
 
-// Trace is the per-op account of one traced evaluation, in execution
-// order; the final entry (Kind "emit") covers result construction.
+// Op renders the operation, e.g. "sel $b/publisher = 'SBP'". The text is
+// built when a trace is printed or served, never during the evaluation.
+func (o OpTrace) Op() string {
+	if o.i < len(o.plan.Ops) {
+		return o.plan.Ops[o.i].String()
+	}
+	return "emit " + o.plan.ResultTag
+}
+
+// Trace is the per-op account of one evaluation, in execution order; the
+// final entry (Kind "emit") covers result construction. Every evaluation
+// records one.
 type Trace struct {
 	Ops   []OpTrace
-	Wall  time.Duration // whole-evaluation wall time
-	Total EvalStats     // final counters (equals the sum of op deltas)
+	Wall  time.Duration    // whole-evaluation wall time
+	Total obs.TaskCounters // the meter's change across the evaluation (the sum of op deltas)
 	// Static is set when the static checker short-circuited the query:
-	// no ops ran and the counters are all zero.
+	// no ops ran and the only counter moved is StaticEmpty.
 	Static *StaticCheck
 }
 
@@ -47,7 +60,7 @@ func (t *Trace) Redacted() string { return t.render(true) }
 // render emits one line pair per op with a fixed field order:
 //
 //  1. sel $b/publisher = 'SBP'
-//     time=182µs scanned=604 rows=+0 live-rows=1 tuples=0 vectors=+1 runs-expanded=0 index-hits=0
+//     time=182µs scanned=604 rows=+0 live-rows=1 tuples=0 vectors=+1 runs-expanded=0 index-hits=0 pages=3
 //
 // followed by a total line. The field set and order are stable API for
 // tests and tooling.
@@ -63,14 +76,14 @@ func (t *Trace) render(redact bool) string {
 		fmt.Fprintf(&b, "statically empty: %s\n", t.Static.Reason)
 	}
 	for i, op := range t.Ops {
-		fmt.Fprintf(&b, "%2d. %s\n", i+1, op.Op)
+		fmt.Fprintf(&b, "%2d. %s\n", i+1, op.Op())
 		s := op.Stats
-		fmt.Fprintf(&b, "    time=%s scanned=%d rows=%+d live-rows=%d tuples=%d vectors=%+d runs-expanded=%d index-hits=%d\n",
-			dur(op.Wall), s.ValuesScanned, s.RowsProduced, op.LiveRows, s.Tuples, s.VectorsOpened, s.RunsExpanded, s.IndexHits)
+		fmt.Fprintf(&b, "    time=%s scanned=%d rows=%+d live-rows=%d tuples=%d vectors=%+d runs-expanded=%d index-hits=%d pages=%d\n",
+			dur(op.Wall), s.ValuesScanned, s.RowsProduced, op.LiveRows, s.Tuples, s.VectorsOpened, s.RunsExpanded, s.IndexHits, s.PagesFaulted)
 	}
 	s := t.Total
-	fmt.Fprintf(&b, "total: time=%s scanned=%d rows=%d tuples=%d vectors=%d runs-expanded=%d index-hits=%d",
-		dur(t.Wall), s.ValuesScanned, s.RowsProduced, s.Tuples, s.VectorsOpened, s.RunsExpanded, s.IndexHits)
+	fmt.Fprintf(&b, "total: time=%s scanned=%d rows=%d tuples=%d vectors=%d runs-expanded=%d index-hits=%d pages=%d",
+		dur(t.Wall), s.ValuesScanned, s.RowsProduced, s.Tuples, s.VectorsOpened, s.RunsExpanded, s.IndexHits, s.PagesFaulted)
 	return b.String()
 }
 
@@ -89,13 +102,12 @@ func (e *Engine) Explain(plan *qgraph.Plan) string {
 	return b.String()
 }
 
-// EvalTraced evaluates the plan like Eval while recording a per-op Trace.
-// Tracing costs a clock read and a stats snapshot per plan operation —
-// a handful per query — so it is safe to leave on for served queries.
+// EvalTraced evaluates the plan like Eval and returns its per-op Trace,
+// which Eval discards. The trace costs a clock read and a meter snapshot
+// per plan operation — a handful per query — so every evaluation keeps one.
 func (e *Engine) EvalTraced(ctx context.Context, plan *qgraph.Plan) (*vectorize.MemRepository, *Trace, error) {
 	out := vector.NewMemSet()
-	tr := &Trace{}
-	skel, err := e.evalWithSinkTraced(ctx, plan, vectorize.MemSink{Set: out}, tr)
+	skel, tr, err := e.evalWithSinkTraced(ctx, plan, vectorize.MemSink{Set: out})
 	if err != nil {
 		return nil, tr, err
 	}
@@ -143,8 +155,8 @@ func (e *Engine) ExplainAnalyze(ctx context.Context, plan *qgraph.Plan) (string,
 }
 
 // Engine-level obs instrumentation: process-wide totals across every
-// evaluation, alongside the per-eval EvalStats. Counters are resolved
-// once; the per-query cost is a few atomic adds at evaluation end.
+// evaluation, alongside each evaluation's Trace.Total. Counters are
+// resolved once; the per-query cost is a few atomic adds at evaluation end.
 var (
 	obsQueries  = obs.GetCounter("core.queries")
 	obsErrors   = obs.GetCounter("core.query_errors")
@@ -168,7 +180,7 @@ var (
 )
 
 // publishObs folds one finished evaluation into the process-wide totals.
-func publishObs(s EvalStats, wall time.Duration, err error) {
+func publishObs(s obs.TaskCounters, wall time.Duration, err error) {
 	obsQueries.Inc()
 	switch {
 	case err == nil:

@@ -10,7 +10,8 @@
 //     *Counter pointers once (package init) so no map lookup or lock sits
 //     on a page-fault or scan path. Events are counted at page/operation
 //     granularity, never per value — per-value accounting lives in the
-//     engine's per-evaluation EvalStats, which is lock-free by ownership.
+//     engine's plain per-evaluation TaskCounters, lock-free by ownership
+//     and folded into the query's TaskMeter a few times per query.
 //  2. No dependencies. Everything imports obs; obs imports only stdlib.
 //  3. Monotonicity. Counters only go up, so scrapers can diff snapshots;
 //     Reset exists for benchmark isolation only.

@@ -23,7 +23,6 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -255,14 +254,6 @@ func (s *Span) Duration() time.Duration {
 		return time.Duration(d)
 	}
 	return time.Since(s.start)
-}
-
-// Start returns the span's start time (zero on nil).
-func (s *Span) Start() time.Time {
-	if s == nil {
-		return time.Time{}
-	}
-	return s.start
 }
 
 // SpanTrace owns every span of one request. Spans append themselves in
@@ -511,26 +502,6 @@ func intOf(v any) int64 {
 		}
 	}
 	return 0
-}
-
-// SpanNames returns the sorted distinct span names in the trace —
-// convenient for coverage assertions in tests.
-func (t *SpanTrace) SpanNames() []string {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	seen := make(map[string]bool, len(t.spans))
-	for _, sp := range t.spans {
-		seen[sp.name] = true
-	}
-	t.mu.Unlock()
-	names := make([]string, 0, len(seen))
-	for n := range seen {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // --- W3C trace-context (traceparent) ---

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"context"
+	"encoding/json"
 	"sync"
 	"testing"
 )
@@ -11,10 +12,10 @@ import (
 func TestTaskMeterNilSafe(t *testing.T) {
 	var m *TaskMeter
 	m.PageFault(8192, true)
-	m.VectorOpen()
-	m.Tuples(5)
-	m.StaticEmpty()
-	if m.PagesFaulted() != 0 {
+	m.Add(TaskCounters{VectorsOpened: 1, Tuples: 5})
+	m.CacheHit()
+	m.ReadRetry()
+	if m.PagesFaulted() != 0 || m.ReadRetries() != 0 {
 		t.Fatal("nil meter reported pages")
 	}
 	if m.Counters() != (TaskCounters{}) {
@@ -26,22 +27,44 @@ func TestTaskMeterCounts(t *testing.T) {
 	m := &TaskMeter{}
 	m.PageFault(8192, true)
 	m.PageFault(8192, false)
-	m.VectorOpen()
-	m.Tuples(7)
-	m.StaticEmpty()
+	m.Add(TaskCounters{VectorsOpened: 1, Tuples: 7})
+	m.Add(TaskCounters{Tuples: 1, StaticEmpty: 1})
+	m.CacheHit()
+	m.ReadRetry()
 	want := TaskCounters{
 		PagesFaulted:     2,
 		BytesRead:        16384,
 		ChecksumVerifies: 1,
-		VectorOpens:      1,
-		Tuples:           7,
+		VectorsOpened:    1,
+		Tuples:           8,
 		StaticEmpty:      1,
+		CacheHits:        1,
+		ReadRetries:      1,
 	}
 	if got := m.Counters(); got != want {
 		t.Fatalf("counters = %+v, want %+v", got, want)
 	}
 	if m.PagesFaulted() != 2 {
 		t.Fatalf("PagesFaulted = %d", m.PagesFaulted())
+	}
+}
+
+// TestTaskCountersSumsAndJSON: Sub undoes Add field by field, and
+// AppendJSON writes what encoding/json writes, key for key.
+func TestTaskCountersSumsAndJSON(t *testing.T) {
+	a := TaskCounters{VectorsOpened: 1, ValuesScanned: 2, RowsProduced: 3, Tuples: 4, RunsExpanded: 5, IndexHits: 6,
+		PagesFaulted: 7, BytesRead: 8, ChecksumVerifies: 9, ReadRetries: 10, StaticEmpty: 11, CacheHits: 12}
+	sum := a
+	sum.Add(a)
+	if sum.Sub(a) != a || sum.Sub(sum) != (TaskCounters{}) {
+		t.Fatalf("sum %+v minus %+v is not the operand", sum, a)
+	}
+	want, err := json.Marshal(sum)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := sum.AppendJSON([]byte("x")); string(got) != "x"+string(want) {
+		t.Fatalf("AppendJSON = %s, want x%s", got, want)
 	}
 }
 
@@ -56,7 +79,7 @@ func TestTaskMeterConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 1000; i++ {
 				m.PageFault(8192, true)
-				m.Tuples(2)
+				m.Add(TaskCounters{Tuples: 2})
 			}
 		}()
 	}
@@ -97,7 +120,7 @@ func TestQueryRegistry(t *testing.T) {
 	if list[0].Query != "q1" || list[1].Query != "" {
 		t.Fatalf("query texts = %q, %q", list[0].Query, list[1].Query)
 	}
-	m.Tuples(3)
+	m.Add(TaskCounters{Tuples: 3})
 	if got := r.List()[0].Counters.Tuples; got != 3 {
 		t.Fatalf("live counters not visible: tuples = %d", got)
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"log"
 	"net/http"
@@ -449,5 +450,51 @@ func TestHitCostIndependentOfAnswerSize(t *testing.T) {
 	}
 	if smallAllocs > maxAllocs {
 		t.Errorf("a hit allocates %.1f times, want <= %d", smallAllocs, maxAllocs)
+	}
+}
+
+// TestServedStatsKeepTheirKeys: /query's stats object carries the
+// engine's six counters under the names, and with the values, it has
+// always served, on an evaluation and on a result-cache hit of the same
+// answer. The body is decoded into a map, so a renamed or dropped key
+// fails here even where the typed decode of QueryResponse would not see
+// it.
+func TestServedStatsKeepTheirKeys(t *testing.T) {
+	var doc strings.Builder
+	doc.WriteString("<bib>")
+	for i := 0; i < 40; i++ {
+		fmt.Fprintf(&doc, "<book><publisher>P%d</publisher><author>A%d</author><title>B%d</title></book>", i%3, i%5, i)
+	}
+	for i := 0; i < 20; i++ {
+		fmt.Fprintf(&doc, "<article><author>A%d</author><title>R%d</title></article>", i%7, i)
+	}
+	doc.WriteString("</bib>")
+	repo := createRawRepo(t, storage.NewMemFS(), "repo", doc.String())
+	h := New(quietConfig(Config{Repo: repo, PlanCacheSize: 8, ResultCacheSize: 8})).Handler()
+	const q = `for $b in /bib/book, $a in /bib/article where $b/author = $a/author and $b/publisher = 'P1' return $b/title, $a/title`
+	want := map[string]int64{
+		"vectors_opened": 5,
+		"values_scanned": 151,
+		"rows_produced":  41,
+		"tuples":         39,
+		"runs_expanded":  39,
+		"index_hits":     0,
+	}
+	for _, source := range []string{"eval", "result-cache"} {
+		var resp struct {
+			Stats  map[string]int64 `json:"stats"`
+			Source string           `json:"source"`
+		}
+		if err := json.Unmarshal(serveQuery(t, h, QueryRequest{Query: q}), &resp); err != nil {
+			t.Fatal(err)
+		}
+		if resp.Source != source {
+			t.Fatalf("source %q, want %q", resp.Source, source)
+		}
+		for k, v := range want {
+			if got, ok := resp.Stats[k]; !ok || got != v {
+				t.Errorf("%s: stats[%q] = %d (present %v), want %d", source, k, got, ok, v)
+			}
+		}
 	}
 }

@@ -130,22 +130,14 @@ type QueryRequest struct {
 	Check bool `json:"check,omitempty"`
 }
 
-// QueryStats mirrors core.EvalStats field for field, so one converts to the other.
-type QueryStats struct {
-	VectorsOpened int   `json:"vectors_opened"`
-	ValuesScanned int64 `json:"values_scanned"`
-	RowsProduced  int64 `json:"rows_produced"`
-	Tuples        int64 `json:"tuples"`
-	RunsExpanded  int64 `json:"runs_expanded"`
-	IndexHits     int64 `json:"index_hits"`
-}
-
 // QueryResponse is the POST /query reply.
 type QueryResponse struct {
-	Result    string     `json:"result"`
-	ElapsedUS int64      `json:"elapsed_us"`
-	Stats     QueryStats `json:"stats"`
-	Trace     []OpTrace  `json:"trace,omitempty"`
+	Result    string `json:"result"`
+	ElapsedUS int64  `json:"elapsed_us"`
+	// Stats is the evaluation's counter block (for a cached answer, the
+	// evaluation that produced it).
+	Stats obs.TaskCounters `json:"stats"`
+	Trace []OpTrace        `json:"trace,omitempty"`
 	// StaticallyEmpty reports the static checker's verdict: the query
 	// matched no catalog path and was answered (or, with Check, would be
 	// answered) without evaluation.
@@ -160,11 +152,11 @@ type QueryResponse struct {
 
 // OpTrace is one traced plan operation in the response.
 type OpTrace struct {
-	Op       string     `json:"op"`
-	Kind     string     `json:"kind"`
-	WallUS   int64      `json:"wall_us"`
-	LiveRows int64      `json:"live_rows"`
-	Stats    QueryStats `json:"stats"`
+	Op       string           `json:"op"`
+	Kind     string           `json:"kind"`
+	WallUS   int64            `json:"wall_us"`
+	LiveRows int64            `json:"live_rows"`
+	Stats    obs.TaskCounters `json:"stats"`
 }
 
 // spanRequest is the HTTP request root span (vxlint obsnames: span
@@ -609,14 +601,14 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	resp := QueryResponse{
 		ElapsedUS:       rt.elapsed.Microseconds(),
-		Stats:           QueryStats(res.Stats),
+		Stats:           res.Stats,
 		StaticallyEmpty: res.StaticallyEmpty,
 		Cached:          src.Cached(),
 		Source:          src.String(),
 	}
 	if req.Trace && res.Trace != nil {
 		for _, op := range res.Trace.Ops {
-			resp.Trace = append(resp.Trace, OpTrace{op.Op, op.Kind, op.Wall.Microseconds(), op.LiveRows, QueryStats(op.Stats)})
+			resp.Trace = append(resp.Trace, OpTrace{op.Op(), op.Kind, op.Wall.Microseconds(), op.LiveRows, op.Stats})
 		}
 	}
 	writeResponse(w, buf, lit, &resp)
@@ -642,7 +634,7 @@ func writeResponse(w http.ResponseWriter, buf, lit []byte, resp *QueryResponse) 
 	w.Write(resultField)
 	w.Write(lit)
 	b := strconv.AppendInt(append(buf[:0], `,"elapsed_us":`...), resp.ElapsedUS, 10)
-	b = appendStats(append(b, `,"stats":`...), &resp.Stats)
+	b = resp.Stats.AppendJSON(append(b, `,"stats":`...))
 	sep := `,"trace":[{"op":`
 	for _, op := range resp.Trace {
 		b = appendJSONString(append(b, sep...), op.Op)
@@ -650,7 +642,7 @@ func writeResponse(w http.ResponseWriter, buf, lit []byte, resp *QueryResponse) 
 		b = appendJSONString(append(b, `,"kind":`...), op.Kind)
 		b = strconv.AppendInt(append(b, `,"wall_us":`...), op.WallUS, 10)
 		b = strconv.AppendInt(append(b, `,"live_rows":`...), op.LiveRows, 10)
-		b = append(appendStats(append(b, `,"stats":`...), &op.Stats), '}')
+		b = append(op.Stats.AppendJSON(append(b, `,"stats":`...)), '}')
 	}
 	if len(resp.Trace) > 0 {
 		b = append(b, ']')
@@ -665,15 +657,6 @@ func writeResponse(w http.ResponseWriter, buf, lit []byte, resp *QueryResponse) 
 		b = appendJSONString(append(b, `,"source":`...), resp.Source)
 	}
 	w.Write(append(b, "}\n"...))
-}
-
-func appendStats(b []byte, s *QueryStats) []byte {
-	b = strconv.AppendInt(append(b, `{"vectors_opened":`...), int64(s.VectorsOpened), 10)
-	b = strconv.AppendInt(append(b, `,"values_scanned":`...), s.ValuesScanned, 10)
-	b = strconv.AppendInt(append(b, `,"rows_produced":`...), s.RowsProduced, 10)
-	b = strconv.AppendInt(append(b, `,"tuples":`...), s.Tuples, 10)
-	b = strconv.AppendInt(append(b, `,"runs_expanded":`...), s.RunsExpanded, 10)
-	return append(strconv.AppendInt(append(b, `,"index_hits":`...), s.IndexHits, 10), '}')
 }
 
 // appendJSONString appends s as encoding/json writes it: <, >, &, U+2028

@@ -514,7 +514,7 @@ func TestServeStaticCheck(t *testing.T) {
 	if !strings.Contains(qr.Result, "bind $b := doc/bib/book") {
 		t.Errorf("check report missing bind edge:\n%s", qr.Result)
 	}
-	if qr.Stats != (QueryStats{}) {
+	if qr.Stats != (obs.TaskCounters{}) {
 		t.Errorf("check-only request must not evaluate; stats = %+v", qr.Stats)
 	}
 

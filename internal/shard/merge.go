@@ -80,12 +80,7 @@ func MergeResults(results []*core.Result) (*core.Result, error) {
 				mv.Append(val)
 			}
 		}
-		merged.Stats.VectorsOpened += r.Stats.VectorsOpened
-		merged.Stats.ValuesScanned += r.Stats.ValuesScanned
-		merged.Stats.RowsProduced += r.Stats.RowsProduced
-		merged.Stats.Tuples += r.Stats.Tuples
-		merged.Stats.RunsExpanded += r.Stats.RunsExpanded
-		merged.Stats.IndexHits += r.Stats.IndexHits
+		merged.Stats.Add(r.Stats)
 		merged.StaticallyEmpty = merged.StaticallyEmpty && r.StaticallyEmpty
 	}
 	skel := b.Finish(b.Make(resultTag, edges))

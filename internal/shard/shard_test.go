@@ -454,9 +454,9 @@ func TestScatterMeterAttribution(t *testing.T) {
 			t.Fatalf("shard %d: %v", k, err)
 		}
 		want.Tuples += m.Counters().Tuples
-		want.VectorOpens += m.Counters().VectorOpens
+		want.VectorsOpened += m.Counters().VectorsOpened
 	}
-	if want.Tuples == 0 || want.VectorOpens == 0 {
+	if want.Tuples == 0 || want.VectorsOpened == 0 {
 		t.Fatalf("per-shard evaluations did no work: %+v", want)
 	}
 
@@ -464,9 +464,9 @@ func TestScatterMeterAttribution(t *testing.T) {
 	if _, src, err := svc.Query(obs.WithMeter(context.Background(), m), q); err != nil || src != core.SourceEval {
 		t.Fatalf("cold query: source %s, err %v", src, err)
 	}
-	if got := m.Counters(); got.Tuples != want.Tuples || got.VectorOpens != want.VectorOpens || got.CacheHits != 0 {
+	if got := m.Counters(); got.Tuples != want.Tuples || got.VectorsOpened != want.VectorsOpened || got.CacheHits != 0 {
 		t.Errorf("request meter = %+v, want tuples %d and vector opens %d folded once, no cache hits",
-			got, want.Tuples, want.VectorOpens)
+			got, want.Tuples, want.VectorsOpened)
 	}
 
 	m2 := &obs.TaskMeter{}

@@ -80,18 +80,12 @@ func (s *concatSet) Names() []string { return s.names }
 // union read as a DegradedError naming that shard — the same typed
 // failure the scatter path produces.
 func (s *concatSet) Vector(name string) (vector.Vector, error) {
-	return s.VectorCtx(context.Background(), nil, name)
-}
-
-// VectorCtx implements vector.CtxSet by forwarding the request attribution
-// to every shard set the union open touches.
-func (s *concatSet) VectorCtx(ctx context.Context, m *obs.TaskMeter, name string) (vector.Vector, error) {
 	parts := make([]vector.Vector, 0, len(s.parts))
 	for k, p := range s.parts {
 		if !s.has[k][name] {
 			continue
 		}
-		v, err := vector.OpenFrom(ctx, m, p, name)
+		v, err := p.Vector(name)
 		if err != nil {
 			return nil, &DegradedError{Shard: k, Err: err}
 		}

@@ -108,22 +108,12 @@ type Set interface {
 	Vector(name string) (Vector, error)
 }
 
-// CtxSet is an optional Set extension for request-attributed opens, for
-// sets whose open itself may do I/O: VectorCtx charges those reads to m
-// and puts their transient-read retries on ctx's span. Sets that wrap
-// other sets forward the attribution to their base.
-type CtxSet interface {
-	VectorCtx(ctx context.Context, m *obs.TaskMeter, name string) (Vector, error)
-}
-
-// OpenFrom resolves a set through CtxSet when the set supports it, so
-// callers holding a request context and meter (the engine's vectorFor,
-// wrapping sets forwarding to their base) get attributed opens from any
-// Set without type-switching themselves.
-func OpenFrom(ctx context.Context, m *obs.TaskMeter, s Set, name string) (Vector, error) {
-	if cs, ok := s.(CtxSet); ok {
-		return cs.VectorCtx(ctx, m, name)
-	}
+// OpenFrom opens the named vector of s. No set does I/O when it opens a
+// vector (a disk vector's extents come from the directory loaded with
+// the repository), so the context and meter go unused: a query's reads
+// are charged through Meterable and Contextual once the vector is open.
+// It stays for callers written against the attributed open.
+func OpenFrom(_ context.Context, _ *obs.TaskMeter, s Set, name string) (Vector, error) {
 	return s.Vector(name)
 }
 

@@ -1,11 +1,9 @@
 package vectorize
 
 import (
-	"context"
 	"fmt"
 	"sort"
 
-	"vxml/internal/obs"
 	"vxml/internal/skeleton"
 	"vxml/internal/vector"
 	"vxml/internal/xmlmodel"
@@ -179,17 +177,11 @@ func (o *overlaySet) Names() []string {
 }
 
 func (o *overlaySet) Vector(name string) (vector.Vector, error) {
-	return o.VectorCtx(context.Background(), nil, name)
-}
-
-// VectorCtx implements vector.CtxSet by forwarding the request attribution
-// to the base set; overlay-added vectors are in memory and cost no I/O.
-func (o *overlaySet) VectorCtx(ctx context.Context, m *obs.TaskMeter, name string) (vector.Vector, error) {
 	if v, ok := o.added[name]; ok {
 		return v, nil
 	}
 	if o.hidden[name] {
 		return nil, fmt.Errorf("vectorize: vector %q was dropped", name)
 	}
-	return vector.OpenFrom(ctx, m, o.base, name)
+	return o.base.Vector(name)
 }
