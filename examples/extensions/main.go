@@ -89,7 +89,7 @@ func main() {
 		log.Fatal(err)
 	}
 	var n int64
-	for _, e := range res.Skel.Root.Edges {
+	for _, e := range res.Skel.Edges(res.Skel.Root) {
 		n += e.Count
 	}
 	fmt.Printf("new column query:  %d rows all carry the added value\n", n)

@@ -110,7 +110,7 @@ func main() {
 
 func rootCount(r *vectorize.MemRepository) int64 {
 	var n int64
-	for _, e := range r.Skel.Root.Edges {
+	for _, e := range r.Skel.Edges(r.Skel.Root) {
 		n += e.Count
 	}
 	return n

@@ -58,7 +58,7 @@ func main() {
 		}
 		s := tr.Total
 		var n int64
-		for _, e := range res.Skel.Root.Edges {
+		for _, e := range res.Skel.Edges(res.Skel.Root) {
 			n += e.Count
 		}
 		fmt.Printf("%-24s %8v  %5d results, touched %d of %d vectors\n",

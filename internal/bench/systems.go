@@ -157,7 +157,7 @@ func (d *Dataset) runVXPlanned(q QueryID, opts core.Options, popts qgraph.Option
 
 func rootChildren(s *skeleton.Skeleton) int64 {
 	var n int64
-	for _, e := range s.Root.Edges {
+	for _, e := range s.Edges(s.Root) {
 		n += e.Count
 	}
 	return n

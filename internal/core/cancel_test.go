@@ -3,8 +3,6 @@ package core
 import (
 	"context"
 	"errors"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -53,36 +51,6 @@ func TestEvalCancelled(t *testing.T) {
 	got := resultXML(t, res)
 	if !strings.Contains(got, "<title>Curation</title>") || !strings.Contains(got, "<title>XPath</title>") {
 		t.Errorf("result after cancellation incomplete:\n%s", got)
-	}
-}
-
-// TestEvalToDirCancelled: a cancelled EvalToDir must not commit a result
-// directory, and a later run with a live context succeeds from the same
-// engine (the abandoned build directory is cleared automatically).
-func TestEvalToDirCancelled(t *testing.T) {
-	eng, plan := cancelSetup(t)
-	dir := filepath.Join(t.TempDir(), "result")
-
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := eng.EvalToDir(ctx, plan, dir, 64); !errors.Is(err, context.Canceled) {
-		t.Fatalf("EvalToDir with cancelled ctx: err = %v, want context.Canceled", err)
-	}
-	if _, err := os.Stat(dir); !os.IsNotExist(err) {
-		t.Fatalf("cancelled EvalToDir left a result directory (stat err = %v)", err)
-	}
-
-	repo, err := eng.EvalToDir(context.Background(), plan, dir, 64)
-	if err != nil {
-		t.Fatalf("EvalToDir after cancellation: %v", err)
-	}
-	defer repo.Close()
-	var b strings.Builder
-	if err := vectorize.ReconstructXML(repo.Skel, repo.Classes, repo.Vectors, repo.Syms, &b); err != nil {
-		t.Fatalf("reconstruct: %v", err)
-	}
-	if !strings.Contains(b.String(), "<title>Curation</title>") {
-		t.Errorf("on-disk result incomplete:\n%s", b.String())
 	}
 }
 

@@ -157,9 +157,9 @@ func TestConcurrentEvalMatchesSerial(t *testing.T) {
 }
 
 // TestEvalTinyPoolCopiesValues evaluates with a buffer pool so small that
-// frames are recycled mid-scan: if any sink retained a frame-aliased val
-// instead of copying, the result would contain bytes from later pages.
-// Both the in-memory and the on-disk result paths are exercised.
+// frames are recycled mid-scan: if result construction retained a
+// frame-aliased val instead of copying, the result would contain bytes
+// from later pages.
 func TestEvalTinyPoolCopiesValues(t *testing.T) {
 	doc := genBib(400)
 	big := openDiskRepo(t, doc, 256)
@@ -185,20 +185,6 @@ func TestEvalTinyPoolCopiesValues(t *testing.T) {
 		t.Fatal(err)
 	}
 	if gotMem != want {
-		t.Error("MemSink result corrupted under a tiny buffer pool (frame aliasing)")
-	}
-
-	outDir := t.TempDir()
-	outRepo, err := tinyEng.EvalToDir(context.Background(), plan, outDir, 2)
-	if err != nil {
-		t.Fatalf("EvalToDir: %v", err)
-	}
-	defer outRepo.Close()
-	gotDisk, err := fingerprint(outRepo.Skel, outRepo.Syms, outRepo.Vectors)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gotDisk != want {
-		t.Error("DiskSink result corrupted under a tiny buffer pool (frame aliasing)")
+		t.Error("result corrupted under a tiny buffer pool (frame aliasing)")
 	}
 }

@@ -286,7 +286,7 @@ func TestDifferentialFilterOnlySuperset(t *testing.T) {
 				t.Fatalf("seed %d: %v", seed, err)
 			}
 			var n int64
-			for _, e := range res.Skel.Root.Edges {
+			for _, e := range res.Skel.Edges(res.Skel.Root) {
 				n += e.Count
 			}
 			return n

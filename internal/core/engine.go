@@ -36,7 +36,7 @@ type Options struct {
 
 // Engine evaluates plans over one vectorized document.
 //
-// An Engine is safe for concurrent use: every Eval/EvalToDir call builds
+// An Engine is safe for concurrent use: every Eval/EvalTraced call builds
 // its own evalContext holding all mutable per-evaluation state (counters,
 // trace, lazily opened vectors, instantiation tables), while the engine itself
 // keeps only immutable inputs plus the mutex-guarded value indexes.

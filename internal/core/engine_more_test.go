@@ -103,8 +103,8 @@ func TestSharedSubtreeCopies(t *testing.T) {
 	if res.Skel.NumNodes() != 4 {
 		t.Errorf("result skeleton nodes = %d, want 4", res.Skel.NumNodes())
 	}
-	if len(res.Skel.Root.Edges) != 1 || res.Skel.Root.Edges[0].Count != 50 {
-		t.Errorf("root edges = %+v", res.Skel.Root.Edges)
+	if len(res.Skel.Edges(res.Skel.Root)) != 1 || res.Skel.Edges(res.Skel.Root)[0].Count != 50 {
+		t.Errorf("root edges = %+v", res.Skel.Edges(res.Skel.Root))
 	}
 }
 
@@ -238,63 +238,6 @@ func TestEngineReuse(t *testing.T) {
 		if _, err := eng.Eval(context.Background(), plan); err != nil {
 			t.Fatalf("%s: %v", src, err)
 		}
-	}
-}
-
-// TestEvalToDir: results stored as an on-disk repository match the
-// in-memory result and are reopenable.
-func TestEvalToDir(t *testing.T) {
-	syms := xmlmodel.NewSymbols()
-	repo, err := vectorize.FromString(bibXML, syms)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan, err := qgraph.Build(xq.MustParse(q0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng := NewEngine(repo.Skel, repo.Classes, repo.Vectors, syms, Options{})
-	mem, err := eng.Eval(context.Background(), plan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	eng2 := NewEngine(repo.Skel, repo.Classes, repo.Vectors, syms, Options{})
-	disk, err := eng2.EvalToDir(context.Background(), plan, dir, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var m, d strings.Builder
-	if err := vectorize.ReconstructXML(mem.Skel, mem.Classes, mem.Vectors, mem.Syms, &m); err != nil {
-		t.Fatal(err)
-	}
-	if err := vectorize.ReconstructXML(disk.Skel, disk.Classes, disk.Vectors, disk.Syms, &d); err != nil {
-		t.Fatal(err)
-	}
-	if m.String() != d.String() {
-		t.Errorf("disk result differs:\nmem:  %s\ndisk: %s", m.String(), d.String())
-	}
-	if err := disk.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// Reopen and query the stored result (pipeline composition).
-	disk2, err := vectorize.Open(dir, vectorize.Options{PoolPages: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer disk2.Close()
-	plan2, _ := qgraph.Build(xq.MustParse(`for $t in /result/title where $t = 'XML' return $t`))
-	eng3 := NewEngine(disk2.Skel, disk2.Classes, disk2.Vectors, disk2.Syms, Options{})
-	res, err := eng3.Eval(context.Background(), plan2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var n int64
-	for _, e := range res.Skel.Root.Edges {
-		n += e.Count
-	}
-	if n != 2 {
-		t.Errorf("pipeline query results = %d, want 2", n)
 	}
 }
 

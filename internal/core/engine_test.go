@@ -94,9 +94,9 @@ func TestQ0Result(t *testing.T) {
 	if res.Skel.NumNodes() != 3 {
 		t.Errorf("result skeleton nodes = %d, want 3", res.Skel.NumNodes())
 	}
-	root := res.Skel.Root
-	if len(root.Edges) != 1 || root.Edges[0].Count != 8 {
-		t.Errorf("root edges = %+v", root.Edges)
+	root := res.Skel.Edges(res.Skel.Root)
+	if len(root) != 1 || root[0].Count != 8 {
+		t.Errorf("root edges = %+v", root)
 	}
 	if st.Tuples != 4 {
 		t.Errorf("tuples = %d, want 4", st.Tuples)

@@ -11,7 +11,6 @@ import (
 	"vxml/internal/obs"
 	"vxml/internal/qgraph"
 	"vxml/internal/skeleton"
-	"vxml/internal/storage"
 	"vxml/internal/vector"
 	"vxml/internal/vectorize"
 	"vxml/internal/xq"
@@ -30,81 +29,25 @@ import (
 // between result tuples). A cancelled Eval leaves the engine fully
 // reusable: all abandoned state was owned by this call alone.
 func (e *Engine) Eval(ctx context.Context, plan *qgraph.Plan) (*vectorize.MemRepository, error) {
-	out := vector.NewMemSet()
-	skel, _, err := e.evalWithSinkTraced(ctx, plan, vectorize.MemSink{Set: out})
-	if err != nil {
-		return nil, err
-	}
-	return &vectorize.MemRepository{
-		Syms:    e.Syms,
-		Skel:    skel,
-		Classes: skeleton.NewClasses(skel, e.Syms),
-		Vectors: out,
-	}, nil
+	repo, _, err := e.EvalTraced(ctx, plan)
+	return repo, err
 }
 
-// EvalToDir evaluates the plan and stores the result as an on-disk
-// repository at dir — query results stay in the same vectorized form as
-// inputs, so pipelines compose on disk.
-//
-// The build is crash-safe the same way vectorize.Create is: the result is
-// written into dir+".building", fully committed (fsynced vector segment,
-// checksummed directory and skeleton, manifest) and renamed into place as
-// the last step. A crash or a cancelled ctx leaves either no result directory or a
-// complete one. A failed build removes the .building directory and returns
-// its error unclassified to the caller.
-func (e *Engine) EvalToDir(ctx context.Context, plan *qgraph.Plan, dir string, poolPages int) (*vectorize.Repository, error) {
-	fsys := storage.DefaultFS
-	building := dir + ".building"
-	if err := fsys.RemoveAll(building); err != nil {
-		return nil, fmt.Errorf("core: clear stale build dir: %w", err)
-	}
-	store, err := storage.OpenStoreFS(fsys, building, poolPages)
-	if err != nil {
-		return nil, err
-	}
-	sink, err := vectorize.NewStoreSink(store, false)
-	if err != nil {
-		store.Close()
-		return nil, err
-	}
-	skel, _, err := e.evalWithSinkTraced(ctx, plan, sink)
-	if err != nil {
-		store.Close()
-		return nil, err
-	}
-	if err := sink.Close(); err != nil {
-		store.Close()
-		return nil, err
-	}
-	if err := vectorize.CommitStore(store, skel, e.Syms, sink.Set); err != nil {
-		store.Close()
-		return nil, err
-	}
-	if err := store.Close(); err != nil {
-		return nil, err
-	}
-	if err := vectorize.PromoteBuild(fsys, building, dir); err != nil {
-		return nil, err
-	}
-	return vectorize.Open(dir, vectorize.Options{PoolPages: poolPages})
-}
-
-// evalWithSinkTraced runs the plan in a fresh evaluation context,
-// streaming output values to sink and returning the result skeleton and
-// the evaluation's per-op Trace: every plan op and the final
+// evalInto runs the plan in a fresh evaluation context, appending
+// output values to out and returning the result skeleton and the
+// evaluation's per-op Trace: every plan op and the final
 // result-emission phase record wall time and counter deltas into it. The
 // trace comes back on error too, holding the ops that completed and the
 // counters so far. Process-wide obs totals are published from its Total.
 //
 // It is also the query-scoped telemetry choke point — every evaluation
-// (Eval, EvalTraced, EvalToDir) funnels through here: a TaskMeter is
+// (Eval, EvalTraced) funnels through here: a TaskMeter is
 // attached to the context (unless the caller brought its own), the
 // evaluation registers in obs.ActiveQueries with a cancel func (so
 // /debug/queries can list and cooperatively cancel it through the
 // engine's existing ctx-poll machinery). What a finished query is kept
 // for (slow, failed, sampled) is the serving layer's call, not this one's.
-func (e *Engine) evalWithSinkTraced(ctx context.Context, plan *qgraph.Plan, sink vectorize.Sink) (skel *skeleton.Skeleton, trace *Trace, err error) {
+func (e *Engine) evalInto(ctx context.Context, plan *qgraph.Plan, out *vector.MemSet) (skel *skeleton.Skeleton, trace *Trace, err error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -166,11 +109,12 @@ func (e *Engine) evalWithSinkTraced(ctx context.Context, plan *qgraph.Plan, sink
 	if err = x.run(plan); err != nil {
 		return nil, trace, err
 	}
+	b := skeleton.NewBuilder()
 	rb := &resultBuilder{
 		x:       x,
-		builder: skeleton.NewBuilder(),
-		out:     sink,
-		imports: make(map[*skeleton.Node]*skeleton.Node),
+		builder: b,
+		out:     out,
+		imports: skeleton.NewImporter(b, e.Skel, nil, nil),
 		targets: make(map[returnPath][]skeleton.ClassID),
 	}
 	rb.appendOut = rb.appendValue
@@ -187,20 +131,21 @@ func (e *Engine) evalWithSinkTraced(ctx context.Context, plan *qgraph.Plan, sink
 type resultBuilder struct {
 	x         *evalContext
 	builder   *skeleton.Builder
-	out       vectorize.Sink
+	out       *vector.MemSet
 	rootEdges []skeleton.Edge
-	edges     []skeleton.Edge // scratch: one return item's edges
-	imports   map[*skeleton.Node]*skeleton.Node
+	edges     []skeleton.Edge                   // scratch: one return item's edges
+	imports   *skeleton.Importer                // input subtrees into builder, memoized across tuples
 	targets   map[returnPath][]skeleton.ClassID // resolved return paths
 
 	// classes is indexed by input ClassID, allocated by the first copy and
 	// filled lazily for the classes the copies reach.
 	classes []classMemo
-	// path is the output path of the class being walked; outName is the
-	// output vector the current scan appends to, through appendOut (the
-	// appendValue method value, bound once).
+	// path is the output path of the class being walked; outVec is the
+	// output vector named outName, which the current scan appends to
+	// through appendOut (the appendValue method value, bound once).
 	path      []byte
 	outName   string
+	outVec    *vector.Mem
 	appendOut func(pos int64, val []byte) error
 }
 
@@ -314,9 +259,7 @@ func (rb *resultBuilder) appendRootEdge(ed skeleton.Edge) {
 func (rb *resultBuilder) emitItem(edges []skeleton.Edge, item xq.RetItem, tuple map[string]binding, prefix string) ([]skeleton.Edge, error) {
 	switch item := item.(type) {
 	case xq.RetText:
-		if err := rb.out.Append(prefix, []byte(item.Text)); err != nil {
-			return nil, err
-		}
+		rb.out.Add(prefix).Append(item.Text)
 		return append(edges, skeleton.Edge{Child: rb.builder.Text(), Count: 1}), nil
 	case xq.RetElem:
 		myPrefix := prefix + "/" + item.Tag
@@ -415,7 +358,7 @@ func (rb *resultBuilder) copyRun(edges []skeleton.Edge, class skeleton.ClassID, 
 		for occ+n < end && m.nodes.At(occ+n) == node {
 			n++
 		}
-		edges = append(edges, skeleton.Edge{Child: rb.importNode(node), Count: n})
+		edges = append(edges, skeleton.Edge{Child: rb.imports.Import(node), Count: n})
 		occ += n
 	}
 	rb.path = append(append(append(rb.path[:0], prefix...), '/'), e.Syms.Name(e.Classes.Tag(class))...)
@@ -469,35 +412,17 @@ func (rb *resultBuilder) scanText(text skeleton.ClassID, start, count int64) err
 	if m.name != string(rb.path) {
 		m.name = string(rb.path)
 	}
-	rb.outName = m.name
+	if rb.outVec == nil || rb.outName != m.name {
+		rb.outName, rb.outVec = m.name, rb.out.Add(m.name)
+	}
 	rb.x.stats.ValuesScanned += count
 	return m.reader.Scan(start, count, rb.appendOut)
 }
 
 // appendValue is the scan callback of scanText. The val passed down
-// aliases a pinned buffer-pool frame (Vector.Scan contract); Sink.Append
-// is required to copy before returning, so the value is safe once the
-// callback ends and the frame is unpinned.
+// aliases a pinned buffer-pool frame (Vector.Scan contract); the string
+// conversion copies it before the frame is unpinned.
 func (rb *resultBuilder) appendValue(_ int64, val []byte) error {
-	return rb.out.Append(rb.outName, val)
-}
-
-// importNode rehashes an input skeleton node into the output builder with
-// a persistent memo (sharing across tuples).
-func (rb *resultBuilder) importNode(n *skeleton.Node) *skeleton.Node {
-	if m, ok := rb.imports[n]; ok {
-		return m
-	}
-	var m *skeleton.Node
-	if n.IsText {
-		m = rb.builder.Text()
-	} else {
-		edges := make([]skeleton.Edge, len(n.Edges))
-		for i, ed := range n.Edges {
-			edges[i] = skeleton.Edge{Child: rb.importNode(ed.Child), Count: ed.Count}
-		}
-		m = rb.builder.Make(n.Tag, edges)
-	}
-	rb.imports[n] = m
-	return m
+	rb.outVec.Append(string(val))
+	return nil
 }

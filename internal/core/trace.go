@@ -107,7 +107,7 @@ func (e *Engine) Explain(plan *qgraph.Plan) string {
 // per plan operation — a handful per query — so every evaluation keeps one.
 func (e *Engine) EvalTraced(ctx context.Context, plan *qgraph.Plan) (*vectorize.MemRepository, *Trace, error) {
 	out := vector.NewMemSet()
-	skel, tr, err := e.evalWithSinkTraced(ctx, plan, vectorize.MemSink{Set: out})
+	skel, tr, err := e.evalInto(ctx, plan, out)
 	if err != nil {
 		return nil, tr, err
 	}

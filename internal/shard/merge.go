@@ -42,7 +42,7 @@ func MergeResults(results []*core.Result) (*core.Result, error) {
 	totalEdges := 0
 	for _, r := range results {
 		if r != nil && r.Repo != nil {
-			totalEdges += len(r.Repo.Skel.Root.Edges)
+			totalEdges += len(r.Repo.Skel.Edges(r.Repo.Skel.Root))
 		}
 	}
 	edges := make([]skeleton.Edge, 0, totalEdges)
@@ -52,20 +52,15 @@ func MergeResults(results []*core.Result) (*core.Result, error) {
 		}
 		// Tag symbols are per-result interning orders, so subtrees import
 		// by translating tag names into the merged symbol table.
-		tag := syms.Intern(r.Repo.Syms.Name(r.Repo.Skel.Root.Tag))
+		skel := r.Repo.Skel
+		tag := syms.Intern(r.Repo.Syms.Name(skel.Tag(skel.Root)))
 		if resultTag == xmlmodel.NoSym {
 			resultTag = tag
 		} else if tag != resultTag {
 			return nil, fmt.Errorf("shard: merge: shard %d result root <%s> differs from <%s>",
 				k, syms.Name(tag), syms.Name(resultTag))
 		}
-		memo := make(map[*skeleton.Node]*skeleton.Node)
-		for _, e := range r.Repo.Skel.Root.Edges {
-			edges = append(edges, skeleton.Edge{
-				Child: importTranslated(b, syms, r.Repo.Syms, e.Child, memo),
-				Count: e.Count,
-			})
-		}
+		edges = skeleton.NewImporter(b, skel, r.Repo.Syms, syms).AppendRootEdges(edges)
 		for _, name := range r.Repo.Vectors.Names() {
 			v, err := r.Repo.Vectors.Vector(name)
 			if err != nil {
@@ -91,29 +86,4 @@ func MergeResults(results []*core.Result) (*core.Result, error) {
 		Vectors: out,
 	}
 	return merged, nil
-}
-
-// importTranslated rebuilds src's subtree in builder b, interning every
-// tag name from srcSyms into dstSyms — Builder.Import with a symbol
-// translation, for importing across repositories that interned tags in
-// different orders. memo dedups shared subtrees within one shard result.
-func importTranslated(b *skeleton.Builder, dstSyms, srcSyms *xmlmodel.Symbols, n *skeleton.Node, memo map[*skeleton.Node]*skeleton.Node) *skeleton.Node {
-	if m, ok := memo[n]; ok {
-		return m
-	}
-	var m *skeleton.Node
-	if n.IsText {
-		m = b.Text()
-	} else {
-		edges := make([]skeleton.Edge, 0, len(n.Edges))
-		for _, e := range n.Edges {
-			edges = append(edges, skeleton.Edge{
-				Child: importTranslated(b, dstSyms, srcSyms, e.Child, memo),
-				Count: e.Count,
-			})
-		}
-		m = b.Make(dstSyms.Intern(srcSyms.Name(n.Tag)), edges)
-	}
-	memo[n] = m
-	return m
 }

@@ -287,12 +287,12 @@ func TestMergeRunCompression(t *testing.T) {
 	if want := unionAnswer(t, f, docs, q); got != want {
 		t.Errorf("%q:\n got: %s\nwant: %s", q, got, want)
 	}
-	root := res.Repo.Skel.Root
-	if len(root.Edges) != 1 {
-		t.Fatalf("merged result root has %d edges, want 1 run-compressed edge", len(root.Edges))
+	root := res.Repo.Skel.Edges(res.Repo.Skel.Root)
+	if len(root) != 1 {
+		t.Fatalf("merged result root has %d edges, want 1 run-compressed edge", len(root))
 	}
-	if root.Edges[0].Count != 3 {
-		t.Errorf("merged run count = %d, want 3", root.Edges[0].Count)
+	if root[0].Count != 3 {
+		t.Errorf("merged run count = %d, want 3", root[0].Count)
 	}
 }
 

@@ -28,13 +28,7 @@ func buildUnionView(f *Federation) *vectorize.MemRepository {
 	var edges []skeleton.Edge
 	sets := make([]vector.Set, len(f.Shards))
 	for k, repo := range f.Shards {
-		memo := make(map[*skeleton.Node]*skeleton.Node)
-		for _, e := range repo.Skel.Root.Edges {
-			edges = append(edges, skeleton.Edge{
-				Child: importTranslated(b, syms, repo.Syms, e.Child, memo),
-				Count: e.Count,
-			})
-		}
+		edges = skeleton.NewImporter(b, repo.Skel, repo.Syms, syms).AppendRootEdges(edges)
 		sets[k] = repo.Vectors
 	}
 	skel := b.Finish(b.Make(syms.Intern(f.Catalog.RootTag), edges))

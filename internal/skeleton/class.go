@@ -78,8 +78,8 @@ type Classes struct {
 // appearance, and a stable sort by kid then makes the kids' buckets.
 func NewClasses(s *Skeleton, syms *xmlmodel.Symbols) *Classes {
 	maxTag := xmlmodel.Sym(0)
-	for _, n := range s.nodes {
-		maxTag = max(maxTag, n.Tag)
+	for _, t := range s.tags {
+		maxTag = max(maxTag, t)
 	}
 	type occurrence struct {
 		node  NodeID
@@ -88,22 +88,18 @@ func NewClasses(s *Skeleton, syms *xmlmodel.Symbols) *Classes {
 	}
 	// Documents have a few classes per DAG node: starting the arrays at
 	// twice the node count saves most of their regrowth.
-	guess := 2*len(s.nodes) + 1
-	nodes := s.nodes
-	infos := slices.Grow([]classInfo{{parent: NoClass, tag: s.Root.Tag, count: 1}}, guess)
-	occs := slices.Grow([]occurrence{{node: s.Root.ID, occ: 1}}, guess)
+	guess := 2*s.NumNodes() + 1
+	infos := slices.Grow([]classInfo{{parent: NoClass, tag: s.tags[s.Root], count: 1}}, guess)
+	occs := slices.Grow([]occurrence{{node: s.Root, occ: 1}}, guess)
 	end := slices.Grow([]int{1}, guess) // ClassID -> end of its bucket in occs
 	kidOf := make([]ClassID, maxTag+2)  // step+1 -> its kid of the class in hand, if not below kidLo
-	at := make([]int, len(nodes))       // NodeID -> its slot in occs, if not below base
+	at := make([]int, s.NumNodes())     // NodeID -> its slot in occs, if not below base
 	byClass := func(a, b occurrence) int { return cmp.Compare(a.class, b.class) }
 	for id, lo := ClassID(0), 0; int(id) < len(infos); id++ {
 		hi, kidLo, base := end[id], ClassID(len(infos)), len(occs)
 		for _, o := range occs[lo:hi] {
-			for _, e := range nodes[o.node].Edges {
-				st := e.Child.Tag
-				if e.Child.IsText {
-					st = TextStep
-				}
+			for _, e := range s.Edges(o.node) {
+				st := s.tags[e.Child]
 				kid := kidOf[st+1]
 				if kid < kidLo {
 					kid = ClassID(len(infos))
@@ -112,11 +108,11 @@ func NewClasses(s *Skeleton, syms *xmlmodel.Symbols) *Classes {
 				}
 				add := o.occ * e.Count
 				infos[kid].count += add
-				j := at[e.Child.ID]
+				j := at[e.Child]
 				if j < base {
 					j = len(occs)
-					at[e.Child.ID] = j
-					occs = append(occs, occurrence{node: e.Child.ID, class: kid})
+					at[e.Child] = j
+					occs = append(occs, occurrence{node: e.Child, class: kid})
 				}
 				occs[j].occ += add
 			}
@@ -360,7 +356,7 @@ func (c *Classes) runsLocked(id ClassID) RunMap {
 	if f, ok := c.uniformFanout(info.parent, info.tag); ok {
 		m.runs = RunMap{{Parents: c.infos[info.parent].count, Fanout: f}}
 	} else {
-		m.runs = deriveRuns(c.nodeRunsLocked(info.parent), info.tag)
+		m.runs = deriveRuns(c.skel, c.nodeRunsLocked(info.parent), info.tag)
 	}
 	return m.runs
 }
@@ -369,9 +365,9 @@ func (c *Classes) runsLocked(id ClassID) RunMap {
 // instancing class p, if they all share one.
 func (c *Classes) uniformFanout(p ClassID, step xmlmodel.Sym) (int64, bool) {
 	nodes := c.nodesOf(p)
-	f := fanout(c.skel.nodes[nodes[0]], step)
+	f := c.skel.fanout(nodes[0], step)
 	for _, n := range nodes[1:] {
-		if fanout(c.skel.nodes[n], step) != f {
+		if c.skel.fanout(n, step) != f {
 			return 0, false
 		}
 	}
@@ -380,10 +376,10 @@ func (c *Classes) uniformFanout(p ClassID, step xmlmodel.Sym) (int64, bool) {
 
 // deriveRuns is the run map of the child class reached by step from a
 // class whose occurrences are the node runs parent.
-func deriveRuns(parent []NodeRun, step xmlmodel.Sym) RunMap {
+func deriveRuns(s *Skeleton, parent []NodeRun, step xmlmodel.Sym) RunMap {
 	var rm RunMap
 	for _, nr := range parent {
-		rm = appendRepeated(rm, RunMap{{Parents: 1, Fanout: fanout(nr.Node, step)}}, nr.Count)
+		rm = appendRepeated(rm, RunMap{{Parents: 1, Fanout: s.fanout(nr.Node, step)}}, nr.Count)
 	}
 	if rm == nil {
 		rm = RunMap{}
@@ -391,18 +387,11 @@ func deriveRuns(parent []NodeRun, step xmlmodel.Sym) RunMap {
 	return rm.normalized()
 }
 
-func matchStep(n *Node, step xmlmodel.Sym) bool {
-	if step == TextStep {
-		return n.IsText
-	}
-	return !n.IsText && n.Tag == step
-}
-
 // fanout counts the children of one instance of n matching step.
-func fanout(n *Node, step xmlmodel.Sym) int64 {
+func (s *Skeleton) fanout(n NodeID, step xmlmodel.Sym) int64 {
 	var k int64
-	for _, e := range n.Edges {
-		if matchStep(e.Child, step) {
+	for _, e := range s.Edges(n) {
+		if s.tags[e.Child] == step {
 			k += e.Count
 		}
 	}

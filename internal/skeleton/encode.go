@@ -36,31 +36,32 @@ func Encode(w io.Writer, s *Skeleton, syms *xmlmodel.Symbols) error {
 		put(int64(len(name)))
 		bw.WriteString(name)
 	}
-	put(int64(len(s.nodes)))
-	for _, n := range s.nodes {
-		if n.IsText {
-			put(-1)
+	put(int64(s.NumNodes()))
+	for n, tag := range s.tags {
+		put(int64(tag)) // TextStep is the format's -1 text marker
+		if tag == TextStep {
 			continue
 		}
-		put(int64(n.Tag))
-		put(int64(len(n.Edges)))
-		for _, e := range n.Edges {
-			if e.Child.ID >= n.ID {
-				return fmt.Errorf("skeleton: encode: node %d references non-prior child %d", n.ID, e.Child.ID)
+		edges := s.Edges(NodeID(n))
+		put(int64(len(edges)))
+		for _, e := range edges {
+			if int(e.Child) >= n {
+				return fmt.Errorf("skeleton: encode: node %d references non-prior child %d", n, e.Child)
 			}
-			put(int64(e.Child.ID))
+			put(int64(e.Child))
 			put(e.Count)
 		}
 	}
-	put(int64(s.Root.ID))
+	put(int64(s.Root))
 	return bw.Flush()
 }
 
 // Decode reads a skeleton written by Encode. Symbol names are re-interned
 // into syms; tags are remapped accordingly, so syms need not be empty.
-// Nodes and edges decode into one array each. Counts are bounded by the
-// bytes left, and a document of more than 2^63-1 nodes is rejected, which
-// bounds every occurrence count derived from the skeleton.
+// Nodes decode into the skeleton's arrays, subtree sizes included. Counts
+// are bounded by the bytes left, and a document of more than 2^63-1 nodes
+// is rejected, which bounds every occurrence count derived from the
+// skeleton.
 func Decode(r io.Reader, syms *xmlmodel.Symbols) (*Skeleton, error) {
 	var buf bytes.Buffer
 	if _, err := io.Copy(&buf, r); err != nil {
@@ -109,30 +110,29 @@ func Decode(r io.Reader, syms *xmlmodel.Symbols) (*Skeleton, error) {
 	if nnodes <= 0 || nnodes > int64(br.Len()) || nnodes > math.MaxInt32 {
 		return nil, fmt.Errorf("skeleton: decode: bad node count %d", nnodes)
 	}
-	arena := make([]Node, nnodes)
-	nodes := make([]*Node, nnodes)
-	size := make([]int64, nnodes) // expanded subtree sizes
-	edges := make([]Edge, 0, br.Len()/2)
-	for i := range arena {
+	s := Skeleton{
+		tags:  make([]xmlmodel.Sym, 0, nnodes),
+		first: make([]int32, 1, nnodes+1),
+		edges: make([]Edge, 0, br.Len()/2),
+		size:  make([]int64, 0, nnodes),
+	}
+	for i := int64(0); i < nnodes; i++ {
 		tag, err := get()
 		if err != nil {
 			return nil, err
 		}
-		n := &arena[i]
-		n.ID, nodes[i], size[i] = NodeID(i), n, 1
 		if tag == -1 {
-			n.IsText = true
+			s.add(TextStep)
 			continue
 		}
 		if tag <= 0 || tag > nsyms {
 			return nil, fmt.Errorf("skeleton: decode: node %d bad tag %d", i, tag)
 		}
-		n.Tag = remap[tag]
 		ne, err := get()
 		if err != nil {
 			return nil, err
 		}
-		if ne < 0 || ne > int64(br.Len()/2) {
+		if ne < 0 || ne > int64(br.Len()/2) || int64(len(s.edges))+ne > math.MaxInt32 {
 			return nil, fmt.Errorf("skeleton: decode: node %d bad edge count %d", i, ne)
 		}
 		for j := int64(0); j < ne; j++ {
@@ -144,27 +144,26 @@ func Decode(r io.Reader, syms *xmlmodel.Symbols) (*Skeleton, error) {
 			if err != nil {
 				return nil, err
 			}
-			if child < 0 || child >= int64(i) {
+			if child < 0 || child >= i {
 				return nil, fmt.Errorf("skeleton: decode: node %d bad child %d", i, child)
 			}
 			if count <= 0 {
 				return nil, fmt.Errorf("skeleton: decode: node %d bad count %d", i, count)
 			}
-			if size[child] > (math.MaxInt64-size[i])/count {
-				return nil, fmt.Errorf("skeleton: decode: node %d expands to more than 2^63-1 nodes", i)
-			}
-			size[i] += count * size[child]
-			edges = append(edges, Edge{Child: nodes[child], Count: count})
+			s.edges = append(s.edges, Edge{Child: NodeID(child), Count: count})
 		}
-		// edges keeps its capacity; cutting it keeps appends off the next node's.
-		n.Edges = edges[len(edges)-int(ne) : len(edges) : len(edges)]
+		s.add(remap[tag])
+	}
+	if n := s.addSizes(); n >= 0 {
+		return nil, fmt.Errorf("skeleton: decode: node %d expands to more than 2^63-1 nodes", n)
 	}
 	rootID, err := get()
 	if err != nil {
 		return nil, err
 	}
-	if rootID < 0 || rootID >= nnodes || nodes[rootID].IsText {
+	if rootID < 0 || rootID >= nnodes || s.IsText(NodeID(rootID)) {
 		return nil, fmt.Errorf("skeleton: decode: bad root %d", rootID)
 	}
-	return &Skeleton{Root: nodes[rootID], nodes: nodes}, nil
+	s.Root = NodeID(rootID)
+	return &s, nil
 }

@@ -52,7 +52,7 @@ func TestDecodeIntoPopulatedSymbols(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := syms2.Name(back.Root.Tag); got != "bib" {
+	if got := syms2.Name(back.Tag(back.Root)); got != "bib" {
 		t.Errorf("root tag = %q", got)
 	}
 	if back.String(syms2) != skel.String(syms) {
@@ -278,25 +278,25 @@ func TestPropertyNodeRunsMatchWalk(t *testing.T) {
 
 		// Brute-force: walk the expanded tree recording, per class path,
 		// the node sequence.
-		byPath := map[string][]*Node{}
+		byPath := map[string][]NodeID{}
 		var stack []string
-		skel.Walk(func(n *Node) error {
+		skel.Walk(func(n NodeID) error {
 			label := "#"
-			if !n.IsText {
-				label = syms.Name(n.Tag)
+			if !skel.IsText(n) {
+				label = syms.Name(skel.Tag(n))
 			}
 			stack = append(stack, label)
 			p := strings.Join(stack, "/")
 			byPath[p] = append(byPath[p], n)
 			return nil
-		}, func(n *Node) error {
+		}, func(n NodeID) error {
 			stack = stack[:len(stack)-1]
 			return nil
 		})
 
 		for id := ClassID(0); int(id) < cls.NumClasses(); id++ {
 			want := byPath[strings.TrimPrefix(cls.Path(id), "/")]
-			var got []*Node
+			var got []NodeID
 			for _, nr := range cls.NodeRuns(id) {
 				for i := int64(0); i < nr.Count; i++ {
 					got = append(got, nr.Node)

@@ -6,7 +6,7 @@ import "vxml/internal/xmlmodel"
 // the same DAG node.
 type NodeRun struct {
 	Count int64
-	Node  *Node
+	Node  NodeID
 }
 
 // NodeRuns returns, in document order and run-length encoded, which DAG
@@ -32,22 +32,22 @@ func (c *Classes) nodeRunsLocked(id ClassID) []NodeRun {
 	}
 	info := c.infos[id]
 	if nodes := c.nodesOf(id); len(nodes) == 1 {
-		m.nodeRuns = []NodeRun{{Count: info.count, Node: c.skel.nodes[nodes[0]]}}
+		m.nodeRuns = []NodeRun{{Count: info.count, Node: nodes[0]}}
 	} else {
-		m.nodeRuns = deriveNodeRuns(c.nodeRunsLocked(info.parent), info.tag)
+		m.nodeRuns = deriveNodeRuns(c.skel, c.nodeRunsLocked(info.parent), info.tag)
 	}
 	return m.nodeRuns
 }
 
 // deriveNodeRuns is the node runs of the child class reached by step from
 // a class whose occurrences are the node runs parent.
-func deriveNodeRuns(parent []NodeRun, step xmlmodel.Sym) []NodeRun {
+func deriveNodeRuns(s *Skeleton, parent []NodeRun, step xmlmodel.Sym) []NodeRun {
 	var out []NodeRun
 	var sub []NodeRun // scratch: child sequence of one parent instance
 	for _, pr := range parent {
 		sub = sub[:0]
-		for _, e := range pr.Node.Edges {
-			if !matchStep(e.Child, step) {
+		for _, e := range s.Edges(pr.Node) {
+			if s.tags[e.Child] != step {
 				continue
 			}
 			if n := len(sub); n > 0 && sub[n-1].Node == e.Child {
@@ -113,7 +113,7 @@ type NodeCursor struct {
 func NewNodeCursor(runs []NodeRun) *NodeCursor { return &NodeCursor{runs: runs} }
 
 // At returns the DAG node of occurrence occ.
-func (nc *NodeCursor) At(occ int64) *Node {
+func (nc *NodeCursor) At(occ int64) NodeID {
 	for nc.ri > 0 && occ < nc.base {
 		nc.ri--
 		nc.base -= nc.runs[nc.ri].Count

@@ -79,7 +79,7 @@ func TestProp32OutputSkeletonBound(t *testing.T) {
 	if skel.NumNodes() != 3 {
 		t.Errorf("NumNodes = %d, want 3", skel.NumNodes())
 	}
-	if len(root.Edges) != 1 || root.Edges[0].Count != 1_000_000 {
-		t.Errorf("root edges = %+v", root.Edges)
+	if edges := skel.Edges(root); len(edges) != 1 || edges[0].Count != 1_000_000 {
+		t.Errorf("root edges = %+v", edges)
 	}
 }

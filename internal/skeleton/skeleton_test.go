@@ -46,15 +46,15 @@ func TestBibCompression(t *testing.T) {
 	}
 	// The bib root should have a counted edge (3) to the shared book node
 	// and a counted edge (2) to the shared two-author article node.
-	root := skel.Root
-	if len(root.Edges) != 3 {
-		t.Fatalf("root edges = %d, want 3: %+v", len(root.Edges), root.Edges)
+	root := skel.Edges(skel.Root)
+	if len(root) != 3 {
+		t.Fatalf("root edges = %d, want 3: %+v", len(root), root)
 	}
-	if root.Edges[0].Count != 3 {
-		t.Errorf("book edge count = %d, want 3", root.Edges[0].Count)
+	if root[0].Count != 3 {
+		t.Errorf("book edge count = %d, want 3", root[0].Count)
 	}
-	if root.Edges[1].Count != 1 || root.Edges[2].Count != 2 {
-		t.Errorf("article edge counts = %d,%d, want 1,2", root.Edges[1].Count, root.Edges[2].Count)
+	if root[1].Count != 1 || root[2].Count != 2 {
+		t.Errorf("article edge counts = %d,%d, want 1,2", root[1].Count, root[2].Count)
 	}
 }
 
@@ -80,8 +80,8 @@ func TestHashConsIdempotent(t *testing.T) {
 	if n1 != n2 {
 		t.Error("consecutive identical edges not merged before consing")
 	}
-	if len(n1.Edges) != 1 || n1.Edges[0].Count != 2 {
-		t.Errorf("merged edge = %+v", n1.Edges)
+	if edges := b.Finish(n1).Edges(n1); len(edges) != 1 || edges[0].Count != 2 {
+		t.Errorf("merged edge = %+v", edges)
 	}
 }
 
@@ -93,19 +93,37 @@ func TestBuilderText(t *testing.T) {
 }
 
 func TestBuilderImport(t *testing.T) {
-	skel, _, _ := buildBib(t)
+	skel, _, syms := buildBib(t)
 	b2 := NewBuilder()
-	imported := b2.Import(skel.Root)
-	again := b2.Import(skel.Root)
-	if imported != again {
+	im := NewImporter(b2, skel, nil, nil)
+	imported := im.Import(skel.Root)
+	if again := im.Import(skel.Root); imported != again {
 		t.Error("import not idempotent")
 	}
-	s2 := b2.Finish(imported)
-	if s2.NumNodes() != skel.NumNodes() {
-		t.Errorf("imported nodes = %d, want %d", s2.NumNodes(), skel.NumNodes())
+	if again := NewImporter(b2, skel, nil, nil).Import(skel.Root); imported != again {
+		t.Error("a second importer did not hash-cons onto the first one's nodes")
 	}
-	if s2.ExpandedSize() != skel.ExpandedSize() {
-		t.Errorf("imported expanded size = %d, want %d", s2.ExpandedSize(), skel.ExpandedSize())
+	s2 := b2.Finish(imported)
+	if s2.String(syms) != skel.String(syms) {
+		t.Errorf("imported skeleton renders differently:\n%s\nwant\n%s", s2.String(syms), skel.String(syms))
+	}
+	if s2.NumEdges() != skel.NumEdges() || s2.ExpandedSize() != skel.ExpandedSize() {
+		t.Errorf("imported edges, expanded size = %d, %d, want %d, %d",
+			s2.NumEdges(), s2.ExpandedSize(), skel.NumEdges(), skel.ExpandedSize())
+	}
+
+	// Translating into a symbol table that interned the tags in another
+	// order keeps the names, and so the rendering.
+	syms3 := xmlmodel.NewSymbols()
+	syms3.Intern("zzz")
+	syms3.Intern("title")
+	b3 := NewBuilder()
+	s3 := b3.Finish(NewImporter(b3, skel, syms, syms3).Import(skel.Root))
+	if s3.String(syms3) != skel.String(syms) {
+		t.Errorf("translated skeleton renders differently:\n%s\nwant\n%s", s3.String(syms3), skel.String(syms))
+	}
+	if s3.Tag(s3.Root) == skel.Tag(skel.Root) {
+		t.Errorf("root tag %d was not translated", s3.Tag(s3.Root))
 	}
 }
 
@@ -324,14 +342,14 @@ func TestPropertyWalkReconstructsShape(t *testing.T) {
 			return true
 		})
 		var got []string
-		err := skel.Walk(func(n *Node) error {
-			if n.IsText {
+		err := skel.Walk(func(n NodeID) error {
+			if skel.IsText(n) {
 				got = append(got, "#")
 			} else {
-				got = append(got, syms.Name(n.Tag))
+				got = append(got, syms.Name(skel.Tag(n)))
 			}
 			return nil
-		}, func(*Node) error { return nil })
+		}, func(NodeID) error { return nil })
 		if err != nil {
 			return false
 		}

@@ -20,7 +20,7 @@ func fullNodeRuns(c *Classes, id ClassID, memo map[ClassID][]NodeRun) []NodeRun 
 	}
 	nr := []NodeRun{{Count: 1, Node: c.skel.Root}}
 	if p := c.Parent(id); p != NoClass {
-		nr = deriveNodeRuns(fullNodeRuns(c, p, memo), c.Tag(id))
+		nr = deriveNodeRuns(c.skel, fullNodeRuns(c, p, memo), c.Tag(id))
 	}
 	memo[id] = nr
 	return nr
@@ -44,7 +44,7 @@ func checkUniform(t *testing.T, label string, s *Skeleton, syms *xmlmodel.Symbol
 		if _, ok := c.uniformFanout(p, c.Tag(id)); ok {
 			uniform++
 		}
-		if got, want := c.Runs(id), deriveRuns(fullNodeRuns(c, p, memo), c.Tag(id)); !slices.Equal(got, want) {
+		if got, want := c.Runs(id), deriveRuns(c.skel, fullNodeRuns(c, p, memo), c.Tag(id)); !slices.Equal(got, want) {
 			t.Fatalf("%s: Runs(%s) = %v, full derivation %v", label, c.Path(id), got, want)
 		}
 	}

@@ -170,7 +170,7 @@ func TestCrossSliceShapes(t *testing.T) {
 			if err != nil {
 				t.Fatalf("seed %d: %v\nquery: %s", seed, err, q.Src)
 			}
-			if len(res.Skel.Root.Edges) > 0 {
+			if len(res.Skel.Edges(res.Skel.Root)) > 0 {
 				nonEmpty++
 			}
 		}

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"vxml/internal/datagen"
 	"vxml/internal/vector"
 	"vxml/internal/xmlmodel"
 )
@@ -144,41 +145,74 @@ func TestAppendCompressedRepository(t *testing.T) {
 }
 
 // TestAppendMatchesFromScratch: appending fragments produces the same
-// repository state as vectorizing the concatenated document.
+// repository state as vectorizing the concatenated document: the same
+// XML, and a skeleton of the same nodes, edges and expanded size — so
+// Append's compaction keeps exactly the reachable nodes.
 func TestAppendMatchesFromScratch(t *testing.T) {
-	part1 := `<db><r><a>1</a><b>x</b></r><r><a>2</a></r></db>`
-	part2 := `<db><r><b>y</b></r><s><c>deep</c></s></db>`
-	combined := `<db><r><a>1</a><b>x</b></r><r><a>2</a></r><r><b>y</b></r><s><c>deep</c></s></db>`
+	check := func(t *testing.T, parts []string) {
+		dir := t.TempDir()
+		repo, err := Create(strings.NewReader(parts[0]), dir, Options{PoolPages: 64})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer repo.Close()
+		// The concatenated document: the first part's root around every
+		// part's children.
+		tag := parts[0][1:strings.IndexByte(parts[0], '>')]
+		openTag, closeTag := "<"+tag+">", "</"+tag+">"
+		combined := openTag
+		for i, p := range parts {
+			if i > 0 {
+				if err := repo.Append(strings.NewReader(p)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			p = strings.TrimSpace(p)
+			combined += strings.TrimSuffix(strings.TrimPrefix(p, openTag), closeTag)
+		}
+		combined += closeTag
+		var got strings.Builder
+		if err := repo.WriteXML(&got); err != nil {
+			t.Fatal(err)
+		}
 
-	dir := t.TempDir()
-	repo, err := Create(strings.NewReader(part1), dir, Options{PoolPages: 64})
-	if err != nil {
-		t.Fatal(err)
+		syms := xmlmodel.NewSymbols()
+		ref, err := FromString(combined, syms)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want strings.Builder
+		if err := ReconstructXML(ref.Skel, ref.Classes, ref.Vectors, syms, &want); err != nil {
+			t.Fatal(err)
+		}
+		if got.String() != want.String() {
+			t.Errorf("append != scratch:\nappend:  %.300s\nscratch: %.300s", got.String(), want.String())
+		}
+		a, s := repo.Skel, ref.Skel
+		if a.NumNodes() != s.NumNodes() || a.NumEdges() != s.NumEdges() || a.ExpandedSize() != s.ExpandedSize() {
+			t.Errorf("skeleton nodes, edges, expanded size: append %d, %d, %d; scratch %d, %d, %d",
+				a.NumNodes(), a.NumEdges(), a.ExpandedSize(), s.NumNodes(), s.NumEdges(), s.ExpandedSize())
+		}
 	}
-	defer repo.Close()
-	if err := repo.Append(strings.NewReader(part2)); err != nil {
-		t.Fatal(err)
-	}
-	var got strings.Builder
-	if err := repo.WriteXML(&got); err != nil {
-		t.Fatal(err)
-	}
-
-	syms := xmlmodel.NewSymbols()
-	ref, err := FromString(combined, syms)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var want strings.Builder
-	if err := ReconstructXML(ref.Skel, ref.Classes, ref.Vectors, syms, &want); err != nil {
-		t.Fatal(err)
-	}
-	if got.String() != want.String() {
-		t.Errorf("append != scratch:\nappend:  %s\nscratch: %s", got.String(), want.String())
-	}
-	if repo.Skel.NumNodes() != ref.Skel.NumNodes() {
-		t.Errorf("skeleton nodes %d vs %d", repo.Skel.NumNodes(), ref.Skel.NumNodes())
-	}
+	t.Run("fragment", func(t *testing.T) {
+		check(t, []string{
+			`<db><r><a>1</a><b>x</b></r><r><a>2</a></r></db>`,
+			`<db><r><b>y</b></r><s><c>deep</c></s></db>`,
+		})
+	})
+	t.Run("treebank", func(t *testing.T) {
+		// Four TreeBank documents, one Create and three Appends: later
+		// documents share many subtrees with earlier ones.
+		var parts []string
+		for seed := int64(1); seed <= 4; seed++ {
+			var doc strings.Builder
+			if err := (datagen.TreeBank{Sentences: 40, MaxDepth: 5, Seed: seed}).Generate(&doc); err != nil {
+				t.Fatal(err)
+			}
+			parts = append(parts, doc.String())
+		}
+		check(t, parts)
+	})
 }
 
 // TestAppendMovesPackedTailOnce: a repository's small vectors share a

@@ -25,35 +25,7 @@ func DropPath(repo *MemRepositoryView, path string) (*MemRepository, error) {
 	if drop == repo.Classes.Root() {
 		return nil, fmt.Errorf("vectorize: cannot drop the document root")
 	}
-	b := skeleton.NewBuilder()
-	memo := map[[2]int32]*skeleton.Node{}
-	var rec func(n *skeleton.Node, cls skeleton.ClassID) *skeleton.Node
-	rec = func(n *skeleton.Node, cls skeleton.ClassID) *skeleton.Node {
-		if n.IsText {
-			return b.Text()
-		}
-		key := [2]int32{int32(n.ID), int32(cls)}
-		if m, ok := memo[key]; ok {
-			return m
-		}
-		var edges []skeleton.Edge
-		for _, e := range n.Edges {
-			step := e.Child.Tag
-			if e.Child.IsText {
-				step = skeleton.TextStep
-			}
-			kid := repo.Classes.Child(cls, step)
-			if kid == drop {
-				continue
-			}
-			edges = append(edges, skeleton.Edge{Child: rec(e.Child, kid), Count: e.Count})
-		}
-		m := b.Make(n.Tag, edges)
-		memo[key] = m
-		return m
-	}
-	root := rec(repo.Skel.Root, repo.Classes.Root())
-	skel := b.Finish(root)
+	skel := evolve(repo, skeleton.NewBuilder(), drop, skeleton.NoClass, 0)
 
 	// Hide the vectors under the dropped class.
 	hidden := map[string]bool{}
@@ -89,33 +61,7 @@ func AddColumn(repo *MemRepositoryView, parentPath, tag, value string) (*MemRepo
 	}
 	b := skeleton.NewBuilder()
 	leaf := b.Make(sym, []skeleton.Edge{{Child: b.Text(), Count: 1}})
-	memo := map[[2]int32]*skeleton.Node{}
-	var rec func(n *skeleton.Node, cls skeleton.ClassID) *skeleton.Node
-	rec = func(n *skeleton.Node, cls skeleton.ClassID) *skeleton.Node {
-		if n.IsText {
-			return b.Text()
-		}
-		key := [2]int32{int32(n.ID), int32(cls)}
-		if m, ok := memo[key]; ok {
-			return m
-		}
-		edges := make([]skeleton.Edge, 0, len(n.Edges)+1)
-		for _, e := range n.Edges {
-			step := e.Child.Tag
-			if e.Child.IsText {
-				step = skeleton.TextStep
-			}
-			edges = append(edges, skeleton.Edge{Child: rec(e.Child, repo.Classes.Child(cls, step)), Count: e.Count})
-		}
-		if cls == parent {
-			edges = append(edges, skeleton.Edge{Child: leaf, Count: 1})
-		}
-		m := b.Make(n.Tag, edges)
-		memo[key] = m
-		return m
-	}
-	root := rec(repo.Skel.Root, repo.Classes.Root())
-	skel := b.Finish(root)
+	skel := evolve(repo, b, skeleton.NoClass, parent, leaf)
 
 	newVec := &vector.Mem{}
 	for i := int64(0); i < repo.Classes.Count(parent); i++ {
@@ -133,6 +79,39 @@ func AddColumn(repo *MemRepositoryView, parentPath, tag, value string) (*MemRepo
 		Classes: skeleton.NewClasses(skel, repo.Syms),
 		Vectors: out,
 	}, nil
+}
+
+// evolve rebuilds repo's skeleton in b one (node, class) pair at a time,
+// since a node shared by two classes may change at one and not the
+// other. It leaves out every instance of class drop, with its subtree,
+// and gives every instance of class extend one more last child, leaf.
+// Either class may be NoClass.
+func evolve(repo *MemRepositoryView, b *skeleton.Builder, drop, extend skeleton.ClassID, leaf skeleton.NodeID) *skeleton.Skeleton {
+	s, cls := repo.Skel, repo.Classes
+	memo := map[[2]int32]skeleton.NodeID{}
+	var rec func(n skeleton.NodeID, c skeleton.ClassID) skeleton.NodeID
+	rec = func(n skeleton.NodeID, c skeleton.ClassID) skeleton.NodeID {
+		if s.IsText(n) {
+			return b.Text()
+		}
+		key := [2]int32{int32(n), int32(c)}
+		if m, ok := memo[key]; ok {
+			return m
+		}
+		edges := make([]skeleton.Edge, 0, len(s.Edges(n))+1)
+		for _, e := range s.Edges(n) {
+			if kid := cls.Child(c, s.Tag(e.Child)); kid != drop {
+				edges = append(edges, skeleton.Edge{Child: rec(e.Child, kid), Count: e.Count})
+			}
+		}
+		if c == extend {
+			edges = append(edges, skeleton.Edge{Child: leaf, Count: 1})
+		}
+		m := b.Make(s.Tag(n), edges)
+		memo[key] = m
+		return m
+	}
+	return b.Finish(rec(s.Root, cls.Root()))
 }
 
 // MemRepositoryView is the read view evolution operates on; both

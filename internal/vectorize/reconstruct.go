@@ -18,8 +18,8 @@ func Reconstruct(skel *skeleton.Skeleton, cls *skeleton.Classes, vecs vector.Set
 	// classStack tracks the class of each open element.
 	classStack := make([]skeleton.ClassID, 0, 32)
 	depth := 0
-	enter := func(n *skeleton.Node) error {
-		if n.IsText {
+	enter := func(n skeleton.NodeID) error {
+		if skel.IsText(n) {
 			var id skeleton.ClassID
 			if depth == 0 {
 				return fmt.Errorf("vectorize: text marker at root")
@@ -50,22 +50,22 @@ func Reconstruct(skel *skeleton.Skeleton, cls *skeleton.Classes, vecs vector.Set
 		if depth == 0 {
 			id = cls.Root()
 		} else {
-			id = cls.Child(classStack[len(classStack)-1], n.Tag)
+			id = cls.Child(classStack[len(classStack)-1], skel.Tag(n))
 		}
 		if id == skeleton.NoClass {
 			return fmt.Errorf("vectorize: skeleton/classes mismatch at depth %d", depth)
 		}
 		classStack = append(classStack, id)
 		depth++
-		return h.Event(xmlmodel.Event{Kind: xmlmodel.StartElement, Tag: n.Tag})
+		return h.Event(xmlmodel.Event{Kind: xmlmodel.StartElement, Tag: skel.Tag(n)})
 	}
-	leave := func(n *skeleton.Node) error {
-		if n.IsText {
+	leave := func(n skeleton.NodeID) error {
+		if skel.IsText(n) {
 			return nil
 		}
 		classStack = classStack[:len(classStack)-1]
 		depth--
-		return h.Event(xmlmodel.Event{Kind: xmlmodel.EndElement, Tag: n.Tag})
+		return h.Event(xmlmodel.Event{Kind: xmlmodel.EndElement, Tag: skel.Tag(n)})
 	}
 	return skel.Walk(enter, leave)
 }

@@ -134,8 +134,7 @@ func Create(r io.Reader, dir string, opts Options) (*Repository, error) {
 
 // CommitStore makes a store directory whose vector set is committed (its
 // sink closed) a complete repository: the skeleton goes down checksummed
-// and atomic, and the manifest is written last. Shared by Create and the
-// engine's EvalToDir.
+// and atomic, and the manifest is written last.
 func CommitStore(store *storage.Store, skel *skeleton.Skeleton, syms *xmlmodel.Symbols, set *vector.DiskSet) error {
 	return commitSkeleton(store.FS(), store.Dir(), skel, syms, set)
 }
@@ -390,41 +389,32 @@ func FromString(doc string, syms *xmlmodel.Symbols) (*MemRepository, error) {
 // sequence leaves a repository that opens and queries consistently —
 // either fully pre-append, fully post-append, or post-append with a
 // manifest one step behind, which Open repairs.
-func (r *Repository) Append(frag io.Reader) error {
+func (r *Repository) Append(fragReader io.Reader) error {
 	set, ok := r.Vectors.(*vector.DiskSet)
 	if !ok {
 		return fmt.Errorf("vectorize: Append requires a disk-backed repository")
 	}
-	b := skeleton.NewBuilder()
-	oldRoot := b.Import(r.Skel.Root)
-
 	sink := NewDiskSink(set)
-	vz := NewVectorizer(r.Syms, sink)
-	vz.UseBuilder(b)
-	if err := xmlmodel.NewParser(frag, r.Syms).Run(vz); err != nil {
-		return err
-	}
-	fragSkel, err := vz.Skeleton()
+	frag, err := VectorizeStream(fragReader, r.Syms, sink)
 	if err != nil {
 		return err
 	}
-	if fragSkel.Root.Tag != r.Skel.Root.Tag {
+	tag := r.Skel.Tag(r.Skel.Root)
+	if frag.Tag(frag.Root) != tag {
 		return fmt.Errorf("vectorize: fragment root %q does not match document root %q",
-			r.Syms.Name(fragSkel.Root.Tag), r.Syms.Name(r.Skel.Root.Tag))
+			r.Syms.Name(frag.Tag(frag.Root)), r.Syms.Name(tag))
 	}
 	if err := sink.Close(); err != nil {
 		return err
 	}
 
-	edges := make([]skeleton.Edge, 0, len(oldRoot.Edges)+len(fragSkel.Root.Edges))
-	edges = append(edges, oldRoot.Edges...)
-	edges = append(edges, fragSkel.Root.Edges...)
-	newRoot := b.Make(r.Skel.Root.Tag, edges)
-	// Compact: the scratch builder holds the now-dead old and fragment
-	// roots; re-import into a fresh builder so the skeleton contains only
-	// reachable nodes.
-	final := skeleton.NewBuilder()
-	newSkel := final.Finish(final.Import(newRoot))
+	// The stored root's children, then the fragment root's, imported into
+	// a fresh builder: identical subtrees of the two hash-cons into one
+	// node, and the new skeleton holds exactly the reachable nodes.
+	b := skeleton.NewBuilder()
+	edges := skeleton.NewImporter(b, r.Skel, nil, nil).AppendRootEdges(nil)
+	edges = skeleton.NewImporter(b, frag, nil, nil).AppendRootEdges(edges)
+	newSkel := b.Finish(b.Make(tag, edges))
 
 	// sink.Close above committed the segment and directory; the skeleton
 	// and then the manifest follow.

@@ -56,7 +56,7 @@ func NewDiskSink(set *vector.DiskSet) *DiskSink {
 }
 
 // NewStoreSink starts a repository's empty vector set in store and returns
-// a sink writing into it — the bulk build of Create and EvalToDir.
+// a sink writing into it — the bulk build of Create.
 func NewStoreSink(store *storage.Store, compress bool) (*DiskSink, error) {
 	set, err := vector.CreateDiskSet(store, vectorStem, compress)
 	if err != nil {
@@ -105,7 +105,7 @@ type Vectorizer struct {
 
 	frames []frame
 	path   *pathTrie
-	root   *skeleton.Node
+	root   skeleton.NodeID // -1 until the root element closes
 }
 
 type frame struct {
@@ -135,7 +135,7 @@ func (p *pathTrie) child(tag xmlmodel.Sym, syms *xmlmodel.Symbols) *pathTrie {
 
 // NewVectorizer returns a vectorizer delivering values to sink.
 func NewVectorizer(syms *xmlmodel.Symbols, sink Sink) *Vectorizer {
-	return &Vectorizer{builder: skeleton.NewBuilder(), syms: syms, sink: sink}
+	return &Vectorizer{builder: skeleton.NewBuilder(), syms: syms, sink: sink, root: -1}
 }
 
 // Event implements xmlmodel.Handler.
@@ -175,15 +175,11 @@ func (v *Vectorizer) Event(ev xmlmodel.Event) error {
 // Skeleton returns the finished compressed skeleton. Call it only after a
 // complete, balanced event stream.
 func (v *Vectorizer) Skeleton() (*skeleton.Skeleton, error) {
-	if v.root == nil || len(v.frames) != 0 {
+	if v.root < 0 || len(v.frames) != 0 {
 		return nil, fmt.Errorf("vectorize: incomplete document (depth %d)", len(v.frames))
 	}
 	return v.builder.Finish(v.root), nil
 }
-
-// Builder exposes the vectorizer's hash-cons builder (the query engine
-// extends result skeletons with it).
-func (v *Vectorizer) Builder() *skeleton.Builder { return v.builder }
 
 // VectorizeStream parses XML from r and vectorizes it into sink, returning
 // the skeleton.
@@ -208,7 +204,3 @@ func VectorizeTree(root *xmlmodel.Node, syms *xmlmodel.Symbols) (*skeleton.Skele
 	}
 	return skel, set, nil
 }
-
-// UseBuilder replaces the vectorizer's hash-cons builder, so fragments can
-// be built into an existing skeleton's builder (used by Repository.Append).
-func (v *Vectorizer) UseBuilder(b *skeleton.Builder) { v.builder = b }
